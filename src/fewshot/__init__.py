@@ -16,13 +16,12 @@ from .episodes import (Dataset, Episode, load_csv, sample_episode, save_csv,
 from .errors import (CheckpointError, ConditioningError, ConfigError,
                      ContractError, DatasetFormatError,
                      DegenerateSubspaceError, DivergenceError, FewshotError,
-                     SamplingError, ShapeError, UnsupportedOpError)
+                     SamplingError, ShapeError)
 from .evaluate import (AblationResult, EvalReport, ablate_lambda2,
                        compare_heads, domain_shift, evaluate)
 from .heads import (ClassSubspace, CosineHead, Hyper, ProtoHead,
-                    RegressionHead, build_subspace, cosine_score,
-                    episode_loss, make_head, ortho_penalty, posterior,
-                    proto_distance, regression_distance)
+                    RegressionHead, build_subspace, episode_loss, make_head,
+                    ortho_penalty)
 from .train import AdamState, TrainConfig, adam_update, fit, sgd_update, train_step
 from .verify import CheckResult, run_all_checks
 
@@ -34,12 +33,10 @@ __all__ = [
     "CosineHead", "Dataset", "DatasetFormatError", "DegenerateSubspaceError",
     "DivergenceError", "EncoderParams", "Episode", "EvalReport",
     "FewshotError", "Hyper", "ProtoHead", "RegressionHead", "SamplingError",
-    "ShapeError", "TrainConfig", "UnsupportedOpError", "ablate_lambda2",
-    "adam_update", "autodiff", "build_subspace", "compare_heads",
-    "cosine_score", "domain_shift", "embed", "embed_np", "episode_loss",
-    "evaluate", "fit", "init_encoder", "linalg", "load_csv", "load_encoder",
-    "make_head", "ortho_penalty", "posterior", "proto_distance",
-    "regression_distance", "run_all_checks", "sample_episode", "save_csv",
-    "save_encoder", "sgd_update", "split_classes", "synth_gaussian",
-    "train_step",
+    "ShapeError", "TrainConfig", "ablate_lambda2", "adam_update", "autodiff",
+    "build_subspace", "compare_heads", "domain_shift", "embed", "embed_np",
+    "episode_loss", "evaluate", "fit", "init_encoder", "linalg", "load_csv",
+    "load_encoder", "make_head", "ortho_penalty", "run_all_checks",
+    "sample_episode", "save_csv", "save_encoder", "sgd_update",
+    "split_classes", "synth_gaussian", "train_step",
 ]

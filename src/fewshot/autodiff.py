@@ -6,12 +6,21 @@ adjoint to input adjoints.  ``backward`` walks the node list once in
 reverse, which is a valid topological order because inputs always precede
 the ops that consume them.
 
-The op set is exactly what the episodic loss needs: dense linear algebra,
-tanh/relu, column norms, a stabilized log-sum-exp, and a symmetric
-positive-definite solve whose adjoint uses the implicit-function rule
-(for ``X = A^{-1} B``: ``Ab = -A^{-T} G X^T``, ``Bb = A^{-T} G``) so the
-closed-form ridge projection stays differentiable without unrolling any
-iterative solver.
+The op set is exactly what the encoder and the heads record:
+
+- structure: add, sub, mul, div (by a 1x1 scalar), scale, neg, add_diag,
+  add_col (broadcast a column), transpose, matmul, col_slice, vstack,
+  pick (one entry per column), sum_all;
+- nonlinearities: tanh, relu;
+- reductions: frobenius_norm_sq, col_norms, col_normalize, and lse_cols
+  (a stabilized column-wise log-sum-exp);
+- solve_spd, a symmetric positive-definite solve whose adjoint uses the
+  implicit-function rule (for ``X = A^{-1} B``: ``Ab = -A^{-T} G X^T``,
+  ``Bb = A^{-T} G``), so the closed-form ridge coefficients stay
+  differentiable without unrolling any iterative solver.
+
+Evaluation records the same ops on a throwaway tape and reads ``.value``;
+nothing forces a backward pass.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import ContractError, ShapeError, UnsupportedOpError
+from .errors import ContractError, ShapeError
 
 Adjoint = Callable[[np.ndarray], list[tuple[int, np.ndarray]]]
 
@@ -69,13 +78,6 @@ class Tape:
     def leaf(self, values) -> Var:
         """Enter a constant or parameter tensor onto the tape."""
         return self._append("leaf", linalg.as_matrix(values), None)
-
-    def record(self, kind: str, *inputs, **params) -> Var:
-        """Record an op by name; the dispatch table mirrors the module API."""
-        fn = _OPS.get(kind)
-        if fn is None:
-            raise UnsupportedOpError(f"unknown op kind {kind!r}")
-        return fn(*inputs, **params)
 
 
 def _tape_of(*vars_: Var) -> Tape:
@@ -176,18 +178,6 @@ def add_col(a: Var, col: Var) -> Var:
     return tape._append("add_col", a.value + col.value, back)
 
 
-def sub_scalar(a: Var, s: Var) -> Var:
-    """Subtract a 1x1 scalar variable from every entry."""
-    if s.shape != (1, 1):
-        raise ShapeError(f"sub_scalar expects a 1x1 scalar, got {s.shape}")
-    tape = _tape_of(a, s)
-
-    def back(g):
-        return [(a.id, g), (s.id, np.array([[-float(np.sum(g))]]))]
-
-    return tape._append("sub_scalar", a.value - s.value[0, 0], back)
-
-
 def transpose(a: Var) -> Var:
     def back(g):
         return [(a.id, np.ascontiguousarray(g.T))]
@@ -285,29 +275,7 @@ def relu(a: Var) -> Var:
     return a.tape._append("relu", a.value * mask, back)
 
 
-def exp(a: Var) -> Var:
-    e = np.exp(a.value)
-
-    def back(g):
-        return [(a.id, g * e)]
-
-    return a.tape._append("exp", e, back)
-
-
 # -- norms and reductions ----------------------------------------------------
-
-
-def l2_norm(v: Var) -> Var:
-    """Euclidean norm of a column vector; gradient at 0 is the zero vector."""
-    norm = linalg.l2_norm(v.value)
-    vv = v.value
-
-    def back(g):
-        if norm == 0.0:
-            return [(v.id, np.zeros_like(vv))]
-        return [(v.id, (float(g[0, 0]) / norm) * vv)]
-
-    return v.tape._append("l2_norm", np.array([[norm]]), back)
 
 
 def frobenius_norm_sq(a: Var) -> Var:
@@ -353,22 +321,6 @@ def col_normalize(a: Var) -> Var:
     return a.tape._append("col_normalize", y, back)
 
 
-def logsumexp(v: Var) -> Var:
-    """log sum exp over a column vector, with max-subtraction stabilization."""
-    x = v.value
-    if x.shape[1] != 1:
-        raise ShapeError(f"logsumexp expects an (n, 1) column, got {x.shape}")
-    m = float(np.max(x))
-    e = np.exp(x - m)
-    total = float(np.sum(e))
-    soft = e / total
-
-    def back(g):
-        return [(v.id, float(g[0, 0]) * soft)]
-
-    return v.tape._append("logsumexp", np.array([[m + np.log(total)]]), back)
-
-
 def lse_cols(a: Var) -> Var:
     """Column-wise log-sum-exp of an N x B matrix, returning a 1 x B row."""
     x = a.value
@@ -402,35 +354,6 @@ def solve_spd(a: Var, b: Var) -> Var:
         return [(a.id, -gb @ x.T), (b.id, gb)]
 
     return tape._append("solve_spd", x, back)
-
-
-_OPS: dict[str, Callable[..., Var]] = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "scale": scale,
-    "neg": neg,
-    "add_diag": add_diag,
-    "add_col": add_col,
-    "sub_scalar": sub_scalar,
-    "transpose": transpose,
-    "matmul": matmul,
-    "col_slice": col_slice,
-    "vstack": vstack,
-    "pick": pick,
-    "sum_all": sum_all,
-    "tanh": tanh,
-    "relu": relu,
-    "exp": exp,
-    "l2_norm": l2_norm,
-    "frobenius_norm_sq": frobenius_norm_sq,
-    "col_norms": col_norms,
-    "col_normalize": col_normalize,
-    "logsumexp": logsumexp,
-    "lse_cols": lse_cols,
-    "solve_spd": solve_spd,
-}
 
 
 def backward(tape: Tape, loss: Var) -> dict[int, np.ndarray]:

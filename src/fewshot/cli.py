@@ -3,7 +3,11 @@
 Configuration precedence is defaults <- config file <- command-line flags.
 The config file is flat ``key = value`` text with ``#`` comments; keys
 mirror the flag names. Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 I/O or file-format error, 4 training divergence.
+2 usage error, 3 I/O or file-format error, 4 numerical failure: a
+non-finite loss or a non-positive-definite ridge system.
+
+``--threads`` (config key ``threads``) is accepted and ignored, so older
+config files still parse; evaluation runs on one thread.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from . import verify
 from .evaluate import ablate_lambda2, domain_shift, evaluate, format_table
 from .encoder import load_encoder, save_encoder
 from .episodes import load_csv, split_classes, synth_gaussian
-from .errors import (CheckpointError, ConfigError, ContractError,
-                     DatasetFormatError, DivergenceError, FewshotError,
-                     SamplingError, ShapeError)
+from .errors import (CheckpointError, ConditioningError, ConfigError,
+                     ContractError, DatasetFormatError, DivergenceError,
+                     FewshotError, SamplingError, ShapeError)
 from .heads import make_head
 from .linalg import named_stream
 from .train import TrainConfig, fit, history_lines
@@ -29,7 +33,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-EXIT_DIVERGED = 4
+EXIT_NUMERICAL = 4
 
 
 @dataclass
@@ -50,7 +54,7 @@ class RunConfig:
     lambda2_values: str = "0,0.01"
     head: str = "regression"
     seed: int = 0
-    threads: int = 1
+    threads: int = 1             # accepted and ignored
     out: str = ""
     checkpoint: str = ""
     batch_tasks: int = 1
@@ -139,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=None)
     common.add_argument("--seed", type=int, default=None, help="root random seed")
     common.add_argument("--threads", type=int, default=None,
-                        help="evaluation threads (1 = bitwise-reproducible)")
+                        help="accepted and ignored (evaluation is single-threaded)")
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument("--optimizer", choices=("adam", "sgd"), default=None)
     common.add_argument("--batch-tasks", type=int, default=None, dest="batch_tasks")
@@ -209,7 +213,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     positive("q", config.q)
     positive("episodes", config.episodes)
     positive("eval-episodes", config.eval_episodes, 2)
-    positive("threads", config.threads)
     positive("batch-tasks", config.batch_tasks)
     positive("val-interval", config.val_interval)
     positive("val-episodes", config.val_episodes)
@@ -290,7 +293,7 @@ def cmd_eval(config: RunConfig) -> int:
     report = evaluate(
         params, head, test_set, config.n, config.k, config.q,
         config.eval_episodes, config.seed, lambda1=config.lambda1,
-        train_domain=train_set.name, train_set=train_set, threads=config.threads)
+        train_domain=train_set.name, train_set=train_set)
     print(format_table([report]))
     print(report.to_line())
     if config.out:
@@ -310,8 +313,7 @@ def cmd_ablate(config: RunConfig) -> int:
     train_set, val_set, test_set = _load_domain(config)
     result = ablate_lambda2(
         train_set, val_set, test_set, config.train_config(), values,
-        head_name=config.head, eval_episodes=config.eval_episodes,
-        threads=config.threads)
+        head_name=config.head, eval_episodes=config.eval_episodes)
     print(format_table(result.reports))
     for v, d in zip(result.lambda2_values[1:], result.mean_delta[1:]):
         print(f"lambda2={v:g} vs {result.lambda2_values[0]:g}: "
@@ -336,7 +338,7 @@ def cmd_shift(config: RunConfig) -> int:
         _, _, test_b = _load_domain(config, offset=config.offset, suffix="-shifted")
     report = domain_shift(
         train_a, val_a, test_b, config.train_config(), head_name=config.head,
-        eval_episodes=config.eval_episodes, threads=config.threads)
+        eval_episodes=config.eval_episodes)
     print(format_table([report]))
     print(report.to_line())
     if config.out:
@@ -381,7 +383,10 @@ def main(argv=None) -> int:
         return EXIT_IO
     except DivergenceError as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+        return EXIT_NUMERICAL
+    except ConditioningError as exc:
+        print(f"error: ridge system is not positive definite: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except FewshotError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,9 +2,10 @@
 
 Parameters live in plain numpy arrays.  For training, ``attach`` enters
 them onto a tape once per episode batch so gradients accumulate on the
-returned handles; ``forward`` then records the layer chain.  ``embed_np``
-is the tape-free twin used wherever gradients are not needed (validation,
-test evaluation), and the two paths must agree to machine precision.
+returned handles; ``forward`` then records the layer chain, and the train
+step reads both its loss and its accuracy from that one embedding.
+Validation and test evaluation embed with ``embed_np``, the same layer
+chain without a tape; tests pin the two to machine precision.
 """
 
 from __future__ import annotations

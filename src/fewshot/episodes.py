@@ -10,6 +10,7 @@ sets disjoint by construction.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,23 +175,26 @@ def split_classes(dataset: Dataset, fractions, seed) -> tuple[Dataset, Dataset, 
 
 # -- CSV ingestion -----------------------------------------------------------
 #
-# Format: header line, then one row per example: label,feat_1,...,feat_D.
-# UTF-8, '\n' or '\r\n' line endings, '.' decimal separator.
+# Format: one row per example, label,feat_1,...,feat_D, with an optional
+# header line.  Line 1 is a header exactly when one of its feature fields
+# does not parse as a float (``save_csv`` writes label,f1,...,fD).  Labels
+# may be integers or strings; features must be finite.  UTF-8, '\n' or
+# '\r\n' line endings, '.' decimal separator.
 
 
 def load_csv(path) -> Dataset:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
-    lines = [ln for ln in lines]
-    if not lines or not any(ln.strip() for ln in lines):
+    if not any(ln.strip() for ln in lines):
         raise DatasetFormatError(f"{path}: file is empty")
-    header = lines[0].split(",")
-    dim = len(header) - 1
+    first = lines[0].split(",")
+    dim = len(first) - 1
     if dim < 1:
-        raise DatasetFormatError(f"{path}: header must list at least one feature column")
+        raise DatasetFormatError(f"{path}: line 1 must hold a label and at least one feature")
+    start = 1 if all(_is_float(tok) for tok in first[1:]) else 2
     columns = []
     labels = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines[start - 1:], start=start):
         if not line.strip():
             continue
         parts = line.split(",")
@@ -207,10 +211,13 @@ def load_csv(path) -> Dataset:
                 raise DatasetFormatError(
                     f"{path}: line {lineno} has non-numeric feature {tok.strip()!r}"
                 ) from None
+            if not math.isfinite(feats[j]):
+                raise DatasetFormatError(
+                    f"{path}: line {lineno} has non-finite feature {tok.strip()!r}")
         columns.append(feats)
         labels.append(label)
     if not columns:
-        raise DatasetFormatError(f"{path}: no data rows after the header")
+        raise DatasetFormatError(f"{path}: no data rows")
     return Dataset(str(path), np.column_stack(columns), labels)
 
 
@@ -221,6 +228,14 @@ def save_csv(dataset: Dataset, path) -> None:
         for i in range(dataset.n_examples):
             row = ",".join(repr(float(v)) for v in dataset.features[:, i])
             fh.write(f"{dataset.labels[i]},{row}\n")
+
+
+def _is_float(tok: str) -> bool:
+    try:
+        float(tok)
+        return True
+    except ValueError:
+        return False
 
 
 def _is_int(tok: str) -> bool:

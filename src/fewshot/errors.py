@@ -13,10 +13,6 @@ class ConditioningError(FewshotError):
     """A matrix that must be positive definite is not (names the pivot)."""
 
 
-class UnsupportedOpError(FewshotError):
-    """The tape does not know how to record or differentiate this op."""
-
-
 class ContractError(FewshotError):
     """A caller broke a documented precondition."""
 

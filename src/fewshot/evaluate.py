@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -94,7 +93,7 @@ def _assert_no_class_leakage(train_set: Dataset | None, test_set: Dataset) -> No
 def evaluate(params: EncoderParams, head, test_set: Dataset, n_way: int,
              k_shot: int, q_queries: int, episodes: int, seed: int,
              lambda1: float = 1e-3, train_domain: str | None = None,
-             train_set: Dataset | None = None, threads: int = 1) -> EvalReport:
+             train_set: Dataset | None = None) -> EvalReport:
     """Accuracy over freshly sampled test episodes with a 95% CI."""
     if episodes < 2:
         raise ContractError(
@@ -106,16 +105,9 @@ def evaluate(params: EncoderParams, head, test_set: Dataset, n_way: int,
         sample_episode(test_set, n_way, k_shot, q_queries, rng)
         for _ in range(episodes)
     ]
-
-    def one(ep):
-        return 100.0 * episode_accuracy(params, head, ep, hyper)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_episode = np.array(list(pool.map(one, sampled)))
-    else:
-        per_episode = np.array([one(ep) for ep in sampled])
-
+    per_episode = np.array([
+        100.0 * episode_accuracy(params, head, ep, hyper) for ep in sampled
+    ])
     mean, ci = confidence_interval(per_episode)
     ep_hash = hashlib.sha256()
     for ep in sampled:
@@ -153,7 +145,7 @@ class AblationResult:
 
 def ablate_lambda2(train_set: Dataset, val_set: Dataset, test_set: Dataset,
                    config: TrainConfig, lambda2_values, head_name: str = "regression",
-                   eval_episodes: int = 600, threads: int = 1) -> AblationResult:
+                   eval_episodes: int = 600) -> AblationResult:
     """Train one model per lambda2 with otherwise identical seeds and
     evaluate every model on the same test-episode sequence."""
     if not lambda2_values:
@@ -166,7 +158,7 @@ def ablate_lambda2(train_set: Dataset, val_set: Dataset, test_set: Dataset,
         reports.append(evaluate(
             params, head, test_set, cfg.n_way, cfg.k_shot, cfg.q_queries,
             eval_episodes, cfg.seed, lambda1=cfg.lambda1,
-            train_domain=train_set.name, train_set=train_set, threads=threads))
+            train_domain=train_set.name, train_set=train_set))
     prints = {r.episodes_fingerprint for r in reports}
     if len(prints) != 1:
         raise ContractError(
@@ -182,7 +174,7 @@ def ablate_lambda2(train_set: Dataset, val_set: Dataset, test_set: Dataset,
 
 def domain_shift(train_a: Dataset, val_a: Dataset | None, test_b: Dataset,
                  config: TrainConfig, head_name: str = "regression",
-                 eval_episodes: int = 600, threads: int = 1) -> EvalReport:
+                 eval_episodes: int = 600) -> EvalReport:
     """Train on domain A's classes, evaluate on domain B's test classes."""
     if train_a.dim != test_b.dim:
         raise ContractError(
@@ -193,12 +185,12 @@ def domain_shift(train_a: Dataset, val_a: Dataset | None, test_b: Dataset,
     return evaluate(
         params, head, test_b, config.n_way, config.k_shot, config.q_queries,
         eval_episodes, config.seed, lambda1=config.lambda1,
-        train_domain=train_a.name, threads=threads)
+        train_domain=train_a.name)
 
 
 def compare_heads(train_set: Dataset, val_set: Dataset | None, test_set: Dataset,
                   config: TrainConfig, head_names=("regression", "proto", "cosine"),
-                  eval_episodes: int = 600, threads: int = 1) -> list[EvalReport]:
+                  eval_episodes: int = 600) -> list[EvalReport]:
     """Train one encoder per head (its own loss) and evaluate on shared
     test-episode sequences."""
     reports = []
@@ -208,7 +200,7 @@ def compare_heads(train_set: Dataset, val_set: Dataset | None, test_set: Dataset
         reports.append(evaluate(
             params, head, test_set, config.n_way, config.k_shot, config.q_queries,
             eval_episodes, config.seed, lambda1=config.lambda1,
-            train_domain=train_set.name, train_set=train_set, threads=threads))
+            train_domain=train_set.name, train_set=train_set))
     prints = {r.episodes_fingerprint for r in reports}
     if len(prints) != 1:
         raise ContractError("head comparison saw different test episodes across runs")

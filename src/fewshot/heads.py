@@ -6,9 +6,10 @@ regression residual
 
     d(e, S) = || e - S (S^T S + lam1 I)^{-1} S^T e ||_2
 
-i.e. the distance from e to the (regularized) projection onto span(S).
-Class posteriors are a softmax over negated distances, and the training
-loss adds a pairwise subspace-orthogonalization penalty
+computed in coefficient form: C = (S^T S + lam1 I)^{-1} S^T Q is a K x K
+solve for all query columns Q at once, and the distance is the column
+norm of Q - S C.  Class posteriors are a softmax over negated distances,
+and the training loss adds a pairwise subspace-orthogonalization penalty
 
     sum_{i != j} ||S_i^T S_j||_F^2 / (||S_i||_F^2 ||S_j||_F^2)
 
@@ -16,8 +17,9 @@ over ordered pairs.  Prototype (distance to the support mean) and cosine
 (mean negated cosine similarity) heads provide baselines under the same
 episode protocol.
 
-Every head exposes the loss as tape ops (for training) and a plain-numpy
-``distances_np`` twin (for evaluation); tests pin the two paths together.
+Each head writes its distance math once, as ``distance_rows`` on tape
+ops.  Training differentiates it; ``distances_np`` runs the same ops on a
+throwaway tape and returns the values, with no backward pass.
 """
 
 from __future__ import annotations
@@ -53,34 +55,40 @@ class Hyper:
 
 @dataclass
 class ClassSubspace:
-    """Per-class support matrix S, its transpose, and the projector P."""
+    """Per-class support matrix S, its transpose, and the ridge Gram matrix."""
 
     class_id: int
     s: Var        # M x K
-    st: Var       # K x M (kept for the penalty terms)
-    p: Var        # M x M
+    st: Var       # K x M
+    gram: Var     # K x K, S^T S + lambda1 I
 
 
 def build_subspace(support_embeds: Var, lambda1: float, class_id: int = 0) -> ClassSubspace:
-    """P = S (S^T S + lambda1 I)^{-1} S^T, recorded on the tape.
+    """S, S^T and S^T S + lambda1 I, recorded on the tape.
 
-    With lambda1 = 0 the caller guarantees S has full column rank; a
-    rank-deficient S then surfaces as a conditioning error from the solve.
+    With lambda1 > 0 the Gram matrix is positive definite for any S.  With
+    lambda1 = 0 the caller guarantees S has full column rank, so M >= K is
+    required; a rank-deficient S then surfaces as a conditioning error
+    from the solve.
     """
     s = support_embeds
     m, k = s.shape
-    if m < k:
-        raise ContractError(f"need embedding dim >= shots, got M={m} < K={k}")
+    if lambda1 == 0.0 and m < k:
+        raise ContractError(
+            f"lambda1 = 0 needs embedding dim >= shots, got M={m} < K={k}")
     st = autodiff.transpose(s)
     gram = autodiff.matmul(st, s)
     if lambda1 != 0.0:
         gram = autodiff.add_diag(gram, lambda1)
-    p = autodiff.matmul(s, autodiff.solve_spd(gram, st))
-    return ClassSubspace(class_id, s, st, p)
+    return ClassSubspace(class_id, s, st, gram)
 
 
 def build_projector_np(s: np.ndarray, lambda1: float) -> np.ndarray:
-    """Tape-free twin of build_subspace's projector."""
+    """P = S (S^T S + lambda1 I)^{-1} S^T: the M x M projector in plain numpy.
+
+    Nothing scores with it; it is the reference for the projection-law
+    checks, since ||e - P e|| is the regression distance.
+    """
     s = linalg.as_matrix(s)
     gram = s.T @ s
     if lambda1 != 0.0:
@@ -88,38 +96,18 @@ def build_projector_np(s: np.ndarray, lambda1: float) -> np.ndarray:
     return s @ linalg.solve_spd(gram, linalg.transpose(s))
 
 
-def regression_distance(e: Var, sub: ClassSubspace) -> Var:
-    """|| e - P e ||_2 for a single M x 1 query embedding."""
-    if e.shape[1] != 1 or e.shape[0] != sub.p.shape[0]:
-        raise ShapeError(f"query shape {e.shape} does not match projector {sub.p.shape}")
-    return autodiff.l2_norm(autodiff.sub(e, autodiff.matmul(sub.p, e)))
+def regression_distance_rows(subs: Sequence[ClassSubspace], query: Var) -> Var:
+    """N x B matrix of ridge residual norms, one row per class subspace.
 
-
-def regression_distances_np(s: np.ndarray, queries: np.ndarray, lambda1: float) -> np.ndarray:
-    """Residual norms for all query columns at once (1 x B row).
-
-    Solves (S^T S + lambda1 I) A = S^T Q and measures ||Q - S A|| per
-    column, which avoids materializing the M x M projector.
+    Per class, C = (S^T S + lambda1 I)^{-1} S^T Q is one K x K solve for
+    every query column, and the row is the column norms of Q - S C.
     """
-    s = linalg.as_matrix(s)
-    queries = linalg.as_matrix(queries)
-    gram = s.T @ s
-    if lambda1 != 0.0:
-        gram = gram + lambda1 * np.eye(s.shape[1])
-    coeff = linalg.solve_spd(gram, s.T @ queries)
-    resid = queries - s @ coeff
-    return np.sqrt(np.sum(resid * resid, axis=0, keepdims=True))
-
-
-def posterior(query_embed: Var, subs: Sequence[ClassSubspace]) -> Var:
-    """Softmax over negated distances, stabilized through logsumexp."""
-    if len(subs) < 2:
-        raise ContractError(f"posterior needs at least 2 classes, got {len(subs)}")
-    neg_d = autodiff.vstack([
-        autodiff.neg(regression_distance(query_embed, sub)) for sub in subs
-    ])
-    log_z = autodiff.logsumexp(neg_d)
-    return autodiff.exp(autodiff.sub_scalar(neg_d, log_z))
+    rows = []
+    for sub in subs:
+        coeff = autodiff.solve_spd(sub.gram, autodiff.matmul(sub.st, query))
+        resid = autodiff.sub(query, autodiff.matmul(sub.s, coeff))
+        rows.append(autodiff.col_norms(resid))
+    return autodiff.vstack(rows)
 
 
 def softmax_neg_np(distances: np.ndarray) -> np.ndarray:
@@ -138,7 +126,6 @@ def ortho_penalty(subs: Sequence[ClassSubspace]) -> Var:
     """
     if len(subs) < 2:
         raise ContractError(f"penalty needs at least 2 subspaces, got {len(subs)}")
-    tape = subs[0].s.tape
     norms_sq = []
     for sub in subs:
         nsq = autodiff.frobenius_norm_sq(sub.s)
@@ -156,7 +143,7 @@ def ortho_penalty(subs: Sequence[ClassSubspace]) -> Var:
 
 
 def ortho_penalty_np(supports: Sequence[np.ndarray]) -> float:
-    """Tape-free double-loop twin of ortho_penalty (ordered pairs)."""
+    """Tape-free double-loop reference for ortho_penalty (ordered pairs)."""
     total = 0.0
     norms = [linalg.frobenius_norm_sq(s) for s in supports]
     for i, si in enumerate(supports):
@@ -184,6 +171,8 @@ def cross_entropy_from_distances(dist_matrix: Var, labels: np.ndarray, n_way: in
     ``dist_matrix`` is N x B with one column per query; ``labels`` are
     1-based class indices of length B.
     """
+    if n_way < 2:
+        raise ContractError(f"a posterior needs at least 2 classes, got {n_way}")
     n, b = dist_matrix.shape
     if n != n_way:
         raise ShapeError(f"distance matrix has {n} rows for {n_way} classes")
@@ -193,26 +182,38 @@ def cross_entropy_from_distances(dist_matrix: Var, labels: np.ndarray, n_way: in
     return autodiff.scale(autodiff.sum_all(autodiff.add(picked, lse)), 1.0 / b)
 
 
-def regression_distance_rows(subs: Sequence[ClassSubspace], query: Var) -> Var:
-    """N x B matrix of residual norms, one row per class subspace."""
-    rows = []
-    for sub in subs:
-        resid = autodiff.sub(query, autodiff.matmul(sub.p, query))
-        rows.append(autodiff.col_norms(resid))
-    return autodiff.vstack(rows)
-
-
 def episode_loss(query_embeds: Var, labels, subs: Sequence[ClassSubspace],
-                 hyper: Hyper) -> Var:
-    """Mean negative log posterior over all queries plus the weighted penalty."""
+                 hyper: Hyper) -> tuple[Var, Var]:
+    """Mean negative log posterior over all queries plus the weighted penalty.
+
+    Returns the loss and the N x B distance matrix it was computed from.
+    """
     dist = regression_distance_rows(subs, query_embeds)
     loss = cross_entropy_from_distances(dist, labels, hyper.n_way)
     if hyper.lambda2 != 0.0:
         loss = autodiff.add(loss, autodiff.scale(ortho_penalty(subs), hyper.lambda2))
-    return loss
+    return loss, dist
 
 
 # -- heads -------------------------------------------------------------------
+#
+# A head's ``distance_rows`` maps K-column support blocks (one per class)
+# and the M x B queries to an N x B distance matrix on the tape.
+# ``episode_loss`` returns (loss, that distance matrix); ``distances_np``
+# evaluates ``distance_rows`` on numpy inputs.  Every head defines both of
+# the latter in its own class body: perfbench's tracer patches them there.
+
+
+def _subspaces(support_cols: Sequence[Var], lambda1: float) -> list[ClassSubspace]:
+    return [build_subspace(s, lambda1, class_id=i + 1) for i, s in enumerate(support_cols)]
+
+
+def _untaped(distance_rows, support_cols: Sequence[np.ndarray], query: np.ndarray,
+             hyper: Hyper) -> np.ndarray:
+    """Values of a head's tape ops, recorded on a throwaway tape."""
+    tape = Tape()
+    return distance_rows([tape.leaf(s) for s in support_cols], tape.leaf(query),
+                         hyper).value
 
 
 class RegressionHead:
@@ -220,27 +221,17 @@ class RegressionHead:
 
     name = "regression"
 
+    def distance_rows(self, support_cols: Sequence[Var], query: Var,
+                      hyper: Hyper) -> Var:
+        return regression_distance_rows(_subspaces(support_cols, hyper.lambda1), query)
+
     def episode_loss(self, support_cols: Sequence[Var], query: Var,
-                     labels, hyper: Hyper) -> Var:
-        subs = [
-            build_subspace(s, hyper.lambda1, class_id=i + 1)
-            for i, s in enumerate(support_cols)
-        ]
-        return episode_loss(query, labels, subs, hyper)
+                     labels, hyper: Hyper) -> tuple[Var, Var]:
+        return episode_loss(query, labels, _subspaces(support_cols, hyper.lambda1), hyper)
 
     def distances_np(self, support_cols: Sequence[np.ndarray], query: np.ndarray,
                      hyper: Hyper) -> np.ndarray:
-        return np.vstack([
-            regression_distances_np(s, query, hyper.lambda1) for s in support_cols
-        ])
-
-
-def proto_distance(e: Var, support: Var) -> Var:
-    """Euclidean distance from e to the mean of the support columns."""
-    k = support.shape[1]
-    ones = support.tape.leaf(np.full((k, 1), 1.0 / k))
-    centroid = autodiff.matmul(support, ones)
-    return autodiff.l2_norm(autodiff.sub(e, centroid))
+        return _untaped(self.distance_rows, support_cols, query, hyper)
 
 
 class ProtoHead:
@@ -260,27 +251,13 @@ class ProtoHead:
         return autodiff.vstack(rows)
 
     def episode_loss(self, support_cols: Sequence[Var], query: Var,
-                     labels, hyper: Hyper) -> Var:
+                     labels, hyper: Hyper) -> tuple[Var, Var]:
         dist = self.distance_rows(support_cols, query, hyper)
-        return cross_entropy_from_distances(dist, labels, hyper.n_way)
+        return cross_entropy_from_distances(dist, labels, hyper.n_way), dist
 
     def distances_np(self, support_cols: Sequence[np.ndarray], query: np.ndarray,
                      hyper: Hyper) -> np.ndarray:
-        rows = []
-        for s in support_cols:
-            diff = query - np.mean(s, axis=1, keepdims=True)
-            rows.append(np.sqrt(np.sum(diff * diff, axis=0, keepdims=True)))
-        return np.vstack(rows)
-
-
-def cosine_score(e: Var, support: Var) -> Var:
-    """Mean over support columns of cos(e, s_k); in [-1, 1]."""
-    k = support.shape[1]
-    e_hat = autodiff.col_normalize(e)
-    s_hat = autodiff.col_normalize(support)
-    sims = autodiff.matmul(autodiff.transpose(s_hat), e_hat)  # K x 1
-    ones = support.tape.leaf(np.full((1, k), 1.0 / k))
-    return autodiff.matmul(ones, sims)
+        return _untaped(self.distance_rows, support_cols, query, hyper)
 
 
 class CosineHead:
@@ -301,22 +278,13 @@ class CosineHead:
         return autodiff.vstack(rows)
 
     def episode_loss(self, support_cols: Sequence[Var], query: Var,
-                     labels, hyper: Hyper) -> Var:
+                     labels, hyper: Hyper) -> tuple[Var, Var]:
         dist = self.distance_rows(support_cols, query, hyper)
-        return cross_entropy_from_distances(dist, labels, hyper.n_way)
+        return cross_entropy_from_distances(dist, labels, hyper.n_way), dist
 
     def distances_np(self, support_cols: Sequence[np.ndarray], query: np.ndarray,
                      hyper: Hyper) -> np.ndarray:
-        def unit(a):
-            norms = np.sqrt(np.sum(a * a, axis=0, keepdims=True))
-            return a / np.where(norms > 0.0, norms, 1.0)
-
-        q_hat = unit(query)
-        rows = []
-        for s in support_cols:
-            sims = unit(s).T @ q_hat
-            rows.append(-np.mean(sims, axis=0, keepdims=True))
-        return np.vstack(rows)
+        return _untaped(self.distance_rows, support_cols, query, hyper)
 
 
 HEADS = {cls.name: cls for cls in (RegressionHead, ProtoHead, CosineHead)}

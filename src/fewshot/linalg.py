@@ -45,47 +45,9 @@ def transpose(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.T)
 
 
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check_same_shape("add", a, b)
-    return a + b
-
-
-def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check_same_shape("sub", a, b)
-    return a - b
-
-
-def scale(a: np.ndarray, c: float) -> np.ndarray:
-    return a * float(c)
-
-
-def outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    u = as_column(u)
-    v = as_column(v)
-    return u @ v.T
-
-
-def column_stack(columns) -> np.ndarray:
-    cols = [as_column(c) for c in columns]
-    if not cols:
-        raise ShapeError("column_stack needs at least one column")
-    rows = cols[0].shape[0]
-    for c in cols:
-        if c.shape[0] != rows:
-            raise ShapeError(f"column heights disagree: {rows} vs {c.shape[0]}")
-    return np.hstack(cols)
-
-
 def frobenius_norm_sq(a: np.ndarray) -> float:
     """Sum of squared entries."""
     return float(np.sum(a * a))
-
-
-def l2_norm(v: np.ndarray) -> float:
-    """Euclidean norm of a column vector."""
-    if v.ndim != 2 or v.shape[1] != 1:
-        raise ShapeError(f"l2_norm expects an (n, 1) column, got shape {v.shape}")
-    return float(np.sqrt(np.sum(v * v)))
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:
@@ -172,12 +134,3 @@ def random_uniform(rng: np.random.Generator, rows: int, cols: int,
                    low: float = -1.0, high: float = 1.0) -> np.ndarray:
     return rng.uniform(low, high, size=(rows, cols))
 
-
-def random_normal(rng: np.random.Generator, rows: int, cols: int,
-                  std: float = 1.0) -> np.ndarray:
-    return rng.normal(0.0, std, size=(rows, cols))
-
-
-def _check_same_shape(op: str, a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op} expects matching shapes, got {a.shape} and {b.shape}")

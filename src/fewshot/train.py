@@ -121,7 +121,10 @@ def _rebuild(params: EncoderParams, tensors: list[np.ndarray]) -> EncoderParams:
 
 def episode_loss_on_tape(attached, params: EncoderParams, episode: Episode,
                          head, hyper: Hyper, tape: Tape):
-    """Embed support and queries on the tape and record the head loss."""
+    """Embed support and queries on the tape and record the head loss.
+
+    Returns (loss, N x B distance matrix), as ``head.episode_loss`` does.
+    """
     n, k, q = episode.n_way, episode.k_shot, episode.q_queries
     batch = np.hstack([episode.support_x, episode.query_x])
     embeds = encoder.forward(attached, params, tape.leaf(batch))
@@ -134,7 +137,7 @@ def episode_loss_on_tape(attached, params: EncoderParams, episode: Episode,
 
 def episode_accuracy(params: EncoderParams, head, episode: Episode,
                      hyper: Hyper) -> float:
-    """Fraction of queries whose predicted class matches, tape-free."""
+    """Fraction of queries whose predicted class matches; no gradients."""
     support = encoder.embed_np(params, episode.support_x)
     query = encoder.embed_np(params, episode.query_x)
     k = episode.k_shot
@@ -157,14 +160,18 @@ def train_step(params: EncoderParams, batch: list[Episode], config: TrainConfig,
     attached = encoder.attach(params, tape)
     total = None
     losses = []
+    accuracies = []
     for i, episode in enumerate(batch):
-        loss = episode_loss_on_tape(attached, params, episode, head, hyper, tape)
+        loss, dist = episode_loss_on_tape(attached, params, episode, head, hyper, tape)
         value = loss.item()
         if not np.isfinite(value):
             raise DivergenceError(
                 f"non-finite loss {value} at episode {episode_offset + i}",
                 episode_index=episode_offset + i)
         losses.append(value)
+        # The loss's distances are the pre-update params' distances, so this
+        # is episode_accuracy(params, ...) without embedding a second time.
+        accuracies.append(np.mean(heads.predict_np(dist.value) == episode.query_y))
         total = loss if total is None else autodiff.add(total, loss)
     autodiff.backward(tape, total)
     grads = []
@@ -175,10 +182,7 @@ def train_step(params: EncoderParams, batch: list[Episode], config: TrainConfig,
         new_params = adam_update(params, grads, state, config.lr)
     else:
         new_params = sgd_update(params, grads, config.lr)
-    accuracy = float(np.mean([
-        episode_accuracy(params, head, ep, hyper) for ep in batch
-    ]))
-    metrics = {"loss": float(np.mean(losses)), "accuracy": accuracy}
+    metrics = {"loss": float(np.mean(losses)), "accuracy": float(np.mean(accuracies))}
     return new_params, metrics
 
 

@@ -71,6 +71,13 @@ def ridge_distance_iterative(s: np.ndarray, e: np.ndarray, lambda1: float) -> fl
     return float(np.linalg.norm(e - s @ a))
 
 
+def _distance(s: np.ndarray, e: np.ndarray, lambda1: float) -> float:
+    """The production regression distance of one query column, off a throwaway tape."""
+    tape = Tape()
+    sub = heads.build_subspace(tape.leaf(s), lambda1)
+    return heads.regression_distance_rows([sub], tape.leaf(e)).item()
+
+
 def check_closed_form_oracle(seed: int = 0, instances: int = 200) -> CheckResult:
     """Closed-form regression distance vs the iterative minimizer."""
     rng = linalg.rng_from_seed(seed)
@@ -81,7 +88,7 @@ def check_closed_form_oracle(seed: int = 0, instances: int = 200) -> CheckResult
         lambda1 = 0.0 if i % 2 == 0 else 1e-3
         s = rng.standard_normal((m, k))
         e = rng.standard_normal((m, 1))
-        closed = float(heads.regression_distances_np(s, e, lambda1)[0, 0])
+        closed = _distance(s, e, lambda1)
         oracle = ridge_distance_iterative(s, e, lambda1)
         rel = abs(closed - oracle) / max(abs(oracle), 1e-12)
         worst = max(worst, rel)
@@ -119,21 +126,21 @@ def check_projection_laws(seed: int = 0, trials: int = 100) -> CheckResult:
             failures.append("ridge projector eigenvalue reached 1")
 
         r = rng.standard_normal((k, k)) + 3.0 * np.eye(k)
-        d0 = float(heads.regression_distances_np(s, e, 0.0)[0, 0])
-        d1 = float(heads.regression_distances_np(s @ r, e, 0.0)[0, 0])
+        d0 = _distance(s, e, 0.0)
+        d1 = _distance(s @ r, e, 0.0)
         worst_inv = max(worst_inv, abs(d0 - d1) / max(abs(d0), 1e-12))
 
         # distance is non-decreasing in lambda1 and <= ||e||
         prev = -np.inf
         for lam in (0.0, 1e-3, 1e-1, 1.0, 10.0):
-            d = float(heads.regression_distances_np(s, e, lam)[0, 0])
+            d = _distance(s, e, lam)
             if d < prev - 1e-10:
                 failures.append(f"distance decreased as lambda1 grew ({prev} -> {d})")
             if d > float(np.linalg.norm(e)) + 1e-10:
                 failures.append("distance exceeded ||e||")
             prev = d
-        d_tiny = float(heads.regression_distances_np(s, e, 1e-9)[0, 0])
-        d_exact = float(heads.regression_distances_np(s, e, 0.0)[0, 0])
+        d_tiny = _distance(s, e, 1e-9)
+        d_exact = _distance(s, e, 0.0)
         if abs(d_tiny - d_exact) / max(d_exact, 1e-12) > 1e-6:
             failures.append("lambda1 -> 0 limit mismatch")
 
@@ -180,7 +187,7 @@ def _unpack(params, flat: np.ndarray):
 def _loss_and_grad(params, episode, hyper, head):
     tape = Tape()
     attached = [(tape.leaf(l.weight), tape.leaf(l.bias)) for l in params.layers]
-    loss = train.episode_loss_on_tape(attached, params, episode, head, hyper, tape)
+    loss, _ = train.episode_loss_on_tape(attached, params, episode, head, hyper, tape)
     backward(tape, loss)
     grad = np.concatenate([
         np.concatenate([w.grad.ravel(), b.grad.ravel()]) for w, b in attached
@@ -214,7 +221,8 @@ def check_gradient_fidelity(seed: int = 0, trials: int = 20,
             p = _unpack(params, vec)
             tape = Tape()
             attached = [(tape.leaf(l.weight), tape.leaf(l.bias)) for l in p.layers]
-            return train.episode_loss_on_tape(attached, p, episode, head, hyper, tape).item()
+            loss, _ = train.episode_loss_on_tape(attached, p, episode, head, hyper, tape)
+            return loss.item()
 
         for i in range(flat.size):
             plus = flat.copy()
@@ -254,17 +262,23 @@ def check_posterior_contracts(seed: int = 0, trials: int = 100) -> CheckResult:
     if worst_sum > 1e-12:
         failures.append(f"posterior sum off by {worst_sum:.3e}")
 
-    # tape route agrees with the numpy route
+    # The tape loss is -log posterior of the labelled class; it agrees with
+    # the numpy softmax over projector-route distances.
     tape = Tape()
     rng2 = linalg.rng_from_seed(seed + 1)
-    s_cols = [tape.leaf(rng2.standard_normal((6, 2))) for _ in range(3)]
-    subs = [heads.build_subspace(s, 1e-3, class_id=i + 1) for i, s in enumerate(s_cols)]
-    e = tape.leaf(rng2.standard_normal((6, 1)))
-    post = heads.posterior(e, subs).value[:, 0]
-    dist = np.vstack([
-        heads.regression_distances_np(s.value, e.value, 1e-3) for s in s_cols
+    s_vals = [rng2.standard_normal((6, 2)) for _ in range(3)]
+    subs = [heads.build_subspace(tape.leaf(s), 1e-3, class_id=i + 1)
+            for i, s in enumerate(s_vals)]
+    e_val = rng2.standard_normal((6, 1))
+    dist = heads.regression_distance_rows(subs, tape.leaf(e_val))
+    post = np.array([
+        np.exp(-heads.cross_entropy_from_distances(dist, np.array([c]), 3).item())
+        for c in (1, 2, 3)
     ])
-    if np.max(np.abs(post - heads.softmax_neg_np(dist)[:, 0])) > 1e-12:
+    projector_dist = np.array([
+        [np.linalg.norm(e_val - build_projector_np(s, 1e-3) @ e_val)] for s in s_vals
+    ])
+    if np.max(np.abs(post - heads.softmax_neg_np(projector_dist)[:, 0])) > 1e-12:
         failures.append("tape posterior disagrees with numpy posterior")
 
     detail = f"{trials} trials; max |sum - 1| = {worst_sum:.2e}"

@@ -8,7 +8,7 @@ import pytest
 
 from fewshot import autodiff
 from fewshot.autodiff import Tape, backward
-from fewshot.errors import ContractError, ShapeError, UnsupportedOpError
+from fewshot.errors import ContractError, ShapeError
 
 H = 1e-6
 TOL = 5e-5
@@ -83,11 +83,10 @@ def test_scale_neg_add_diag_gradients():
         check_op(lambda t, v: autodiff.frobenius_norm_sq(autodiff.add_diag(v[0], 0.5)), [a])
 
 
-def test_add_col_and_sub_scalar_gradients():
+def test_add_col_gradients():
     for seed in range(5):
-        a, c, s = mats(seed + 30, (3, 4), (3, 1), (1, 1))
+        a, c = mats(seed + 30, (3, 4), (3, 1))
         check_op(lambda t, v: autodiff.frobenius_norm_sq(autodiff.add_col(v[0], v[1])), [a, c])
-        check_op(lambda t, v: autodiff.frobenius_norm_sq(autodiff.sub_scalar(v[0], v[1])), [a, s])
 
 
 def test_transpose_and_matmul_gradients():
@@ -120,7 +119,6 @@ def test_sum_all_and_nonlinearity_gradients():
         (a,) = mats(seed + 60, (3, 3))
         check_op(lambda t, v: autodiff.mul(autodiff.sum_all(v[0]), autodiff.sum_all(v[0])), [a])
         check_op(lambda t, v: autodiff.sum_all(autodiff.tanh(v[0])), [a])
-        check_op(lambda t, v: autodiff.sum_all(autodiff.exp(v[0])), [a])
         # keep relu inputs away from the kink
         r = a + np.sign(a) * 0.2
         check_op(lambda t, v: autodiff.frobenius_norm_sq(autodiff.relu(v[0])), [r])
@@ -132,7 +130,7 @@ def test_norm_and_normalize_gradients():
         col = rng.standard_normal((4, 1)) + 0.5
         a = rng.standard_normal((3, 4)) + 0.3
         w = rng.standard_normal((3, 4))
-        check_op(lambda t, v: autodiff.l2_norm(v[0]), [col])
+        check_op(lambda t, v: autodiff.sum_all(autodiff.col_norms(v[0])), [col])
         check_op(lambda t, v: autodiff.frobenius_norm_sq(v[0]), [a])
         check_op(lambda t, v: autodiff.sum_all(autodiff.col_norms(v[0])), [a])
         check_op(
@@ -145,7 +143,7 @@ def test_logsumexp_gradients():
         rng = np.random.default_rng(seed + 80)
         col = rng.standard_normal((5, 1))
         a = rng.standard_normal((4, 3))
-        check_op(lambda t, v: autodiff.logsumexp(v[0]), [col])
+        check_op(lambda t, v: autodiff.lse_cols(v[0]), [col])
         check_op(lambda t, v: autodiff.sum_all(autodiff.lse_cols(v[0])), [a])
 
 
@@ -190,7 +188,7 @@ def test_backward_is_idempotent():
 def test_nodes_the_loss_ignores_get_zero_grad():
     tape = Tape()
     x = tape.leaf(np.ones((2, 2)))
-    unused = autodiff.exp(x)
+    unused = autodiff.tanh(x)
     loss = autodiff.sum_all(x)
     backward(tape, loss)
     assert np.array_equal(unused.grad, np.zeros((2, 2)))
@@ -224,7 +222,7 @@ def test_vstack_adjoint_views_do_not_alias_the_output_grad():
 def test_logsumexp_is_stable_for_large_inputs():
     tape = Tape()
     col = tape.leaf(np.array([[1000.0], [999.0]]))
-    out = autodiff.logsumexp(col)
+    out = autodiff.lse_cols(col)
     expected = 1000.0 + np.log(1.0 + np.exp(-1.0))
     assert out.item() == pytest.approx(expected, abs=1e-12)
     big = tape.leaf(np.array([[800.0, -800.0], [799.0, -801.0]]))
@@ -243,7 +241,7 @@ def test_relu_gradient_at_zero_is_zero():
 def test_zero_norm_gradients_are_zero():
     tape = Tape()
     v = tape.leaf(np.zeros((3, 1)))
-    backward(tape, autodiff.l2_norm(v))
+    backward(tape, autodiff.sum_all(autodiff.col_norms(v)))
     assert np.array_equal(v.grad, np.zeros((3, 1)))
 
     tape = Tape()
@@ -257,15 +255,6 @@ def test_zero_norm_gradients_are_zero():
     assert np.array_equal(y.value[:, 0], np.zeros(2))
     backward(tape, autodiff.sum_all(y))
     assert np.array_equal(b.grad[:, 0], np.zeros(2))
-
-
-def test_record_dispatch_and_unknown_op():
-    tape = Tape()
-    x = tape.leaf(np.ones((2, 2)))
-    y = tape.record("scale", x, c=3.0)
-    assert np.array_equal(y.value, 3.0 * np.ones((2, 2)))
-    with pytest.raises(UnsupportedOpError):
-        tape.record("convolve", x)
 
 
 def test_ops_reject_mixed_tapes():
@@ -301,11 +290,9 @@ def test_shape_errors_for_malformed_operands():
     with pytest.raises(ShapeError):
         autodiff.add_col(a, col)
     with pytest.raises(ShapeError):
-        autodiff.sub_scalar(a, b)
-    with pytest.raises(ShapeError):
         autodiff.col_slice(a, 2, 5)
     with pytest.raises(ShapeError):
-        autodiff.logsumexp(a)
+        autodiff.sub(a, b)
     with pytest.raises(ShapeError):
         autodiff.pick(a, np.array([0, 1]))
     with pytest.raises(ContractError):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from fewshot import cli
-from fewshot.cli import (EXIT_CHECK_FAILED, EXIT_DIVERGED, EXIT_IO, EXIT_OK,
+from fewshot.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
                          EXIT_USAGE, RunConfig, build_run_config, main,
                          parse_config_file)
-from fewshot.encoder import load_encoder
+from fewshot.encoder import load_encoder, save_encoder
 
 
 def run(argv):
@@ -160,22 +160,62 @@ def test_malformed_dataset_file_is_an_io_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-def test_non_finite_features_surface_as_divergence(tmp_path, capsys):
-    # nan parses as a float, so the proto loss goes non-finite on episode 0
-    # (the regression head would fail earlier, inside the factorization)
+TINY_CSV_TRAIN = ["--head", "proto", "--n", "2", "--k", "1", "--q", "1",
+                  "--episodes", "2", "--val-interval", "100", "--embed-dim", "2",
+                  "--hidden-dim", "3", "--depth", "1"]
+
+
+def test_non_finite_features_are_a_format_error(tmp_path, capsys):
     bad = tmp_path / "nan.csv"
+    bad.write_text("label,f1,f2\n1,0.5,0.5\n2,nan,0.5\n")
+    code = run(["train", "--dataset", str(bad), *TINY_CSV_TRAIN,
+                "--out", str(tmp_path / "out")])
+    assert code == EXIT_IO
+    assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_features_surface_as_divergence(tmp_path, capsys):
+    # finite but distinct features ~1e300 apart: through a linear encoder
+    # every squared distance overflows, so the proto loss is non-finite on
+    # episode 0
+    big = tmp_path / "big.csv"
     rows = ["label,f1,f2"]
     for c in (1, 2):
-        for _ in range(4):
-            rows.append(f"{c},nan,nan")
-    bad.write_text("\n".join(rows) + "\n")
-    code = run(["train", "--dataset", str(bad), "--head", "proto",
-                "--n", "2", "--k", "1",
-                "--q", "1", "--episodes", "2", "--val-interval", "100",
-                "--embed-dim", "2", "--hidden-dim", "3", "--depth", "1",
+        for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            rows.append(f"{c},{a}e300,{b}e300")
+    big.write_text("\n".join(rows) + "\n")
+    code = run(["train", "--dataset", str(big), *TINY_CSV_TRAIN, "--depth", "0",
                 "--out", str(tmp_path / "out")])
-    assert code == EXIT_DIVERGED
+    assert code == EXIT_NUMERICAL
     assert "episode 0" in capsys.readouterr().err
+
+
+def test_singular_ridge_system_is_a_numerical_failure(tmp_path, capsys):
+    # all-zero weights embed every example at 0, so with lambda1 = 0 the
+    # K x K Gram matrix is zero and the factorization names its pivot
+    out = tmp_path / "run"
+    assert run(["train", *FAST_TRAIN, "--out", str(out)]) == EXIT_OK
+    params = load_encoder(out / "encoder.txt")
+    for layer in params.layers:
+        layer.weight[...] = 0.0
+    save_encoder(params, out / "zero.txt")
+    capsys.readouterr()
+    code = run(["eval", *FAST_TRAIN, "--lambda1", "0",
+                "--checkpoint", str(out / "zero.txt")])
+    assert code == EXIT_NUMERICAL
+    assert "pivot 0.000e+00" in capsys.readouterr().err
+
+
+def test_threads_is_accepted_and_ignored(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["train", *FAST_TRAIN, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    ckpt = ["--checkpoint", str(out / "encoder.txt")]
+    assert run(["eval", *FAST_TRAIN, *ckpt, "--threads", "1"]) == EXIT_OK
+    one = capsys.readouterr().out
+    assert run(["eval", *FAST_TRAIN, *ckpt, "--threads", "4"]) == EXIT_OK
+    assert capsys.readouterr().out == one
 
 
 def test_check_command_reports_all_suites(capsys):

@@ -196,6 +196,37 @@ def test_csv_accepts_string_labels(tmp_path):
     assert data.features.shape == (2, 3)
 
 
+def test_csv_header_is_optional(tmp_path):
+    headerless = tmp_path / "bare.csv"
+    headerless.write_text("a,1.0,2.0\nb,3.0,4.0\n")
+    data = load_csv(headerless)
+    assert data.labels == ["a", "b"]
+    assert np.array_equal(data.features, np.array([[1.0, 3.0], [2.0, 4.0]]))
+
+    numeric = tmp_path / "numeric.csv"
+    numeric.write_text("1,0.5\n2,-0.5\n")
+    assert load_csv(numeric).labels == [1, 2]
+
+    # save_csv writes a label,f1,...,fD header; it is skipped, not loaded
+    data = tiny_dataset(seed=4)
+    path = tmp_path / "saved.csv"
+    save_csv(data, path)
+    assert path.read_text().startswith("label,f1,")
+    assert load_csv(path).n_examples == data.n_examples
+
+
+def test_csv_rejects_non_finite_features(tmp_path):
+    for i, token in enumerate(("nan", "inf", "-inf", "NaN")):
+        bad = tmp_path / f"bad{i}.csv"
+        bad.write_text(f"label,f1,f2\n1,0.5,0.5\n2,0.5,{token}\n")
+        with pytest.raises(DatasetFormatError, match=f"line 3 .*{token}"):
+            load_csv(bad)
+    headerless = tmp_path / "bare.csv"
+    headerless.write_text("1,inf\n2,0.5\n")
+    with pytest.raises(DatasetFormatError, match="line 1"):
+        load_csv(headerless)
+
+
 def test_csv_errors_name_the_line(tmp_path):
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("label,f1,f2\n1,0.5,0.5\n2,0.5\n")

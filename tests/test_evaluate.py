@@ -79,13 +79,17 @@ def test_evaluate_is_deterministic_per_seed():
     assert np.array_equal(a.per_episode, b.per_episode)
 
 
-def test_threading_does_not_change_results():
-    _, _, test = splits()
-    params = init_encoder(named_stream(2, "init"), default_layer_spec(5, 4, 8, 1))
-    one = evaluate(params, RegressionHead(), test, 3, 2, 4, 30, seed=0, threads=1)
-    four = evaluate(params, RegressionHead(), test, 3, 2, 4, 30, seed=0, threads=4)
-    assert np.array_equal(one.per_episode, four.per_episode)
-    assert one.episodes_fingerprint == four.episodes_fingerprint
+def test_ridge_scores_more_shots_than_embedding_dims():
+    # 20 shots in a 16-dim embedding: S^T S is singular, S^T S + lambda1 I is not
+    data = synth_gaussian(named_stream(0, "dataset"), 10, 40, 8, 1.0, 0.4)
+    _, _, test = split_classes(data, (0.0, 0.5, 0.5), named_stream(0, "split"))
+    params = init_encoder(named_stream(0, "init"), default_layer_spec(8, 16, 16, 1))
+    report = evaluate(params, RegressionHead(), test, 5, 20, 4, 5, seed=0,
+                      lambda1=0.5)
+    assert report.per_episode.shape == (5,)
+    assert report.mean_accuracy > 20.0
+    with pytest.raises(ContractError, match="M=16 < K=20"):
+        evaluate(params, RegressionHead(), test, 5, 20, 4, 5, seed=0, lambda1=0.0)
 
 
 def test_constant_head_scores_exactly_chance():

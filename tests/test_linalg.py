@@ -71,36 +71,10 @@ def test_transpose_is_an_involution():
     assert linalg.transpose(a).shape == (7, 4)
 
 
-def test_add_sub_scale_outer():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[0.5, -1.0], [2.0, 0.0]])
-    assert np.array_equal(linalg.add(a, b), a + b)
-    assert np.array_equal(linalg.sub(a, b), a - b)
-    assert np.array_equal(linalg.scale(a, -2.0), -2.0 * a)
-    u = np.array([[1.0], [2.0]])
-    v = np.array([[3.0], [4.0]])
-    assert np.array_equal(linalg.outer(u, v), np.array([[3.0, 4.0], [6.0, 8.0]]))
-    with pytest.raises(ShapeError):
-        linalg.add(a, np.zeros((3, 2)))
-
-
-def test_column_stack_checks_heights():
-    cols = [np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]])]
-    stacked = linalg.column_stack(cols)
-    assert stacked.shape == (2, 2)
-    with pytest.raises(ShapeError):
-        linalg.column_stack([np.zeros((2, 1)), np.zeros((3, 1))])
-    with pytest.raises(ShapeError):
-        linalg.column_stack([])
-
-
 def test_norms():
     a = np.array([[3.0, 0.0], [4.0, 1.0]])
     assert linalg.frobenius_norm_sq(a) == pytest.approx(26.0)
-    v = np.array([[3.0], [4.0]])
-    assert linalg.l2_norm(v) == pytest.approx(5.0)
-    with pytest.raises(ShapeError):
-        linalg.l2_norm(a)
+    assert linalg.frobenius_norm_sq(np.zeros((2, 3))) == 0.0
 
 
 def test_cholesky_reconstructs_spd_matrices():
@@ -183,7 +157,7 @@ def test_random_helpers_respect_bounds_and_shape():
     u = linalg.random_uniform(rng, 40, 30, -0.25, 0.25)
     assert u.shape == (40, 30)
     assert float(u.min()) >= -0.25 and float(u.max()) <= 0.25
-    g = linalg.random_normal(linalg.rng_from_seed(6), 200, 50, std=2.0)
-    # loose moment checks on 10k draws
+    g = linalg.random_uniform(linalg.rng_from_seed(6), 200, 50, -2.0, 2.0)
+    # loose moment checks on 10k draws: mean 0, std 4 / sqrt(12)
     assert abs(float(g.mean())) < 0.1
-    assert abs(float(g.std()) - 2.0) < 0.1
+    assert abs(float(g.std()) - 4.0 / np.sqrt(12.0)) < 0.1

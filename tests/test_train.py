@@ -131,8 +131,8 @@ def test_tape_loss_matches_numpy_reconstruction():
 
     tape = Tape()
     attached = attach(params, tape)
-    loss = episode_loss_on_tape(attached, params, episode, RegressionHead(),
-                                config.hyper(), tape)
+    loss, _ = episode_loss_on_tape(attached, params, episode, RegressionHead(),
+                                   config.hyper(), tape)
 
     support = embed_np(params, episode.support_x)
     query = embed_np(params, episode.query_x)
@@ -174,6 +174,23 @@ def test_train_step_updates_parameters_and_reports_metrics():
     assert 0.0 <= metrics["accuracy"] <= 1.0
     assert not np.array_equal(new_params.layers[0].weight, params.layers[0].weight)
     assert state.step == 1
+
+
+def test_train_step_accuracy_is_episode_accuracy_before_the_update():
+    train_set, _, _ = small_splits()
+    # a large step, so accuracy after the update would differ
+    config = small_config(lambda1=0.1, lr=1.0)
+    for seed, head in ((4, RegressionHead()), (5, heads.ProtoHead()),
+                       (6, heads.CosineHead())):
+        params = init_encoder(named_stream(seed, "init"),
+                              default_layer_spec(train_set.dim, 4, 8, 1))
+        rng = named_stream(seed, "train-sampling")
+        batch = [sample_episode(train_set, 3, 2, 3, rng) for _ in range(2)]
+        expected = np.mean([episode_accuracy(params, head, ep, config.hyper())
+                            for ep in batch])
+        _, metrics = train_step(params, batch, config, AdamState.for_params(params),
+                                head=head)
+        assert metrics["accuracy"] == expected
 
 
 def test_divergence_error_carries_the_global_episode_index():
