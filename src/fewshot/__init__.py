@@ -19,8 +19,7 @@ from .errors import (CheckpointError, ConditioningError, ConfigError,
                      SamplingError, ShapeError)
 from .evaluate import (AblationResult, EvalReport, ablate_lambda2,
                        compare_heads, domain_shift, evaluate)
-from .heads import (ClassSubspace, CosineHead, Hyper, ProtoHead,
-                    RegressionHead, build_subspace, episode_loss, make_head,
+from .heads import (CosineHead, Hyper, ProtoHead, RegressionHead, make_head,
                     ortho_penalty)
 from .train import AdamState, TrainConfig, adam_update, fit, sgd_update, train_step
 from .verify import CheckResult, run_all_checks
@@ -29,13 +28,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AblationResult", "AdamState", "CheckResult", "CheckpointError",
-    "ClassSubspace", "ConditioningError", "ConfigError", "ContractError",
+    "ConditioningError", "ConfigError", "ContractError",
     "CosineHead", "Dataset", "DatasetFormatError", "DegenerateSubspaceError",
     "DivergenceError", "EncoderParams", "Episode", "EvalReport",
     "FewshotError", "Hyper", "ProtoHead", "RegressionHead", "SamplingError",
     "ShapeError", "TrainConfig", "ablate_lambda2", "adam_update", "autodiff",
-    "build_subspace", "compare_heads", "domain_shift", "embed", "embed_np",
-    "episode_loss", "evaluate", "fit", "init_encoder", "linalg", "load_csv",
+    "compare_heads", "domain_shift", "embed", "embed_np",
+    "evaluate", "fit", "init_encoder", "linalg", "load_csv",
     "load_encoder", "make_head", "ortho_penalty", "run_all_checks",
     "sample_episode", "save_csv", "save_encoder", "sgd_update",
     "split_classes", "synth_gaussian", "train_step",

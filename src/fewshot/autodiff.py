@@ -4,20 +4,27 @@ The tape is define-by-run: each op computes its forward value eagerly and
 appends a node holding the input ids and a closure that maps the output
 adjoint to input adjoints.  ``backward`` walks the node list once in
 reverse, which is a valid topological order because inputs always precede
-the ops that consume them.
+the ops that consume them.  A node refers to its tape only weakly, so a
+tape and its nodes are freed by reference counting as soon as the tape
+goes out of scope, without waiting for the cyclic garbage collector.
 
-The op set is exactly what the encoder and the heads record:
+Values are matrices or stacks of matrices (see ``linalg``).  The op set
+is exactly what the encoder and the heads record:
 
-- structure: add, sub, mul, div (by a 1x1 scalar), scale, neg, add_diag,
-  add_col (broadcast a column), transpose, matmul, col_slice, vstack,
-  pick (one entry per column), sum_all;
+- structure: add, mul, scale, neg, add_col (broadcast a column), sub
+  (broadcasting), add_diag, transpose and matmul (on the last two axes;
+  matmul broadcasts leading ones), col_slice, blocks (an M x NK matrix as
+  an (N, M, K) stack of K-column class blocks), pick (one entry per
+  column), sum_all; ops that broadcast sum each adjoint back to its
+  input's shape in one helper, ``_unbroadcast``;
 - nonlinearities: tanh, relu;
-- reductions: frobenius_norm_sq, col_norms, col_normalize, and lse_cols
+- reductions: frobenius_norm_sq, col_norms, col_normalize,
+  block_normalize (each class block to unit Frobenius norm), and lse_cols
   (a stabilized column-wise log-sum-exp);
-- solve_spd, a symmetric positive-definite solve whose adjoint uses the
-  implicit-function rule (for ``X = A^{-1} B``: ``Ab = -A^{-T} G X^T``,
-  ``Bb = A^{-T} G``), so the closed-form ridge coefficients stay
-  differentiable without unrolling any iterative solver.
+- solve_spd, a symmetric positive-definite solve per stacked matrix,
+  whose adjoint uses the implicit-function rule (for ``X = A^{-1} B``:
+  ``Ab = -A^{-T} G X^T``, ``Bb = A^{-T} G``), so the closed-form ridge
+  coefficients stay differentiable without unrolling any iterative solver.
 
 Evaluation records the same ops on a throwaway tape and reads ``.value``;
 nothing forces a backward pass.
@@ -25,12 +32,13 @@ nothing forces a backward pass.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import weakref
+from typing import Callable
 
 import numpy as np
 
 from . import linalg
-from .errors import ContractError, ShapeError
+from .errors import ContractError, DegenerateSubspaceError, ShapeError
 
 Adjoint = Callable[[np.ndarray], list[tuple[int, np.ndarray]]]
 
@@ -38,11 +46,11 @@ Adjoint = Callable[[np.ndarray], list[tuple[int, np.ndarray]]]
 class Var:
     """One tape node: a value plus the recipe to push adjoints backward."""
 
-    __slots__ = ("tape", "id", "op", "value", "grad", "_backward")
+    __slots__ = ("_tape", "id", "op", "value", "grad", "_backward")
 
-    def __init__(self, tape: "Tape", node_id: int, op: str, value: np.ndarray,
-                 backward: Adjoint | None):
-        self.tape = tape
+    def __init__(self, tape_ref: "weakref.ref[Tape]", node_id: int, op: str,
+                 value: np.ndarray, backward: Adjoint | None):
+        self._tape = tape_ref
         self.id = node_id
         self.op = op
         self.value = value
@@ -50,7 +58,14 @@ class Var:
         self._backward = backward
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def tape(self) -> "Tape":
+        tape = self._tape()
+        if tape is None:
+            raise ContractError("the tape this variable was recorded on is gone")
+        return tape
+
+    @property
+    def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
     def item(self) -> float:
@@ -65,13 +80,14 @@ class Var:
 class Tape:
     """Append-only record of one forward computation."""
 
-    __slots__ = ("nodes",)
+    __slots__ = ("nodes", "_ref", "__weakref__")
 
     def __init__(self):
         self.nodes: list[Var] = []
+        self._ref = weakref.ref(self)
 
     def _append(self, op: str, value: np.ndarray, backward: Adjoint | None) -> Var:
-        var = Var(self, len(self.nodes), op, value, backward)
+        var = Var(self._ref, len(self.nodes), op, value, backward)
         self.nodes.append(var)
         return var
 
@@ -86,6 +102,19 @@ def _tape_of(*vars_: Var) -> Tape:
         if v.tape is not tape:
             raise ContractError("ops cannot mix variables from different tapes")
     return tape
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum an adjoint over the axes that broadcasting added or stretched."""
+    if g.shape == shape:
+        return g
+    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    stretched = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=stretched, keepdims=True) if stretched else g
+
+
+def _swap(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
 
 
 # -- elementwise and structural ops -----------------------------------------
@@ -103,14 +132,17 @@ def add(a: Var, b: Var) -> Var:
 
 
 def sub(a: Var, b: Var) -> Var:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub expects matching shapes, got {a.shape} and {b.shape}")
+    """Elementwise difference; leading and unit axes broadcast."""
     tape = _tape_of(a, b)
+    try:
+        value = a.value - b.value
+    except ValueError:
+        raise ShapeError(f"sub cannot broadcast {a.shape} with {b.shape}") from None
 
     def back(g):
-        return [(a.id, g), (b.id, -g)]
+        return [(a.id, _unbroadcast(g, a.shape)), (b.id, -_unbroadcast(g, b.shape))]
 
-    return tape._append("sub", a.value - b.value, back)
+    return tape._append("sub", value, back)
 
 
 def mul(a: Var, b: Var) -> Var:
@@ -124,21 +156,6 @@ def mul(a: Var, b: Var) -> Var:
         return [(a.id, g * bv), (b.id, g * av)]
 
     return tape._append("mul", av * bv, back)
-
-
-def div(a: Var, b: Var) -> Var:
-    """Divide by a 1x1 scalar variable."""
-    if b.shape != (1, 1):
-        raise ShapeError(f"div expects a 1x1 divisor, got {b.shape}")
-    tape = _tape_of(a, b)
-    av, s = a.value, float(b.value[0, 0])
-
-    def back(g):
-        ga = g / s
-        gs = np.array([[-float(np.sum(g * av)) / (s * s)]])
-        return [(a.id, ga), (b.id, gs)]
-
-    return tape._append("div", av / s, back)
 
 
 def scale(a: Var, c: float) -> Var:
@@ -155,10 +172,11 @@ def neg(a: Var) -> Var:
 
 
 def add_diag(a: Var, c: float) -> Var:
-    """Add ``c`` to the diagonal of a square matrix (the ridge term)."""
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"add_diag expects a square matrix, got {a.shape}")
-    value = a.value + float(c) * np.eye(a.shape[0])
+    """Add ``c`` to the diagonal of each square matrix (the ridge term)."""
+    k = a.shape[-1]
+    if a.shape[-2] != k:
+        raise ShapeError(f"add_diag expects square matrices, got {a.shape}")
+    value = a.value + float(c) * np.eye(k)
 
     def back(g):
         return [(a.id, g)]
@@ -179,19 +197,23 @@ def add_col(a: Var, col: Var) -> Var:
 
 
 def transpose(a: Var) -> Var:
+    """Swap the last two axes."""
+
     def back(g):
-        return [(a.id, np.ascontiguousarray(g.T))]
+        return [(a.id, np.ascontiguousarray(_swap(g)))]
 
     return a.tape._append("transpose", linalg.transpose(a.value), back)
 
 
 def matmul(a: Var, b: Var) -> Var:
+    """Matrix product over the last two axes; leading axes broadcast."""
     value = linalg.matmul(a.value, b.value)
     tape = _tape_of(a, b)
     av, bv = a.value, b.value
 
     def back(g):
-        return [(a.id, g @ bv.T), (b.id, av.T @ g)]
+        return [(a.id, _unbroadcast(g @ _swap(bv), av.shape)),
+                (b.id, _unbroadcast(_swap(av) @ g, bv.shape))]
 
     return tape._append("matmul", value, back)
 
@@ -209,20 +231,21 @@ def col_slice(a: Var, start: int, stop: int) -> Var:
     return a.tape._append("col_slice", np.ascontiguousarray(a.value[:, start:stop]), back)
 
 
-def vstack(rows: Sequence[Var]) -> Var:
-    if not rows:
-        raise ShapeError("vstack needs at least one block")
-    tape = _tape_of(*rows)
-    heights = [r.shape[0] for r in rows]
-    offsets = np.cumsum([0] + heights)
-    ids = [r.id for r in rows]
+def blocks(a: Var, n: int) -> Var:
+    """An M x NK matrix as an (N, M, K) stack: block c is columns cK..cK+K-1.
+
+    In the heads the blocks are the N classes of an episode's support.
+    """
+    m, width = a.shape
+    if n < 1 or width % n:
+        raise ShapeError(f"cannot split {width} columns into {n} equal blocks")
+    k = width // n
 
     def back(g):
-        return [
-            (ids[i], g[offsets[i] : offsets[i + 1], :]) for i in range(len(ids))
-        ]
+        return [(a.id, g.transpose(1, 0, 2).reshape(m, width))]
 
-    return tape._append("vstack", np.vstack([r.value for r in rows]), back)
+    value = np.ascontiguousarray(a.value.reshape(m, n, k).transpose(1, 0, 2))
+    return a.tape._append("blocks", value, back)
 
 
 def pick(a: Var, rows: np.ndarray) -> Var:
@@ -290,35 +313,59 @@ def frobenius_norm_sq(a: Var) -> Var:
 
 
 def col_norms(a: Var) -> Var:
-    """Per-column Euclidean norms as a 1 x B row; zero columns get zero grad."""
+    """Euclidean norm of every column: a lone M x B matrix gives a 1 x B
+    row, an (N, M, B) stack an N x B matrix.  Zero columns get zero grad."""
     av = a.value
-    norms = np.sqrt(np.sum(av * av, axis=0, keepdims=True))
+    norms = np.sqrt(np.sum(av * av, axis=-2, keepdims=True))
 
     def back(g):
         safe = np.where(norms > 0.0, norms, 1.0)
-        out = av * (g / safe)
+        out = av * (g.reshape(norms.shape) / safe)
         if (norms == 0.0).any():
             out = np.where(norms > 0.0, out, 0.0)
         return [(a.id, out)]
 
-    return a.tape._append("col_norms", norms, back)
+    value = norms if av.ndim == 2 else norms[..., 0, :]
+    return a.tape._append("col_norms", value, back)
 
 
 def col_normalize(a: Var) -> Var:
     """Scale every column to unit norm (zero columns pass through as zero)."""
     av = a.value
-    norms = np.sqrt(np.sum(av * av, axis=0, keepdims=True))
+    norms = np.sqrt(np.sum(av * av, axis=-2, keepdims=True))
     safe = np.where(norms > 0.0, norms, 1.0)
     y = av / safe
 
     def back(g):
-        dots = np.sum(y * g, axis=0, keepdims=True)
+        dots = np.sum(y * g, axis=-2, keepdims=True)
         out = (g - y * dots) / safe
         if (norms == 0.0).any():
             out = np.where(norms > 0.0, out, 0.0)
         return [(a.id, out)]
 
     return a.tape._append("col_normalize", y, back)
+
+
+def block_normalize(a: Var, n: int) -> Var:
+    """Scale each of the ``n`` K-column blocks of an M x NK matrix to unit
+    Frobenius norm.  An all-zero block has no direction and is refused."""
+    m, width = a.shape
+    if n < 1 or width % n:
+        raise ShapeError(f"cannot split {width} columns into {n} equal blocks")
+    av = a.value.reshape(m, n, width // n)
+    norms = np.sqrt(np.sum(av * av, axis=(0, 2), keepdims=True))
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise DegenerateSubspaceError(
+            f"class {zero[0] + 1} has an all-zero support matrix")
+    y = av / norms
+
+    def back(g):
+        g = g.reshape(av.shape)
+        dots = np.sum(y * g, axis=(0, 2), keepdims=True)
+        return [(a.id, ((g - y * dots) / norms).reshape(m, width))]
+
+    return a.tape._append("block_normalize", y.reshape(m, width), back)
 
 
 def lse_cols(a: Var) -> Var:
@@ -341,17 +388,19 @@ def lse_cols(a: Var) -> Var:
 def solve_spd(a: Var, b: Var) -> Var:
     """Solve A X = B for symmetric positive definite A via Cholesky.
 
-    The forward factorization is cached and reused by the adjoint solves.
+    A is (..., K, K) and B is (..., K, B) with the same leading axes: one
+    solve per stacked matrix.  The forward factorization is cached and
+    reused by the adjoint solves.
     """
     tape = _tape_of(a, b)
-    low = linalg.cholesky(a.value)
-    if a.shape[0] != b.shape[0]:
+    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"solve_spd dimensions disagree: {a.shape} vs {b.shape}")
+    low = linalg.cholesky(a.value)
     x = linalg.solve_with_factor(low, b.value)
 
     def back(g):
         gb = linalg.solve_with_factor(low, g)
-        return [(a.id, -gb @ x.T), (b.id, gb)]
+        return [(a.id, -gb @ _swap(x)), (b.id, gb)]
 
     return tape._append("solve_spd", x, back)
 
@@ -377,7 +426,7 @@ def backward(tape: Tape, loss: Var) -> dict[int, np.ndarray]:
             seen = grads.get(input_id)
             if seen is None:
                 # Copy on first store: closures may hand back the output
-                # adjoint itself (add, add_col) or a view of it (vstack).
+                # adjoint itself (add, add_col, sub) or a view of it (blocks).
                 grads[input_id] = np.array(contribution)
             else:
                 seen += contribution

@@ -11,6 +11,7 @@ test episodes rather than merely identical settings.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from dataclasses import dataclass, replace
 
@@ -42,20 +43,14 @@ class EvalReport:
     episodes_fingerprint: str
 
     def to_line(self) -> str:
-        fields = [
-            f'"head": "{self.head}"',
-            f'"train_domain": "{self.train_domain}"',
-            f'"test_domain": "{self.test_domain}"',
-            f'"n": {self.n_way}',
-            f'"k": {self.k_shot}',
-            f'"q": {self.q_queries}',
-            f'"episodes": {self.episodes}',
-            f'"mean_accuracy": {self.mean_accuracy!r}',
-            f'"ci95": {self.ci95!r}',
-            f'"config_fingerprint": "{self.config_fingerprint}"',
-            f'"episodes_fingerprint": "{self.episodes_fingerprint}"',
-        ]
-        return "{" + ", ".join(fields) + "}"
+        return json.dumps({
+            "head": self.head, "train_domain": self.train_domain,
+            "test_domain": self.test_domain, "n": self.n_way, "k": self.k_shot,
+            "q": self.q_queries, "episodes": self.episodes,
+            "mean_accuracy": self.mean_accuracy, "ci95": self.ci95,
+            "config_fingerprint": self.config_fingerprint,
+            "episodes_fingerprint": self.episodes_fingerprint,
+        })
 
     def summary(self) -> str:
         return (f"{self.head:>10}  {self.train_domain} -> {self.test_domain}  "

@@ -1,21 +1,28 @@
 """Distance heads: subspace-regression classification plus two baselines.
 
-The regression head represents each class by the span of its embedded
-support columns S (M x K).  A query embedding e is scored by the ridge
-regression residual
+An N-way K-shot episode's embedded support arrives as one M x NK block U:
+class c's K columns sit side by side, in columns (c-1)K to cK-1.  Every
+head scores all N classes at once; ``autodiff.blocks`` turns U into an
+(N, M, K) stack where a head needs one matrix per class, so there is no
+loop over classes.
 
-    d(e, S) = || e - S (S^T S + lam1 I)^{-1} S^T e ||_2
+The regression head represents class c by the span of its columns S_c
+(M x K).  A query embedding e is scored by the ridge regression residual
 
-computed in coefficient form: C = (S^T S + lam1 I)^{-1} S^T Q is a K x K
-solve for all query columns Q at once, and the distance is the column
-norm of Q - S C.  Class posteriors are a softmax over negated distances,
-and the training loss adds a pairwise subspace-orthogonalization penalty
+    d(e, S_c) = || e - S_c (S_c^T S_c + lam1 I)^{-1} S_c^T e ||_2
+
+computed in coefficient form: C_c = (S_c^T S_c + lam1 I)^{-1} S_c^T Q is a
+K x K solve for all query columns Q at once (one stacked Cholesky solve
+for all classes), and the distance is the column norm of Q - S_c C_c.
+Class posteriors are a softmax over negated distances, and the training
+loss adds a pairwise subspace-orthogonalization penalty
 
     sum_{i != j} ||S_i^T S_j||_F^2 / (||S_i||_F^2 ||S_j||_F^2)
 
-over ordered pairs.  Prototype (distance to the support mean) and cosine
-(mean negated cosine similarity) heads provide baselines under the same
-episode protocol.
+over ordered pairs: the squared off-diagonal K x K blocks of V^T V, where
+V is U with every class block scaled to unit Frobenius norm.  Prototype
+(distance to the support mean) and cosine (mean negated cosine
+similarity) heads provide baselines under the same episode protocol.
 
 Each head writes its distance math once, as ``distance_rows`` on tape
 ops.  Training differentiates it; ``distances_np`` runs the same ops on a
@@ -25,13 +32,12 @@ throwaway tape and returns the values, with no backward pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import autodiff, linalg
 from .autodiff import Tape, Var
-from .errors import ContractError, DegenerateSubspaceError, ShapeError
+from .errors import ContractError, ShapeError
 
 
 @dataclass
@@ -53,36 +59,6 @@ class Hyper:
             raise ContractError("lambda1 and lambda2 must be nonnegative")
 
 
-@dataclass
-class ClassSubspace:
-    """Per-class support matrix S, its transpose, and the ridge Gram matrix."""
-
-    class_id: int
-    s: Var        # M x K
-    st: Var       # K x M
-    gram: Var     # K x K, S^T S + lambda1 I
-
-
-def build_subspace(support_embeds: Var, lambda1: float, class_id: int = 0) -> ClassSubspace:
-    """S, S^T and S^T S + lambda1 I, recorded on the tape.
-
-    With lambda1 > 0 the Gram matrix is positive definite for any S.  With
-    lambda1 = 0 the caller guarantees S has full column rank, so M >= K is
-    required; a rank-deficient S then surfaces as a conditioning error
-    from the solve.
-    """
-    s = support_embeds
-    m, k = s.shape
-    if lambda1 == 0.0 and m < k:
-        raise ContractError(
-            f"lambda1 = 0 needs embedding dim >= shots, got M={m} < K={k}")
-    st = autodiff.transpose(s)
-    gram = autodiff.matmul(st, s)
-    if lambda1 != 0.0:
-        gram = autodiff.add_diag(gram, lambda1)
-    return ClassSubspace(class_id, s, st, gram)
-
-
 def build_projector_np(s: np.ndarray, lambda1: float) -> np.ndarray:
     """P = S (S^T S + lambda1 I)^{-1} S^T: the M x M projector in plain numpy.
 
@@ -96,18 +72,24 @@ def build_projector_np(s: np.ndarray, lambda1: float) -> np.ndarray:
     return s @ linalg.solve_spd(gram, linalg.transpose(s))
 
 
-def regression_distance_rows(subs: Sequence[ClassSubspace], query: Var) -> Var:
-    """N x B matrix of ridge residual norms, one row per class subspace.
+def regression_distance_rows(support: Var, query: Var, n_way: int,
+                             lambda1: float) -> Var:
+    """N x B ridge residual norms of the M x B queries to each class block.
 
-    Per class, C = (S^T S + lambda1 I)^{-1} S^T Q is one K x K solve for
-    every query column, and the row is the column norms of Q - S C.
+    With lambda1 > 0 every S_c^T S_c + lambda1 I is positive definite.
+    With lambda1 = 0 the caller guarantees each S_c has full column rank,
+    so M >= K is required; a rank-deficient block then surfaces as a
+    conditioning error that names its class.
     """
-    rows = []
-    for sub in subs:
-        coeff = autodiff.solve_spd(sub.gram, autodiff.matmul(sub.st, query))
-        resid = autodiff.sub(query, autodiff.matmul(sub.s, coeff))
-        rows.append(autodiff.col_norms(resid))
-    return autodiff.vstack(rows)
+    s = autodiff.blocks(support, n_way)                       # N x M x K
+    _, m, k = s.shape
+    if lambda1 == 0.0 and m < k:
+        raise ContractError(
+            f"lambda1 = 0 needs embedding dim >= shots, got M={m} < K={k}")
+    st = autodiff.transpose(s)
+    gram = autodiff.add_diag(autodiff.matmul(st, s), lambda1)
+    coeff = autodiff.solve_spd(gram, autodiff.matmul(st, query))  # N x K x B
+    return autodiff.col_norms(autodiff.sub(query, autodiff.matmul(s, coeff)))
 
 
 def softmax_neg_np(distances: np.ndarray) -> np.ndarray:
@@ -118,40 +100,21 @@ def softmax_neg_np(distances: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=0, keepdims=True)
 
 
-def ortho_penalty(subs: Sequence[ClassSubspace]) -> Var:
+def ortho_penalty(support: Var, n_way: int) -> Var:
     """Ordered-pair sum of ||S_i^T S_j||_F^2 / (||S_i||_F^2 ||S_j||_F^2).
 
-    The summand is symmetric in (i, j), so the ordered sum is twice the
-    unordered sum; we compute each unordered pair once and scale by 2.
+    With every class block of the M x NK support scaled to unit Frobenius
+    norm (V), the (i, j) K x K block of V^T V is S_i^T S_j / (||S_i|| ||S_j||),
+    so the sum is the squared Frobenius norm of V^T V with its diagonal
+    blocks masked out.
     """
-    if len(subs) < 2:
-        raise ContractError(f"penalty needs at least 2 subspaces, got {len(subs)}")
-    norms_sq = []
-    for sub in subs:
-        nsq = autodiff.frobenius_norm_sq(sub.s)
-        if nsq.value[0, 0] == 0.0:
-            raise DegenerateSubspaceError(
-                f"class {sub.class_id} has an all-zero support matrix")
-        norms_sq.append(nsq)
-    total: Var | None = None
-    for i in range(len(subs)):
-        for j in range(i + 1, len(subs)):
-            cross = autodiff.frobenius_norm_sq(autodiff.matmul(subs[i].st, subs[j].s))
-            term = autodiff.div(cross, autodiff.mul(norms_sq[i], norms_sq[j]))
-            total = term if total is None else autodiff.add(total, term)
-    return autodiff.scale(total, 2.0)
-
-
-def ortho_penalty_np(supports: Sequence[np.ndarray]) -> float:
-    """Tape-free double-loop reference for ortho_penalty (ordered pairs)."""
-    total = 0.0
-    norms = [linalg.frobenius_norm_sq(s) for s in supports]
-    for i, si in enumerate(supports):
-        for j, sj in enumerate(supports):
-            if i == j:
-                continue
-            total += linalg.frobenius_norm_sq(si.T @ sj) / (norms[i] * norms[j])
-    return total
+    if n_way < 2:
+        raise ContractError(f"penalty needs at least 2 subspaces, got {n_way}")
+    unit = autodiff.block_normalize(support, n_way)
+    k = unit.shape[1] // n_way
+    off_diagonal = support.tape.leaf(1.0 - np.kron(np.eye(n_way), np.ones((k, k))))
+    cross = autodiff.matmul(autodiff.transpose(unit), unit)          # NK x NK
+    return autodiff.frobenius_norm_sq(autodiff.mul(cross, off_diagonal))
 
 
 def _check_labels(labels: np.ndarray, n_way: int, count: int) -> np.ndarray:
@@ -182,38 +145,20 @@ def cross_entropy_from_distances(dist_matrix: Var, labels: np.ndarray, n_way: in
     return autodiff.scale(autodiff.sum_all(autodiff.add(picked, lse)), 1.0 / b)
 
 
-def episode_loss(query_embeds: Var, labels, subs: Sequence[ClassSubspace],
-                 hyper: Hyper) -> tuple[Var, Var]:
-    """Mean negative log posterior over all queries plus the weighted penalty.
-
-    Returns the loss and the N x B distance matrix it was computed from.
-    """
-    dist = regression_distance_rows(subs, query_embeds)
-    loss = cross_entropy_from_distances(dist, labels, hyper.n_way)
-    if hyper.lambda2 != 0.0:
-        loss = autodiff.add(loss, autodiff.scale(ortho_penalty(subs), hyper.lambda2))
-    return loss, dist
-
-
 # -- heads -------------------------------------------------------------------
 #
-# A head's ``distance_rows`` maps K-column support blocks (one per class)
-# and the M x B queries to an N x B distance matrix on the tape.
-# ``episode_loss`` returns (loss, that distance matrix); ``distances_np``
-# evaluates ``distance_rows`` on numpy inputs.  Every head defines both of
-# the latter in its own class body: perfbench's tracer patches them there.
+# A head's ``distance_rows`` maps the M x NK support block and the M x B
+# queries to an N x B distance matrix on the tape.  ``episode_loss``
+# returns (loss, that distance matrix); ``distances_np`` evaluates
+# ``distance_rows`` on numpy inputs.  Every head defines both of the
+# latter in its own class body: perfbench's tracer patches them there.
 
 
-def _subspaces(support_cols: Sequence[Var], lambda1: float) -> list[ClassSubspace]:
-    return [build_subspace(s, lambda1, class_id=i + 1) for i, s in enumerate(support_cols)]
-
-
-def _untaped(distance_rows, support_cols: Sequence[np.ndarray], query: np.ndarray,
+def _untaped(distance_rows, support: np.ndarray, query: np.ndarray,
              hyper: Hyper) -> np.ndarray:
     """Values of a head's tape ops, recorded on a throwaway tape."""
     tape = Tape()
-    return distance_rows([tape.leaf(s) for s in support_cols], tape.leaf(query),
-                         hyper).value
+    return distance_rows(tape.leaf(support), tape.leaf(query), hyper).value
 
 
 class RegressionHead:
@@ -221,17 +166,22 @@ class RegressionHead:
 
     name = "regression"
 
-    def distance_rows(self, support_cols: Sequence[Var], query: Var,
-                      hyper: Hyper) -> Var:
-        return regression_distance_rows(_subspaces(support_cols, hyper.lambda1), query)
+    def distance_rows(self, support: Var, query: Var, hyper: Hyper) -> Var:
+        return regression_distance_rows(support, query, hyper.n_way, hyper.lambda1)
 
-    def episode_loss(self, support_cols: Sequence[Var], query: Var,
-                     labels, hyper: Hyper) -> tuple[Var, Var]:
-        return episode_loss(query, labels, _subspaces(support_cols, hyper.lambda1), hyper)
+    def episode_loss(self, support: Var, query: Var, labels,
+                     hyper: Hyper) -> tuple[Var, Var]:
+        """Mean negative log posterior over all queries plus the weighted penalty."""
+        dist = self.distance_rows(support, query, hyper)
+        loss = cross_entropy_from_distances(dist, labels, hyper.n_way)
+        if hyper.lambda2 != 0.0:
+            penalty = ortho_penalty(support, hyper.n_way)
+            loss = autodiff.add(loss, autodiff.scale(penalty, hyper.lambda2))
+        return loss, dist
 
-    def distances_np(self, support_cols: Sequence[np.ndarray], query: np.ndarray,
+    def distances_np(self, support: np.ndarray, query: np.ndarray,
                      hyper: Hyper) -> np.ndarray:
-        return _untaped(self.distance_rows, support_cols, query, hyper)
+        return _untaped(self.distance_rows, support, query, hyper)
 
 
 class ProtoHead:
@@ -239,25 +189,21 @@ class ProtoHead:
 
     name = "proto"
 
-    def distance_rows(self, support_cols: Sequence[Var], query: Var,
-                      hyper: Hyper) -> Var:
-        rows = []
-        for s in support_cols:
-            k = s.shape[1]
-            ones = s.tape.leaf(np.full((k, 1), 1.0 / k))
-            centroid = autodiff.matmul(s, ones)
-            rows.append(autodiff.col_norms(
-                autodiff.add_col(query, autodiff.neg(centroid))))
-        return autodiff.vstack(rows)
+    def distance_rows(self, support: Var, query: Var, hyper: Hyper) -> Var:
+        s = autodiff.blocks(support, hyper.n_way)                # N x M x K
+        k = s.shape[2]
+        mean = support.tape.leaf(np.full((k, 1), 1.0 / k))
+        centroids = autodiff.matmul(s, mean)                     # N x M x 1
+        return autodiff.col_norms(autodiff.sub(query, centroids))
 
-    def episode_loss(self, support_cols: Sequence[Var], query: Var,
-                     labels, hyper: Hyper) -> tuple[Var, Var]:
-        dist = self.distance_rows(support_cols, query, hyper)
+    def episode_loss(self, support: Var, query: Var, labels,
+                     hyper: Hyper) -> tuple[Var, Var]:
+        dist = self.distance_rows(support, query, hyper)
         return cross_entropy_from_distances(dist, labels, hyper.n_way), dist
 
-    def distances_np(self, support_cols: Sequence[np.ndarray], query: np.ndarray,
+    def distances_np(self, support: np.ndarray, query: np.ndarray,
                      hyper: Hyper) -> np.ndarray:
-        return _untaped(self.distance_rows, support_cols, query, hyper)
+        return _untaped(self.distance_rows, support, query, hyper)
 
 
 class CosineHead:
@@ -265,26 +211,23 @@ class CosineHead:
 
     name = "cosine"
 
-    def distance_rows(self, support_cols: Sequence[Var], query: Var,
-                      hyper: Hyper) -> Var:
-        q_hat = autodiff.col_normalize(query)
-        rows = []
-        for s in support_cols:
-            k = s.shape[1]
-            s_hat = autodiff.col_normalize(s)
-            sims = autodiff.matmul(autodiff.transpose(s_hat), q_hat)  # K x B
-            ones = s.tape.leaf(np.full((1, k), 1.0 / k))
-            rows.append(autodiff.neg(autodiff.matmul(ones, sims)))
-        return autodiff.vstack(rows)
+    def distance_rows(self, support: Var, query: Var, hyper: Hyper) -> Var:
+        n = hyper.n_way
+        k = support.shape[1] // n
+        sims = autodiff.matmul(autodiff.transpose(autodiff.col_normalize(support)),
+                               autodiff.col_normalize(query))    # NK x B
+        # Row c of the averaging matrix holds 1/K over class c's K columns.
+        mean = support.tape.leaf(np.kron(np.eye(n), np.full((1, k), 1.0 / k)))
+        return autodiff.neg(autodiff.matmul(mean, sims))
 
-    def episode_loss(self, support_cols: Sequence[Var], query: Var,
-                     labels, hyper: Hyper) -> tuple[Var, Var]:
-        dist = self.distance_rows(support_cols, query, hyper)
+    def episode_loss(self, support: Var, query: Var, labels,
+                     hyper: Hyper) -> tuple[Var, Var]:
+        dist = self.distance_rows(support, query, hyper)
         return cross_entropy_from_distances(dist, labels, hyper.n_way), dist
 
-    def distances_np(self, support_cols: Sequence[np.ndarray], query: np.ndarray,
+    def distances_np(self, support: np.ndarray, query: np.ndarray,
                      hyper: Hyper) -> np.ndarray:
-        return _untaped(self.distance_rows, support_cols, query, hyper)
+        return _untaped(self.distance_rows, support, query, hyper)
 
 
 HEADS = {cls.name: cls for cls in (RegressionHead, ProtoHead, CosineHead)}

@@ -1,15 +1,16 @@
-"""Dense rank-1/rank-2 float64 linear algebra.
+"""Dense float64 linear algebra over matrices and stacks of matrices.
 
-Every tensor in this library is a 2-D, C-contiguous, float64 ``numpy``
-array; rank-1 data is carried as an ``(n, 1)`` column.  The helpers here
-enforce that convention and provide the handful of primitives the rest of
-the package builds on, including a symmetric-positive-definite solver via
-an explicit Cholesky factorization (no matrix is ever inverted directly).
+Every tensor in this library is a C-contiguous float64 ``numpy`` array
+of rank 2 or more: the last two axes are a matrix, and leading axes stack
+matrices of one shape (the heads stack one matrix per class: N x rows x
+cols).  Rank-1 data is carried as an ``(n, 1)`` column.  The helpers here
+enforce that convention and provide the handful of primitives the rest
+of the package builds on, including a symmetric-positive-definite solver
+via an explicit Cholesky factorization (no matrix is ever inverted
+directly) that treats a whole stack at once and loops only over K.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -36,13 +37,15 @@ def as_column(values) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
+    """Matrix product over the last two axes, broadcasting leading axes."""
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     return a @ b
 
 
 def transpose(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a.T)
+    """Swap the last two axes (a contiguous copy)."""
+    return np.ascontiguousarray(np.swapaxes(a, -1, -2))
 
 
 def frobenius_norm_sq(a: np.ndarray) -> float:
@@ -51,60 +54,71 @@ def frobenius_norm_sq(a: np.ndarray) -> float:
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular factor L with ``a = L @ L.T``.
+    """Lower-triangular factor L with ``a = L @ L.T`` of each K x K matrix.
 
+    ``a`` is one matrix or a stack (..., K, K); the loop runs over K only.
     Written out explicitly (rather than delegated) so that a failure can
-    name the offending pivot: the matrices here are tiny K x K Gram
+    name the offending pivot and, in a stack, its 1-based class (position
+    on the last stacked axis): the matrices here are tiny K x K Gram
     matrices and a non-positive pivot means the caller forgot the ridge
     term on a rank-deficient system.
     """
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"cholesky expects a square matrix, got {a.shape}")
-    k = a.shape[0]
-    low = np.zeros((k, k), dtype=np.float64)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ShapeError(f"cholesky expects square matrices, got {a.shape}")
+    k = a.shape[-1]
+    low = np.zeros(a.shape, dtype=np.float64)
     for j in range(k):
-        d = a[j, j] - low[j, :j] @ low[j, :j]
-        if d <= 0.0 or not math.isfinite(d):
+        row = low[..., j, :j]
+        d = a[..., j, j] - np.einsum("...i,...i->...", row, row)
+        bad = ~((d > 0.0) & np.isfinite(d))
+        if bad.any():
+            where = tuple(np.argwhere(bad)[0])
+            pivot = float(d[where])
+            owner = f" of class {where[-1] + 1}" if where else ""
             raise ConditioningError(
-                f"matrix is not positive definite: non-positive pivot {d:.3e} "
-                f"at index {j}"
-            )
-        low[j, j] = math.sqrt(d)
+                f"matrix is not positive definite: non-positive pivot {pivot:.3e} "
+                f"at index {j}{owner}")
+        root = np.sqrt(d)
+        low[..., j, j] = root
         if j + 1 < k:
-            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+            below = np.matmul(low[..., j + 1 :, :j], row[..., None])[..., 0]
+            low[..., j + 1 :, j] = (a[..., j + 1 :, j] - below) / root[..., None]
     return low
 
 
 def solve_lower(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Forward substitution: solve ``low @ x = b`` for lower-triangular low."""
-    k = low.shape[0]
+    """Forward substitution: solve ``low @ x = b`` for lower-triangular low,
+    per stacked matrix (``b`` is (..., K, B) with low's leading axes)."""
+    k = low.shape[-1]
     x = np.array(b, dtype=np.float64, copy=True)
     for i in range(k):
         if i:
-            x[i, :] -= low[i, :i] @ x[:i, :]
-        x[i, :] /= low[i, i]
+            x[..., i, :] -= np.matmul(low[..., i : i + 1, :i], x[..., :i, :])[..., 0, :]
+        x[..., i, :] /= low[..., i, i, None]
     return x
 
 
 def solve_upper(up: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Back substitution: solve ``up @ x = b`` for upper-triangular up."""
-    k = up.shape[0]
+    """Back substitution: solve ``up @ x = b`` for upper-triangular up,
+    per stacked matrix (``b`` is (..., K, B) with up's leading axes)."""
+    k = up.shape[-1]
     x = np.array(b, dtype=np.float64, copy=True)
     for i in range(k - 1, -1, -1):
         if i + 1 < k:
-            x[i, :] -= up[i, i + 1 :] @ x[i + 1 :, :]
-        x[i, :] /= up[i, i]
+            x[..., i, :] -= np.matmul(up[..., i : i + 1, i + 1 :],
+                                      x[..., i + 1 :, :])[..., 0, :]
+        x[..., i, :] /= up[..., i, i, None]
     return x
 
 
 def solve_with_factor(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``(low @ low.T) x = b`` given a precomputed Cholesky factor."""
-    return solve_upper(low.T, solve_lower(low, b))
+    """Solve ``(low @ low.T) x = b`` given precomputed Cholesky factors."""
+    return solve_upper(np.swapaxes(low, -1, -2), solve_lower(low, b))
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` for symmetric positive definite ``a``."""
-    if a.shape[0] != b.shape[0]:
+    """Solve ``a @ x = b`` for symmetric positive definite ``a`` (or a stack)."""
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"solve_spd dimensions disagree: {a.shape} vs {b.shape}")
     return solve_with_factor(cholesky(a), b)
 

@@ -58,10 +58,6 @@ class TrainConfig:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if self.final_activation not in encoder.ACTIVATIONS:
             raise ConfigError(f"unknown final activation {self.final_activation!r}")
-        if self.embed_dim < self.k_shot:
-            raise ConfigError(
-                f"embedding dim must be >= k_shot for a well-posed projection, "
-                f"got M={self.embed_dim} < K={self.k_shot}")
 
     @property
     def resolved_lambda2(self) -> float:
@@ -123,16 +119,16 @@ def episode_loss_on_tape(attached, params: EncoderParams, episode: Episode,
                          head, hyper: Hyper, tape: Tape):
     """Embed support and queries on the tape and record the head loss.
 
+    The support stays one M x NK block, class by class as sampled.
+
     Returns (loss, N x B distance matrix), as ``head.episode_loss`` does.
     """
-    n, k, q = episode.n_way, episode.k_shot, episode.q_queries
+    nk = episode.n_way * episode.k_shot
     batch = np.hstack([episode.support_x, episode.query_x])
     embeds = encoder.forward(attached, params, tape.leaf(batch))
-    support_cols = [
-        autodiff.col_slice(embeds, c * k, (c + 1) * k) for c in range(n)
-    ]
-    query = autodiff.col_slice(embeds, n * k, n * k + n * q)
-    return head.episode_loss(support_cols, query, episode.query_y, hyper)
+    support = autodiff.col_slice(embeds, 0, nk)
+    query = autodiff.col_slice(embeds, nk, embeds.shape[1])
+    return head.episode_loss(support, query, episode.query_y, hyper)
 
 
 def episode_accuracy(params: EncoderParams, head, episode: Episode,
@@ -140,12 +136,7 @@ def episode_accuracy(params: EncoderParams, head, episode: Episode,
     """Fraction of queries whose predicted class matches; no gradients."""
     support = encoder.embed_np(params, episode.support_x)
     query = encoder.embed_np(params, episode.query_x)
-    k = episode.k_shot
-    support_cols = [
-        np.ascontiguousarray(support[:, c * k : (c + 1) * k])
-        for c in range(episode.n_way)
-    ]
-    dist = head.distances_np(support_cols, query, hyper)
+    dist = head.distances_np(support, query, hyper)
     predicted = heads.predict_np(dist)
     return float(np.mean(predicted == episode.query_y))
 

@@ -74,8 +74,7 @@ def ridge_distance_iterative(s: np.ndarray, e: np.ndarray, lambda1: float) -> fl
 def _distance(s: np.ndarray, e: np.ndarray, lambda1: float) -> float:
     """The production regression distance of one query column, off a throwaway tape."""
     tape = Tape()
-    sub = heads.build_subspace(tape.leaf(s), lambda1)
-    return heads.regression_distance_rows([sub], tape.leaf(e)).item()
+    return heads.regression_distance_rows(tape.leaf(s), tape.leaf(e), 1, lambda1).item()
 
 
 def check_closed_form_oracle(seed: int = 0, instances: int = 200) -> CheckResult:
@@ -267,10 +266,9 @@ def check_posterior_contracts(seed: int = 0, trials: int = 100) -> CheckResult:
     tape = Tape()
     rng2 = linalg.rng_from_seed(seed + 1)
     s_vals = [rng2.standard_normal((6, 2)) for _ in range(3)]
-    subs = [heads.build_subspace(tape.leaf(s), 1e-3, class_id=i + 1)
-            for i, s in enumerate(s_vals)]
     e_val = rng2.standard_normal((6, 1))
-    dist = heads.regression_distance_rows(subs, tape.leaf(e_val))
+    dist = heads.regression_distance_rows(tape.leaf(np.hstack(s_vals)), tape.leaf(e_val),
+                                          3, 1e-3)
     post = np.array([
         np.exp(-heads.cross_entropy_from_distances(dist, np.array([c]), 3).item())
         for c in (1, 2, 3)

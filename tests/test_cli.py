@@ -192,8 +192,9 @@ def test_overflowing_features_surface_as_divergence(tmp_path, capsys):
 
 
 def test_singular_ridge_system_is_a_numerical_failure(tmp_path, capsys):
-    # all-zero weights embed every example at 0, so with lambda1 = 0 the
-    # K x K Gram matrix is zero and the factorization names its pivot
+    # all-zero weights embed every example at one point (the last bias), so
+    # with lambda1 = 0 every K x K Gram matrix is singular and the
+    # factorization names its pivot and class
     out = tmp_path / "run"
     assert run(["train", *FAST_TRAIN, "--out", str(out)]) == EXIT_OK
     params = load_encoder(out / "encoder.txt")
@@ -204,7 +205,9 @@ def test_singular_ridge_system_is_a_numerical_failure(tmp_path, capsys):
     code = run(["eval", *FAST_TRAIN, "--lambda1", "0",
                 "--checkpoint", str(out / "zero.txt")])
     assert code == EXIT_NUMERICAL
-    assert "pivot 0.000e+00" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "pivot 0.000e+00" in err
+    assert "of class 1" in err
 
 
 def test_threads_is_accepted_and_ignored(tmp_path, capsys):

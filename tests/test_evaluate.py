@@ -33,8 +33,8 @@ class ConstantHead:
 
     name = "constant"
 
-    def distances_np(self, support_cols, query, hyper):
-        return np.ones((len(support_cols), query.shape[1]))
+    def distances_np(self, support, query, hyper):
+        return np.ones((hyper.n_way, query.shape[1]))
 
 
 def test_confidence_interval_formula_is_exact():
@@ -139,6 +139,29 @@ def test_report_line_is_json_parseable():
     assert record["episodes"] == 10
     assert record["mean_accuracy"] == pytest.approx(report.mean_accuracy)
     assert len(record["episodes_fingerprint"]) == 64
+
+
+def test_report_line_escapes_quotes_and_backslashes_in_names():
+    _, _, test = splits()
+    report = evaluate(identity_params(5), RegressionHead(), test, 3, 2, 4, 10,
+                      seed=0, train_domain="synth")
+    # an ordinary report keeps the field order and spelling of the
+    # hand-written line it replaced
+    fields = [
+        f'"head": "{report.head}"', f'"train_domain": "{report.train_domain}"',
+        f'"test_domain": "{report.test_domain}"', f'"n": {report.n_way}',
+        f'"k": {report.k_shot}', f'"q": {report.q_queries}',
+        f'"episodes": {report.episodes}', f'"mean_accuracy": {report.mean_accuracy!r}',
+        f'"ci95": {report.ci95!r}',
+        f'"config_fingerprint": "{report.config_fingerprint}"',
+        f'"episodes_fingerprint": "{report.episodes_fingerprint}"',
+    ]
+    assert report.to_line() == "{" + ", ".join(fields) + "}"
+    odd = 'C:\\data\\"quoted".csv'
+    report.train_domain = odd
+    report.test_domain = odd
+    record = json.loads(report.to_line())
+    assert record["train_domain"] == odd and record["test_domain"] == odd
 
 
 def test_fingerprint_config_is_order_insensitive():

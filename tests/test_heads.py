@@ -6,21 +6,26 @@ independent numpy oracles.
 import numpy as np
 import pytest
 
-from fewshot import heads
 from fewshot.autodiff import Tape
 from fewshot.errors import ContractError, DegenerateSubspaceError, ShapeError
 from fewshot.heads import (HEADS, CosineHead, Hyper, ProtoHead,
-                           RegressionHead, build_projector_np, build_subspace,
+                           RegressionHead, build_projector_np,
                            cross_entropy_from_distances, make_head,
-                           ortho_penalty, ortho_penalty_np, predict_np,
+                           ortho_penalty, predict_np,
                            regression_distance_rows, softmax_neg_np)
+from oracles import ortho_penalty_np
 
 
 def regression_distances_np(s, queries, lambda1):
     """1 x B residual norms of the production path, off a throwaway tape."""
     tape = Tape()
-    sub = build_subspace(tape.leaf(s), lambda1)
-    return regression_distance_rows([sub], tape.leaf(queries)).value
+    return regression_distance_rows(tape.leaf(s), tape.leaf(queries), 1, lambda1).value
+
+
+def penalty(supports):
+    """heads.ortho_penalty of per-class blocks laid side by side (M x NK)."""
+    tape = Tape()
+    return ortho_penalty(tape.leaf(np.hstack(supports)), len(supports)).item()
 
 
 def lstsq_distances(s, queries, lambda1):
@@ -119,20 +124,35 @@ def test_projector_route_matches_coefficient_route():
     assert np.allclose(via_projector, regression_distances_np(s, q, 0.5), atol=1e-12)
 
 
-def test_build_subspace_rejects_fat_support():
+def test_regression_distance_rejects_fat_support_without_a_ridge():
     # without a ridge, K > M columns cannot have full column rank
     tape = Tape()
     with pytest.raises(ContractError, match="M=2 < K=3"):
-        build_subspace(tape.leaf(np.ones((2, 3))), 0.0)
+        regression_distance_rows(tape.leaf(np.ones((2, 6))), tape.leaf(np.ones((2, 1))),
+                                 2, 0.0)
 
 
 def test_regression_distance_checks_query_shape():
     tape = Tape()
-    sub = build_subspace(tape.leaf(np.eye(3)), 0.1)
+    support = tape.leaf(np.hstack([np.eye(3), np.eye(3)]))
     with pytest.raises(ShapeError):
-        regression_distance_rows([sub], tape.leaf(np.ones((2, 1))))
+        regression_distance_rows(support, tape.leaf(np.ones((2, 1))), 2, 0.1)
     with pytest.raises(ShapeError):
-        regression_distance_rows([sub], tape.leaf(np.ones((4, 1))))
+        regression_distance_rows(support, tape.leaf(np.ones((4, 1))), 2, 0.1)
+
+
+def test_stacked_distances_match_one_class_at_a_time():
+    rng = np.random.default_rng(47)
+    s_vals = [rng.standard_normal((6, 3)) for _ in range(4)]
+    q = rng.standard_normal((6, 5))
+    tape = Tape()
+    dist = regression_distance_rows(tape.leaf(np.hstack(s_vals)), tape.leaf(q), 4, 0.3)
+    oracle = np.vstack([lstsq_distances(s, q, 0.3) for s in s_vals])
+    assert dist.shape == (4, 5)
+    assert np.allclose(dist.value, oracle, atol=1e-12)
+    # 12 support columns do not split into 5 equal class blocks
+    with pytest.raises(ShapeError):
+        regression_distance_rows(tape.leaf(np.hstack(s_vals)), tape.leaf(q), 5, 0.3)
 
 
 # -- posterior -----------------------------------------------------------------
@@ -169,10 +189,8 @@ def test_tape_posterior_matches_numpy():
     rng = np.random.default_rng(7)
     tape = Tape()
     s_vals = [rng.standard_normal((6, 2)) for _ in range(4)]
-    subs = [build_subspace(tape.leaf(s), 1e-3, class_id=i + 1)
-            for i, s in enumerate(s_vals)]
     e = rng.standard_normal((6, 1))
-    dist = regression_distance_rows(subs, tape.leaf(e))
+    dist = regression_distance_rows(tape.leaf(np.hstack(s_vals)), tape.leaf(e), 4, 1e-3)
     on_tape = np.array([
         np.exp(-cross_entropy_from_distances(dist, np.array([c]), 4).item())
         for c in range(1, 5)
@@ -193,31 +211,22 @@ def test_posterior_needs_two_classes():
 
 def test_penalty_counts_ordered_pairs():
     # identical unit columns: the single unordered term is 1, ordered sum is 2
-    tape = Tape()
     u = np.array([[1.0], [0.0]])
-    subs = [build_subspace(tape.leaf(u), 0.1, class_id=i + 1) for i in range(2)]
-    assert ortho_penalty(subs).item() == pytest.approx(2.0, abs=1e-12)
+    assert penalty([u, u]) == pytest.approx(2.0, abs=1e-12)
     assert ortho_penalty_np([u, u]) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_penalty_is_zero_for_orthogonal_subspaces():
-    tape = Tape()
     s1 = np.array([[1.0], [0.0], [0.0]])
     s2 = np.array([[0.0], [1.0], [0.0]])
-    subs = [build_subspace(tape.leaf(s), 0.1, class_id=i + 1)
-            for i, s in enumerate((s1, s2))]
-    assert ortho_penalty(subs).item() == pytest.approx(0.0, abs=1e-15)
+    assert penalty([s1, s2]) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_penalty_tape_matches_numpy_twin():
     for seed in range(10):
         rng = np.random.default_rng(300 + seed)
         s_vals = [rng.standard_normal((6, 2)) for _ in range(4)]
-        tape = Tape()
-        subs = [build_subspace(tape.leaf(s), 0.1, class_id=i + 1)
-                for i, s in enumerate(s_vals)]
-        assert ortho_penalty(subs).item() == pytest.approx(
-            ortho_penalty_np(s_vals), rel=1e-12)
+        assert penalty(s_vals) == pytest.approx(ortho_penalty_np(s_vals), rel=1e-12)
 
 
 def test_penalty_is_permutation_invariant():
@@ -225,6 +234,7 @@ def test_penalty_is_permutation_invariant():
     s_vals = [rng.standard_normal((5, 2)) for _ in range(3)]
     assert ortho_penalty_np(s_vals) == pytest.approx(
         ortho_penalty_np(s_vals[::-1]), rel=1e-12)
+    assert penalty(s_vals) == pytest.approx(penalty(s_vals[::-1]), rel=1e-12)
 
 
 def test_penalty_is_invariant_to_support_scaling():
@@ -233,16 +243,16 @@ def test_penalty_is_invariant_to_support_scaling():
     scaled = [3.0 * s_vals[0], 0.5 * s_vals[1], s_vals[2]]
     assert ortho_penalty_np(s_vals) == pytest.approx(
         ortho_penalty_np(scaled), rel=1e-12)
+    assert penalty(s_vals) == pytest.approx(penalty(scaled), rel=1e-12)
 
 
 def test_penalty_rejects_degenerate_and_lonely_subspaces():
-    tape = Tape()
-    good = build_subspace(tape.leaf(np.eye(2)), 0.1, class_id=1)
-    zero = build_subspace(tape.leaf(np.zeros((2, 1))), 0.1, class_id=2)
+    good = np.eye(2)
+    zero = np.zeros((2, 2))
     with pytest.raises(DegenerateSubspaceError, match="class 2"):
-        ortho_penalty([good, zero])
+        penalty([good, zero, good])
     with pytest.raises(ContractError):
-        ortho_penalty([good])
+        penalty([good])
 
 
 # -- episode loss ----------------------------------------------------------------
@@ -285,10 +295,9 @@ def test_episode_loss_adds_exactly_the_weighted_penalty():
 
     def loss_at(lambda2):
         tape = Tape()
-        subs = [build_subspace(tape.leaf(s), 1e-3, class_id=i + 1)
-                for i, s in enumerate(s_vals)]
         hyper = Hyper(3, 2, 2, 1e-3, lambda2)
-        loss, _ = heads.episode_loss(tape.leaf(q), labels, subs, hyper)
+        loss, _ = RegressionHead().episode_loss(tape.leaf(np.hstack(s_vals)),
+                                                tape.leaf(q), labels, hyper)
         return loss.item()
 
     bare = loss_at(0.0)
@@ -308,7 +317,7 @@ def test_regression_head_loss_matches_numpy_reconstruction():
 
         tape = Tape()
         head = RegressionHead()
-        loss, dist = head.episode_loss([tape.leaf(s) for s in support_cols],
+        loss, dist = head.episode_loss(tape.leaf(np.hstack(support_cols)),
                                        tape.leaf(query), labels, hyper)
 
         oracle = np.vstack([lstsq_distances(s, query, hyper.lambda1)
@@ -327,7 +336,7 @@ def test_proto_distances_match_manual_centroids():
     support_cols = [rng.standard_normal((4, 3)) for _ in range(3)]
     query = rng.standard_normal((4, 5))
     hyper = Hyper(3, 3, 5, 0.0, 0.0)
-    got = ProtoHead().distances_np(support_cols, query, hyper)
+    got = ProtoHead().distances_np(np.hstack(support_cols), query, hyper)
     for c, s in enumerate(support_cols):
         centroid = s.mean(axis=1, keepdims=True)
         for j in range(5):
@@ -344,9 +353,9 @@ def test_proto_episode_loss_agrees_with_its_distances():
     hyper = Hyper(n, k, q, 0.0, 0.0)
     head = ProtoHead()
     tape = Tape()
-    loss, _ = head.episode_loss([tape.leaf(s) for s in support_cols],
+    loss, _ = head.episode_loss(tape.leaf(np.hstack(support_cols)),
                                 tape.leaf(query), labels, hyper)
-    dist = head.distances_np(support_cols, query, hyper)
+    dist = head.distances_np(np.hstack(support_cols), query, hyper)
     assert loss.item() == pytest.approx(lse_reconstruction(dist, labels), rel=1e-12)
 
 
@@ -355,7 +364,7 @@ def test_cosine_scores_match_manual_means():
     support_cols = [rng.standard_normal((4, 2)) for _ in range(2)]
     query = rng.standard_normal((4, 3))
     hyper = Hyper(2, 2, 3, 0.0, 0.0)
-    got = CosineHead().distances_np(support_cols, query, hyper)
+    got = CosineHead().distances_np(np.hstack(support_cols), query, hyper)
     for c, s in enumerate(support_cols):
         for j in range(3):
             e = query[:, j]
@@ -375,12 +384,11 @@ def test_baseline_tape_rows_match_numpy_twins():
     query = rng.standard_normal((5, 4))
     labels = np.array([1, 2, 3, 1])
     hyper = Hyper(3, 3, 4, 0.5, 0.0)
+    support = np.hstack(support_cols)
     for head in (RegressionHead(), ProtoHead(), CosineHead()):
         tape = Tape()
-        _, dist = head.episode_loss([tape.leaf(s) for s in support_cols],
-                                    tape.leaf(query), labels, hyper)
-        assert np.array_equal(dist.value,
-                              head.distances_np(support_cols, query, hyper))
+        _, dist = head.episode_loss(tape.leaf(support), tape.leaf(query), labels, hyper)
+        assert np.array_equal(dist.value, head.distances_np(support, query, hyper))
 
 
 def test_every_head_defines_its_traced_methods_in_its_own_body():

@@ -98,6 +98,31 @@ def test_cholesky_names_the_failing_pivot():
         linalg.cholesky(np.zeros((2, 3)))
 
 
+def test_stacked_cholesky_and_solves_equal_the_per_matrix_results():
+    rng = np.random.default_rng(37)
+    for _ in range(10):
+        n, k = (int(v) for v in rng.integers(1, 7, size=2))
+        s = rng.standard_normal((n, k + 2, k))
+        a = np.swapaxes(s, 1, 2) @ s + 1e-2 * np.eye(k)
+        b = rng.standard_normal((n, k, 3))
+        low = linalg.cholesky(a)
+        x = linalg.solve_with_factor(low, b)
+        for c in range(n):
+            assert np.allclose(low[c], linalg.cholesky(a[c]), rtol=1e-14, atol=1e-14)
+            assert np.allclose(x[c], linalg.solve_with_factor(linalg.cholesky(a[c]), b[c]),
+                               rtol=1e-12, atol=1e-13)
+            assert np.allclose(x[c], np.linalg.solve(a[c], b[c]), atol=1e-9)
+        assert np.allclose(linalg.solve_spd(a, b), x, rtol=0.0, atol=0.0)
+
+
+def test_stacked_cholesky_names_the_failing_class():
+    a = np.stack([np.eye(3), np.eye(3), np.diag([1.0, 2.0, 0.0])])
+    with pytest.raises(ConditioningError, match="pivot 0.000e[+]00 at index 2 of class 3"):
+        linalg.cholesky(a)
+    with pytest.raises(ShapeError):
+        linalg.cholesky(np.zeros((2, 2, 3)))
+
+
 def test_triangular_solves_have_tiny_residuals():
     rng = np.random.default_rng(23)
     for _ in range(20):

@@ -2,17 +2,21 @@
 against a numpy reconstruction, divergence reporting, and determinism.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
 from fewshot import heads
+from fewshot.evaluate import evaluate
 from fewshot.encoder import EncoderParams, Layer, default_layer_spec, embed_np, init_encoder
 from fewshot.episodes import sample_episode, split_classes, synth_gaussian
-from fewshot.errors import ConfigError, DivergenceError
-from fewshot.heads import Hyper, RegressionHead, ortho_penalty_np
+from fewshot.errors import ConfigError, ContractError, DivergenceError
+from fewshot.heads import Hyper, RegressionHead
 from fewshot.linalg import named_stream
 from fewshot.train import (AdamState, TrainConfig, adam_update, episode_accuracy,
                            fit, history_lines, sgd_update, train_step, validate)
+from oracles import ortho_penalty_np
 
 
 def small_splits(seed=0, within_std=0.4):
@@ -46,8 +50,17 @@ def test_config_validation():
         TrainConfig(activation="gelu")
     with pytest.raises(ConfigError):
         TrainConfig(final_activation="gelu")
-    with pytest.raises(ConfigError):
-        TrainConfig(embed_dim=3, k_shot=5)  # projection needs M >= K
+
+
+def test_more_shots_than_embedding_dims_need_a_ridge():
+    # M = 3 < K = 4: the ridge keeps every Gram matrix positive definite,
+    # and without it the regression head refuses the episode shape
+    train_set, val_set, _ = small_splits()
+    config = small_config(k_shot=4, embed_dim=3, lambda1=1.0, episodes=5)
+    _, history = fit(train_set, val_set, config)
+    assert all(np.isfinite(r["loss"]) for r in history)
+    with pytest.raises(ContractError, match="M=3 < K=4"):
+        fit(train_set, val_set, small_config(k_shot=4, embed_dim=3, lambda1=0.0))
 
 
 def test_lambda2_defaults_depend_on_shot_count():
@@ -137,7 +150,7 @@ def test_tape_loss_matches_numpy_reconstruction():
     support = embed_np(params, episode.support_x)
     query = embed_np(params, episode.query_x)
     cols = [support[:, c * 2:(c + 1) * 2] for c in range(3)]
-    dist = RegressionHead().distances_np(cols, query, config.hyper())
+    dist = RegressionHead().distances_np(support, query, config.hyper())
     neg = -dist
     m = neg.max(axis=0, keepdims=True)
     lse = m + np.log(np.sum(np.exp(neg - m), axis=0, keepdims=True))
@@ -156,8 +169,7 @@ def test_episode_accuracy_agrees_with_manual_argmin():
     got = episode_accuracy(params, RegressionHead(), episode, hyper)
     support = embed_np(params, episode.support_x)
     query = embed_np(params, episode.query_x)
-    cols = [support[:, c * 2:(c + 1) * 2] for c in range(3)]
-    dist = RegressionHead().distances_np(cols, query, hyper)
+    dist = RegressionHead().distances_np(support, query, hyper)
     manual = float(np.mean(np.argmin(dist, axis=0) + 1 == episode.query_y))
     assert got == pytest.approx(manual)
 
@@ -294,3 +306,19 @@ def test_heads_share_the_training_loop():
         _, history = fit(train_set, val_set, config, head=head)
         assert len(history) == 10
         assert all(np.isfinite(r["loss"]) for r in history)
+
+
+def test_fit_and_evaluate_leave_no_cyclic_garbage():
+    # nodes refer to their tape weakly, so reference counting frees every
+    # train-step and evaluation tape; the cyclic collector finds nothing
+    train_set, val_set, test_set = small_splits()
+    config = small_config(episodes=3, val_interval=2, val_episodes=2)
+    for name in ("regression", "proto", "cosine"):
+        gc.collect()
+        gc.disable()
+        try:
+            params, _ = fit(train_set, val_set, config, head=heads.make_head(name))
+            evaluate(params, heads.make_head(name), test_set, 3, 2, 3, 3, seed=0)
+            assert gc.collect() == 0, name
+        finally:
+            gc.enable()
