@@ -11,20 +11,27 @@ goes out of scope, without waiting for the cyclic garbage collector.
 Values are matrices or stacks of matrices (see ``linalg``).  The op set
 is exactly what the encoder and the heads record:
 
-- structure: add, mul, scale, neg, add_col (broadcast a column), sub
-  (broadcasting), add_diag, transpose and matmul (on the last two axes;
-  matmul broadcasts leading ones), col_slice, blocks (an M x NK matrix as
-  an (N, M, K) stack of K-column class blocks), pick (one entry per
-  column), sum_all; ops that broadcast sum each adjoint back to its
-  input's shape in one helper, ``_unbroadcast``;
-- nonlinearities: tanh, relu;
+- dense: one encoder layer ``act(W x + b)`` as a single node, valued by
+  ``dense_np`` (which ``encoder.embed_np`` calls too);
+- structure: add, mul, scale, neg, sub (broadcasting), add_diag,
+  transpose and matmul (on the last two axes; matmul broadcasts leading
+  ones), col_slice, blocks (an M x NK matrix as an (N, M, K) stack of
+  K-column class blocks); ops that broadcast sum each adjoint back to
+  their input's shape in one helper, ``_unbroadcast``;
 - reductions: frobenius_norm_sq, col_norms, col_normalize,
-  block_normalize (each class block to unit Frobenius norm), and lse_cols
-  (a stabilized column-wise log-sum-exp);
+  block_normalize (each class block to unit Frobenius norm), and
+  cross_entropy (the episode loss, a stabilized log-sum-exp inside);
 - solve_spd, a symmetric positive-definite solve per stacked matrix,
   whose adjoint uses the implicit-function rule (for ``X = A^{-1} B``:
   ``Ab = -A^{-T} G X^T``, ``Bb = A^{-T} G``), so the closed-form ridge
   coefficients stay differentiable without unrolling any iterative solver.
+
+Constants (``Tape.const``: an input batch, a mask, an averaging matrix)
+get no adjoint: an op with several operands computes none for a constant
+one, and a constant's ``.grad`` reads as zeros, like an unused node's.  Adjoints are
+never accumulated in place: ``backward`` stores the first one as it comes
+and sums later ones into a new array, so an adjoint that is another
+node's adjoint (add, sub) or a view of it (blocks) needs no copy.
 
 Evaluation records the same ops on a throwaway tape and reads ``.value``;
 nothing forces a backward pass.
@@ -92,8 +99,12 @@ class Tape:
         return var
 
     def leaf(self, values) -> Var:
-        """Enter a constant or parameter tensor onto the tape."""
+        """Enter a tensor whose gradient is wanted (a parameter) onto the tape."""
         return self._append("leaf", linalg.as_matrix(values), None)
+
+    def const(self, values) -> Var:
+        """Enter a tensor that gets no adjoint (see the module docstring)."""
+        return self._append("const", linalg.as_matrix(values), None)
 
 
 def _tape_of(*vars_: Var) -> Tape:
@@ -117,6 +128,11 @@ def _swap(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
+def _live(*operands) -> list[tuple[int, np.ndarray]]:
+    """(id, adjoint) for each (var, adjoint thunk) whose var is not a constant."""
+    return [(v.id, adjoint()) for v, adjoint in operands if v.op != "const"]
+
+
 # -- elementwise and structural ops -----------------------------------------
 
 
@@ -126,7 +142,7 @@ def add(a: Var, b: Var) -> Var:
     tape = _tape_of(a, b)
 
     def back(g):
-        return [(a.id, g), (b.id, g)]
+        return _live((a, lambda: g), (b, lambda: g))
 
     return tape._append("add", a.value + b.value, back)
 
@@ -140,20 +156,21 @@ def sub(a: Var, b: Var) -> Var:
         raise ShapeError(f"sub cannot broadcast {a.shape} with {b.shape}") from None
 
     def back(g):
-        return [(a.id, _unbroadcast(g, a.shape)), (b.id, -_unbroadcast(g, b.shape))]
+        return _live((a, lambda: _unbroadcast(g, a.shape)),
+                     (b, lambda: -_unbroadcast(g, b.shape)))
 
     return tape._append("sub", value, back)
 
 
 def mul(a: Var, b: Var) -> Var:
-    """Elementwise product (used for scalar-by-scalar factors)."""
+    """Elementwise product (the penalty applies its block mask with it)."""
     if a.shape != b.shape:
         raise ShapeError(f"mul expects matching shapes, got {a.shape} and {b.shape}")
     tape = _tape_of(a, b)
     av, bv = a.value, b.value
 
     def back(g):
-        return [(a.id, g * bv), (b.id, g * av)]
+        return _live((a, lambda: g * bv), (b, lambda: g * av))
 
     return tape._append("mul", av * bv, back)
 
@@ -184,18 +201,6 @@ def add_diag(a: Var, c: float) -> Var:
     return a.tape._append("add_diag", value, back)
 
 
-def add_col(a: Var, col: Var) -> Var:
-    """Broadcast-add a column vector across every column of ``a``."""
-    if col.shape != (a.shape[0], 1):
-        raise ShapeError(f"add_col expects a {a.shape[0]}x1 column, got {col.shape}")
-    tape = _tape_of(a, col)
-
-    def back(g):
-        return [(a.id, g), (col.id, g.sum(axis=1, keepdims=True))]
-
-    return tape._append("add_col", a.value + col.value, back)
-
-
 def transpose(a: Var) -> Var:
     """Swap the last two axes."""
 
@@ -212,8 +217,8 @@ def matmul(a: Var, b: Var) -> Var:
     av, bv = a.value, b.value
 
     def back(g):
-        return [(a.id, _unbroadcast(g @ _swap(bv), av.shape)),
-                (b.id, _unbroadcast(_swap(av) @ g, bv.shape))]
+        return _live((a, lambda: _unbroadcast(g @ _swap(bv), av.shape)),
+                     (b, lambda: _unbroadcast(_swap(av) @ g, bv.shape)))
 
     return tape._append("matmul", value, back)
 
@@ -248,54 +253,42 @@ def blocks(a: Var, n: int) -> Var:
     return a.tape._append("blocks", value, back)
 
 
-def pick(a: Var, rows: np.ndarray) -> Var:
-    """Gather one entry per column: out[0, j] = a[rows[j], j]."""
-    rows = np.asarray(rows, dtype=np.intp)
-    n, b = a.shape
-    if rows.shape != (b,):
-        raise ShapeError(f"pick expects {b} row indices, got shape {rows.shape}")
-    if rows.min(initial=0) < 0 or rows.max(initial=0) >= n:
-        raise ContractError("pick row index out of range")
-    cols = np.arange(b)
-    shape = a.shape
+# -- one encoder layer -------------------------------------------------------
+
+
+def dense_np(w: np.ndarray, b: np.ndarray, x: np.ndarray, activation: str) -> np.ndarray:
+    """act(W x + b), b an out x 1 column; act is "tanh", "relu" or "none"."""
+    h = w @ x
+    h += b
+    if activation == "tanh":
+        np.tanh(h, out=h)
+    elif activation == "relu":
+        np.maximum(h, 0.0, out=h)
+    elif activation != "none":
+        raise ContractError(f"unknown activation {activation!r}")
+    return h
+
+
+def dense(w: Var, b: Var, x: Var, activation: str) -> Var:
+    """One encoder layer, ``dense_np`` as one node.  The relu gradient at
+    exactly 0 is 0; a constant x (the input batch) costs no ``W^T g``."""
+    if w.shape[1] != x.shape[0] or b.shape != (w.shape[0], 1):
+        raise ShapeError(
+            f"dense expects W (out x in), b (out x 1) and x (in x B), got "
+            f"{w.shape}, {b.shape} and {x.shape}")
+    tape = _tape_of(w, b, x)
+    wv, xv = w.value, x.value
+    out = dense_np(wv, b.value, xv, activation)
 
     def back(g):
-        full = np.zeros(shape)
-        full[rows, cols] = g[0, :]
-        return [(a.id, full)]
+        if activation == "tanh":
+            g = g * (1.0 - out * out)
+        elif activation == "relu":
+            g = g * (out > 0.0)
+        return _live((w, lambda: g @ xv.T), (b, lambda: g.sum(axis=1, keepdims=True)),
+                     (x, lambda: wv.T @ g))
 
-    return a.tape._append("pick", a.value[rows, cols].reshape(1, b), back)
-
-
-def sum_all(a: Var) -> Var:
-    shape = a.shape
-
-    def back(g):
-        return [(a.id, np.full(shape, float(g[0, 0])))]
-
-    return a.tape._append("sum_all", np.array([[float(np.sum(a.value))]]), back)
-
-
-# -- nonlinearities ----------------------------------------------------------
-
-
-def tanh(a: Var) -> Var:
-    t = np.tanh(a.value)
-
-    def back(g):
-        return [(a.id, g * (1.0 - t * t))]
-
-    return a.tape._append("tanh", t, back)
-
-
-def relu(a: Var) -> Var:
-    # Gradient at exactly 0 is defined as 0.
-    mask = a.value > 0.0
-
-    def back(g):
-        return [(a.id, g * mask)]
-
-    return a.tape._append("relu", a.value * mask, back)
+    return tape._append("dense", out, back)
 
 
 # -- norms and reductions ----------------------------------------------------
@@ -368,18 +361,33 @@ def block_normalize(a: Var, n: int) -> Var:
     return a.tape._append("block_normalize", y.reshape(m, width), back)
 
 
-def lse_cols(a: Var) -> Var:
-    """Column-wise log-sum-exp of an N x B matrix, returning a 1 x B row."""
-    x = a.value
-    m = np.max(x, axis=0, keepdims=True)
-    e = np.exp(x - m)
+def cross_entropy(a: Var, rows: np.ndarray) -> Var:
+    """Mean over the columns j of an N x B distance matrix d of
+    ``d[rows[j], j] + logsumexp(-d[:, j])`` (``rows`` 0-based, checked by
+    the caller), as one node with adjoint ``(onehot - softmax(-d)) / B``.
+    The float operations follow the order of the pick, negate,
+    log-sum-exp, add, sum and scale ops this node stands for.
+    """
+    d = a.value
+    b = d.shape[1]
+    cols = np.arange(b)
+    neg_d = -d
+    m = np.max(neg_d, axis=0, keepdims=True)
+    e = np.exp(neg_d - m)
     total = np.sum(e, axis=0, keepdims=True)
     soft = e / total
+    per_column = d[rows, cols].reshape(1, b) + (m + np.log(total))
+    c = 1.0 / b
 
     def back(g):
-        return [(a.id, soft * g)]
+        s = float(g[0, 0]) * c
+        out = np.zeros(d.shape)
+        out[rows, cols] = s
+        out -= soft * s
+        return [(a.id, out)]
 
-    return a.tape._append("lse_cols", m + np.log(total), back)
+    return a.tape._append("cross_entropy", np.array([[float(np.sum(per_column))]]) * c,
+                          back)
 
 
 # -- linear solve ------------------------------------------------------------
@@ -400,7 +408,7 @@ def solve_spd(a: Var, b: Var) -> Var:
 
     def back(g):
         gb = linalg.solve_with_factor(low, g)
-        return [(a.id, -gb @ _swap(x)), (b.id, gb)]
+        return _live((a, lambda: -gb @ _swap(x)), (b, lambda: gb))
 
     return tape._append("solve_spd", x, back)
 
@@ -409,29 +417,28 @@ def backward(tape: Tape, loss: Var) -> dict[int, np.ndarray]:
     """Accumulate d(loss)/d(node) for every node at or before ``loss``.
 
     Returns the gradient map and populates ``.grad`` on the visited nodes
-    (zeros for nodes the loss does not depend on).  Running backward twice
-    rebuilds the map from scratch, so repeated calls are idempotent.
+    (zeros for constants and for nodes the loss does not depend on).
+    Running backward twice rebuilds the map from scratch, so repeated
+    calls are idempotent.  Gradients may share memory with one another;
+    treat them as read-only.
     """
     if loss.tape is not tape:
         raise ContractError("loss variable does not belong to this tape")
     if loss.value.shape != (1, 1):
         raise ContractError(f"backward needs a scalar loss, got shape {loss.value.shape}")
 
+    nodes = tape.nodes[: loss.id + 1]
     grads: dict[int, np.ndarray] = {loss.id: np.ones((1, 1))}
-    for var in reversed(tape.nodes[: loss.id + 1]):
+    for var in reversed(nodes):
         g = grads.get(var.id)
         if g is None or var._backward is None:
             continue
         for input_id, contribution in var._backward(g):
             seen = grads.get(input_id)
-            if seen is None:
-                # Copy on first store: closures may hand back the output
-                # adjoint itself (add, add_col, sub) or a view of it (blocks).
-                grads[input_id] = np.array(contribution)
-            else:
-                seen += contribution
-    for var in tape.nodes[: loss.id + 1]:
+            # Never in place: ``seen`` may be another node's adjoint or a view of it.
+            grads[input_id] = contribution if seen is None else seen + contribution
+    for var in nodes:
         g = grads.get(var.id)
-        var.grad = np.zeros_like(var.value) if g is None else g
+        var.grad = np.zeros_like(var.value) if g is None or var.op == "const" else g
         grads[var.id] = var.grad
     return grads

@@ -2,10 +2,12 @@
 
 Parameters live in plain numpy arrays.  For training, ``attach`` enters
 them onto a tape once per episode batch so gradients accumulate on the
-returned handles; ``forward`` then records the layer chain, and the train
-step reads both its loss and its accuracy from that one embedding.
-Validation and test evaluation embed with ``embed_np``, the same layer
-chain without a tape; tests pin the two to machine precision.
+returned handles; ``forward`` then records one ``autodiff.dense`` node per
+layer, and the train step reads both its loss and its accuracy from that
+one embedding.  Validation and test evaluation embed with ``embed_np``,
+with no tape.  A layer's math, ``act(W x + b)``, exists once, as
+``autodiff.dense_np``: the tape node's value and every ``embed_np`` layer
+are that function, so the two routes agree exactly.
 """
 
 from __future__ import annotations
@@ -111,38 +113,27 @@ def attach(params: EncoderParams, tape: Tape) -> list[tuple[Var, Var]]:
 
 
 def forward(attached: list[tuple[Var, Var]], params: EncoderParams, x: Var) -> Var:
-    """Record the layer chain on the tape; x is D x B, result M x B."""
+    """Record one dense node per layer; x is D x B, the result M x B."""
     h = x
     for (w_var, b_var), layer in zip(attached, params.layers):
-        h = autodiff.add_col(autodiff.matmul(w_var, h), b_var)
-        if layer.activation == "tanh":
-            h = autodiff.tanh(h)
-        elif layer.activation == "relu":
-            h = autodiff.relu(h)
+        h = autodiff.dense(w_var, b_var, h, layer.activation)
     return h
 
 
 def embed(params: EncoderParams, batch, tape: Tape) -> Var:
-    """Convenience single-shot embedding: attach params, record forward."""
-    batch = linalg.as_matrix(batch)
-    if batch.shape[0] != params.input_dim:
-        raise ShapeError(
-            f"batch has {batch.shape[0]} rows, encoder expects {params.input_dim}")
-    return forward(attach(params, tape), params, tape.leaf(batch))
+    """Convenience single-shot embedding: attach params, record forward.
+    A batch whose rows do not match the input layer raises ``ShapeError``."""
+    return forward(attach(params, tape), params, tape.const(batch))
 
 
 def embed_np(params: EncoderParams, batch) -> np.ndarray:
-    """Tape-free forward pass; must match ``embed`` to machine precision."""
+    """Tape-free forward pass: the layer function ``embed`` records."""
     h = linalg.as_matrix(batch)
     if h.shape[0] != params.input_dim:
         raise ShapeError(
             f"batch has {h.shape[0]} rows, encoder expects {params.input_dim}")
     for layer in params.layers:
-        h = layer.weight @ h + layer.bias
-        if layer.activation == "tanh":
-            h = np.tanh(h)
-        elif layer.activation == "relu":
-            h = np.maximum(h, 0.0)
+        h = autodiff.dense_np(layer.weight, layer.bias, h, layer.activation)
     return h
 
 

@@ -75,11 +75,6 @@ class Episode:
     query_y: np.ndarray     # (N*Q,) values in 1..N
     relabel: dict           # original class id -> 1..N
 
-    def support_columns(self, label: int) -> np.ndarray:
-        """The K support columns of episode class ``label`` (1-based)."""
-        cols = np.flatnonzero(self.support_y == label)
-        return np.ascontiguousarray(self.support_x[:, cols])
-
     def fingerprint(self) -> str:
         """Content hash used to assert that paired runs saw identical episodes."""
         h = hashlib.sha256()
@@ -91,16 +86,22 @@ class Episode:
         return h.hexdigest()
 
 
-def sample_episode(dataset: Dataset, n_way: int, k_shot: int, q_queries: int,
-                   rng: np.random.Generator) -> Episode:
-    """Sample classes, then K+Q distinct examples per class, all uniformly
-    without replacement. Deterministic given the rng state."""
-    need = k_shot + q_queries
+def check_sampleable(dataset: Dataset, n_way: int, need: int) -> list:
+    """The classes with >= ``need`` examples; ``SamplingError`` if under ``n_way``."""
     eligible = dataset.eligible_classes(need)
     if len(eligible) < n_way:
         raise SamplingError(
             f"{dataset.name}: need {n_way} classes with >= {need} examples, "
             f"only {len(eligible)} eligible")
+    return eligible
+
+
+def sample_episode(dataset: Dataset, n_way: int, k_shot: int, q_queries: int,
+                   rng: np.random.Generator) -> Episode:
+    """Sample classes, then K+Q distinct examples per class, all uniformly
+    without replacement. Deterministic given the rng state."""
+    need = k_shot + q_queries
+    eligible = check_sampleable(dataset, n_way, need)
     picked = rng.choice(len(eligible), size=n_way, replace=False)
     support_cols, query_cols = [], []
     support_y, query_y = [], []

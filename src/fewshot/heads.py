@@ -112,7 +112,7 @@ def ortho_penalty(support: Var, n_way: int) -> Var:
         raise ContractError(f"penalty needs at least 2 subspaces, got {n_way}")
     unit = autodiff.block_normalize(support, n_way)
     k = unit.shape[1] // n_way
-    off_diagonal = support.tape.leaf(1.0 - np.kron(np.eye(n_way), np.ones((k, k))))
+    off_diagonal = support.tape.const(1.0 - np.kron(np.eye(n_way), np.ones((k, k))))
     cross = autodiff.matmul(autodiff.transpose(unit), unit)          # NK x NK
     return autodiff.frobenius_norm_sq(autodiff.mul(cross, off_diagonal))
 
@@ -132,17 +132,14 @@ def cross_entropy_from_distances(dist_matrix: Var, labels: np.ndarray, n_way: in
     """Mean over queries of d_true + logsumexp(-d), the negative log posterior.
 
     ``dist_matrix`` is N x B with one column per query; ``labels`` are
-    1-based class indices of length B.
+    1-based class indices of length B.  Recorded as one tape node.
     """
     if n_way < 2:
         raise ContractError(f"a posterior needs at least 2 classes, got {n_way}")
     n, b = dist_matrix.shape
     if n != n_way:
         raise ShapeError(f"distance matrix has {n} rows for {n_way} classes")
-    rows = _check_labels(labels, n_way, b)
-    picked = autodiff.pick(dist_matrix, rows)
-    lse = autodiff.lse_cols(autodiff.neg(dist_matrix))
-    return autodiff.scale(autodiff.sum_all(autodiff.add(picked, lse)), 1.0 / b)
+    return autodiff.cross_entropy(dist_matrix, _check_labels(labels, n_way, b))
 
 
 # -- heads -------------------------------------------------------------------
@@ -192,7 +189,7 @@ class ProtoHead:
     def distance_rows(self, support: Var, query: Var, hyper: Hyper) -> Var:
         s = autodiff.blocks(support, hyper.n_way)                # N x M x K
         k = s.shape[2]
-        mean = support.tape.leaf(np.full((k, 1), 1.0 / k))
+        mean = support.tape.const(np.full((k, 1), 1.0 / k))
         centroids = autodiff.matmul(s, mean)                     # N x M x 1
         return autodiff.col_norms(autodiff.sub(query, centroids))
 
@@ -217,7 +214,7 @@ class CosineHead:
         sims = autodiff.matmul(autodiff.transpose(autodiff.col_normalize(support)),
                                autodiff.col_normalize(query))    # NK x B
         # Row c of the averaging matrix holds 1/K over class c's K columns.
-        mean = support.tape.leaf(np.kron(np.eye(n), np.full((1, k), 1.0 / k)))
+        mean = support.tape.const(np.kron(np.eye(n), np.full((1, k), 1.0 / k)))
         return autodiff.neg(autodiff.matmul(mean, sims))
 
     def episode_loss(self, support: Var, query: Var, labels,

@@ -13,15 +13,15 @@ is reported separately by the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff, encoder, heads, linalg
 from .autodiff import Tape
 from .encoder import EncoderParams
-from .episodes import Dataset, Episode, sample_episode
-from .errors import ConfigError, DivergenceError
+from .episodes import Dataset, Episode, check_sampleable, sample_episode
+from .errors import ConfigError, ContractError, DivergenceError
 from .heads import Hyper, RegressionHead
 
 
@@ -88,18 +88,22 @@ class AdamState:
 
 def adam_update(params: EncoderParams, grads: list[np.ndarray],
                 state: AdamState, lr: float) -> EncoderParams:
-    """Standard Adam with bias correction; returns updated parameters."""
+    """Standard Adam with bias correction; returns new parameters and
+    updates ``state.m`` and ``state.v`` in place."""
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
     new_tensors = []
-    for i, (p, g) in enumerate(zip(params.flatten(), grads)):
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[i] / c1
-        v_hat = state.v[i] / c2
-        new_tensors.append(p - lr * m_hat / (np.sqrt(v_hat) + state.eps))
+    for p, g, m, v in zip(params.flatten(), grads, state.m, state.v):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        step = m / c1 * lr          # lr * m_hat / (sqrt(v_hat) + eps)
+        step /= np.sqrt(v / c2) + state.eps
+        new_tensors.append(p - step)
     return _rebuild(params, new_tensors)
 
 
@@ -109,10 +113,8 @@ def sgd_update(params: EncoderParams, grads: list[np.ndarray], lr: float) -> Enc
 
 
 def _rebuild(params: EncoderParams, tensors: list[np.ndarray]) -> EncoderParams:
-    layers = []
-    for i, layer in enumerate(params.layers):
-        layers.append(encoder.Layer(tensors[2 * i], tensors[2 * i + 1], layer.activation))
-    return EncoderParams(layers)
+    return EncoderParams([encoder.Layer(w, b, layer.activation) for layer, w, b
+                          in zip(params.layers, tensors[::2], tensors[1::2])])
 
 
 def episode_loss_on_tape(attached, params: EncoderParams, episode: Episode,
@@ -125,7 +127,7 @@ def episode_loss_on_tape(attached, params: EncoderParams, episode: Episode,
     """
     nk = episode.n_way * episode.k_shot
     batch = np.hstack([episode.support_x, episode.query_x])
-    embeds = encoder.forward(attached, params, tape.leaf(batch))
+    embeds = encoder.forward(attached, params, tape.const(batch))
     support = autodiff.col_slice(embeds, 0, nk)
     query = autodiff.col_slice(embeds, nk, embeds.shape[1])
     return head.episode_loss(support, query, episode.query_y, hyper)
@@ -144,7 +146,10 @@ def episode_accuracy(params: EncoderParams, head, episode: Episode,
 def train_step(params: EncoderParams, batch: list[Episode], config: TrainConfig,
                state: AdamState | None, head=None,
                episode_offset: int = 0) -> tuple[EncoderParams, dict]:
-    """One optimizer update on the summed loss over a batch of episodes."""
+    """One optimizer update on the summed loss over a batch of episodes;
+    Adam updates ``state`` in place."""
+    if config.optimizer == "adam" and state is None:
+        raise ContractError("adam needs an optimizer state: pass AdamState.for_params(params)")
     head = head if head is not None else RegressionHead()
     hyper = config.hyper()
     tape = Tape()
@@ -165,10 +170,7 @@ def train_step(params: EncoderParams, batch: list[Episode], config: TrainConfig,
         accuracies.append(np.mean(heads.predict_np(dist.value) == episode.query_y))
         total = loss if total is None else autodiff.add(total, loss)
     autodiff.backward(tape, total)
-    grads = []
-    for w_var, b_var in attached:
-        grads.append(w_var.grad)
-        grads.append(b_var.grad)
+    grads = [var.grad for pair in attached for var in pair]
     if config.optimizer == "adam":
         new_params = adam_update(params, grads, state, config.lr)
     else:
@@ -199,9 +201,13 @@ def fit(train_set: Dataset, val_set: Dataset | None, config: TrainConfig,
 
     Ties in validation accuracy keep the earliest checkpoint. If validation
     never runs (no val set, or the interval exceeds the episode budget),
-    the final parameters are returned.
+    the final parameters are returned.  A split too small for an episode
+    raises ``SamplingError`` before the first step.
     """
     head = head if head is not None else RegressionHead()
+    validates = val_set is not None and config.episodes >= config.val_interval
+    for dataset in (train_set, val_set) if validates else (train_set,):
+        check_sampleable(dataset, config.n_way, config.k_shot + config.q_queries)
     if init_params is None:
         spec = encoder.default_layer_spec(
             train_set.dim, config.embed_dim, config.hidden_dim,

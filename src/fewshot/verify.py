@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import heads, linalg, train
+from . import encoder, heads, linalg, train
 from .autodiff import Tape, backward
 from .encoder import init_encoder
 from .episodes import Episode
@@ -183,15 +183,12 @@ def _unpack(params, flat: np.ndarray):
     return out
 
 
-def _loss_and_grad(params, episode, hyper, head):
+def _episode_loss(params, episode, hyper, head):
+    """(tape, attached parameters, loss) of one episode's training loss."""
     tape = Tape()
-    attached = [(tape.leaf(l.weight), tape.leaf(l.bias)) for l in params.layers]
+    attached = encoder.attach(params, tape)
     loss, _ = train.episode_loss_on_tape(attached, params, episode, head, hyper, tape)
-    backward(tape, loss)
-    grad = np.concatenate([
-        np.concatenate([w.grad.ravel(), b.grad.ravel()]) for w, b in attached
-    ])
-    return loss.item(), grad
+    return tape, attached, loss
 
 
 def check_gradient_fidelity(seed: int = 0, trials: int = 20,
@@ -213,15 +210,14 @@ def check_gradient_fidelity(seed: int = 0, trials: int = 20,
         spec = [(5, 6, "tanh"), (6, 4, "none")]
         params = init_encoder(int(rng.integers(2**32)), spec)
 
-        _, analytic = _loss_and_grad(params, episode, hyper, head)
+        tape, attached, loss = _episode_loss(params, episode, hyper, head)
+        backward(tape, loss)
+        analytic = np.concatenate([np.concatenate([w.grad.ravel(), b.grad.ravel()])
+                                   for w, b in attached])
         flat = _pack(params)
 
         def loss_at(vec):
-            p = _unpack(params, vec)
-            tape = Tape()
-            attached = [(tape.leaf(l.weight), tape.leaf(l.bias)) for l in p.layers]
-            loss, _ = train.episode_loss_on_tape(attached, p, episode, head, hyper, tape)
-            return loss.item()
+            return _episode_loss(_unpack(params, vec), episode, hyper, head)[2].item()
 
         for i in range(flat.size):
             plus = flat.copy()

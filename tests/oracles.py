@@ -1,5 +1,7 @@
 """Independent numpy references shared by several test modules."""
 
+import numpy as np
+
 from fewshot import linalg
 
 
@@ -13,3 +15,28 @@ def ortho_penalty_np(supports):
                 continue
             total += linalg.frobenius_norm_sq(si.T @ sj) / (norms[i] * norms[j])
     return total
+
+
+def cross_entropy_np(d, rows):
+    """Value and adjoint (for a unit output adjoint) of autodiff.cross_entropy,
+    computed op by op in the order of the composed route it replaced: pick
+    the true rows, negate, column log-sum-exp, add, sum, scale by 1/B; then
+    back through scale, sum, add, log-sum-exp, negate and pick, accumulating
+    into d in that reverse order."""
+    b = d.shape[1]
+    cols = np.arange(b)
+    c = float(1.0 / b)
+    picked = d[rows, cols].reshape(1, b)
+    neg = d * -1.0
+    m = np.max(neg, axis=0, keepdims=True)
+    e = np.exp(neg - m)
+    total = np.sum(e, axis=0, keepdims=True)
+    soft = e / total
+    lse = m + np.log(total)
+    value = np.array([[float(np.sum(picked + lse))]]) * c
+    g_sum = np.ones((1, 1)) * c
+    g_add = np.full((1, b), float(g_sum[0, 0]))
+    grad = (soft * g_add) * -1.0
+    pick_adjoint = np.zeros(d.shape)
+    pick_adjoint[rows, cols] = g_add[0, :]
+    return value, grad + pick_adjoint

@@ -1,6 +1,7 @@
 """Tape op tests: every op's gradient against central finite differences,
 plus the structural contracts (idempotent backward, no adjoint aliasing,
-stabilized reductions, shape and tape-mixing errors).
+constants without adjoints, stabilized reductions, shape and tape-mixing
+errors).
 """
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from fewshot import autodiff
 from fewshot.autodiff import Tape, backward
 from fewshot.errors import ContractError, ShapeError
+
+from oracles import cross_entropy_np
 
 H = 1e-6
 TOL = 5e-5
@@ -57,6 +60,13 @@ def mats(seed, *shapes):
     return [rng.standard_normal(s) for s in shapes]
 
 
+def total(v):
+    """The sum of every entry of a matrix, as 1^T V 1 with constant ones."""
+    m, n = v.shape
+    ones_row = v.tape.const(np.ones((1, m)))
+    return autodiff.matmul(autodiff.matmul(ones_row, v), v.tape.const(np.ones((n, 1))))
+
+
 # -- per-op gradient fidelity -------------------------------------------------
 
 
@@ -70,7 +80,7 @@ def test_add_and_sub_gradients():
 def test_mul_gradients():
     for seed in range(5):
         a, b = mats(seed + 10, (2, 3), (2, 3))
-        check_op(lambda t, v: autodiff.sum_all(autodiff.mul(v[0], v[1])), [a, b])
+        check_op(lambda t, v: total(autodiff.mul(v[0], v[1])), [a, b])
 
 
 def test_scale_neg_add_diag_gradients():
@@ -81,10 +91,31 @@ def test_scale_neg_add_diag_gradients():
         check_op(lambda t, v: autodiff.frobenius_norm_sq(autodiff.add_diag(v[0], 0.5)), [a])
 
 
-def test_add_col_gradients():
+def test_dense_gradients():
+    # W, b and x all leaves, for every activation; relu pre-activations are
+    # kept away from the kink so the stencil never straddles it
     for seed in range(5):
-        a, c = mats(seed + 30, (3, 4), (3, 1))
-        check_op(lambda t, v: autodiff.frobenius_norm_sq(autodiff.add_col(v[0], v[1])), [a, c])
+        w, b, x = mats(seed + 30, (3, 4), (3, 1), (4, 5))
+        assert np.min(np.abs(w @ x + b)) > 1e-3
+        for act in ("relu", "tanh", "none"):
+            check_op(lambda t, v: autodiff.frobenius_norm_sq(
+                autodiff.dense(v[0], v[1], v[2], act)), [w, b, x])
+        # two layers chained, as the encoder records them
+        w2, b2 = mats(seed + 35, (2, 3), (2, 1))
+        check_op(lambda t, v: autodiff.frobenius_norm_sq(autodiff.dense(
+            v[3], v[4], autodiff.dense(v[0], v[1], v[2], "tanh"), "none")), [w, b, x, w2, b2])
+
+
+def test_dense_value_is_the_shared_layer_function():
+    w, b, x = mats(36, (3, 4), (3, 1), (4, 5))
+    for act in ("relu", "tanh", "none"):
+        tape = Tape()
+        out = autodiff.dense(tape.leaf(w), tape.leaf(b), tape.const(x), act)
+        assert np.array_equal(out.value, autodiff.dense_np(w, b, x, act))
+    pre = w @ x + b
+    assert np.array_equal(autodiff.dense_np(w, b, x, "relu"), np.maximum(pre, 0.0))
+    assert np.array_equal(autodiff.dense_np(w, b, x, "tanh"), np.tanh(pre))
+    assert np.array_equal(autodiff.dense_np(w, b, x, "none"), pre)
 
 
 def test_transpose_and_matmul_gradients():
@@ -94,16 +125,14 @@ def test_transpose_and_matmul_gradients():
         check_op(lambda t, v: autodiff.frobenius_norm_sq(autodiff.matmul(v[0], v[1])), [a, b])
 
 
-def test_col_slice_blocks_pick_gradients():
+def test_col_slice_and_blocks_gradients():
     for seed in range(5):
-        a, b, wide, w = mats(seed + 50, (2, 4), (3, 4), (2, 6), (2, 3))
+        a, wide, w = mats(seed + 50, (2, 4), (2, 6), (2, 3))
         check_op(lambda t, v: autodiff.frobenius_norm_sq(autodiff.col_slice(v[0], 1, 3)), [a])
         # two 2 x 3 class blocks; every (class, column) norm has its own
         # weight, so a misplaced column would change the loss
-        check_op(lambda t, v: autodiff.sum_all(autodiff.mul(
-            autodiff.col_norms(autodiff.blocks(v[0], 2)), t.leaf(w))), [wide])
-        rows = np.array([2, 0, 1, 2])
-        check_op(lambda t, v: autodiff.frobenius_norm_sq(autodiff.pick(v[1], rows)), [a, b])
+        check_op(lambda t, v: total(autodiff.mul(
+            autodiff.col_norms(autodiff.blocks(v[0], 2)), t.const(w))), [wide])
 
 
 def test_blocks_lay_class_columns_along_the_stack_axis():
@@ -133,13 +162,13 @@ def test_stacked_and_broadcasting_ops_gradients():
         check_op(lambda t, v: autodiff.frobenius_norm_sq(autodiff.sub(
             v[1], autodiff.matmul(stack(v), v[2]))), [x, r, c])
         # 3-D col_norms (an N x B result) and col_normalize
-        check_op(lambda t, v: autodiff.sum_all(autodiff.mul(autodiff.col_norms(
-            autodiff.matmul(autodiff.transpose(stack(v)), v[1])), t.leaf(w))), [x, y])
+        check_op(lambda t, v: total(autodiff.mul(autodiff.col_norms(
+            autodiff.matmul(autodiff.transpose(stack(v)), v[1])), t.const(w))), [x, y])
         check_op(lambda t, v: autodiff.frobenius_norm_sq(autodiff.matmul(
             autodiff.col_normalize(stack(v)), v[1])), [x, r])
         # block_normalize, every entry weighted differently
-        check_op(lambda t, v: autodiff.sum_all(autodiff.mul(
-            autodiff.block_normalize(v[0], 2), t.leaf(wx))), [x])
+        check_op(lambda t, v: total(autodiff.mul(
+            autodiff.block_normalize(v[0], 2), t.const(wx))), [x])
 
 
 def test_stacked_solve_spd_gradients():
@@ -181,37 +210,49 @@ def test_col_slice_leaves_other_columns_with_zero_grad():
     assert np.allclose(g[:, 1:3], 2.0 * a[:, 1:3])
 
 
-def test_sum_all_and_nonlinearity_gradients():
-    for seed in range(5):
-        (a,) = mats(seed + 60, (3, 3))
-        check_op(lambda t, v: autodiff.mul(autodiff.sum_all(v[0]), autodiff.sum_all(v[0])), [a])
-        check_op(lambda t, v: autodiff.sum_all(autodiff.tanh(v[0])), [a])
-        # keep relu inputs away from the kink
-        r = a + np.sign(a) * 0.2
-        check_op(lambda t, v: autodiff.frobenius_norm_sq(autodiff.relu(v[0])), [r])
-
-
 def test_norm_and_normalize_gradients():
     for seed in range(5):
         rng = np.random.default_rng(seed + 70)
         col = rng.standard_normal((4, 1)) + 0.5
         a = rng.standard_normal((3, 4)) + 0.3
         w = rng.standard_normal((3, 4))
-        check_op(lambda t, v: autodiff.sum_all(autodiff.col_norms(v[0])), [col])
+        check_op(lambda t, v: autodiff.col_norms(v[0]), [col])
         check_op(lambda t, v: autodiff.frobenius_norm_sq(v[0]), [a])
-        check_op(lambda t, v: autodiff.sum_all(autodiff.col_norms(v[0])), [a])
+        check_op(lambda t, v: total(autodiff.col_norms(v[0])), [a])
         check_op(
-            lambda t, v: autodiff.sum_all(autodiff.mul(autodiff.col_normalize(v[0]), v[1])),
+            lambda t, v: total(autodiff.mul(autodiff.col_normalize(v[0]), v[1])),
             [a, w])
 
 
-def test_logsumexp_gradients():
+def test_cross_entropy_gradients():
+    # one column, then several, with repeated and distinct true rows; the
+    # second loss reaches the distances through a matmul, so the adjoint is
+    # checked when it is not the first node backward visits
     for seed in range(5):
         rng = np.random.default_rng(seed + 80)
         col = rng.standard_normal((5, 1))
         a = rng.standard_normal((4, 3))
-        check_op(lambda t, v: autodiff.lse_cols(v[0]), [col])
-        check_op(lambda t, v: autodiff.sum_all(autodiff.lse_cols(v[0])), [a])
+        m = rng.standard_normal((3, 3))
+        check_op(lambda t, v: autodiff.cross_entropy(v[0], np.array([3])), [col])
+        rows = np.array([2, 0, 2])
+        check_op(lambda t, v: autodiff.cross_entropy(v[0], rows), [a])
+        check_op(lambda t, v: autodiff.add(
+            autodiff.cross_entropy(autodiff.matmul(v[0], v[1]), rows),
+            autodiff.frobenius_norm_sq(v[1])), [a, m])
+
+
+def test_cross_entropy_matches_the_composed_oracle_bit_for_bit():
+    for seed in range(5):
+        rng = np.random.default_rng(seed + 85)
+        d = np.abs(rng.standard_normal((5, 7))) * 3.0
+        rows = rng.integers(0, 5, size=7)
+        tape = Tape()
+        dist = tape.leaf(d)
+        loss = autodiff.cross_entropy(dist, rows)
+        backward(tape, loss)
+        value, adjoint = cross_entropy_np(d, rows)
+        assert np.array_equal(loss.value, value)
+        assert np.array_equal(dist.grad, adjoint)
 
 
 def test_solve_spd_gradients_through_gram_construction():
@@ -245,7 +286,9 @@ def test_backward_is_idempotent():
     (a,) = mats(1, (3, 2))
     tape = Tape()
     x = tape.leaf(a)
-    loss = autodiff.frobenius_norm_sq(autodiff.tanh(x))
+    w = tape.leaf(np.array([[0.5, -1.0, 2.0], [1.5, 0.3, -0.7]]))
+    b = tape.leaf(np.zeros((2, 1)))
+    loss = autodiff.frobenius_norm_sq(autodiff.dense(w, b, x, "tanh"))
     backward(tape, loss)
     first = x.grad.copy()
     backward(tape, loss)
@@ -255,20 +298,20 @@ def test_backward_is_idempotent():
 def test_nodes_the_loss_ignores_get_zero_grad():
     tape = Tape()
     x = tape.leaf(np.ones((2, 2)))
-    unused = autodiff.tanh(x)
-    loss = autodiff.sum_all(x)
+    unused = autodiff.transpose(x)
+    loss = total(x)
     backward(tape, loss)
     assert np.array_equal(unused.grad, np.zeros((2, 2)))
     assert np.array_equal(x.grad, np.ones((2, 2)))
 
 
 def test_reused_variable_accumulates_without_corrupting_upstream():
-    # add returns the same adjoint array for both inputs; the first store
-    # must copy, otherwise accumulating into x also rewrites y.grad.
+    # add returns the same adjoint array for both inputs; x stores it as
+    # is, so accumulating into x in place would also rewrite y.grad.
     tape = Tape()
     x = tape.leaf(np.ones((2, 2)))
     y = autodiff.add(x, x)
-    loss = autodiff.sum_all(y)
+    loss = total(y)
     backward(tape, loss)
     assert np.array_equal(x.grad, 2.0 * np.ones((2, 2)))
     assert np.array_equal(y.grad, np.ones((2, 2)))
@@ -290,40 +333,70 @@ def test_blocks_adjoint_views_do_not_alias_the_output_grad():
 
 
 def test_logsumexp_is_stable_for_large_inputs():
+    # the cross-entropy's log-sum-exp of -d, where exp(-d) overflows
     tape = Tape()
-    col = tape.leaf(np.array([[1000.0], [999.0]]))
-    out = autodiff.lse_cols(col)
-    expected = 1000.0 + np.log(1.0 + np.exp(-1.0))
+    col = tape.leaf(np.array([[-1000.0], [-999.0]]))
+    out = autodiff.cross_entropy(col, np.array([1]))
+    expected = -999.0 + 1000.0 + np.log(1.0 + np.exp(-1.0))
     assert out.item() == pytest.approx(expected, abs=1e-12)
-    big = tape.leaf(np.array([[800.0, -800.0], [799.0, -801.0]]))
-    vals = autodiff.lse_cols(big).value
-    assert np.all(np.isfinite(vals))
-    assert vals[0, 0] == pytest.approx(800.0 + np.log(1.0 + np.exp(-1.0)), abs=1e-12)
+    big = tape.leaf(np.array([[-800.0, 800.0], [-799.0, 801.0]]))
+    loss = autodiff.cross_entropy(big, np.array([0, 0]))
+    assert loss.item() == pytest.approx(
+        0.5 * (np.log(1.0 + np.exp(-1.0)) + np.log(1.0 + np.exp(-1.0))), abs=1e-12)
+    backward(tape, loss)
+    assert np.all(np.isfinite(big.grad))
+    assert big.grad[1, 0] == pytest.approx(-0.5 / (1.0 + np.exp(1.0)), abs=1e-15)
 
 
 def test_relu_gradient_at_zero_is_zero():
     tape = Tape()
     x = tape.leaf(np.array([[0.0, -1.0, 2.0]]))
-    backward(tape, autodiff.sum_all(autodiff.relu(x)))
+    y = autodiff.dense(tape.leaf(np.ones((1, 1))), tape.leaf(np.zeros((1, 1))), x, "relu")
+    backward(tape, total(y))
     assert np.array_equal(x.grad, np.array([[0.0, 0.0, 1.0]]))
+
+
+def test_constants_get_no_adjoint():
+    # the ops compute nothing for a constant operand, and its grad reads zero
+    w, b, x, m = mats(7, (3, 4), (3, 1), (4, 5), (3, 5))
+    tape = Tape()
+    wv, bv, xc, mc = tape.leaf(w), tape.leaf(b), tape.const(x), tape.const(m)
+    h = autodiff.dense(wv, bv, xc, "tanh")
+    masked = autodiff.mul(h, mc)
+    loss = autodiff.frobenius_norm_sq(autodiff.sub(autodiff.add(masked, mc), mc))
+    g = np.ones(h.shape)
+    assert [i for i, _ in h._backward(g)] == [wv.id, bv.id]
+    assert [i for i, _ in masked._backward(g)] == [h.id]
+    backward(tape, loss)
+    assert np.array_equal(xc.grad, np.zeros_like(x))
+    assert np.array_equal(mc.grad, np.zeros_like(m))
+    assert float(np.max(np.abs(wv.grad))) > 0.0
+    # the same loss with x and the mask as leaves gives W and b the same grads
+    tape = Tape()
+    wl, bl, xl, ml = tape.leaf(w), tape.leaf(b), tape.leaf(x), tape.leaf(m)
+    masked = autodiff.mul(autodiff.dense(wl, bl, xl, "tanh"), ml)
+    backward(tape, autodiff.frobenius_norm_sq(autodiff.sub(autodiff.add(masked, ml), ml)))
+    assert np.array_equal(wl.grad, wv.grad)
+    assert np.array_equal(bl.grad, bv.grad)
+    assert float(np.max(np.abs(xl.grad))) > 0.0
 
 
 def test_zero_norm_gradients_are_zero():
     tape = Tape()
     v = tape.leaf(np.zeros((3, 1)))
-    backward(tape, autodiff.sum_all(autodiff.col_norms(v)))
+    backward(tape, autodiff.col_norms(v))
     assert np.array_equal(v.grad, np.zeros((3, 1)))
 
     tape = Tape()
     a = tape.leaf(np.array([[0.0, 1.0], [0.0, 2.0]]))
-    backward(tape, autodiff.sum_all(autodiff.col_norms(a)))
+    backward(tape, total(autodiff.col_norms(a)))
     assert np.array_equal(a.grad[:, 0], np.zeros(2))
 
     tape = Tape()
     b = tape.leaf(np.array([[0.0, 3.0], [0.0, 4.0]]))
     y = autodiff.col_normalize(b)
     assert np.array_equal(y.value[:, 0], np.zeros(2))
-    backward(tape, autodiff.sum_all(y))
+    backward(tape, total(y))
     assert np.array_equal(b.grad[:, 0], np.zeros(2))
 
 
@@ -341,7 +414,7 @@ def test_a_variable_outliving_its_tape_is_refused():
     x = Tape().leaf(np.ones((2, 2)))
     assert x.value.shape == (2, 2)
     with pytest.raises(ContractError, match="tape"):
-        autodiff.tanh(x)
+        autodiff.neg(x)
 
 
 def test_backward_demands_a_scalar_loss_from_its_own_tape():
@@ -365,15 +438,15 @@ def test_shape_errors_for_malformed_operands():
     with pytest.raises(ShapeError):
         autodiff.add_diag(a, 1.0)
     with pytest.raises(ShapeError):
-        autodiff.add_col(a, col)
+        autodiff.dense(a, col, b, "none")
+    with pytest.raises(ShapeError):
+        autodiff.dense(a, tape.leaf(np.ones((2, 1))), a, "none")
+    with pytest.raises(ContractError):
+        autodiff.dense(a, tape.leaf(np.ones((2, 1))), b, "sigmoid")
     with pytest.raises(ShapeError):
         autodiff.col_slice(a, 2, 5)
     with pytest.raises(ShapeError):
         autodiff.sub(a, b)
-    with pytest.raises(ShapeError):
-        autodiff.pick(a, np.array([0, 1]))
-    with pytest.raises(ContractError):
-        autodiff.pick(a, np.array([0, 1, 5]))
     with pytest.raises(ShapeError):
         a.item()
     with pytest.raises(ShapeError):

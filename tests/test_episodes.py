@@ -49,8 +49,6 @@ def test_sample_episode_shapes_and_grouped_labels():
     assert np.array_equal(ep.query_y, np.repeat([1, 2, 3], 4))
     assert sorted(ep.relabel.values()) == [1, 2, 3]
     assert set(ep.relabel) <= set(data.class_ids)
-    assert ep.support_columns(2).shape == (3, 2)
-    assert np.array_equal(ep.support_columns(2), ep.support_x[:, 2:4])
 
 
 def test_sample_episode_is_deterministic_given_the_stream():

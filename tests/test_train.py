@@ -11,11 +11,12 @@ from fewshot import heads
 from fewshot.evaluate import evaluate
 from fewshot.encoder import EncoderParams, Layer, default_layer_spec, embed_np, init_encoder
 from fewshot.episodes import sample_episode, split_classes, synth_gaussian
-from fewshot.errors import ConfigError, ContractError, DivergenceError
+from fewshot.errors import ConfigError, ContractError, DivergenceError, SamplingError
 from fewshot.heads import Hyper, RegressionHead
 from fewshot.linalg import named_stream
 from fewshot.train import (AdamState, TrainConfig, adam_update, episode_accuracy,
                            fit, history_lines, sgd_update, train_step, validate)
+from fewshot.verify import check_adam_oracle
 from oracles import ortho_penalty_np
 
 
@@ -115,6 +116,36 @@ def test_first_adam_step_has_unit_scale():
     updated = adam_update(params, [g, gb], state, lr=0.1)
     assert np.allclose(updated.layers[0].weight, -0.1 * np.sign(g), atol=1e-6)
     assert np.allclose(updated.layers[0].bias, -0.1 * np.sign(gb), atol=1e-6)
+
+
+def test_adam_updates_its_moments_in_place():
+    params = EncoderParams([Layer(np.ones((2, 2)), np.zeros((2, 1)), "none")])
+    state = AdamState.for_params(params)
+    moments = [id(a) for a in state.m + state.v]
+    g = np.array([[0.5, -2.0], [1e-3, 4.0]])
+    gb = np.array([[1.0], [-1.0]])
+    updated = adam_update(params, [g, gb], state, lr=0.1)
+    updated = adam_update(updated, [g, gb], state, lr=0.1)
+    assert [id(a) for a in state.m + state.v] == moments
+    first = (1.0 - 0.9) * g
+    assert np.array_equal(state.m[0], 0.9 * first + (1.0 - 0.9) * g)
+    # the parameters themselves are new arrays; the inputs are untouched
+    assert np.all(params.layers[0].weight == 1.0)
+    assert updated.layers[0].weight is not params.layers[0].weight
+    assert check_adam_oracle().passed
+    assert "0.000e+00" in check_adam_oracle().detail
+
+
+def test_train_step_with_adam_needs_a_state():
+    train_set, _, _ = small_splits()
+    params = init_encoder(named_stream(2, "init"),
+                          default_layer_spec(train_set.dim, 4, 8, 1))
+    episode = sample_episode(train_set, 3, 2, 3, named_stream(2, "train-sampling"))
+    with pytest.raises(ContractError, match=r"AdamState\.for_params"):
+        train_step(params, [episode], small_config(), None)
+    # plain SGD keeps no state
+    _, metrics = train_step(params, [episode], small_config(optimizer="sgd"), None)
+    assert np.isfinite(metrics["loss"])
 
 
 def test_sgd_is_a_plain_descent_step():
@@ -232,6 +263,28 @@ def test_fit_history_is_deterministic_per_seed():
         assert np.array_equal(la.bias, lb.bias)
     _, hist_c = fit(train_set, val_set, small_config(episodes=30, val_interval=10, seed=1))
     assert history_lines(hist_a) != history_lines(hist_c)
+
+
+def test_fit_refuses_a_split_too_small_before_training(monkeypatch):
+    import fewshot.train as train_module
+
+    steps = []
+    real_step = train_module.train_step
+    monkeypatch.setattr(train_module, "train_step",
+                        lambda *a, **k: steps.append(1) or real_step(*a, **k))
+    train_set, val_set, _ = small_splits()
+    two_classes = val_set.subset_by_classes(val_set.class_ids[:2], "val")
+    config = small_config(episodes=30, val_interval=10)
+    with pytest.raises(SamplingError, match="need 3 classes"):
+        fit(train_set, two_classes, config)
+    with pytest.raises(SamplingError, match="need 3 classes"):
+        fit(two_classes, val_set, config)
+    with pytest.raises(SamplingError, match=">= 50 examples"):
+        fit(train_set, val_set, small_config(q_queries=48))
+    assert steps == []
+    # a validation split that is never used (interval beyond the budget) is not checked
+    _, history = fit(train_set, two_classes, small_config(episodes=3, val_interval=10))
+    assert len(history) == 3 and steps == [1, 1, 1]
 
 
 def test_fit_validates_on_interval_boundaries():
