@@ -106,6 +106,15 @@ def test_dense_gradients():
             v[3], v[4], autodiff.dense(v[0], v[1], v[2], "tanh"), "none")), [w, b, x, w2, b2])
 
 
+def test_add_col_gradients():
+    # the bias column added to every column: dense with W = I and no activation
+    eye = np.eye(3)
+    for seed in range(5):
+        a, c = mats(seed + 30, (3, 4), (3, 1))
+        check_op(lambda t, v: autodiff.frobenius_norm_sq(
+            autodiff.dense(t.const(eye), v[1], v[0], "none")), [a, c])
+
+
 def test_dense_value_is_the_shared_layer_function():
     w, b, x = mats(36, (3, 4), (3, 1), (4, 5))
     for act in ("relu", "tanh", "none"):
@@ -208,6 +217,20 @@ def test_col_slice_leaves_other_columns_with_zero_grad():
     assert np.array_equal(g[:, 0], np.zeros(2))
     assert np.array_equal(g[:, 3], np.zeros(2))
     assert np.allclose(g[:, 1:3], 2.0 * a[:, 1:3])
+
+
+def test_sum_all_and_nonlinearity_gradients():
+    # the all-entry sum (total) and the tanh and relu of dense with W = I, b = 0
+    eye, zero = np.eye(3), np.zeros((3, 1))
+    for seed in range(5):
+        (a,) = mats(seed + 60, (3, 3))
+        check_op(lambda t, v: autodiff.mul(total(v[0]), total(v[0])), [a])
+        check_op(lambda t, v: total(
+            autodiff.dense(t.const(eye), t.const(zero), v[0], "tanh")), [a])
+        # keep relu inputs away from the kink
+        r = a + np.sign(a) * 0.2
+        check_op(lambda t, v: autodiff.frobenius_norm_sq(
+            autodiff.dense(t.const(eye), t.const(zero), v[0], "relu")), [r])
 
 
 def test_norm_and_normalize_gradients():
