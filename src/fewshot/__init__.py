@@ -9,8 +9,8 @@ with 95% confidence intervals, paired ablations, and domain-shift runs.
 """
 
 from . import autodiff, linalg
-from .encoder import (EncoderParams, embed, embed_np, init_encoder,
-                      load_encoder, save_encoder)
+from .encoder import (EncoderParams, embed_np, init_encoder, load_encoder,
+                      save_encoder)
 from .episodes import (Dataset, Episode, load_csv, sample_episode, save_csv,
                        split_classes, synth_gaussian)
 from .errors import (CheckpointError, ConditioningError, ConfigError,
@@ -33,7 +33,7 @@ __all__ = [
     "DivergenceError", "EncoderParams", "Episode", "EvalReport",
     "FewshotError", "Hyper", "ProtoHead", "RegressionHead", "SamplingError",
     "ShapeError", "TrainConfig", "ablate_lambda2", "adam_update", "autodiff",
-    "compare_heads", "domain_shift", "embed", "embed_np",
+    "compare_heads", "domain_shift", "embed_np",
     "evaluate", "fit", "init_encoder", "linalg", "load_csv",
     "load_encoder", "make_head", "ortho_penalty", "run_all_checks",
     "sample_episode", "save_csv", "save_encoder", "sgd_update",

@@ -16,8 +16,11 @@ is exactly what the encoder and the heads record:
 - structure: add, mul, scale, neg, sub (broadcasting), add_diag,
   transpose and matmul (on the last two axes; matmul broadcasts leading
   ones), col_slice, blocks (an M x NK matrix as an (N, M, K) stack of
-  K-column class blocks); ops that broadcast sum each adjoint back to
-  their input's shape in one helper, ``_unbroadcast``;
+  K-column class blocks, or an (E, M, NK) stack of episodes as
+  (E, N, M, K)), expand_dims (a unit axis, so a stack of episodes'
+  queries broadcasts against their class stacks); ops that broadcast sum
+  each adjoint back to their input's shape in one helper,
+  ``_unbroadcast``;
 - reductions: frobenius_norm_sq, col_norms, col_normalize,
   block_normalize (each class block to unit Frobenius norm), and
   cross_entropy (the episode loss, a stabilized log-sum-exp inside);
@@ -100,11 +103,11 @@ class Tape:
 
     def leaf(self, values) -> Var:
         """Enter a tensor whose gradient is wanted (a parameter) onto the tape."""
-        return self._append("leaf", linalg.as_matrix(values), None)
+        return self._append("leaf", linalg.as_stack(values), None)
 
     def const(self, values) -> Var:
         """Enter a tensor that gets no adjoint (see the module docstring)."""
-        return self._append("const", linalg.as_matrix(values), None)
+        return self._append("const", linalg.as_stack(values), None)
 
 
 def _tape_of(*vars_: Var) -> Tape:
@@ -238,19 +241,30 @@ def col_slice(a: Var, start: int, stop: int) -> Var:
 
 def blocks(a: Var, n: int) -> Var:
     """An M x NK matrix as an (N, M, K) stack: block c is columns cK..cK+K-1.
+    Leading axes carry through: an (E, M, NK) stack gives (E, N, M, K).
 
     In the heads the blocks are the N classes of an episode's support.
     """
-    m, width = a.shape
+    *lead, m, width = a.shape
     if n < 1 or width % n:
         raise ShapeError(f"cannot split {width} columns into {n} equal blocks")
-    k = width // n
+    shape = a.shape
 
     def back(g):
-        return [(a.id, g.transpose(1, 0, 2).reshape(m, width))]
+        return [(a.id, np.swapaxes(g, -3, -2).reshape(shape))]
 
-    value = np.ascontiguousarray(a.value.reshape(m, n, k).transpose(1, 0, 2))
-    return a.tape._append("blocks", value, back)
+    value = np.swapaxes(a.value.reshape(*lead, m, n, width // n), -3, -2)
+    return a.tape._append("blocks", np.ascontiguousarray(value), back)
+
+
+def expand_dims(a: Var, axis: int) -> Var:
+    """``a`` with a new unit axis at ``axis``, as ``np.expand_dims`` places it."""
+    shape = a.shape
+
+    def back(g):
+        return [(a.id, g.reshape(shape))]
+
+    return a.tape._append("expand_dims", np.expand_dims(a.value, axis), back)
 
 
 # -- one encoder layer -------------------------------------------------------
@@ -307,7 +321,8 @@ def frobenius_norm_sq(a: Var) -> Var:
 
 def col_norms(a: Var) -> Var:
     """Euclidean norm of every column: a lone M x B matrix gives a 1 x B
-    row, an (N, M, B) stack an N x B matrix.  Zero columns get zero grad."""
+    row, an (N, M, B) stack an N x B matrix, an (E, N, M, B) stack an
+    (E, N, B) one.  Zero columns get zero grad."""
     av = a.value
     norms = np.sqrt(np.sum(av * av, axis=-2, keepdims=True))
 

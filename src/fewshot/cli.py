@@ -23,8 +23,8 @@ from .evaluate import ablate_lambda2, domain_shift, evaluate, format_table
 from .encoder import load_encoder, save_encoder
 from .episodes import load_csv, split_classes, synth_gaussian
 from .errors import (CheckpointError, ConditioningError, ConfigError,
-                     ContractError, DatasetFormatError, DivergenceError,
-                     FewshotError, SamplingError, ShapeError)
+                     ContractError, DatasetFormatError, DegenerateSubspaceError,
+                     DivergenceError, FewshotError, SamplingError, ShapeError)
 from .heads import make_head
 from .linalg import named_stream
 from .train import TrainConfig, fit, history_lines
@@ -386,6 +386,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except ConditioningError as exc:
         print(f"error: ridge system is not positive definite: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except DegenerateSubspaceError as exc:
+        print(f"error: degenerate class subspace: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except FewshotError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,10 +4,10 @@ Parameters live in plain numpy arrays.  For training, ``attach`` enters
 them onto a tape once per episode batch so gradients accumulate on the
 returned handles; ``forward`` then records one ``autodiff.dense`` node per
 layer, and the train step reads both its loss and its accuracy from that
-one embedding.  Validation and test evaluation embed with ``embed_np``,
-with no tape.  A layer's math, ``act(W x + b)``, exists once, as
-``autodiff.dense_np``: the tape node's value and every ``embed_np`` layer
-are that function, so the two routes agree exactly.
+one embedding.  Validation and test evaluation embed each split once
+with ``embed_np``, with no tape.  A layer's math, ``act(W x + b)``,
+exists once, as ``autodiff.dense_np``: the tape node's value and every
+``embed_np`` layer are that function, so the two routes agree exactly.
 """
 
 from __future__ import annotations
@@ -120,14 +120,9 @@ def forward(attached: list[tuple[Var, Var]], params: EncoderParams, x: Var) -> V
     return h
 
 
-def embed(params: EncoderParams, batch, tape: Tape) -> Var:
-    """Convenience single-shot embedding: attach params, record forward.
-    A batch whose rows do not match the input layer raises ``ShapeError``."""
-    return forward(attach(params, tape), params, tape.const(batch))
-
-
 def embed_np(params: EncoderParams, batch) -> np.ndarray:
-    """Tape-free forward pass: the layer function ``embed`` records."""
+    """Tape-free forward pass: the layer function ``forward`` records.
+    Validation and evaluation embed a whole split with one call."""
     h = linalg.as_matrix(batch)
     if h.shape[0] != params.input_dim:
         raise ShapeError(

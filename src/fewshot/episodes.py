@@ -1,10 +1,14 @@
 """Datasets and N-way K-shot episode sampling.
 
 A Dataset stores feature columns with integer-or-string class ids and a
-class index; splits are class-level (train/val/test classes are disjoint)
-because few-shot evaluation is about unseen classes, not unseen examples.
+class index (one integer array of column indices per class, built once);
+splits are class-level (train/val/test classes are disjoint) because
+few-shot evaluation is about unseen classes, not unseen examples.
 Episodes relabel their sampled classes to 1..N and keep support and query
-sets disjoint by construction.
+sets disjoint by construction.  An episode records the split columns it
+drew (``Episode.columns``, support then queries), so validation and
+evaluation can score it from an embedding of the whole split instead of
+embedding its features again.
 """
 
 from __future__ import annotations
@@ -33,10 +37,17 @@ class Dataset:
             raise DatasetFormatError(
                 f"{self.name}: {self.features.shape[1]} feature columns but "
                 f"{len(self.labels)} labels")
-        index: dict = {}
-        for i, label in enumerate(self.labels):
-            index.setdefault(label, []).append(i)
-        self.class_to_indices = index
+        # One index array per class, from a stable sort of per-column class
+        # codes: growing a list per class costs more than the rest of set-up.
+        # Keys go in ``class_ids`` order, so that property is a plain copy.
+        ids = sorted(dict.fromkeys(self.labels), key=str)
+        code = {c: j for j, c in enumerate(ids)}
+        codes = np.fromiter(map(code.__getitem__, self.labels), np.intp,
+                            len(self.labels))
+        order = np.argsort(codes, kind="stable")
+        ends = np.cumsum(np.bincount(codes, minlength=len(ids))).tolist()
+        self.class_to_indices = {c: order[start:end] for c, start, end
+                                 in zip(ids, [0] + ends[:-1], ends)}
 
     @property
     def dim(self) -> int:
@@ -48,23 +59,26 @@ class Dataset:
 
     @property
     def class_ids(self) -> list:
-        return sorted(self.class_to_indices, key=str)
+        """Class ids sorted by their text."""
+        return list(self.class_to_indices)
 
     def eligible_classes(self, min_examples: int) -> list:
         return [c for c in self.class_ids
                 if len(self.class_to_indices[c]) >= min_examples]
 
     def subset_by_classes(self, class_ids, split: str) -> "Dataset":
-        keep = [i for c in sorted(class_ids, key=str) for i in self.class_to_indices[c]]
+        keep = np.concatenate([np.empty(0, np.intp)] + [
+            self.class_to_indices[c] for c in sorted(class_ids, key=str)])
         return Dataset(self.name,
                        np.ascontiguousarray(self.features[:, keep]),
-                       [self.labels[i] for i in keep],
+                       [self.labels[i] for i in keep.tolist()],
                        split=split)
 
 
 @dataclass
 class Episode:
-    """One few-shot task; classes are relabeled to 1..N."""
+    """One few-shot task; classes are relabeled to 1..N.  ``columns`` is
+    None for an episode built from raw features rather than sampled."""
 
     n_way: int
     k_shot: int
@@ -74,6 +88,7 @@ class Episode:
     query_x: np.ndarray     # D x (N*Q), grouped the same way
     query_y: np.ndarray     # (N*Q,) values in 1..N
     relabel: dict           # original class id -> 1..N
+    columns: np.ndarray | None = None   # split columns of support_x, then query_x
 
     def fingerprint(self) -> str:
         """Content hash used to assert that paired runs saw identical episodes."""
@@ -99,30 +114,33 @@ def check_sampleable(dataset: Dataset, n_way: int, need: int) -> list:
 def sample_episode(dataset: Dataset, n_way: int, k_shot: int, q_queries: int,
                    rng: np.random.Generator) -> Episode:
     """Sample classes, then K+Q distinct examples per class, all uniformly
-    without replacement. Deterministic given the rng state."""
+    without replacement. Deterministic given the rng state.
+
+    The first K draws of a class are its support, the rest its queries.
+    The features are gathered with one index of the split's columns;
+    ``support_x`` and ``query_x`` are views into that one block.
+    """
     need = k_shot + q_queries
     eligible = check_sampleable(dataset, n_way, need)
     picked = rng.choice(len(eligible), size=n_way, replace=False)
-    support_cols, query_cols = [], []
-    support_y, query_y = [], []
+    nk = n_way * k_shot
+    columns = np.empty(n_way * need, dtype=np.intp)
+    support_cols = columns[:nk].reshape(n_way, k_shot)
+    query_cols = columns[nk:].reshape(n_way, q_queries)
     relabel = {}
-    for new_label, ci in enumerate(picked, start=1):
+    for row, ci in enumerate(picked):
         class_id = eligible[ci]
-        relabel[class_id] = new_label
+        relabel[class_id] = row + 1
         pool = dataset.class_to_indices[class_id]
-        chosen = rng.choice(len(pool), size=need, replace=False)
-        chosen = [pool[i] for i in chosen]
-        support_cols.extend(chosen[:k_shot])
-        query_cols.extend(chosen[k_shot:])
-        support_y.extend([new_label] * k_shot)
-        query_y.extend([new_label] * q_queries)
-    return Episode(
-        n_way, k_shot, q_queries,
-        np.ascontiguousarray(dataset.features[:, support_cols]),
-        np.array(support_y, dtype=np.int64),
-        np.ascontiguousarray(dataset.features[:, query_cols]),
-        np.array(query_y, dtype=np.int64),
-        relabel)
+        chosen = pool[rng.choice(len(pool), size=need, replace=False)]
+        support_cols[row] = chosen[:k_shot]
+        query_cols[row] = chosen[k_shot:]
+    x = dataset.features[:, columns]
+    labels = np.arange(1, n_way + 1, dtype=np.int64)
+    return Episode(n_way, k_shot, q_queries,
+                   x[:, :nk], labels.repeat(k_shot),
+                   x[:, nk:], labels.repeat(q_queries),
+                   relabel, columns)
 
 
 def synth_gaussian(seed, n_classes: int, per_class: int, dim: int,

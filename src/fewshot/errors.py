@@ -10,7 +10,18 @@ class ShapeError(FewshotError):
 
 
 class ConditioningError(FewshotError):
-    """A matrix that must be positive definite is not (names the pivot)."""
+    """A matrix that must be positive definite is not (names the pivot).
+
+    ``episode_index`` is the episode whose ridge system failed, when known.
+    """
+
+    def __init__(self, message: str, episode_index: int | None = None):
+        super().__init__(message)
+        self.episode_index = episode_index
+
+    def at_episode(self, index: int) -> "ConditioningError":
+        """The same failure, named as episode ``index``'s."""
+        return ConditioningError(f"{self} at episode {index}", episode_index=index)
 
 
 class ContractError(FewshotError):

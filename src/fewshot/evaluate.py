@@ -6,6 +6,11 @@ per-episode accuracies.  Every report carries two fingerprints: one over
 the configuration (hyperparameters and seeds) and one over the actual
 episode contents, so paired experiments can assert they saw identical
 test episodes rather than merely identical settings.
+
+``evaluate`` scores through ``train.split_accuracies``: the test split is
+embedded once and the episodes are sampled, fingerprinted and scored one
+chunk at a time, in sampling order, so reports do not depend on the
+chunk size.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .encoder import EncoderParams
 from .episodes import Dataset, sample_episode
 from .errors import ContractError
 from .heads import Hyper, make_head
-from .train import TrainConfig, episode_accuracy, fit
+from .train import TrainConfig, fit, split_accuracies
 
 Z95 = 1.96
 
@@ -96,17 +101,16 @@ def evaluate(params: EncoderParams, head, test_set: Dataset, n_way: int,
     _assert_no_class_leakage(train_set, test_set)
     hyper = Hyper(n_way, k_shot, q_queries, lambda1, 0.0)
     rng = linalg.named_stream(seed, "evaluation")
-    sampled = [
-        sample_episode(test_set, n_way, k_shot, q_queries, rng)
-        for _ in range(episodes)
-    ]
-    per_episode = np.array([
-        100.0 * episode_accuracy(params, head, ep, hyper) for ep in sampled
-    ])
-    mean, ci = confidence_interval(per_episode)
     ep_hash = hashlib.sha256()
-    for ep in sampled:
-        ep_hash.update(ep.fingerprint().encode())
+
+    def sampled():
+        for _ in range(episodes):
+            episode = sample_episode(test_set, n_way, k_shot, q_queries, rng)
+            ep_hash.update(episode.fingerprint().encode())
+            yield episode
+
+    per_episode = 100.0 * split_accuracies(params, head, test_set, sampled(), hyper)
+    mean, ci = confidence_interval(per_episode)
     head_name = getattr(head, "name", head.__class__.__name__)
     return EvalReport(
         head=head_name,

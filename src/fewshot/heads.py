@@ -26,7 +26,11 @@ similarity) heads provide baselines under the same episode protocol.
 
 Each head writes its distance math once, as ``distance_rows`` on tape
 ops.  Training differentiates it; ``distances_np`` runs the same ops on a
-throwaway tape and returns the values, with no backward pass.
+throwaway tape and returns the values, with no backward pass.  The ops
+also take a leading episode axis: validation and evaluation score a
+chunk of E episodes at once, as an (E, M, NK) support stack (``blocks``
+makes it (E, N, M, K)) and (E, M, B) queries, and get (E, N, B)
+distances back.
 """
 
 from __future__ import annotations
@@ -82,14 +86,21 @@ def regression_distance_rows(support: Var, query: Var, n_way: int,
     conditioning error that names its class.
     """
     s = autodiff.blocks(support, n_way)                       # N x M x K
-    _, m, k = s.shape
+    m, k = s.shape[-2:]
     if lambda1 == 0.0 and m < k:
         raise ContractError(
             f"lambda1 = 0 needs embedding dim >= shots, got M={m} < K={k}")
+    query = _per_class(query)
     st = autodiff.transpose(s)
     gram = autodiff.add_diag(autodiff.matmul(st, s), lambda1)
     coeff = autodiff.solve_spd(gram, autodiff.matmul(st, query))  # N x K x B
     return autodiff.col_norms(autodiff.sub(query, autodiff.matmul(s, coeff)))
+
+
+def _per_class(query: Var) -> Var:
+    """Queries that broadcast against the class axis of a ``blocks`` stack:
+    M x B already does; (E, M, B) episode stacks get a unit class axis."""
+    return query if len(query.shape) == 2 else autodiff.expand_dims(query, -3)
 
 
 def softmax_neg_np(distances: np.ndarray) -> np.ndarray:
@@ -145,10 +156,11 @@ def cross_entropy_from_distances(dist_matrix: Var, labels: np.ndarray, n_way: in
 # -- heads -------------------------------------------------------------------
 #
 # A head's ``distance_rows`` maps the M x NK support block and the M x B
-# queries to an N x B distance matrix on the tape.  ``episode_loss``
-# returns (loss, that distance matrix); ``distances_np`` evaluates
-# ``distance_rows`` on numpy inputs.  Every head defines both of the
-# latter in its own class body: perfbench's tracer patches them there.
+# queries to an N x B distance matrix on the tape, or (E, M, NK) and
+# (E, M, B) episode stacks to (E, N, B).  ``episode_loss`` returns (loss,
+# that distance matrix); ``distances_np`` evaluates ``distance_rows`` on
+# numpy inputs.  Every head defines both of the latter in its own class
+# body: perfbench's tracer patches them there.
 
 
 def _untaped(distance_rows, support: np.ndarray, query: np.ndarray,
@@ -188,10 +200,10 @@ class ProtoHead:
 
     def distance_rows(self, support: Var, query: Var, hyper: Hyper) -> Var:
         s = autodiff.blocks(support, hyper.n_way)                # N x M x K
-        k = s.shape[2]
+        k = s.shape[-1]
         mean = support.tape.const(np.full((k, 1), 1.0 / k))
         centroids = autodiff.matmul(s, mean)                     # N x M x 1
-        return autodiff.col_norms(autodiff.sub(query, centroids))
+        return autodiff.col_norms(autodiff.sub(_per_class(query), centroids))
 
     def episode_loss(self, support: Var, query: Var, labels,
                      hyper: Hyper) -> tuple[Var, Var]:
@@ -210,7 +222,7 @@ class CosineHead:
 
     def distance_rows(self, support: Var, query: Var, hyper: Hyper) -> Var:
         n = hyper.n_way
-        k = support.shape[1] // n
+        k = support.shape[-1] // n
         sims = autodiff.matmul(autodiff.transpose(autodiff.col_normalize(support)),
                                autodiff.col_normalize(query))    # NK x B
         # Row c of the averaging matrix holds 1/K over class c's K columns.
@@ -239,5 +251,6 @@ def make_head(name: str):
 
 
 def predict_np(distances: np.ndarray) -> np.ndarray:
-    """1-based predicted labels: argmin distance, ties to the lowest index."""
-    return np.argmin(distances, axis=0) + 1
+    """1-based predicted labels: argmin distance over the class axis (the
+    N of N x B or E x N x B), ties to the lowest index."""
+    return np.argmin(distances, axis=-2) + 1

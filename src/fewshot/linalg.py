@@ -29,6 +29,12 @@ def as_matrix(values) -> np.ndarray:
     return np.ascontiguousarray(a)
 
 
+def as_stack(values) -> np.ndarray:
+    """Like ``as_matrix``, but a stack of matrices (rank 3 or more) passes."""
+    a = np.asarray(values, dtype=np.float64)
+    return np.ascontiguousarray(a) if a.ndim > 2 else as_matrix(a)
+
+
 def as_column(values) -> np.ndarray:
     a = as_matrix(values)
     if a.shape[1] != 1:
@@ -61,7 +67,8 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     name the offending pivot and, in a stack, its 1-based class (position
     on the last stacked axis): the matrices here are tiny K x K Gram
     matrices and a non-positive pivot means the caller forgot the ridge
-    term on a rank-deficient system.
+    term on a rank-deficient system.  In a stack of episodes (E, N, K, K)
+    the error's ``episode_index`` is the position on the episode axis.
     """
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ShapeError(f"cholesky expects square matrices, got {a.shape}")
@@ -77,7 +84,8 @@ def cholesky(a: np.ndarray) -> np.ndarray:
             owner = f" of class {where[-1] + 1}" if where else ""
             raise ConditioningError(
                 f"matrix is not positive definite: non-positive pivot {pivot:.3e} "
-                f"at index {j}{owner}")
+                f"at index {j}{owner}",
+                episode_index=int(where[-2]) if len(where) > 1 else None)
         root = np.sqrt(d)
         low[..., j, j] = root
         if j + 1 < k:

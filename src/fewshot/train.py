@@ -6,6 +6,13 @@ summed gradient.  Validation accuracy is measured every ``val_interval``
 episodes on freshly sampled validation episodes, and the parameters with
 the best validation accuracy (earliest on ties) are returned.
 
+Validation and evaluation share one scoring engine, ``split_accuracies``:
+it embeds the whole split once with ``encoder.embed_np``, then scores the
+episodes in chunks (``episode_accuracy``), each chunk one (E, M, NK)
+support and (E, M, B) query stack gathered from that embedding through
+the episodes' ``columns`` and run through the head's ``distances_np``.
+A chunk holds as many episodes as fit in ``CHUNK_FLOATS``.
+
 History is a list of plain dicts with deterministic fields only, so two
 identical seeded runs serialize to byte-identical logs; wall-clock time
 is reported separately by the CLI.
@@ -13,6 +20,8 @@ is reported separately by the CLI.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +30,7 @@ from . import autodiff, encoder, heads, linalg
 from .autodiff import Tape
 from .encoder import EncoderParams
 from .episodes import Dataset, Episode, check_sampleable, sample_episode
-from .errors import ConfigError, ContractError, DivergenceError
+from .errors import ConditioningError, ConfigError, ContractError, DivergenceError
 from .heads import Hyper, RegressionHead
 
 
@@ -133,14 +142,59 @@ def episode_loss_on_tape(attached, params: EncoderParams, episode: Episode,
     return head.episode_loss(support, query, episode.query_y, hyper)
 
 
-def episode_accuracy(params: EncoderParams, head, episode: Episode,
-                     hyper: Hyper) -> float:
-    """Fraction of queries whose predicted class matches; no gradients."""
-    support = encoder.embed_np(params, episode.support_x)
-    query = encoder.embed_np(params, episode.query_x)
-    dist = head.distances_np(support, query, hyper)
-    predicted = heads.predict_np(dist)
-    return float(np.mean(predicted == episode.query_y))
+# Float budget of one scoring chunk.  The largest per-episode value a
+# head records is an N x max(M, K) x B stack (regression residuals and
+# coefficients, proto differences), and the tape keeps a few of them
+# alive; 2**16 floats (512 KiB) hold 10 episodes at 5-way 5-shot with 16
+# queries and M = 16, which keeps scoring well inside the memory of one
+# training step.
+CHUNK_FLOATS = 1 << 16
+
+
+def chunk_episodes(hyper: Hyper, embed_dim: int) -> int:
+    """Episodes per scoring chunk under ``CHUNK_FLOATS``, at least one."""
+    per_episode = (hyper.n_way * max(embed_dim, hyper.k_shot)
+                   * hyper.n_way * hyper.q_queries)
+    return max(1, CHUNK_FLOATS // per_episode)
+
+
+def episode_accuracy(embedded: np.ndarray, episodes: list[Episode], head,
+                     hyper: Hyper, first: int = 0) -> np.ndarray:
+    """Per-episode fraction of queries whose predicted class matches, for a
+    chunk of episodes scored as one stack; no gradients.
+
+    ``embedded`` is the M x count embedding of the split the episodes were
+    sampled from, and each episode's ``columns`` pick its support and
+    queries out of it.  ``first`` is the chunk's position in its episode
+    sequence, so a singular ridge system names its episode there.
+    """
+    nk = hyper.n_way * hyper.k_shot
+    columns = np.stack([ep.columns for ep in episodes])          # E x (NK + NQ)
+    stack = np.swapaxes(embedded[:, columns], 0, 1)              # E x M x (NK + NQ)
+    try:
+        dist = head.distances_np(stack[..., :nk], stack[..., nk:], hyper)
+    except ConditioningError as exc:
+        if exc.episode_index is None:
+            raise
+        raise exc.at_episode(first + exc.episode_index) from exc
+    labels = np.stack([ep.query_y for ep in episodes])
+    return np.mean(heads.predict_np(dist) == labels, axis=-1)
+
+
+def split_accuracies(params: EncoderParams, head, dataset: Dataset,
+                     episodes: Iterable[Episode], hyper: Hyper) -> np.ndarray:
+    """Per-episode accuracies of episodes sampled from ``dataset``.
+
+    The split is embedded once; ``episodes`` (a generator is fine) is
+    drawn and scored one chunk of ``chunk_episodes`` at a time.
+    """
+    embedded = encoder.embed_np(params, dataset.features)
+    size = chunk_episodes(hyper, params.output_dim)
+    source = iter(episodes)
+    chunks = iter(lambda: list(itertools.islice(source, size)), [])
+    return np.concatenate([np.empty(0)] + [
+        episode_accuracy(embedded, chunk, head, hyper, first=i * size)
+        for i, chunk in enumerate(chunks)])
 
 
 def train_step(params: EncoderParams, batch: list[Episode], config: TrainConfig,
@@ -158,7 +212,10 @@ def train_step(params: EncoderParams, batch: list[Episode], config: TrainConfig,
     losses = []
     accuracies = []
     for i, episode in enumerate(batch):
-        loss, dist = episode_loss_on_tape(attached, params, episode, head, hyper, tape)
+        try:
+            loss, dist = episode_loss_on_tape(attached, params, episode, head, hyper, tape)
+        except ConditioningError as exc:
+            raise exc.at_episode(episode_offset + i) from exc
         value = loss.item()
         if not np.isfinite(value):
             raise DivergenceError(
@@ -166,7 +223,7 @@ def train_step(params: EncoderParams, batch: list[Episode], config: TrainConfig,
                 episode_index=episode_offset + i)
         losses.append(value)
         # The loss's distances are the pre-update params' distances, so this
-        # is episode_accuracy(params, ...) without embedding a second time.
+        # is the episode's accuracy without embedding a second time.
         accuracies.append(np.mean(heads.predict_np(dist.value) == episode.query_y))
         total = loss if total is None else autodiff.add(total, loss)
     autodiff.backward(tape, total)
@@ -181,17 +238,13 @@ def train_step(params: EncoderParams, batch: list[Episode], config: TrainConfig,
 
 def validate(params: EncoderParams, head, dataset: Dataset, config: TrainConfig,
              rng: np.random.Generator, n_episodes: int | None = None) -> float:
-    """Mean query accuracy over freshly sampled episodes."""
-    hyper = config.hyper()
+    """Mean query accuracy over freshly sampled episodes (``split_accuracies``)."""
     count = n_episodes if n_episodes is not None else config.val_episodes
-    accs = [
-        episode_accuracy(
-            params, head,
-            sample_episode(dataset, config.n_way, config.k_shot, config.q_queries, rng),
-            hyper)
-        for _ in range(count)
-    ]
-    return float(np.mean(accs))
+    sampled = (sample_episode(dataset, config.n_way, config.k_shot,
+                              config.q_queries, rng)
+               for _ in range(count))
+    return float(np.mean(split_accuracies(params, head, dataset, sampled,
+                                          config.hyper())))
 
 
 def fit(train_set: Dataset, val_set: Dataset | None, config: TrainConfig,

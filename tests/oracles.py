@@ -3,6 +3,8 @@
 import numpy as np
 
 from fewshot import linalg
+from fewshot.encoder import embed_np
+from fewshot.heads import predict_np
 
 
 def ortho_penalty_np(supports):
@@ -40,3 +42,17 @@ def cross_entropy_np(d, rows):
     pick_adjoint = np.zeros(d.shape)
     pick_adjoint[rows, cols] = g_add[0, :]
     return value, grad + pick_adjoint
+
+
+def episode_accuracy_np(params, head, episode, hyper):
+    """One episode scored alone, embedding its own support and queries: the
+    per-episode loop that the stacked ``train.episode_accuracy`` replaced."""
+    support = embed_np(params, episode.support_x)
+    query = embed_np(params, episode.query_x)
+    predicted = predict_np(head.distances_np(support, query, hyper))
+    return float(np.mean(predicted == episode.query_y))
+
+
+def per_episode_accuracies_np(params, head, episodes, hyper):
+    """``episode_accuracy_np`` of each episode, in order."""
+    return np.array([episode_accuracy_np(params, head, ep, hyper) for ep in episodes])

@@ -151,6 +151,13 @@ def test_blocks_lay_class_columns_along_the_stack_axis():
     assert stack.shape == (3, 2, 2)
     for c in range(3):
         assert np.array_equal(stack.value[c], a[:, 2 * c : 2 * c + 2])
+    # a leading episode axis carries through
+    episodes = np.stack([a, -a])
+    stack = autodiff.blocks(tape.leaf(episodes), 3)
+    assert stack.shape == (2, 3, 2, 2)
+    for e in range(2):
+        for c in range(3):
+            assert np.array_equal(stack.value[e, c], episodes[e][:, 2 * c : 2 * c + 2])
 
 
 def test_stacked_and_broadcasting_ops_gradients():
@@ -178,6 +185,11 @@ def test_stacked_and_broadcasting_ops_gradients():
         # block_normalize, every entry weighted differently
         check_op(lambda t, v: total(autodiff.mul(
             autodiff.block_normalize(v[0], 2), t.const(wx))), [x])
+        # a stack of 2 episodes: (2, 3, 4) supports as (2, 2, 3, 2) class
+        # stacks, and (2, 3, 2) queries given a unit class axis
+        e, q = mats(seed + 130, (2, 3, 4), (2, 3, 2))
+        check_op(lambda t, v: autodiff.frobenius_norm_sq(autodiff.col_norms(autodiff.sub(
+            autodiff.expand_dims(v[1], -3), autodiff.blocks(v[0], 2)))), [e, q])
 
 
 def test_stacked_solve_spd_gradients():

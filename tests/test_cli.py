@@ -191,6 +191,21 @@ def test_overflowing_features_surface_as_divergence(tmp_path, capsys):
     assert "episode 0" in capsys.readouterr().err
 
 
+def test_all_zero_class_support_is_a_numerical_failure(tmp_path, capsys):
+    # class 2's features are all zero, and the initial encoder has zero
+    # biases, so its embedded support block is all zero and the ortho
+    # penalty (lambda2 'auto' is 0.01 at 2 shots) has no direction for it
+    zero = tmp_path / "zero.csv"
+    rows = ["label,f1,f2"]
+    for a, b in ((1, 2), (2, -1), (-1, 3)):
+        rows += [f"1,{a},{b}", "2,0,0"]
+    zero.write_text("\n".join(rows) + "\n")
+    code = run(["train", "--dataset", str(zero), *TINY_CSV_TRAIN, "--head", "regression",
+                "--k", "2", "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    assert "all-zero support matrix" in capsys.readouterr().err
+
+
 def test_singular_ridge_system_is_a_numerical_failure(tmp_path, capsys):
     # all-zero weights embed every example at one point (the last bias), so
     # with lambda1 = 0 every K x K Gram matrix is singular and the
@@ -207,7 +222,7 @@ def test_singular_ridge_system_is_a_numerical_failure(tmp_path, capsys):
     assert code == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert "pivot 0.000e+00" in err
-    assert "of class 1" in err
+    assert "of class 1 at episode 0" in err
 
 
 def test_threads_is_accepted_and_ignored(tmp_path, capsys):

@@ -5,8 +5,8 @@ import pytest
 
 from fewshot import autodiff, encoder
 from fewshot.autodiff import Tape
-from fewshot.encoder import (EncoderParams, Layer, default_layer_spec, embed,
-                             embed_np, init_encoder, load_encoder, save_encoder)
+from fewshot.encoder import (EncoderParams, Layer, default_layer_spec, embed_np,
+                             init_encoder, load_encoder, save_encoder)
 from fewshot.errors import CheckpointError, ConfigError, ShapeError
 from fewshot.linalg import named_stream
 
@@ -74,7 +74,7 @@ def test_tape_and_numpy_forward_agree():
         params = init_encoder(seed, spec)
         x = rng.standard_normal((6, 5))
         tape = Tape()
-        on_tape = embed(params, x, tape).value
+        on_tape = encoder.forward(encoder.attach(params, tape), params, tape.const(x)).value
         plain = embed_np(params, x)
         assert np.max(np.abs(on_tape - plain)) < 1e-14
 
@@ -93,7 +93,8 @@ def test_embed_rejects_wrong_input_dim():
     with pytest.raises(ShapeError):
         embed_np(params, np.zeros((5, 2)))
     with pytest.raises(ShapeError):
-        embed(params, np.zeros((5, 2)), Tape())
+        tape = Tape()
+        encoder.forward(encoder.attach(params, tape), params, tape.const(np.zeros((5, 2))))
 
 
 def test_forward_gradients_flow_to_all_layers():

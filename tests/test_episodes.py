@@ -21,9 +21,21 @@ def test_dataset_builds_a_class_index():
     assert data.dim == 3
     assert data.n_examples == 24
     assert data.class_ids == [1, 2, 3, 4]
-    assert data.class_to_indices[2] == list(range(6, 12))
+    assert data.class_to_indices[2].tolist() == list(range(6, 12))
     assert data.eligible_classes(6) == [1, 2, 3, 4]
     assert data.eligible_classes(7) == []
+
+
+def test_class_index_matches_a_per_label_loop():
+    # interleaved, mixed int and str labels; keys sort by their text
+    labels = ["b", 3, "a", 3, 10, "b", 2, 10, "a", 3]
+    data = Dataset("mixed", np.zeros((1, len(labels))), labels)
+    expected = {}
+    for i, label in enumerate(labels):
+        expected.setdefault(label, []).append(i)
+    assert data.class_ids == sorted(expected, key=str) == [10, 2, 3, "a", "b"]
+    assert {c: ix.tolist() for c, ix in data.class_to_indices.items()} == expected
+    assert Dataset("empty", np.zeros((2, 0)), []).class_to_indices == {}
 
 
 def test_dataset_rejects_mismatched_labels():

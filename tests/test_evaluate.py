@@ -2,20 +2,24 @@
 stub-head exactness, ablation pairing, and domain-shift plumbing.
 """
 
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fewshot import train
 from fewshot.encoder import EncoderParams, Layer, default_layer_spec, init_encoder
-from fewshot.episodes import Dataset, split_classes, synth_gaussian
-from fewshot.errors import ContractError
+from fewshot.episodes import Dataset, sample_episode, split_classes, synth_gaussian
+from fewshot.errors import ConditioningError, ContractError
 from fewshot.evaluate import (Z95, ablate_lambda2, compare_heads,
                               confidence_interval, domain_shift, evaluate,
                               fingerprint_config, format_table)
-from fewshot.heads import RegressionHead
+from fewshot.heads import HEADS, Hyper, RegressionHead, make_head
 from fewshot.linalg import named_stream
-from fewshot.train import TrainConfig
+from fewshot.train import TrainConfig, chunk_episodes
+from oracles import per_episode_accuracies_np
 
 
 def splits(seed=0, n_classes=12, dim=5, within_std=0.4):
@@ -34,7 +38,8 @@ class ConstantHead:
     name = "constant"
 
     def distances_np(self, support, query, hyper):
-        return np.ones((hyper.n_way, query.shape[1]))
+        # E x N x B: one N x B matrix per stacked episode
+        return np.ones((query.shape[0], hyper.n_way, query.shape[-1]))
 
 
 def test_confidence_interval_formula_is_exact():
@@ -90,6 +95,49 @@ def test_ridge_scores_more_shots_than_embedding_dims():
     assert report.mean_accuracy > 20.0
     with pytest.raises(ContractError, match="M=16 < K=20"):
         evaluate(params, RegressionHead(), test, 5, 20, 4, 5, seed=0, lambda1=0.0)
+
+
+@pytest.mark.parametrize("k_shot", [5, 20])
+@pytest.mark.parametrize("head_name", sorted(HEADS))
+def test_stacked_evaluation_equals_the_per_episode_loop(head_name, k_shot):
+    # 2 episodes, exactly one chunk, and one chunk plus one
+    data = synth_gaussian(named_stream(8, "dataset"), 8, 40, 6, 1.0, 0.6)
+    params = init_encoder(named_stream(8, "init"), default_layer_spec(6, 16, 12, 1))
+    head = make_head(head_name)
+    hyper = Hyper(5, k_shot, 4, 0.5, 0.0)
+    chunk = chunk_episodes(hyper, params.output_dim)
+    assert chunk > 2
+    for count in (2, chunk, chunk + 1):
+        report = evaluate(params, head, data, 5, k_shot, 4, count, seed=2, lambda1=0.5)
+        rng = named_stream(2, "evaluation")
+        episodes = [sample_episode(data, 5, k_shot, 4, rng) for _ in range(count)]
+        per_episode = 100.0 * per_episode_accuracies_np(params, head, episodes, hyper)
+        assert np.array_equal(report.per_episode, per_episode)
+        mean, ci = confidence_interval(per_episode)
+        prints = hashlib.sha256("".join(ep.fingerprint() for ep in episodes).encode())
+        expected = replace(report, mean_accuracy=mean, ci95=ci,
+                           episodes_fingerprint=prints.hexdigest())
+        assert report.to_line() == expected.to_line()
+
+
+def test_singular_ridge_system_names_its_episode_across_chunks(monkeypatch):
+    # class 7's features are all zero, so with lambda1 = 0 its Gram matrix
+    # is zero in every episode that samples it; chunks of 3 put the first
+    # such episode past the first chunk
+    data = synth_gaussian(named_stream(3, "dataset"), 7, 6, 4, 1.0, 0.3)
+    data.features[:, data.class_to_indices[7]] = 0.0
+    monkeypatch.setattr(train, "CHUNK_FLOATS", 3 * 2 * 4 * 2 * 2)
+    assert chunk_episodes(Hyper(2, 2, 2, 0.0, 0.0), 4) == 3
+    rng = named_stream(1, "evaluation")
+    episodes = [sample_episode(data, 2, 2, 2, rng) for _ in range(20)]
+    first = next(i for i, ep in enumerate(episodes) if 7 in ep.relabel)
+    assert first >= 3
+    with pytest.raises(ConditioningError) as info:
+        evaluate(identity_params(4), RegressionHead(), data, 2, 2, 2, 20, seed=1,
+                 lambda1=0.0)
+    assert info.value.episode_index == first
+    assert str(info.value).endswith(
+        f"of class {episodes[first].relabel[7]} at episode {first}")
 
 
 def test_constant_head_scores_exactly_chance():

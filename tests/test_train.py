@@ -11,13 +11,15 @@ from fewshot import heads
 from fewshot.evaluate import evaluate
 from fewshot.encoder import EncoderParams, Layer, default_layer_spec, embed_np, init_encoder
 from fewshot.episodes import sample_episode, split_classes, synth_gaussian
-from fewshot.errors import ConfigError, ContractError, DivergenceError, SamplingError
+from fewshot.errors import (ConditioningError, ConfigError, ContractError,
+                            DivergenceError, SamplingError)
 from fewshot.heads import Hyper, RegressionHead
 from fewshot.linalg import named_stream
-from fewshot.train import (AdamState, TrainConfig, adam_update, episode_accuracy,
-                           fit, history_lines, sgd_update, train_step, validate)
+from fewshot.train import (AdamState, TrainConfig, adam_update, chunk_episodes,
+                           episode_accuracy, fit, history_lines, sgd_update,
+                           train_step, validate)
 from fewshot.verify import check_adam_oracle
-from oracles import ortho_penalty_np
+from oracles import episode_accuracy_np, ortho_penalty_np, per_episode_accuracies_np
 
 
 def small_splits(seed=0, within_std=0.4):
@@ -197,7 +199,8 @@ def test_episode_accuracy_agrees_with_manual_argmin():
                           default_layer_spec(train_set.dim, 4, 8, 1))
     hyper = Hyper(3, 2, 3, 1e-3, 0.0)
     episode = sample_episode(train_set, 3, 2, 3, named_stream(1, "evaluation"))
-    got = episode_accuracy(params, RegressionHead(), episode, hyper)
+    embedded = embed_np(params, train_set.features)
+    (got,) = episode_accuracy(embedded, [episode], RegressionHead(), hyper)
     support = embed_np(params, episode.support_x)
     query = embed_np(params, episode.query_x)
     dist = RegressionHead().distances_np(support, query, hyper)
@@ -229,7 +232,7 @@ def test_train_step_accuracy_is_episode_accuracy_before_the_update():
                               default_layer_spec(train_set.dim, 4, 8, 1))
         rng = named_stream(seed, "train-sampling")
         batch = [sample_episode(train_set, 3, 2, 3, rng) for _ in range(2)]
-        expected = np.mean([episode_accuracy(params, head, ep, config.hyper())
+        expected = np.mean([episode_accuracy_np(params, head, ep, config.hyper())
                             for ep in batch])
         _, metrics = train_step(params, batch, config, AdamState.for_params(params),
                                 head=head)
@@ -250,6 +253,39 @@ def test_divergence_error_carries_the_global_episode_index():
         train_step(params, [episode], config, state, head=heads.ProtoHead(),
                    episode_offset=120)
     assert info.value.episode_index == 120
+
+
+def test_conditioning_error_carries_the_global_episode_index():
+    # zero weights and biases embed everything at the origin, so with
+    # lambda1 = 0 the first class's Gram matrix is zero
+    train_set, _, _ = small_splits()
+    config = small_config(lambda1=0.0, lambda2=0.0)
+    params = init_encoder(named_stream(3, "init"),
+                          default_layer_spec(train_set.dim, 4, 8, 1))
+    for layer in params.layers:
+        layer.weight[...] = 0.0
+    episode = sample_episode(train_set, 3, 2, 3, named_stream(3, "train-sampling"))
+    with pytest.raises(ConditioningError) as info:
+        train_step(params, [episode], config, AdamState.for_params(params),
+                   episode_offset=120)
+    assert info.value.episode_index == 120
+    assert str(info.value).endswith("of class 1 at episode 120")
+
+
+@pytest.mark.parametrize("head_name", sorted(heads.HEADS))
+def test_validate_is_the_mean_of_the_per_episode_loop(head_name):
+    _, val_set, _ = small_splits(within_std=0.8)
+    head = heads.make_head(head_name)
+    chunk = chunk_episodes(small_config().hyper(), 4)
+    for count in (2, chunk + 1):
+        config = small_config(val_episodes=count, lambda1=0.1)
+        params = init_encoder(named_stream(6, "init"),
+                              default_layer_spec(val_set.dim, 4, 8, 1))
+        got = validate(params, head, val_set, config, named_stream(6, "validation"))
+        rng = named_stream(6, "validation")
+        episodes = [sample_episode(val_set, 3, 2, 3, rng) for _ in range(count)]
+        oracle = per_episode_accuracies_np(params, head, episodes, config.hyper())
+        assert got == float(np.mean(oracle))
 
 
 def test_fit_history_is_deterministic_per_seed():
