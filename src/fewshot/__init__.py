@@ -18,7 +18,7 @@ from .errors import (CheckpointError, ConditioningError, ConfigError,
                      DegenerateSubspaceError, DivergenceError, FewshotError,
                      SamplingError, ShapeError)
 from .evaluate import (AblationResult, EvalReport, ablate_lambda2,
-                       compare_heads, domain_shift, evaluate)
+                       domain_shift, evaluate)
 from .heads import (CosineHead, Hyper, ProtoHead, RegressionHead, make_head,
                     ortho_penalty)
 from .train import AdamState, TrainConfig, adam_update, fit, sgd_update, train_step
@@ -33,7 +33,7 @@ __all__ = [
     "DivergenceError", "EncoderParams", "Episode", "EvalReport",
     "FewshotError", "Hyper", "ProtoHead", "RegressionHead", "SamplingError",
     "ShapeError", "TrainConfig", "ablate_lambda2", "adam_update", "autodiff",
-    "compare_heads", "domain_shift", "embed_np",
+    "domain_shift", "embed_np",
     "evaluate", "fit", "init_encoder", "linalg", "load_csv",
     "load_encoder", "make_head", "ortho_penalty", "run_all_checks",
     "sample_episode", "save_csv", "save_encoder", "sgd_update",

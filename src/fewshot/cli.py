@@ -13,6 +13,7 @@ config files still parse; evaluation runs on one thread.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -219,12 +220,13 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     positive("synth-classes", config.synth_classes, 2)
     positive("per-class", config.per_class)
     positive("dim", config.dim)
-    if config.lr <= 0:
-        raise UsageError(f"--lr must be positive, got {config.lr}")
-    if config.lambda1 < 0:
-        raise UsageError(f"--lambda1 must be nonnegative, got {config.lambda1}")
-    if config.lambda2 is not None and config.lambda2 < 0:
-        raise UsageError(f"--lambda2 must be nonnegative, got {config.lambda2}")
+    if not (math.isfinite(config.lr) and config.lr > 0):
+        raise UsageError(f"--lr must be finite and positive, got {config.lr}")
+    if not (math.isfinite(config.lambda1) and config.lambda1 >= 0):
+        raise UsageError(f"--lambda1 must be finite and nonnegative, got {config.lambda1}")
+    if config.lambda2 is not None and not (math.isfinite(config.lambda2)
+                                           and config.lambda2 >= 0):
+        raise UsageError(f"--lambda2 must be finite and nonnegative, got {config.lambda2}")
     return config
 
 

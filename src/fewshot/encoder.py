@@ -1,13 +1,19 @@
 """The embedding network f: R^D -> R^M, a small fully connected net.
 
-Parameters live in plain numpy arrays.  For training, ``attach`` enters
-them onto a tape once per episode batch so gradients accumulate on the
-returned handles; ``forward`` then records one ``autodiff.dense`` node per
-layer, and the train step reads both its loss and its accuracy from that
-one embedding.  Validation and test evaluation embed each split once
-with ``embed_np``, with no tape.  A layer's math, ``act(W x + b)``,
-exists once, as ``autodiff.dense_np``: the tape node's value and every
-``embed_np`` layer are that function, so the two routes agree exactly.
+All parameters live in one float64 vector, ``EncoderParams.vector``, laid
+out W0, b0, W1, b1, ... (each row-major); every layer's ``weight`` and
+``bias`` is a view into it.  Only this module knows that layout:
+``EncoderParams`` packs it, ``with_vector`` re-views it and ``gradient``
+gathers tape gradients in it, so ``train``'s optimizers are vector ops.
+
+For training, ``attach`` enters the weights and biases onto a tape once
+per episode batch so gradients accumulate on the returned handles;
+``forward`` then records one ``autodiff.dense`` node per layer, and the
+train step reads both its loss and its accuracy from that one embedding.
+Validation and test evaluation embed each split once with ``embed_np``,
+with no tape.  A layer's math, ``act(W x + b)``, exists once, as
+``autodiff.dense_np``: the tape node's value and every ``embed_np`` layer
+are that function, so the two routes agree exactly.
 """
 
 from __future__ import annotations
@@ -33,11 +39,34 @@ class Layer:
     activation: str
 
 
-@dataclass
 class EncoderParams:
-    """Ordered dense layers; consecutive dimensions must chain."""
+    """Dense layers whose weights and biases are views of ``vector``: the
+    given layers' values packed into a new vector (the layers must chain),
+    or ``vector`` itself when given (see ``with_vector``)."""
 
-    layers: list[Layer]
+    def __init__(self, layers: list[Layer], vector: np.ndarray | None = None):
+        if vector is None:
+            _validate_spec([(l.weight.shape[1], l.weight.shape[0], l.activation)
+                            for l in layers])
+            vector = np.concatenate([np.ravel(t) for l in layers
+                                     for t in (l.weight, l.bias)], dtype=np.float64)
+        self.vector = vector
+        self.layers = []
+        pos = 0
+        for layer in layers:
+            n_out, n_in = layer.weight.shape
+            weight = vector[pos : pos + n_out * n_in].reshape(n_out, n_in)
+            bias = vector[pos + weight.size : pos + weight.size + n_out].reshape(n_out, 1)
+            pos += weight.size + n_out
+            self.layers.append(Layer(weight, bias, layer.activation))
+
+    def with_vector(self, vector: np.ndarray) -> "EncoderParams":
+        """The same layers with their parameters viewed from ``vector``
+        (not copied), a float64 array of this ``vector``'s shape."""
+        if vector.shape != self.vector.shape or vector.dtype != np.float64:
+            raise ShapeError(f"parameter vector must be float64 of shape "
+                             f"{self.vector.shape}, got {vector.dtype} {vector.shape}")
+        return EncoderParams(self.layers, vector)
 
     @property
     def input_dim(self) -> int:
@@ -48,17 +77,7 @@ class EncoderParams:
         return self.layers[-1].weight.shape[0]
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams([
-            Layer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.layers
-        ])
-
-    def flatten(self) -> list[np.ndarray]:
-        """Parameter tensors in a fixed order (W0, b0, W1, b1, ...)."""
-        out: list[np.ndarray] = []
-        for layer in self.layers:
-            out.append(layer.weight)
-            out.append(layer.bias)
-        return out
+        return self.with_vector(self.vector.copy())
 
 
 def default_layer_spec(input_dim: int = 32, output_dim: int = 16,
@@ -110,6 +129,12 @@ def init_encoder(seed, spec) -> EncoderParams:
 def attach(params: EncoderParams, tape: Tape) -> list[tuple[Var, Var]]:
     """Enter every (weight, bias) pair onto the tape as leaves."""
     return [(tape.leaf(l.weight), tape.leaf(l.bias)) for l in params.layers]
+
+
+def gradient(attached: list[tuple[Var, Var]]) -> np.ndarray:
+    """The gradients of ``attach``'s leaves after ``autodiff.backward``,
+    laid out as ``EncoderParams.vector``."""
+    return np.concatenate([var.grad.ravel() for pair in attached for var in pair])
 
 
 def forward(attached: list[tuple[Var, Var]], params: EncoderParams, x: Var) -> Var:
@@ -181,6 +206,8 @@ def load_encoder(path) -> EncoderParams:
         n_layers = int(count_parts[1])
     except ValueError:
         raise CheckpointError(f"{path}: bad layer count {count_parts[1]!r}") from None
+    if n_layers < 1:
+        raise CheckpointError(f"{path}: layer count must be >= 1, got {n_layers}")
 
     def parse_floats(text: str, expected: int, what: str) -> np.ndarray:
         parts = text.split()
@@ -191,6 +218,7 @@ def load_encoder(path) -> EncoderParams:
         except ValueError:
             raise CheckpointError(f"{path}: non-numeric value in {what}") from None
 
+    spec = []
     layers = []
     for li in range(n_layers):
         head = next_line().split()
@@ -200,14 +228,16 @@ def load_encoder(path) -> EncoderParams:
             n_in, n_out = int(head[1]), int(head[2])
         except ValueError:
             raise CheckpointError(f"{path}: layer {li} has non-integer dimensions") from None
-        act = head[3]
-        if act not in ACTIVATIONS:
-            raise CheckpointError(f"{path}: layer {li} has unknown activation {act!r}")
+        spec.append((n_in, n_out, head[3]))
+        try:
+            _validate_spec(spec)
+        except ConfigError as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
         weight = np.empty((n_out, n_in))
         for r in range(n_out):
             weight[r] = parse_floats(next_line(), n_in, f"layer {li} weight row {r}")
-        bias = parse_floats(next_line(), n_out, f"layer {li} bias").reshape(n_out, 1)
-        layers.append(Layer(np.ascontiguousarray(weight), bias, act))
-    params = EncoderParams(layers)
-    _validate_spec([(l.weight.shape[1], l.weight.shape[0], l.activation) for l in layers])
-    return params
+        bias = parse_floats(next_line(), n_out, f"layer {li} bias")
+        layers.append(Layer(weight, bias, head[3]))
+    if any(line.strip() for line in lines[pos:]):
+        raise CheckpointError(f"{path}: content after the {n_layers} declared layers")
+    return EncoderParams(layers)

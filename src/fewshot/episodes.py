@@ -156,6 +156,11 @@ def synth_gaussian(seed, n_classes: int, per_class: int, dim: int,
         raise ConfigError(f"need at least 2 classes, got {n_classes}")
     if per_class < 1 or dim < 1:
         raise ConfigError("per_class and dim must be positive")
+    for what, value in (("spread", spread), ("within_std", within_std)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ConfigError(f"{what} must be finite and nonnegative, got {value}")
+    if not math.isfinite(offset):
+        raise ConfigError(f"offset must be finite, got {offset}")
     rng = seed if isinstance(seed, np.random.Generator) else linalg.rng_from_seed(seed)
     centers = rng.uniform(-spread, spread, size=(dim, n_classes)) + offset
     features = np.empty((dim, n_classes * per_class))
@@ -177,7 +182,7 @@ def split_classes(dataset: Dataset, fractions, seed) -> tuple[Dataset, Dataset, 
     if len(fractions) != 3:
         raise ConfigError(f"fractions must be (train, val, test), got {fractions}")
     f_train, f_val, f_test = (float(f) for f in fractions)
-    if min(f_train, f_val, f_test) < 0.0 or abs(f_train + f_val + f_test - 1.0) > 1e-9:
+    if min(f_train, f_val, f_test) < 0.0 or not abs(f_train + f_val + f_test - 1.0) <= 1e-9:
         raise ConfigError(f"fractions must be nonnegative and sum to 1, got {fractions}")
     classes = dataset.class_ids
     rng = seed if isinstance(seed, np.random.Generator) else linalg.rng_from_seed(seed)

@@ -187,25 +187,6 @@ def domain_shift(train_a: Dataset, val_a: Dataset | None, test_b: Dataset,
         train_domain=train_a.name)
 
 
-def compare_heads(train_set: Dataset, val_set: Dataset | None, test_set: Dataset,
-                  config: TrainConfig, head_names=("regression", "proto", "cosine"),
-                  eval_episodes: int = 600) -> list[EvalReport]:
-    """Train one encoder per head (its own loss) and evaluate on shared
-    test-episode sequences."""
-    reports = []
-    for name in head_names:
-        head = make_head(name)
-        params, _ = fit(train_set, val_set, config, head=head)
-        reports.append(evaluate(
-            params, head, test_set, config.n_way, config.k_shot, config.q_queries,
-            eval_episodes, config.seed, lambda1=config.lambda1,
-            train_domain=train_set.name, train_set=train_set))
-    prints = {r.episodes_fingerprint for r in reports}
-    if len(prints) != 1:
-        raise ContractError("head comparison saw different test episodes across runs")
-    return reports
-
-
 def format_table(reports) -> str:
     """Human-readable accuracy table."""
     header = (f"{'head':>10}  {'train -> test':<24}  {'task':<14}  "

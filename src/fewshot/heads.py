@@ -35,11 +35,12 @@ distances back.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff, linalg
+from . import autodiff
 from .autodiff import Tape, Var
 from .errors import ContractError, ShapeError
 
@@ -59,21 +60,9 @@ class Hyper:
             raise ContractError(f"n_way must be >= 2, got {self.n_way}")
         if self.k_shot < 1 or self.q_queries < 1:
             raise ContractError("k_shot and q_queries must be >= 1")
-        if self.lambda1 < 0.0 or self.lambda2 < 0.0:
-            raise ContractError("lambda1 and lambda2 must be nonnegative")
-
-
-def build_projector_np(s: np.ndarray, lambda1: float) -> np.ndarray:
-    """P = S (S^T S + lambda1 I)^{-1} S^T: the M x M projector in plain numpy.
-
-    Nothing scores with it; it is the reference for the projection-law
-    checks, since ||e - P e|| is the regression distance.
-    """
-    s = linalg.as_matrix(s)
-    gram = s.T @ s
-    if lambda1 != 0.0:
-        gram = gram + lambda1 * np.eye(s.shape[1])
-    return s @ linalg.solve_spd(gram, linalg.transpose(s))
+        for name, value in (("lambda1", self.lambda1), ("lambda2", self.lambda2)):
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ContractError(f"{name} must be finite and nonnegative, got {value}")
 
 
 def regression_distance_rows(support: Var, query: Var, n_way: int,
@@ -101,14 +90,6 @@ def _per_class(query: Var) -> Var:
     """Queries that broadcast against the class axis of a ``blocks`` stack:
     M x B already does; (E, M, B) episode stacks get a unit class axis."""
     return query if len(query.shape) == 2 else autodiff.expand_dims(query, -3)
-
-
-def softmax_neg_np(distances: np.ndarray) -> np.ndarray:
-    """exp(-d) / sum exp(-d) along axis 0, stabilized."""
-    neg = -linalg.as_matrix(distances)
-    m = np.max(neg, axis=0, keepdims=True)
-    e = np.exp(neg - m)
-    return e / np.sum(e, axis=0, keepdims=True)
 
 
 def ortho_penalty(support: Var, n_way: int) -> Var:

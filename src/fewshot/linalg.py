@@ -35,13 +35,6 @@ def as_stack(values) -> np.ndarray:
     return np.ascontiguousarray(a) if a.ndim > 2 else as_matrix(a)
 
 
-def as_column(values) -> np.ndarray:
-    a = as_matrix(values)
-    if a.shape[1] != 1:
-        raise ShapeError(f"expected a column vector, got shape {a.shape}")
-    return a
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over the last two axes, broadcasting leading axes."""
     if a.shape[-1] != b.shape[-2]:
@@ -122,13 +115,6 @@ def solve_upper(up: np.ndarray, b: np.ndarray) -> np.ndarray:
 def solve_with_factor(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``(low @ low.T) x = b`` given precomputed Cholesky factors."""
     return solve_upper(np.swapaxes(low, -1, -2), solve_lower(low, b))
-
-
-def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` for symmetric positive definite ``a`` (or a stack)."""
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"solve_spd dimensions disagree: {a.shape} vs {b.shape}")
-    return solve_with_factor(cholesky(a), b)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ is reported separately by the CLI.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -55,8 +56,8 @@ class TrainConfig:
     final_activation: str = "none"
 
     def __post_init__(self):
-        if self.lr <= 0.0:
-            raise ConfigError(f"learning rate must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ConfigError(f"learning rate must be finite and positive, got {self.lr}")
         if self.episodes < 1 or self.batch_tasks < 1:
             raise ConfigError("episode and batch counts must be >= 1")
         if self.val_interval < 1 or self.val_episodes < 1:
@@ -79,51 +80,53 @@ class TrainConfig:
                      self.lambda1, self.resolved_lambda2)
 
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    """First and second moments, laid out as ``EncoderParams.vector``."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: EncoderParams) -> "AdamState":
-        tensors = params.flatten()
-        return cls(m=[np.zeros_like(t) for t in tensors],
-                   v=[np.zeros_like(t) for t in tensors])
+        return cls(m=np.zeros_like(params.vector), v=np.zeros_like(params.vector))
 
 
-def adam_update(params: EncoderParams, grads: list[np.ndarray],
+def adam_update(params: EncoderParams, grad: np.ndarray,
                 state: AdamState, lr: float) -> EncoderParams:
-    """Standard Adam with bias correction; returns new parameters and
-    updates ``state.m`` and ``state.v`` in place."""
+    """Standard Adam with bias correction on the flat gradient ``grad``;
+    returns new parameters and updates ``state.m`` and ``state.v`` in place.
+    Only ``scratch`` and ``step`` (the new vector) are allocated: network-
+    sized temporaries cost more to allocate than their arithmetic."""
     state.step += 1
-    t = state.step
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
-    new_tensors = []
-    for p, g, m, v in zip(params.flatten(), grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        step = m / c1 * lr          # lr * m_hat / (sqrt(v_hat) + eps)
-        step /= np.sqrt(v / c2) + state.eps
-        new_tensors.append(p - step)
-    return _rebuild(params, new_tensors)
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
+    m, v = state.m, state.v
+    scratch = grad * (1.0 - ADAM_BETA1)
+    m *= ADAM_BETA1
+    m += scratch
+    np.multiply(grad, grad, out=scratch)
+    scratch *= 1.0 - ADAM_BETA2
+    v *= ADAM_BETA2
+    v += scratch
+    step = m / c1
+    step *= lr
+    np.divide(v, c2, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += ADAM_EPS
+    step /= scratch
+    return params.with_vector(np.subtract(params.vector, step, out=step))
 
 
-def sgd_update(params: EncoderParams, grads: list[np.ndarray], lr: float) -> EncoderParams:
-    new_tensors = [p - lr * g for p, g in zip(params.flatten(), grads)]
-    return _rebuild(params, new_tensors)
-
-
-def _rebuild(params: EncoderParams, tensors: list[np.ndarray]) -> EncoderParams:
-    return EncoderParams([encoder.Layer(w, b, layer.activation) for layer, w, b
-                          in zip(params.layers, tensors[::2], tensors[1::2])])
+def sgd_update(params: EncoderParams, grad: np.ndarray, lr: float) -> EncoderParams:
+    return params.with_vector(params.vector - lr * grad)
 
 
 def episode_loss_on_tape(attached, params: EncoderParams, episode: Episode,
@@ -227,11 +230,11 @@ def train_step(params: EncoderParams, batch: list[Episode], config: TrainConfig,
         accuracies.append(np.mean(heads.predict_np(dist.value) == episode.query_y))
         total = loss if total is None else autodiff.add(total, loss)
     autodiff.backward(tape, total)
-    grads = [var.grad for pair in attached for var in pair]
+    grad = encoder.gradient(attached)
     if config.optimizer == "adam":
-        new_params = adam_update(params, grads, state, config.lr)
+        new_params = adam_update(params, grad, state, config.lr)
     else:
-        new_params = sgd_update(params, grads, config.lr)
+        new_params = sgd_update(params, grad, config.lr)
     metrics = {"loss": float(np.mean(losses)), "accuracy": float(np.mean(accuracies))}
     return new_params, metrics
 

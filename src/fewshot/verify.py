@@ -23,9 +23,10 @@ import numpy as np
 
 from . import encoder, heads, linalg, train
 from .autodiff import Tape, backward
-from .encoder import init_encoder
+from .encoder import EncoderParams, Layer, init_encoder
 from .episodes import Episode
-from .heads import Hyper, RegressionHead, build_projector_np
+from .errors import ShapeError
+from .heads import Hyper, RegressionHead
 from .train import AdamState, adam_update
 
 
@@ -48,7 +49,9 @@ def ridge_argmin_iterative(s: np.ndarray, e: np.ndarray, lambda1: float,
     """Minimize ||e - S a||^2 + lambda1 ||a||^2 by steepest descent with
     exact line search; independent of the Cholesky path."""
     s = linalg.as_matrix(s)
-    e = linalg.as_column(e)
+    e = linalg.as_matrix(e)
+    if e.shape[1] != 1:
+        raise ShapeError(f"expected a column vector, got shape {e.shape}")
     k = s.shape[1]
     gram = s.T @ s + lambda1 * np.eye(k)
     rhs = s.T @ e
@@ -95,6 +98,30 @@ def check_closed_form_oracle(seed: int = 0, instances: int = 200) -> CheckResult
     return CheckResult(
         "closed-form distance vs iterative minimizer", passed,
         f"{instances} instances, worst relative error {worst:.3e} (limit 1e-6)")
+
+
+# -- oracles: the projector and the posterior in plain numpy -----------------
+
+
+def build_projector_np(s: np.ndarray, lambda1: float) -> np.ndarray:
+    """P = S (S^T S + lambda1 I)^{-1} S^T: the M x M projector in plain numpy.
+
+    Nothing scores with it; it is the reference for the projection-law
+    checks, since ||e - P e|| is the regression distance.
+    """
+    s = linalg.as_matrix(s)
+    gram = s.T @ s
+    if lambda1 != 0.0:
+        gram = gram + lambda1 * np.eye(s.shape[1])
+    return s @ linalg.solve_with_factor(linalg.cholesky(gram), linalg.transpose(s))
+
+
+def softmax_neg_np(distances: np.ndarray) -> np.ndarray:
+    """exp(-d) / sum exp(-d) along axis 0, stabilized."""
+    neg = -linalg.as_matrix(distances)
+    m = np.max(neg, axis=0, keepdims=True)
+    e = np.exp(neg - m)
+    return e / np.sum(e, axis=0, keepdims=True)
 
 
 # -- projection laws ---------------------------------------------------------
@@ -170,19 +197,6 @@ def _random_episode(rng: np.random.Generator, n: int, k: int, q: int, d: int) ->
     return Episode(n, k, q, support, support_y, query, query_y, relabel)
 
 
-def _pack(params) -> np.ndarray:
-    return np.concatenate([t.ravel() for t in params.flatten()])
-
-
-def _unpack(params, flat: np.ndarray):
-    out = params.copy()
-    pos = 0
-    for t in out.flatten():
-        t[...] = flat[pos : pos + t.size].reshape(t.shape)
-        pos += t.size
-    return out
-
-
 def _episode_loss(params, episode, hyper, head):
     """(tape, attached parameters, loss) of one episode's training loss."""
     tape = Tape()
@@ -212,12 +226,11 @@ def check_gradient_fidelity(seed: int = 0, trials: int = 20,
 
         tape, attached, loss = _episode_loss(params, episode, hyper, head)
         backward(tape, loss)
-        analytic = np.concatenate([np.concatenate([w.grad.ravel(), b.grad.ravel()])
-                                   for w, b in attached])
-        flat = _pack(params)
+        analytic = encoder.gradient(attached)
+        flat = params.vector
 
         def loss_at(vec):
-            return _episode_loss(_unpack(params, vec), episode, hyper, head)[2].item()
+            return _episode_loss(params.with_vector(vec), episode, hyper, head)[2].item()
 
         for i in range(flat.size):
             plus = flat.copy()
@@ -243,14 +256,14 @@ def check_posterior_contracts(seed: int = 0, trials: int = 100) -> CheckResult:
     for _ in range(trials):
         n = int(rng.integers(2, 7))
         d = rng.uniform(0.0, 5.0, size=(n, 1))
-        p = heads.softmax_neg_np(d)
+        p = softmax_neg_np(d)
         worst_sum = max(worst_sum, abs(float(p.sum()) - 1.0))
         if int(np.argmax(p[:, 0])) != int(np.argmin(d[:, 0])):
             failures.append("argmax(posterior) != argmin(distance)")
-        uniform = heads.softmax_neg_np(np.full((n, 1), float(d[0, 0])))
+        uniform = softmax_neg_np(np.full((n, 1), float(d[0, 0])))
         if np.max(np.abs(uniform - 1.0 / n)) > 1e-12:
             failures.append("equal distances did not give a uniform posterior")
-    hand = heads.softmax_neg_np(np.array([[0.0], [1.0], [2.0]]))[:, 0]
+    hand = softmax_neg_np(np.array([[0.0], [1.0], [2.0]]))[:, 0]
     expected = np.array([0.66524, 0.24473, 0.09003])
     if np.max(np.abs(hand - expected)) > 1e-5:
         failures.append(f"softmax(0,-1,-2) = {hand} != {expected}")
@@ -272,7 +285,7 @@ def check_posterior_contracts(seed: int = 0, trials: int = 100) -> CheckResult:
     projector_dist = np.array([
         [np.linalg.norm(e_val - build_projector_np(s, 1e-3) @ e_val)] for s in s_vals
     ])
-    if np.max(np.abs(post - heads.softmax_neg_np(projector_dist)[:, 0])) > 1e-12:
+    if np.max(np.abs(post - softmax_neg_np(projector_dist)[:, 0])) > 1e-12:
         failures.append("tape posterior disagrees with numpy posterior")
 
     detail = f"{trials} trials; max |sum - 1| = {worst_sum:.2e}"
@@ -286,38 +299,33 @@ def check_posterior_contracts(seed: int = 0, trials: int = 100) -> CheckResult:
 
 def check_adam_oracle() -> CheckResult:
     """Three Adam steps on fixed gradients vs a hand-stepped recurrence."""
-    from .encoder import EncoderParams, Layer
-
-    w0 = np.array([[1.0, -2.0], [0.5, 3.0]])
-    b0 = np.array([[0.1], [-0.4]])
-    params = EncoderParams([Layer(w0.copy(), b0.copy(), "none")])
+    params = EncoderParams([Layer(np.array([[1.0, -2.0], [0.5, 3.0]]),
+                                  np.array([[0.1], [-0.4]]), "none")])
+    start = params.vector.copy()
     state = AdamState.for_params(params)
     lr = 1e-3
     grads_seq = [
-        [np.array([[0.3, -1.0], [2.0, 0.0]]), np.array([[0.5], [-0.25]])],
-        [np.array([[-0.7, 0.2], [0.1, 0.9]]), np.array([[0.0], [1.5]])],
-        [np.array([[1.1, 1.1], [-0.3, 0.4]]), np.array([[-2.0], [0.75]])],
+        np.array([0.3, -1.0, 2.0, 0.0, 0.5, -0.25]),
+        np.array([-0.7, 0.2, 0.1, 0.9, 0.0, 1.5]),
+        np.array([1.1, 1.1, -0.3, 0.4, -2.0, 0.75]),
     ]
-    for grads in grads_seq:
-        params = adam_update(params, grads, state, lr)
+    for grad in grads_seq:
+        params = adam_update(params, grad, state, lr)
 
     # independent recurrence, scalar by scalar
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    tensors = [w0.copy(), b0.copy()]
-    ms = [np.zeros_like(t) for t in tensors]
-    vs = [np.zeros_like(t) for t in tensors]
-    for t in range(1, 4):
-        for i in range(2):
+    expected = []
+    for i, p in enumerate(start):
+        m = v = 0.0
+        for t in range(1, 4):
             g = grads_seq[t - 1][i]
-            ms[i] = beta1 * ms[i] + (1 - beta1) * g
-            vs[i] = beta2 * vs[i] + (1 - beta2) * g * g
-            m_hat = ms[i] / (1 - beta1**t)
-            v_hat = vs[i] / (1 - beta2**t)
-            tensors[i] = tensors[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
-    diff = max(
-        float(np.max(np.abs(params.layers[0].weight - tensors[0]))),
-        float(np.max(np.abs(params.layers[0].bias - tensors[1]))),
-    )
+            m = beta1 * m + (1 - beta1) * g
+            v = beta2 * v + (1 - beta2) * g * g
+            m_hat = m / (1 - beta1**t)
+            v_hat = v / (1 - beta2**t)
+            p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        expected.append(p)
+    diff = float(np.max(np.abs(params.vector - np.array(expected))))
     return CheckResult(
         "adam update vs hand-stepped oracle", diff < 1e-12,
         f"max coordinate difference {diff:.3e} after 3 steps (limit 1e-12)")

@@ -490,3 +490,5 @@ def test_shape_errors_for_malformed_operands():
         autodiff.block_normalize(a, 2)
     with pytest.raises(ShapeError):
         autodiff.matmul(autodiff.blocks(a, 3), a)
+    with pytest.raises(ShapeError):
+        autodiff.solve_spd(tape.leaf(np.eye(3)), tape.leaf(np.zeros((4, 1))))

@@ -72,6 +72,25 @@ def test_usage_errors_name_the_flag(capsys):
     assert "--eval-episodes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["train", "--lr", "nan"], "--lr"),
+    (["train", "--lr", "inf"], "--lr"),
+    (["train", "--lambda1", "nan"], "--lambda1"),
+    (["train", "--lambda2", "nan"], "--lambda2"),
+    (["train", "--within-std", "nan"], "within_std"),
+    (["train", "--spread", "nan"], "spread"),
+    (["shift", "--offset", "nan"], "offset"),
+], ids=["lr-nan", "lr-inf", "lambda1-nan", "lambda2-nan", "within-std-nan",
+        "spread-nan", "offset-nan"])
+def test_non_finite_numeric_flags_are_usage_errors(tmp_path, capsys, argv, named):
+    code = run([*argv, *FAST_TRAIN, "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert named in err
+    assert "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_requires_an_output_directory(capsys):
     assert run(["train"] + FAST_TRAIN) == EXIT_USAGE
     assert "--out" in capsys.readouterr().err
@@ -223,6 +242,21 @@ def test_singular_ridge_system_is_a_numerical_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "pivot 0.000e+00" in err
     assert "of class 1 at episode 0" in err
+
+
+@pytest.mark.parametrize("body", [
+    "layers 0\n",
+    "layers 2\nlayer 4 3 none\n" + "0 0 0 0\n" * 3 + "0 0 0\n"
+    "layer 2 2 none\n0 0\n0 0\n0 0\n",
+    "layers 1\nlayer 2 -1 none\n",
+    "layers 1\nlayer 4 2 none\n0 0 0 0\n0 0 0 0\n0 0\n"
+    "layer 2 2 none\n0 0\n0 0\n0 0\n",
+], ids=["no-layers", "unchained-dimensions", "negative-dimension", "undeclared-layer"])
+def test_malformed_checkpoint_exits_3_and_names_the_file(tmp_path, capsys, body):
+    path = tmp_path / "enc.txt"
+    path.write_text("fewshot-encoder v1\n" + body)
+    assert run(["eval", *FAST_TRAIN, "--checkpoint", str(path)]) == EXIT_IO
+    assert str(path) in capsys.readouterr().err
 
 
 def test_threads_is_accepted_and_ignored(tmp_path, capsys):

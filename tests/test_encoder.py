@@ -59,6 +59,11 @@ def test_init_rejects_malformed_specs():
         init_encoder(0, [(4, 8, "sigmoid")])
     with pytest.raises(ConfigError):
         init_encoder(0, [(0, 8, "relu")])
+    with pytest.raises(ConfigError, match="empty"):
+        EncoderParams([])
+    with pytest.raises(ConfigError, match="do not chain"):
+        EncoderParams([Layer(np.ones((8, 4)), np.zeros((8, 1)), "relu"),
+                       Layer(np.ones((2, 9)), np.zeros((2, 1)), "none")])
 
 
 def test_identity_network_passes_input_through():
@@ -117,11 +122,56 @@ def test_copy_is_independent():
     assert params.layers[0].weight[0, 0] != clone.layers[0].weight[0, 0]
 
 
-def test_flatten_orders_weight_then_bias_per_layer():
+def test_params_are_views_of_one_vector_in_w0_b0_w1_b1_order(tmp_path):
     params = init_encoder(6, [(3, 5, "tanh"), (5, 2, "none")])
-    flat = params.flatten()
-    assert [t.shape for t in flat] == [(5, 3), (5, 1), (2, 5), (2, 1)]
-    assert flat[0] is params.layers[0].weight
+    tensors = [t for l in params.layers for t in (l.weight, l.bias)]
+    assert [t.shape for t in tensors] == [(5, 3), (5, 1), (2, 5), (2, 1)]
+    assert params.vector.shape == (15 + 5 + 10 + 2,)
+    assert params.vector.flags["C_CONTIGUOUS"]
+    pos = 0
+    for t in tensors:
+        assert np.shares_memory(t, params.vector)
+        assert np.array_equal(t.ravel(), params.vector[pos : pos + t.size])
+        pos += t.size
+    params.layers[1].bias[1, 0] = 7.0
+    assert params.vector[-1] == 7.0
+
+    clone = params.copy()
+    other = params.with_vector(np.arange(32.0))
+    for new in (clone, other):
+        assert not np.shares_memory(new.vector, params.vector)
+        for layer in new.layers:
+            assert np.shares_memory(layer.weight, new.vector)
+            assert not np.shares_memory(layer.weight, params.vector)
+            assert not np.shares_memory(layer.bias, params.vector)
+    assert np.array_equal(clone.vector, params.vector)
+    assert np.array_equal(other.layers[0].bias[:, 0], np.arange(15.0, 20.0))
+    assert [l.activation for l in other.layers] == ["tanh", "none"]
+    with pytest.raises(ShapeError):
+        params.with_vector(np.zeros(31))
+
+    path = tmp_path / "enc.txt"
+    save_encoder(params, path)
+    loaded = load_encoder(path)
+    assert np.array_equal(loaded.vector, params.vector)
+    for layer in loaded.layers:
+        assert np.shares_memory(layer.weight, loaded.vector)
+        assert np.shares_memory(layer.bias, loaded.vector)
+
+
+def test_gradient_gathers_leaf_grads_in_vector_order():
+    params = init_encoder(2, [(3, 4, "tanh"), (4, 2, "none")])
+    tape = Tape()
+    attached = encoder.attach(params, tape)
+    out = encoder.forward(attached, params,
+                          tape.const(np.random.default_rng(1).standard_normal((3, 4))))
+    autodiff.backward(tape, autodiff.frobenius_norm_sq(out))
+    grad = encoder.gradient(attached)
+    assert grad.shape == params.vector.shape
+    as_params = params.with_vector(grad)
+    for (w_var, b_var), layer in zip(attached, as_params.layers):
+        assert np.array_equal(layer.weight, w_var.grad)
+        assert np.array_equal(layer.bias, b_var.grad)
 
 
 def test_checkpoint_round_trip_is_value_exact(tmp_path):

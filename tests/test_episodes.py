@@ -155,6 +155,14 @@ def test_synth_gaussian_validates_counts():
         synth_gaussian(0, 3, 0, 3)
     with pytest.raises(ConfigError):
         synth_gaussian(0, 3, 5, 0)
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ConfigError, match="spread"):
+            synth_gaussian(0, 3, 5, 3, spread=bad)
+        with pytest.raises(ConfigError, match="within_std"):
+            synth_gaussian(0, 3, 5, 3, within_std=bad)
+    for bad in (float("nan"), float("-inf")):
+        with pytest.raises(ConfigError, match="offset"):
+            synth_gaussian(0, 3, 5, 3, offset=bad)
 
 
 def test_split_classes_sizes_and_disjointness():
@@ -186,6 +194,9 @@ def test_split_classes_validates_fractions():
         split_classes(data, (0.8, 0.3, -0.1), 0)
     with pytest.raises(ConfigError):
         split_classes(data, (0.5, 0.3, 0.3), 0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            split_classes(data, (0.5, bad, 0.25), 0)
 
 
 def test_csv_round_trip_is_value_exact(tmp_path):

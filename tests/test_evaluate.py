@@ -13,9 +13,9 @@ from fewshot import train
 from fewshot.encoder import EncoderParams, Layer, default_layer_spec, init_encoder
 from fewshot.episodes import Dataset, sample_episode, split_classes, synth_gaussian
 from fewshot.errors import ConditioningError, ContractError
-from fewshot.evaluate import (Z95, ablate_lambda2, compare_heads,
-                              confidence_interval, domain_shift, evaluate,
-                              fingerprint_config, format_table)
+from fewshot.evaluate import (Z95, ablate_lambda2, confidence_interval,
+                              domain_shift, evaluate, fingerprint_config,
+                              format_table)
 from fewshot.heads import HEADS, Hyper, RegressionHead, make_head
 from fewshot.linalg import named_stream
 from fewshot.train import TrainConfig, chunk_episodes
@@ -78,8 +78,12 @@ def test_evaluate_is_deterministic_per_seed():
     a = evaluate(params, RegressionHead(), test, 3, 2, 4, 20, seed=3)
     b = evaluate(params, RegressionHead(), test, 3, 2, 4, 20, seed=3)
     c = evaluate(params, RegressionHead(), test, 3, 2, 4, 20, seed=4)
+    # another head (or another encoder) scores the same episodes
+    d = evaluate(init_encoder(named_stream(2, "init"), default_layer_spec(5, 4, 8, 1)),
+                 make_head("proto"), test, 3, 2, 4, 20, seed=3)
     assert a.to_line() == b.to_line()
-    assert a.episodes_fingerprint == b.episodes_fingerprint
+    assert a.episodes_fingerprint == b.episodes_fingerprint == d.episodes_fingerprint
+    assert d.head == "proto"
     assert a.episodes_fingerprint != c.episodes_fingerprint
     assert np.array_equal(a.per_episode, b.per_episode)
 
@@ -256,17 +260,6 @@ def test_domain_shift_labels_both_domains():
     mismatched = synth_gaussian(named_stream(4, "dataset"), 6, 16, 7, 1.0, 0.4)
     with pytest.raises(ContractError, match="dimensions"):
         domain_shift(train_a, val_a, mismatched, config)
-
-
-def test_compare_heads_shares_episodes_across_heads():
-    train, val, test = splits(seed=6)
-    config = TrainConfig(n_way=3, k_shot=2, q_queries=3, episodes=8, lr=1e-3,
-                         embed_dim=4, hidden_dim=8, depth=1, seed=6,
-                         val_interval=100, val_episodes=5)
-    reports = compare_heads(train, val, test, config,
-                            head_names=("regression", "proto"), eval_episodes=10)
-    assert [r.head for r in reports] == ["regression", "proto"]
-    assert len({r.episodes_fingerprint for r in reports}) == 1
 
 
 def test_format_table_mentions_heads_and_domains():

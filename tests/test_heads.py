@@ -9,10 +9,10 @@ import pytest
 from fewshot.autodiff import Tape
 from fewshot.errors import ContractError, DegenerateSubspaceError, ShapeError
 from fewshot.heads import (HEADS, CosineHead, Hyper, ProtoHead,
-                           RegressionHead, build_projector_np,
-                           cross_entropy_from_distances, make_head,
-                           ortho_penalty, predict_np,
-                           regression_distance_rows, softmax_neg_np)
+                           RegressionHead, cross_entropy_from_distances,
+                           make_head, ortho_penalty, predict_np,
+                           regression_distance_rows)
+from fewshot.verify import build_projector_np, softmax_neg_np
 from oracles import ortho_penalty_np
 
 
@@ -56,6 +56,11 @@ def test_hyper_validates_counts_and_weights():
         Hyper(lambda1=-0.1)
     with pytest.raises(ContractError):
         Hyper(lambda2=-0.1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ContractError, match="lambda1 must be finite"):
+            Hyper(lambda1=bad)
+        with pytest.raises(ContractError, match="lambda2 must be finite"):
+            Hyper(lambda2=bad)
 
 
 # -- projector and distance ---------------------------------------------------

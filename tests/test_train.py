@@ -39,8 +39,9 @@ def small_config(**overrides):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        TrainConfig(lr=0.0)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            TrainConfig(lr=bad)
     with pytest.raises(ConfigError):
         TrainConfig(episodes=0)
     with pytest.raises(ConfigError):
@@ -90,23 +91,20 @@ def test_adam_matches_hand_stepped_recurrence():
     state = AdamState.for_params(params)
     lr = 1e-3
     rng = np.random.default_rng(0)
-    grads_seq = [[rng.standard_normal((2, 2)), rng.standard_normal((2, 1))]
-                 for _ in range(4)]
-    for grads in grads_seq:
-        params = adam_update(params, grads, state, lr)
+    grads_seq = [rng.standard_normal(6) for _ in range(4)]
+    for grad in grads_seq:
+        params = adam_update(params, grad, state, lr)
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    tensors = [w0.copy(), b0.copy()]
-    ms = [np.zeros_like(t) for t in tensors]
-    vs = [np.zeros_like(t) for t in tensors]
-    for t, grads in enumerate(grads_seq, start=1):
-        for i, g in enumerate(grads):
-            ms[i] = beta1 * ms[i] + (1 - beta1) * g
-            vs[i] = beta2 * vs[i] + (1 - beta2) * g * g
-            tensors[i] = tensors[i] - lr * (ms[i] / (1 - beta1**t)) / (
-                np.sqrt(vs[i] / (1 - beta2**t)) + eps)
-    assert np.allclose(params.layers[0].weight, tensors[0], atol=1e-14)
-    assert np.allclose(params.layers[0].bias, tensors[1], atol=1e-14)
+    flat = np.concatenate([w0.ravel(), b0.ravel()])
+    m = np.zeros(6)
+    v = np.zeros(6)
+    for t, g in enumerate(grads_seq, start=1):
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        flat = flat - lr * (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + eps)
+    assert np.allclose(params.layers[0].weight, flat[:4].reshape(2, 2), atol=1e-14)
+    assert np.allclose(params.layers[0].bias, flat[4:].reshape(2, 1), atol=1e-14)
 
 
 def test_first_adam_step_has_unit_scale():
@@ -115,7 +113,7 @@ def test_first_adam_step_has_unit_scale():
     state = AdamState.for_params(params)
     g = np.array([[0.5, -2.0], [1e-3, 4.0]])
     gb = np.array([[1.0], [-1.0]])
-    updated = adam_update(params, [g, gb], state, lr=0.1)
+    updated = adam_update(params, np.concatenate([g.ravel(), gb.ravel()]), state, lr=0.1)
     assert np.allclose(updated.layers[0].weight, -0.1 * np.sign(g), atol=1e-6)
     assert np.allclose(updated.layers[0].bias, -0.1 * np.sign(gb), atol=1e-6)
 
@@ -123,14 +121,13 @@ def test_first_adam_step_has_unit_scale():
 def test_adam_updates_its_moments_in_place():
     params = EncoderParams([Layer(np.ones((2, 2)), np.zeros((2, 1)), "none")])
     state = AdamState.for_params(params)
-    moments = [id(a) for a in state.m + state.v]
-    g = np.array([[0.5, -2.0], [1e-3, 4.0]])
-    gb = np.array([[1.0], [-1.0]])
-    updated = adam_update(params, [g, gb], state, lr=0.1)
-    updated = adam_update(updated, [g, gb], state, lr=0.1)
-    assert [id(a) for a in state.m + state.v] == moments
+    moments = (id(state.m), id(state.v))
+    g = np.array([0.5, -2.0, 1e-3, 4.0, 1.0, -1.0])
+    updated = adam_update(params, g, state, lr=0.1)
+    updated = adam_update(updated, g, state, lr=0.1)
+    assert (id(state.m), id(state.v)) == moments
     first = (1.0 - 0.9) * g
-    assert np.array_equal(state.m[0], 0.9 * first + (1.0 - 0.9) * g)
+    assert np.array_equal(state.m, 0.9 * first + (1.0 - 0.9) * g)
     # the parameters themselves are new arrays; the inputs are untouched
     assert np.all(params.layers[0].weight == 1.0)
     assert updated.layers[0].weight is not params.layers[0].weight
@@ -152,9 +149,8 @@ def test_train_step_with_adam_needs_a_state():
 
 def test_sgd_is_a_plain_descent_step():
     params = EncoderParams([Layer(np.ones((2, 2)), np.zeros((2, 1)), "none")])
-    g = np.full((2, 2), 0.5)
-    gb = np.full((2, 1), -1.0)
-    updated = sgd_update(params, [g, gb], lr=0.2)
+    g = np.array([0.5, 0.5, 0.5, 0.5, -1.0, -1.0])
+    updated = sgd_update(params, g, lr=0.2)
     assert np.allclose(updated.layers[0].weight, 1.0 - 0.1)
     assert np.allclose(updated.layers[0].bias, 0.2)
     # the original parameters are untouched

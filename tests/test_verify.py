@@ -1,8 +1,10 @@
 """The built-in verification suites must pass and report cleanly."""
 
 import numpy as np
+import pytest
 
 from fewshot import verify
+from fewshot.errors import ShapeError
 
 
 def test_iterative_minimizer_solves_a_hand_system():
@@ -23,6 +25,11 @@ def test_iterative_minimizer_matches_normal_equations():
         a = verify.ridge_argmin_iterative(s, e, lam)
         direct = np.linalg.solve(s.T @ s + lam * np.eye(3), s.T @ e)
         assert np.max(np.abs(a - direct)) < 1e-9
+
+
+def test_iterative_minimizer_rejects_a_wide_query():
+    with pytest.raises(ShapeError, match="column vector"):
+        verify.ridge_argmin_iterative(np.eye(3), np.zeros((3, 2)), 1.0)
 
 
 def test_check_result_lines_are_scannable():
