@@ -210,7 +210,7 @@ def transpose(a: Var) -> Var:
     def back(g):
         return [(a.id, np.ascontiguousarray(_swap(g)))]
 
-    return a.tape._append("transpose", linalg.transpose(a.value), back)
+    return a.tape._append("transpose", np.ascontiguousarray(_swap(a.value)), back)
 
 
 def matmul(a: Var, b: Var) -> Var:
@@ -314,9 +314,7 @@ def frobenius_norm_sq(a: Var) -> Var:
     def back(g):
         return [(a.id, (2.0 * float(g[0, 0])) * av)]
 
-    return a.tape._append(
-        "frobenius_norm_sq", np.array([[linalg.frobenius_norm_sq(av)]]), back
-    )
+    return a.tape._append("frobenius_norm_sq", np.array([[np.sum(av * av)]]), back)
 
 
 def col_norms(a: Var) -> Var:
@@ -428,32 +426,29 @@ def solve_spd(a: Var, b: Var) -> Var:
     return tape._append("solve_spd", x, back)
 
 
-def backward(tape: Tape, loss: Var) -> dict[int, np.ndarray]:
-    """Accumulate d(loss)/d(node) for every node at or before ``loss``.
+def backward(tape: Tape, loss: Var) -> None:
+    """Accumulate d(loss)/d(node) into ``.grad`` for every node at or before
+    ``loss`` (zeros for constants and for nodes the loss does not depend on).
 
-    Returns the gradient map and populates ``.grad`` on the visited nodes
-    (zeros for constants and for nodes the loss does not depend on).
-    Running backward twice rebuilds the map from scratch, so repeated
-    calls are idempotent.  Gradients may share memory with one another;
-    treat them as read-only.
+    One reverse pass suffices: a node's consumers come after it on the
+    tape.  Repeated calls recompute every ``.grad``, so they are idempotent.
+    Gradients may share memory with one another; treat them as read-only.
     """
     if loss.tape is not tape:
         raise ContractError("loss variable does not belong to this tape")
     if loss.value.shape != (1, 1):
         raise ContractError(f"backward needs a scalar loss, got shape {loss.value.shape}")
 
-    nodes = tape.nodes[: loss.id + 1]
     grads: dict[int, np.ndarray] = {loss.id: np.ones((1, 1))}
-    for var in reversed(nodes):
-        g = grads.get(var.id)
-        if g is None or var._backward is None:
+    for var in reversed(tape.nodes[: loss.id + 1]):
+        g = grads.pop(var.id, None)
+        if g is None or var.op == "const":
+            var.grad = np.zeros_like(var.value)
+            continue
+        var.grad = g
+        if var._backward is None:
             continue
         for input_id, contribution in var._backward(g):
             seen = grads.get(input_id)
             # Never in place: ``seen`` may be another node's adjoint or a view of it.
             grads[input_id] = contribution if seen is None else seen + contribution
-    for var in nodes:
-        g = grads.get(var.id)
-        var.grad = np.zeros_like(var.value) if g is None or var.op == "const" else g
-        grads[var.id] = var.grad
-    return grads

@@ -17,18 +17,18 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from . import verify
 from .evaluate import ablate_lambda2, domain_shift, evaluate, format_table
-from .encoder import load_encoder, save_encoder
+from .encoder import ACTIVATIONS, load_encoder, save_encoder
 from .episodes import load_csv, split_classes, synth_gaussian
 from .errors import (CheckpointError, ConditioningError, ConfigError,
-                     ContractError, DatasetFormatError, DegenerateSubspaceError,
-                     DivergenceError, FewshotError, SamplingError, ShapeError)
-from .heads import make_head
+                     DatasetFormatError, DegenerateSubspaceError,
+                     DivergenceError, FewshotError)
+from .heads import HEADS, make_head
 from .linalg import named_stream
-from .train import TrainConfig, fit, history_lines
+from .train import OPTIMIZERS, TrainConfig, fit, history_lines
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -140,21 +140,20 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="ridge conditioning weight")
     common.add_argument("--lambda2", default=None,
                         help="orthogonalization weight, or 'auto' (by shot count)")
-    common.add_argument("--head", choices=("regression", "proto", "cosine"),
-                        default=None)
+    common.add_argument("--head", choices=tuple(HEADS), default=None)
     common.add_argument("--seed", type=int, default=None, help="root random seed")
     common.add_argument("--threads", type=int, default=None,
                         help="accepted and ignored (evaluation is single-threaded)")
     common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--optimizer", choices=("adam", "sgd"), default=None)
+    common.add_argument("--optimizer", choices=OPTIMIZERS, default=None)
     common.add_argument("--batch-tasks", type=int, default=None, dest="batch_tasks")
     common.add_argument("--val-interval", type=int, default=None, dest="val_interval")
     common.add_argument("--val-episodes", type=int, default=None, dest="val_episodes")
     common.add_argument("--embed-dim", type=int, default=None, dest="embed_dim")
     common.add_argument("--hidden-dim", type=int, default=None, dest="hidden_dim")
     common.add_argument("--depth", type=int, default=None)
-    common.add_argument("--activation", choices=("relu", "tanh", "none"), default=None)
-    common.add_argument("--final-activation", choices=("relu", "tanh", "none"),
+    common.add_argument("--activation", choices=ACTIVATIONS, default=None)
+    common.add_argument("--final-activation", choices=ACTIVATIONS,
                         default=None, dest="final_activation",
                         help="activation on the embedding layer itself")
     common.add_argument("--synth-classes", type=int, default=None, dest="synth_classes")
@@ -188,10 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class UsageError(Exception):
-    pass
-
-
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """defaults <- config file <- flags, then range validation."""
     config = RunConfig()
@@ -207,7 +202,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
     def positive(name, value, floor=1):
         if value < floor:
-            raise UsageError(f"--{name.replace('_', '-')} must be >= {floor}, got {value}")
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= {floor}, got {value}")
 
     positive("n", config.n, 2)
     positive("k", config.k)
@@ -220,18 +215,21 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     positive("synth-classes", config.synth_classes, 2)
     positive("per-class", config.per_class)
     positive("dim", config.dim)
+    positive("embed-dim", config.embed_dim)
+    positive("hidden-dim", config.hidden_dim)
+    positive("depth", config.depth, 0)
     if not (math.isfinite(config.lr) and config.lr > 0):
-        raise UsageError(f"--lr must be finite and positive, got {config.lr}")
+        raise ConfigError(f"--lr must be finite and positive, got {config.lr}")
     if not (math.isfinite(config.lambda1) and config.lambda1 >= 0):
-        raise UsageError(f"--lambda1 must be finite and nonnegative, got {config.lambda1}")
+        raise ConfigError(f"--lambda1 must be finite and nonnegative, got {config.lambda1}")
     if config.lambda2 is not None and not (math.isfinite(config.lambda2)
                                            and config.lambda2 >= 0):
-        raise UsageError(f"--lambda2 must be finite and nonnegative, got {config.lambda2}")
+        raise ConfigError(f"--lambda2 must be finite and nonnegative, got {config.lambda2}")
     return config
 
 
 def _load_domain(config: RunConfig, offset: float = 0.0, suffix: str = ""):
-    """Dataset plus class-level (train, val, test) splits."""
+    """``config.dataset`` plus its class-level (train, val, test) splits."""
     if config.dataset == "synth":
         data = synth_gaussian(
             named_stream(config.seed, "dataset"), config.synth_classes,
@@ -265,7 +263,7 @@ def _config_lines(config: RunConfig) -> str:
 
 def cmd_train(config: RunConfig) -> int:
     if not config.out:
-        raise UsageError("train requires --out (directory for checkpoint and history)")
+        raise ConfigError("train requires --out (directory for checkpoint and history)")
     train_set, val_set, _ = _load_domain(config)
     head = make_head(config.head)
     started = time.perf_counter()
@@ -288,7 +286,7 @@ def cmd_train(config: RunConfig) -> int:
 
 def cmd_eval(config: RunConfig) -> int:
     if not config.checkpoint:
-        raise UsageError("eval requires --checkpoint (encoder file from train)")
+        raise ConfigError("eval requires --checkpoint (encoder file from train)")
     params = load_encoder(config.checkpoint)
     train_set, _, test_set = _load_domain(config)
     head = make_head(config.head)
@@ -307,19 +305,20 @@ def cmd_ablate(config: RunConfig) -> int:
     try:
         values = [float(v) for v in config.lambda2_values.split(",") if v.strip()]
     except ValueError:
-        raise UsageError(
+        raise ConfigError(
             f"--lambda2-values must be comma-separated numbers, "
             f"got {config.lambda2_values!r}") from None
     if not values:
-        raise UsageError("--lambda2-values is empty")
+        raise ConfigError("--lambda2-values is empty")
+    for value in values:
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigError(
+                f"--lambda2-values entries must be finite and nonnegative, got {value}")
     train_set, val_set, test_set = _load_domain(config)
     result = ablate_lambda2(
         train_set, val_set, test_set, config.train_config(), values,
         head_name=config.head, eval_episodes=config.eval_episodes)
-    print(format_table(result.reports))
-    for v, d in zip(result.lambda2_values[1:], result.mean_delta[1:]):
-        print(f"lambda2={v:g} vs {result.lambda2_values[0]:g}: "
-              f"paired accuracy delta {d:+.2f} points")
+    print(result.summary())
     print(f"shared test-episode fingerprint: "
           f"{result.reports[0].episodes_fingerprint[:16]}...")
     if config.out:
@@ -331,11 +330,7 @@ def cmd_ablate(config: RunConfig) -> int:
 def cmd_shift(config: RunConfig) -> int:
     train_a, val_a, _ = _load_domain(config)
     if config.target_dataset:
-        data_b = load_csv(config.target_dataset)
-        train_frac = 1.0 - config.val_fraction - config.test_fraction
-        _, _, test_b = split_classes(
-            data_b, (train_frac, config.val_fraction, config.test_fraction),
-            named_stream(config.seed, "split"))
+        _, _, test_b = _load_domain(replace(config, dataset=config.target_dataset))
     else:
         _, _, test_b = _load_domain(config, offset=config.offset, suffix="-shifted")
     report = domain_shift(
@@ -371,16 +366,7 @@ def main(argv=None) -> int:
         if args.command == "shift":
             return cmd_shift(config)
         return cmd_check(config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConfigError, ContractError, ShapeError, SamplingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DatasetFormatError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (DatasetFormatError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except DivergenceError as exc:

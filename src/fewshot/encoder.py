@@ -120,7 +120,7 @@ def init_encoder(seed, spec) -> EncoderParams:
     layers = []
     for n_in, n_out, act in spec:
         half_width = np.sqrt(6.0 / (n_in + n_out))
-        weight = linalg.random_uniform(rng, n_out, n_in, -half_width, half_width)
+        weight = rng.uniform(-half_width, half_width, size=(n_out, n_in))
         bias = np.zeros((n_out, 1))
         layers.append(Layer(weight, bias, act))
     return EncoderParams(layers)

@@ -77,18 +77,27 @@ class Dataset:
 
 @dataclass
 class Episode:
-    """One few-shot task; classes are relabeled to 1..N.  ``columns`` is
-    None for an episode built from raw features rather than sampled."""
+    """One few-shot task; classes are relabeled to 1..N.  ``x`` holds the
+    support columns, then the queries; ``support_x`` and ``query_x`` are
+    views of it.  ``columns`` is None for an episode built from raw
+    features rather than sampled."""
 
     n_way: int
     k_shot: int
     q_queries: int
-    support_x: np.ndarray   # D x (N*K), class 1's columns first
+    x: np.ndarray           # D x (N*K + N*Q), class 1's columns first in each part
     support_y: np.ndarray   # (N*K,) values in 1..N
-    query_x: np.ndarray     # D x (N*Q), grouped the same way
     query_y: np.ndarray     # (N*Q,) values in 1..N
     relabel: dict           # original class id -> 1..N
-    columns: np.ndarray | None = None   # split columns of support_x, then query_x
+    columns: np.ndarray | None = None   # split columns of x
+
+    @property
+    def support_x(self) -> np.ndarray:
+        return self.x[:, : self.n_way * self.k_shot]
+
+    @property
+    def query_x(self) -> np.ndarray:
+        return self.x[:, self.n_way * self.k_shot :]
 
     def fingerprint(self) -> str:
         """Content hash used to assert that paired runs saw identical episodes."""
@@ -117,8 +126,8 @@ def sample_episode(dataset: Dataset, n_way: int, k_shot: int, q_queries: int,
     without replacement. Deterministic given the rng state.
 
     The first K draws of a class are its support, the rest its queries.
-    The features are gathered with one index of the split's columns;
-    ``support_x`` and ``query_x`` are views into that one block.
+    The features are gathered with one index of the split's columns into
+    the episode's ``x``.
     """
     need = k_shot + q_queries
     eligible = check_sampleable(dataset, n_way, need)
@@ -135,11 +144,9 @@ def sample_episode(dataset: Dataset, n_way: int, k_shot: int, q_queries: int,
         chosen = pool[rng.choice(len(pool), size=need, replace=False)]
         support_cols[row] = chosen[:k_shot]
         query_cols[row] = chosen[k_shot:]
-    x = dataset.features[:, columns]
     labels = np.arange(1, n_way + 1, dtype=np.int64)
-    return Episode(n_way, k_shot, q_queries,
-                   x[:, :nk], labels.repeat(k_shot),
-                   x[:, nk:], labels.repeat(q_queries),
+    return Episode(n_way, k_shot, q_queries, dataset.features[:, columns],
+                   labels.repeat(k_shot), labels.repeat(q_queries),
                    relabel, columns)
 
 

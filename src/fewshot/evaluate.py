@@ -57,12 +57,6 @@ class EvalReport:
             "episodes_fingerprint": self.episodes_fingerprint,
         })
 
-    def summary(self) -> str:
-        return (f"{self.head:>10}  {self.train_domain} -> {self.test_domain}  "
-                f"{self.n_way}-way {self.k_shot}-shot  "
-                f"{self.mean_accuracy:.2f} +- {self.ci95:.2f} %  "
-                f"({self.episodes} episodes)")
-
 
 def confidence_interval(per_episode: np.ndarray) -> tuple[float, float]:
     """(mean, 95% half-width) of a per-episode accuracy vector."""
@@ -135,9 +129,10 @@ class AblationResult:
     mean_delta: list[float]
 
     def summary(self) -> str:
-        lines = [r.summary() for r in self.reports]
+        """The reports' ``format_table``, then each value's paired delta."""
+        lines = [format_table(self.reports)]
         for v, d in zip(self.lambda2_values[1:], self.mean_delta[1:]):
-            lines.append(f"  lambda2={v:g} vs {self.lambda2_values[0]:g}: "
+            lines.append(f"lambda2={v:g} vs {self.lambda2_values[0]:g}: "
                          f"paired accuracy delta {d:+.2f} points")
         return "\n".join(lines)
 
@@ -149,9 +144,10 @@ def ablate_lambda2(train_set: Dataset, val_set: Dataset, test_set: Dataset,
     evaluate every model on the same test-episode sequence."""
     if not lambda2_values:
         raise ContractError("ablation needs at least one lambda2 value")
+    # Every value is checked (by TrainConfig) before the first model trains.
+    configs = [replace(config, lambda2=float(value)) for value in lambda2_values]
     reports = []
-    for value in lambda2_values:
-        cfg = replace(config, lambda2=float(value))
+    for cfg in configs:
         head = make_head(head_name)
         params, _ = fit(train_set, val_set, cfg, head=head)
         reports.append(evaluate(

@@ -140,44 +140,50 @@ def cross_entropy_from_distances(dist_matrix: Var, labels: np.ndarray, n_way: in
 # queries to an N x B distance matrix on the tape, or (E, M, NK) and
 # (E, M, B) episode stacks to (E, N, B).  ``episode_loss`` returns (loss,
 # that distance matrix); ``distances_np`` evaluates ``distance_rows`` on
-# numpy inputs.  Every head defines both of the latter in its own class
-# body: perfbench's tracer patches them there.
+# numpy inputs.  Both are written once, below, and bound in each head's
+# class body, not inherited, because perfbench's tracer patches a head's
+# methods in ``vars(cls)``; the regression head wraps the loss instead.
 
 
-def _untaped(distance_rows, support: np.ndarray, query: np.ndarray,
-             hyper: Hyper) -> np.ndarray:
-    """Values of a head's tape ops, recorded on a throwaway tape."""
+def episode_loss(head, support: Var, query: Var, labels,
+                 hyper: Hyper) -> tuple[Var, Var]:
+    """Mean negative log posterior over all queries, and the distances."""
+    dist = head.distance_rows(support, query, hyper)
+    return cross_entropy_from_distances(dist, labels, hyper.n_way), dist
+
+
+def distances_np(head, support: np.ndarray, query: np.ndarray,
+                 hyper: Hyper) -> np.ndarray:
+    """Values of the head's tape ops, recorded on a throwaway tape."""
     tape = Tape()
-    return distance_rows(tape.leaf(support), tape.leaf(query), hyper).value
+    return head.distance_rows(tape.leaf(support), tape.leaf(query), hyper).value
 
 
 class RegressionHead:
     """Classify by regression-error distance to class subspaces."""
 
     name = "regression"
+    distances_np = distances_np
 
     def distance_rows(self, support: Var, query: Var, hyper: Hyper) -> Var:
         return regression_distance_rows(support, query, hyper.n_way, hyper.lambda1)
 
     def episode_loss(self, support: Var, query: Var, labels,
                      hyper: Hyper) -> tuple[Var, Var]:
-        """Mean negative log posterior over all queries plus the weighted penalty."""
-        dist = self.distance_rows(support, query, hyper)
-        loss = cross_entropy_from_distances(dist, labels, hyper.n_way)
+        """The shared cross-entropy loss plus the weighted penalty."""
+        loss, dist = episode_loss(self, support, query, labels, hyper)
         if hyper.lambda2 != 0.0:
             penalty = ortho_penalty(support, hyper.n_way)
             loss = autodiff.add(loss, autodiff.scale(penalty, hyper.lambda2))
         return loss, dist
-
-    def distances_np(self, support: np.ndarray, query: np.ndarray,
-                     hyper: Hyper) -> np.ndarray:
-        return _untaped(self.distance_rows, support, query, hyper)
 
 
 class ProtoHead:
     """Classify by distance to the per-class support centroid."""
 
     name = "proto"
+    episode_loss = episode_loss
+    distances_np = distances_np
 
     def distance_rows(self, support: Var, query: Var, hyper: Hyper) -> Var:
         s = autodiff.blocks(support, hyper.n_way)                # N x M x K
@@ -186,20 +192,13 @@ class ProtoHead:
         centroids = autodiff.matmul(s, mean)                     # N x M x 1
         return autodiff.col_norms(autodiff.sub(_per_class(query), centroids))
 
-    def episode_loss(self, support: Var, query: Var, labels,
-                     hyper: Hyper) -> tuple[Var, Var]:
-        dist = self.distance_rows(support, query, hyper)
-        return cross_entropy_from_distances(dist, labels, hyper.n_way), dist
-
-    def distances_np(self, support: np.ndarray, query: np.ndarray,
-                     hyper: Hyper) -> np.ndarray:
-        return _untaped(self.distance_rows, support, query, hyper)
-
 
 class CosineHead:
     """Classify by mean cosine similarity, negated to act as a distance."""
 
     name = "cosine"
+    episode_loss = episode_loss
+    distances_np = distances_np
 
     def distance_rows(self, support: Var, query: Var, hyper: Hyper) -> Var:
         n = hyper.n_way
@@ -209,15 +208,6 @@ class CosineHead:
         # Row c of the averaging matrix holds 1/K over class c's K columns.
         mean = support.tape.const(np.kron(np.eye(n), np.full((1, k), 1.0 / k)))
         return autodiff.neg(autodiff.matmul(mean, sims))
-
-    def episode_loss(self, support: Var, query: Var, labels,
-                     hyper: Hyper) -> tuple[Var, Var]:
-        dist = self.distance_rows(support, query, hyper)
-        return cross_entropy_from_distances(dist, labels, hyper.n_way), dist
-
-    def distances_np(self, support: np.ndarray, query: np.ndarray,
-                     hyper: Hyper) -> np.ndarray:
-        return _untaped(self.distance_rows, support, query, hyper)
 
 
 HEADS = {cls.name: cls for cls in (RegressionHead, ProtoHead, CosineHead)}

@@ -42,16 +42,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def transpose(a: np.ndarray) -> np.ndarray:
-    """Swap the last two axes (a contiguous copy)."""
-    return np.ascontiguousarray(np.swapaxes(a, -1, -2))
-
-
-def frobenius_norm_sq(a: np.ndarray) -> float:
-    """Sum of squared entries."""
-    return float(np.sum(a * a))
-
-
 def cholesky(a: np.ndarray) -> np.ndarray:
     """Lower-triangular factor L with ``a = L @ L.T`` of each K x K matrix.
 
@@ -136,9 +126,3 @@ def named_stream(root_seed: int, name: str) -> np.random.Generator:
     ]
     seq = np.random.SeedSequence([int(root_seed) & (2**64 - 1), len(raw), *words])
     return np.random.default_rng(seq)
-
-
-def random_uniform(rng: np.random.Generator, rows: int, cols: int,
-                   low: float = -1.0, high: float = 1.0) -> np.ndarray:
-    return rng.uniform(low, high, size=(rows, cols))
-

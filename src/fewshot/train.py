@@ -21,6 +21,7 @@ is reported separately by the CLI.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -33,6 +34,8 @@ from .encoder import EncoderParams
 from .episodes import Dataset, Episode, check_sampleable, sample_episode
 from .errors import ConditioningError, ConfigError, ContractError, DivergenceError
 from .heads import Hyper, RegressionHead
+
+OPTIMIZERS = ("adam", "sgd")
 
 
 @dataclass
@@ -62,12 +65,13 @@ class TrainConfig:
             raise ConfigError("episode and batch counts must be >= 1")
         if self.val_interval < 1 or self.val_episodes < 1:
             raise ConfigError("validation interval and episode count must be >= 1")
-        if self.optimizer not in ("adam", "sgd"):
+        if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.activation not in encoder.ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if self.final_activation not in encoder.ACTIVATIONS:
             raise ConfigError(f"unknown final activation {self.final_activation!r}")
+        self.hyper()   # episode shape and loss weights fail here, not mid-run
 
     @property
     def resolved_lambda2(self) -> float:
@@ -131,15 +135,15 @@ def sgd_update(params: EncoderParams, grad: np.ndarray, lr: float) -> EncoderPar
 
 def episode_loss_on_tape(attached, params: EncoderParams, episode: Episode,
                          head, hyper: Hyper, tape: Tape):
-    """Embed support and queries on the tape and record the head loss.
+    """Embed the episode's support and queries (``episode.x``) on the tape
+    and record the head loss.
 
     The support stays one M x NK block, class by class as sampled.
 
     Returns (loss, N x B distance matrix), as ``head.episode_loss`` does.
     """
     nk = episode.n_way * episode.k_shot
-    batch = np.hstack([episode.support_x, episode.query_x])
-    embeds = encoder.forward(attached, params, tape.const(batch))
+    embeds = encoder.forward(attached, params, tape.const(episode.x))
     support = autodiff.col_slice(embeds, 0, nk)
     query = autodiff.col_slice(embeds, nk, embeds.shape[1])
     return head.episode_loss(support, query, episode.query_y, hyper)
@@ -240,19 +244,18 @@ def train_step(params: EncoderParams, batch: list[Episode], config: TrainConfig,
 
 
 def validate(params: EncoderParams, head, dataset: Dataset, config: TrainConfig,
-             rng: np.random.Generator, n_episodes: int | None = None) -> float:
-    """Mean query accuracy over freshly sampled episodes (``split_accuracies``)."""
-    count = n_episodes if n_episodes is not None else config.val_episodes
+             rng: np.random.Generator) -> float:
+    """Mean query accuracy over ``config.val_episodes`` freshly sampled
+    episodes (``split_accuracies``)."""
     sampled = (sample_episode(dataset, config.n_way, config.k_shot,
                               config.q_queries, rng)
-               for _ in range(count))
+               for _ in range(config.val_episodes))
     return float(np.mean(split_accuracies(params, head, dataset, sampled,
                                           config.hyper())))
 
 
 def fit(train_set: Dataset, val_set: Dataset | None, config: TrainConfig,
-        head=None, init_params: EncoderParams | None = None,
-        ) -> tuple[EncoderParams, list[dict]]:
+        head=None) -> tuple[EncoderParams, list[dict]]:
     """Run the episodic loop; return the best-validation params and history.
 
     Ties in validation accuracy keep the earliest checkpoint. If validation
@@ -264,13 +267,10 @@ def fit(train_set: Dataset, val_set: Dataset | None, config: TrainConfig,
     validates = val_set is not None and config.episodes >= config.val_interval
     for dataset in (train_set, val_set) if validates else (train_set,):
         check_sampleable(dataset, config.n_way, config.k_shot + config.q_queries)
-    if init_params is None:
-        spec = encoder.default_layer_spec(
-            train_set.dim, config.embed_dim, config.hidden_dim,
-            config.depth, config.activation, config.final_activation)
-        params = encoder.init_encoder(linalg.named_stream(config.seed, "init"), spec)
-    else:
-        params = init_params.copy()
+    spec = encoder.default_layer_spec(
+        train_set.dim, config.embed_dim, config.hidden_dim,
+        config.depth, config.activation, config.final_activation)
+    params = encoder.init_encoder(linalg.named_stream(config.seed, "init"), spec)
     sample_rng = linalg.named_stream(config.seed, "train-sampling")
     val_rng = linalg.named_stream(config.seed, "validation")
     state = AdamState.for_params(params) if config.optimizer == "adam" else None
@@ -307,15 +307,5 @@ def fit(train_set: Dataset, val_set: Dataset | None, config: TrainConfig,
 
 
 def history_lines(history: list[dict]) -> str:
-    """Line-delimited records with a fixed key order (stable bytes)."""
-    keys = ("episode", "loss", "accuracy", "val_accuracy")
-    lines = []
-    for record in history:
-        parts = []
-        for key in keys:
-            if key in record:
-                value = record[key]
-                text = str(value) if isinstance(value, int) else repr(float(value))
-                parts.append(f'"{key}": {text}')
-        lines.append("{" + ", ".join(parts) + "}")
-    return "\n".join(lines) + "\n"
+    """One JSON object per record, keys in ``fit``'s order (stable bytes)."""
+    return "\n".join(map(json.dumps, history)) + "\n"

@@ -113,7 +113,7 @@ def build_projector_np(s: np.ndarray, lambda1: float) -> np.ndarray:
     gram = s.T @ s
     if lambda1 != 0.0:
         gram = gram + lambda1 * np.eye(s.shape[1])
-    return s @ linalg.solve_with_factor(linalg.cholesky(gram), linalg.transpose(s))
+    return s @ linalg.solve_with_factor(linalg.cholesky(gram), np.ascontiguousarray(s.T))
 
 
 def softmax_neg_np(distances: np.ndarray) -> np.ndarray:
@@ -194,7 +194,7 @@ def _random_episode(rng: np.random.Generator, n: int, k: int, q: int, d: int) ->
     support_y = np.repeat(np.arange(1, n + 1), k)
     query_y = np.repeat(np.arange(1, n + 1), q)
     relabel = {c: c for c in range(1, n + 1)}
-    return Episode(n, k, q, support, support_y, query, query_y, relabel)
+    return Episode(n, k, q, np.hstack([support, query]), support_y, query_y, relabel)
 
 
 def _episode_loss(params, episode, hyper, head):

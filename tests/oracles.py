@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from fewshot import linalg
 from fewshot.encoder import embed_np
 from fewshot.heads import predict_np
 
@@ -10,12 +9,13 @@ from fewshot.heads import predict_np
 def ortho_penalty_np(supports):
     """Tape-free double-loop reference for heads.ortho_penalty (ordered pairs)."""
     total = 0.0
-    norms = [linalg.frobenius_norm_sq(s) for s in supports]
+    norms = [float(np.sum(s * s)) for s in supports]
     for i, si in enumerate(supports):
         for j, sj in enumerate(supports):
             if i == j:
                 continue
-            total += linalg.frobenius_norm_sq(si.T @ sj) / (norms[i] * norms[j])
+            cross = si.T @ sj
+            total += float(np.sum(cross * cross)) / (norms[i] * norms[j])
     return total
 
 

@@ -2,6 +2,8 @@
 and byte-identical logs across reruns.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from fewshot.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
                          EXIT_USAGE, RunConfig, build_run_config, main,
                          parse_config_file)
 from fewshot.encoder import load_encoder, save_encoder
+from fewshot.episodes import save_csv, synth_gaussian
 
 
 def run(argv):
@@ -22,6 +25,10 @@ FAST_TRAIN = [
     "--val-interval", "100", "--embed-dim", "4", "--hidden-dim", "6",
     "--depth", "1", "--eval-episodes", "8",
 ]
+
+
+def no_data(*args, **kwargs):
+    raise AssertionError("loaded data before rejecting a bad flag")
 
 
 def test_config_file_then_flags_precedence(tmp_path):
@@ -70,6 +77,20 @@ def test_usage_errors_name_the_flag(capsys):
     assert "--lr" in capsys.readouterr().err
     assert run(["eval", "--eval-episodes", "1"]) == EXIT_USAGE
     assert "--eval-episodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--embed-dim", "0"), ("--hidden-dim", "0"), ("--depth", "-1")])
+def test_encoder_shape_flags_name_themselves(monkeypatch, capsys, flag, value):
+    monkeypatch.setattr(cli, "_load_domain", no_data)
+    assert run(["train", *FAST_TRAIN, flag, value, "--out", "x"]) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+
+
+def test_depth_zero_is_a_single_layer_encoder(tmp_path):
+    out = tmp_path / "run"
+    assert run(["train", *FAST_TRAIN, "--depth", "0", "--out", str(out)]) == EXIT_OK
+    assert len(load_encoder(out / "encoder.txt").layers) == 1
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -158,11 +179,32 @@ def test_ablate_rejects_malformed_value_lists(capsys):
     assert "--lambda2-values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("values", ["0,-1", "0,nan", "inf"])
+def test_ablate_rejects_out_of_range_values_before_training(monkeypatch, capsys, values):
+    monkeypatch.setattr(cli, "_load_domain", no_data)
+    assert run(["ablate", *FAST_TRAIN, "--lambda2-values", values]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--lambda2-values" in err
+    assert "finite and nonnegative" in err
+
+
 def test_shift_evaluates_on_the_translated_domain(capsys):
     code = run(["shift", *FAST_TRAIN, "--offset", "0.5"])
     assert code == EXIT_OK
     shown = capsys.readouterr().out
     assert "synth -> synth-shifted" in shown
+
+
+def test_shift_evaluates_on_the_test_classes_of_a_target_file(tmp_path, capsys):
+    target = tmp_path / "b.csv"
+    save_csv(synth_gaussian(7, 12, 12, 4, offset=0.5, name="b"), target)
+    code = run(["shift", *FAST_TRAIN, "--target-dataset", str(target),
+                "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert f"synth -> {target}" in capsys.readouterr().out
+    report = json.loads((tmp_path / "shift.log").read_text())
+    assert report["test_domain"] == str(target)
+    assert report["episodes"] == 8
 
 
 def test_missing_dataset_file_is_an_io_error(capsys):

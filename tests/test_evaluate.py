@@ -3,6 +3,7 @@ stub-head exactness, ablation pairing, and domain-shift plumbing.
 """
 
 import hashlib
+import importlib
 import json
 from dataclasses import replace
 
@@ -243,6 +244,20 @@ def test_ablation_pairs_share_test_episodes():
     assert "delta" in result.summary()
     with pytest.raises(ContractError):
         ablate_lambda2(train, val, test, config, [])
+
+
+def test_ablation_checks_every_value_before_training(monkeypatch):
+    train, val, test = splits(seed=3)
+    config = TrainConfig(n_way=3, k_shot=2, q_queries=3, episodes=10,
+                         embed_dim=4, hidden_dim=8, depth=1, seed=3)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("trained before checking every lambda2")
+
+    # the package binds the name ``evaluate`` to the function, not the module
+    monkeypatch.setattr(importlib.import_module("fewshot.evaluate"), "fit", no_fit)
+    with pytest.raises(ContractError, match="lambda2"):
+        ablate_lambda2(train, val, test, config, [0.0, -1.0])
 
 
 def test_domain_shift_labels_both_domains():

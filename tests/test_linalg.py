@@ -59,19 +59,6 @@ def test_matmul_associativity():
     assert np.allclose(left, right, atol=1e-12)
 
 
-def test_transpose_is_an_involution():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((4, 7))
-    assert np.array_equal(linalg.transpose(linalg.transpose(a)), a)
-    assert linalg.transpose(a).shape == (7, 4)
-
-
-def test_norms():
-    a = np.array([[3.0, 0.0], [4.0, 1.0]])
-    assert linalg.frobenius_norm_sq(a) == pytest.approx(26.0)
-    assert linalg.frobenius_norm_sq(np.zeros((2, 3))) == 0.0
-
-
 def test_cholesky_reconstructs_spd_matrices():
     rng = np.random.default_rng(19)
     for _ in range(25):
@@ -168,14 +155,3 @@ def test_named_stream_depends_on_the_whole_name():
     a = linalg.named_stream(0, "evaluation").standard_normal(4)
     b = linalg.named_stream(0, "evaluatioN").standard_normal(4)
     assert not np.array_equal(a, b)
-
-
-def test_random_helpers_respect_bounds_and_shape():
-    rng = linalg.rng_from_seed(5)
-    u = linalg.random_uniform(rng, 40, 30, -0.25, 0.25)
-    assert u.shape == (40, 30)
-    assert float(u.min()) >= -0.25 and float(u.max()) <= 0.25
-    g = linalg.random_uniform(linalg.rng_from_seed(6), 200, 50, -2.0, 2.0)
-    # loose moment checks on 10k draws: mean 0, std 4 / sqrt(12)
-    assert abs(float(g.mean())) < 0.1
-    assert abs(float(g.std()) - 4.0 / np.sqrt(12.0)) < 0.1

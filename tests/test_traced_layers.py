@@ -48,6 +48,14 @@ def test_every_traced_layer_resolves_to_a_package_function():
         assert callable(vars(owner).get(name)), layer
 
 
+def test_heads_share_one_loss_and_one_scoring_function():
+    # the cross-entropy loss and the untaped distances are written once;
+    # a head may wrap the loss (regression adds its penalty) but not copy it
+    assert vars(heads.ProtoHead)["episode_loss"] is vars(heads.CosineHead)["episode_loss"]
+    assert {id(vars(cls)["distances_np"]) for cls in heads.HEADS.values()} == {
+        id(heads.distances_np)}
+
+
 def count_calls(monkeypatch, counts, owner, attr):
     """Count calls of ``owner.attr`` wherever a loaded fewshot module binds it."""
     original = vars(owner)[attr]

@@ -3,6 +3,7 @@ against a numpy reconstruction, divergence reporting, and determinism.
 """
 
 import gc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,6 +55,11 @@ def test_config_validation():
         TrainConfig(activation="gelu")
     with pytest.raises(ConfigError):
         TrainConfig(final_activation="gelu")
+    # the episode shape and loss weights are checked when the config is built
+    for bad in (dict(n_way=1), dict(k_shot=0), dict(q_queries=0),
+                dict(lambda1=-1.0), dict(lambda2=float("nan"))):
+        with pytest.raises(ContractError):
+            TrainConfig(**bad)
 
 
 def test_more_shots_than_embedding_dims_need_a_ridge():
@@ -351,7 +357,8 @@ def test_training_separable_data_reaches_high_accuracy():
                           val_interval=50, val_episodes=20, seed=5)
     params, history = fit(train_set, val_set, config)
     rng = named_stream(99, "evaluation")
-    acc = validate(params, RegressionHead(), val_set, config, rng, n_episodes=30)
+    acc = validate(params, RegressionHead(), val_set,
+                   replace(config, val_episodes=30), rng)
     assert acc >= 0.85
 
 
