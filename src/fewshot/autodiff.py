@@ -363,7 +363,8 @@ def block_normalize(a: Var, n: int) -> Var:
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DegenerateSubspaceError(
-            f"class {zero[0] + 1} has an all-zero support matrix")
+            f"degenerate class subspace: class {zero[0] + 1} has an all-zero "
+            "support matrix")
     y = av / norms
 
     def back(g):

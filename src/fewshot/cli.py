@@ -3,8 +3,8 @@
 Configuration precedence is defaults <- config file <- command-line flags.
 The config file is flat ``key = value`` text with ``#`` comments; keys
 mirror the flag names. Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 I/O or file-format error, 4 numerical failure: a
-non-finite loss or a non-positive-definite ridge system.
+2 usage error, 3 I/O or file-format error, 4 numerical failure (a
+``NumericalError``, which names its episode).
 
 ``--threads`` (config key ``threads``) is accepted and ignored, so older
 config files still parse; evaluation runs on one thread.
@@ -23,9 +23,8 @@ from . import verify
 from .evaluate import ablate_lambda2, domain_shift, evaluate, format_table
 from .encoder import ACTIVATIONS, load_encoder, save_encoder
 from .episodes import load_csv, split_classes, synth_gaussian
-from .errors import (CheckpointError, ConditioningError, ConfigError,
-                     DatasetFormatError, DegenerateSubspaceError,
-                     DivergenceError, FewshotError)
+from .errors import (CheckpointError, ConfigError, DatasetFormatError,
+                     FewshotError, NumericalError)
 from .heads import HEADS, make_head
 from .linalg import named_stream
 from .train import OPTIMIZERS, TrainConfig, fit, history_lines
@@ -88,18 +87,48 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_CHOICES = {"head": tuple(HEADS), "optimizer": OPTIMIZERS,
+            "activation": ACTIVATIONS, "final_activation": ACTIVATIONS}
+_FILE_ONLY = ("val_fraction", "test_fraction")
+_HELP = {
+    "config": "flat key = value config file",
+    "dataset": "'synth' or a CSV path (label,feat_1,...,feat_D)",
+    "n": "classes per episode",
+    "k": "support shots per class",
+    "q": "queries per class",
+    "episodes": "training episodes",
+    "lr": "learning rate",
+    "lambda1": "ridge conditioning weight",
+    "lambda2": "orthogonalization weight, or 'auto' (by shot count)",
+    "seed": "root random seed",
+    "threads": "accepted and ignored (evaluation is single-threaded)",
+    "out": "output directory",
+    "final_activation": "activation on the embedding layer itself",
+    "dim": "synthetic feature dim",
+    "checkpoint": "encoder checkpoint path",
+    "lambda2_values": "comma-separated list, e.g. 0,0.01",
+    "target_dataset": "domain B CSV (default: translated synthetic copy)",
+    "offset": "center translation for the synthetic domain B",
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _parse_value(key: str, text: str):
-    """Convert a config-file token to the field's declared type."""
-    text = text.strip()
+    """Convert a flag or config-file token to field ``key``'s declared type,
+    checking it against the field's choices; raises ``ValueError``."""
+    text = str(text)
     kind = _FIELD_TYPES[key]
-    if key == "lambda2":
-        return None if text.lower() in ("auto", "none", "") else float(text)
+    if key in _CHOICES and text not in _CHOICES[key]:
+        raise ValueError(text)
     if kind == "int":
         return int(text)
     if kind == "float":
         return float(text)
+    if kind == "float | None":   # lambda2: None resolves by shot count
+        return None if text.lower() in ("auto", "none", "") else float(text)
     return text
 
 
@@ -113,111 +142,55 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}: line {lineno} is not 'key = value'")
             key, _, text = line.partition("=")
-            key = key.strip().replace("-", "_")
+            key, text = key.strip().replace("-", "_"), text.strip()
             if key not in _FIELD_TYPES:
                 raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
             try:
                 values[key] = _parse_value(key, text)
             except ValueError:
                 raise ConfigError(
-                    f"{path}: line {lineno}: bad value {text.strip()!r} for {key!r}"
-                ) from None
+                    f"{path}: line {lineno}: bad value {text!r} for {key!r}") from None
     return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="flat key = value config file")
-    common.add_argument("--dataset", default=None,
-                        help="'synth' or a CSV path (label,feat_1,...,feat_D)")
-    common.add_argument("--n", type=int, default=None, help="classes per episode")
-    common.add_argument("--k", type=int, default=None, help="support shots per class")
-    common.add_argument("--q", type=int, default=None, help="queries per class")
-    common.add_argument("--episodes", type=int, default=None, help="training episodes")
-    common.add_argument("--eval-episodes", type=int, default=None, dest="eval_episodes")
-    common.add_argument("--lr", type=float, default=None, help="learning rate")
-    common.add_argument("--lambda1", type=float, default=None,
-                        help="ridge conditioning weight")
-    common.add_argument("--lambda2", default=None,
-                        help="orthogonalization weight, or 'auto' (by shot count)")
-    common.add_argument("--head", choices=tuple(HEADS), default=None)
-    common.add_argument("--seed", type=int, default=None, help="root random seed")
-    common.add_argument("--threads", type=int, default=None,
-                        help="accepted and ignored (evaluation is single-threaded)")
-    common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--optimizer", choices=OPTIMIZERS, default=None)
-    common.add_argument("--batch-tasks", type=int, default=None, dest="batch_tasks")
-    common.add_argument("--val-interval", type=int, default=None, dest="val_interval")
-    common.add_argument("--val-episodes", type=int, default=None, dest="val_episodes")
-    common.add_argument("--embed-dim", type=int, default=None, dest="embed_dim")
-    common.add_argument("--hidden-dim", type=int, default=None, dest="hidden_dim")
-    common.add_argument("--depth", type=int, default=None)
-    common.add_argument("--activation", choices=ACTIVATIONS, default=None)
-    common.add_argument("--final-activation", choices=ACTIVATIONS,
-                        default=None, dest="final_activation",
-                        help="activation on the embedding layer itself")
-    common.add_argument("--synth-classes", type=int, default=None, dest="synth_classes")
-    common.add_argument("--per-class", type=int, default=None, dest="per_class")
-    common.add_argument("--dim", type=int, default=None, help="synthetic feature dim")
-    common.add_argument("--spread", type=float, default=None)
-    common.add_argument("--within-std", type=float, default=None, dest="within_std")
+    def add_flag(parser, key):
+        parser.add_argument(_flag(key), dest=key, choices=_CHOICES.get(key),
+                            help=_HELP.get(key))
 
+    common = argparse.ArgumentParser(add_help=False)
+    own = {key for *_, keys in COMMANDS.values() for key in keys}
+    for key in ("config", *_FIELD_TYPES):
+        if key not in own and key not in _FILE_ONLY:
+            add_flag(common, key)
     parser = argparse.ArgumentParser(
         prog="fewshot",
         description="Few-shot classification by regression-error distance "
                     "to class subspaces, with prototype and cosine baselines.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("train", parents=[common],
-                   help="episodic training; writes a checkpoint and history log")
-    p_eval = sub.add_parser("eval", parents=[common],
-                            help="evaluate a checkpoint on test-split episodes")
-    p_eval.add_argument("--checkpoint", default=None, help="encoder checkpoint path")
-    p_ablate = sub.add_parser("ablate", parents=[common],
-                              help="paired runs over a list of lambda2 values")
-    p_ablate.add_argument("--lambda2-values", default=None, dest="lambda2_values",
-                          help="comma-separated list, e.g. 0,0.01")
-    p_shift = sub.add_parser("shift", parents=[common],
-                             help="train on domain A, evaluate on domain B")
-    p_shift.add_argument("--target-dataset", default=None, dest="target_dataset",
-                         help="domain B CSV (default: translated synthetic copy)")
-    p_shift.add_argument("--offset", type=float, default=None,
-                         help="center translation for the synthetic domain B")
-    sub.add_parser("check", parents=[common],
-                   help="run the verification suites and report pass/fail")
+    for name, (_, help_text, keys) in COMMANDS.items():
+        command = sub.add_parser(name, parents=[common], help=help_text)
+        for key in keys:
+            add_flag(command, key)
     return parser
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """defaults <- config file <- flags, then range validation."""
-    config = RunConfig()
-    if args.config is not None:
-        for key, value in parse_config_file(args.config).items():
-            setattr(config, key, value)
-    for field in fields(RunConfig):
-        value = getattr(args, field.name, None)
+    config = RunConfig(**({} if args.config is None else parse_config_file(args.config)))
+    for key in _FIELD_TYPES:
+        value = getattr(args, key, None)
         if value is not None:
-            if field.name == "lambda2":
-                value = _parse_value("lambda2", str(value))
-            setattr(config, field.name, value)
-
-    def positive(name, value, floor=1):
-        if value < floor:
-            raise ConfigError(f"--{name.replace('_', '-')} must be >= {floor}, got {value}")
-
-    positive("n", config.n, 2)
-    positive("k", config.k)
-    positive("q", config.q)
-    positive("episodes", config.episodes)
-    positive("eval-episodes", config.eval_episodes, 2)
-    positive("batch-tasks", config.batch_tasks)
-    positive("val-interval", config.val_interval)
-    positive("val-episodes", config.val_episodes)
-    positive("synth-classes", config.synth_classes, 2)
-    positive("per-class", config.per_class)
-    positive("dim", config.dim)
-    positive("embed-dim", config.embed_dim)
-    positive("hidden-dim", config.hidden_dim)
-    positive("depth", config.depth, 0)
+            try:
+                setattr(config, key, _parse_value(key, value))
+            except ValueError:
+                raise ConfigError(f"{_flag(key)}: bad value {value!r}") from None
+    for key, floor in (("n", 2), ("k", 1), ("q", 1), ("episodes", 1), ("eval_episodes", 2),
+                       ("batch_tasks", 1), ("val_interval", 1), ("val_episodes", 1),
+                       ("synth_classes", 2), ("per_class", 1), ("dim", 1),
+                       ("embed_dim", 1), ("hidden_dim", 1), ("depth", 0)):
+        if getattr(config, key) < floor:
+            raise ConfigError(f"{_flag(key)} must be >= {floor}, got {getattr(config, key)}")
     if not (math.isfinite(config.lr) and config.lr > 0):
         raise ConfigError(f"--lr must be finite and positive, got {config.lr}")
     if not (math.isfinite(config.lambda1) and config.lambda1 >= 0):
@@ -284,6 +257,15 @@ def cmd_train(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _publish(config: RunConfig, shown: str, reports, log_name: str) -> int:
+    """Print ``shown``; with ``--out``, write the reports' JSON lines to ``log_name``."""
+    print(shown)
+    if config.out:
+        _write_text(os.path.join(config.out, log_name),
+                    "".join(r.to_line() + "\n" for r in reports))
+    return EXIT_OK
+
+
 def cmd_eval(config: RunConfig) -> int:
     if not config.checkpoint:
         raise ConfigError("eval requires --checkpoint (encoder file from train)")
@@ -294,11 +276,8 @@ def cmd_eval(config: RunConfig) -> int:
         params, head, test_set, config.n, config.k, config.q,
         config.eval_episodes, config.seed, lambda1=config.lambda1,
         train_domain=train_set.name, train_set=train_set)
-    print(format_table([report]))
-    print(report.to_line())
-    if config.out:
-        _write_text(os.path.join(config.out, "report.log"), report.to_line() + "\n")
-    return EXIT_OK
+    return _publish(config, format_table([report]) + "\n" + report.to_line(),
+                    [report], "report.log")
 
 
 def cmd_ablate(config: RunConfig) -> int:
@@ -318,16 +297,15 @@ def cmd_ablate(config: RunConfig) -> int:
     result = ablate_lambda2(
         train_set, val_set, test_set, config.train_config(), values,
         head_name=config.head, eval_episodes=config.eval_episodes)
-    print(result.summary())
-    print(f"shared test-episode fingerprint: "
-          f"{result.reports[0].episodes_fingerprint[:16]}...")
-    if config.out:
-        _write_text(os.path.join(config.out, "ablation.log"),
-                    "\n".join(r.to_line() for r in result.reports) + "\n")
-    return EXIT_OK
+    return _publish(config, f"{result.summary()}\nshared test-episode fingerprint: "
+                            f"{result.reports[0].episodes_fingerprint[:16]}...",
+                    result.reports, "ablation.log")
 
 
 def cmd_shift(config: RunConfig) -> int:
+    if config.dataset != "synth" and not config.target_dataset:
+        raise ConfigError("shift from a CSV --dataset needs --target-dataset "
+                          "(--offset only translates the synthetic data)")
     train_a, val_a, _ = _load_domain(config)
     if config.target_dataset:
         _, _, test_b = _load_domain(replace(config, dataset=config.target_dataset))
@@ -336,11 +314,8 @@ def cmd_shift(config: RunConfig) -> int:
     report = domain_shift(
         train_a, val_a, test_b, config.train_config(), head_name=config.head,
         eval_episodes=config.eval_episodes)
-    print(format_table([report]))
-    print(report.to_line())
-    if config.out:
-        _write_text(os.path.join(config.out, "shift.log"), report.to_line() + "\n")
-    return EXIT_OK
+    return _publish(config, format_table([report]) + "\n" + report.to_line(),
+                    [report], "shift.log")
 
 
 def cmd_check(config: RunConfig) -> int:
@@ -352,31 +327,28 @@ def cmd_check(config: RunConfig) -> int:
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 
+# name -> (handler, help, the RunConfig fields that only this command takes
+# as flags); every other field but _FILE_ONLY is a flag of every command.
+COMMANDS = {
+    "train": (cmd_train, "episodic training; writes a checkpoint and history log", ()),
+    "eval": (cmd_eval, "evaluate a checkpoint on test-split episodes", ("checkpoint",)),
+    "ablate": (cmd_ablate, "paired runs over a list of lambda2 values",
+               ("lambda2_values",)),
+    "shift": (cmd_shift, "train on domain A, evaluate on domain B",
+              ("target_dataset", "offset")),
+    "check": (cmd_check, "run the verification suites and report pass/fail", ()),
+}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        config = build_run_config(args)
-        if args.command == "train":
-            return cmd_train(config)
-        if args.command == "eval":
-            return cmd_eval(config)
-        if args.command == "ablate":
-            return cmd_ablate(config)
-        if args.command == "shift":
-            return cmd_shift(config)
-        return cmd_check(config)
+        return COMMANDS[args.command][0](build_run_config(args))
     except (DatasetFormatError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except DivergenceError as exc:
-        print(f"error: training diverged: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ConditioningError as exc:
-        print(f"error: ridge system is not positive definite: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except DegenerateSubspaceError as exc:
-        print(f"error: degenerate class subspace: {exc}", file=sys.stderr)
+    except NumericalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except FewshotError as exc:
         print(f"error: {exc}", file=sys.stderr)

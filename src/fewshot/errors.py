@@ -9,19 +9,23 @@ class ShapeError(FewshotError):
     """Operands have incompatible or unexpected shapes."""
 
 
-class ConditioningError(FewshotError):
-    """A matrix that must be positive definite is not (names the pivot).
+class NumericalError(FewshotError):
+    """A numerical failure inside an episode's computation.
 
-    ``episode_index`` is the episode whose ridge system failed, when known.
+    ``episode_index`` is the episode that failed, when known.
     """
 
     def __init__(self, message: str, episode_index: int | None = None):
         super().__init__(message)
         self.episode_index = episode_index
 
-    def at_episode(self, index: int) -> "ConditioningError":
+    def at_episode(self, index: int) -> "NumericalError":
         """The same failure, named as episode ``index``'s."""
-        return ConditioningError(f"{self} at episode {index}", episode_index=index)
+        return type(self)(f"{self} at episode {index}", episode_index=index)
+
+
+class ConditioningError(NumericalError):
+    """A matrix that must be positive definite is not (names the pivot)."""
 
 
 class ContractError(FewshotError):
@@ -44,13 +48,9 @@ class DatasetFormatError(FewshotError):
     """A dataset file is malformed."""
 
 
-class DegenerateSubspaceError(FewshotError):
+class DegenerateSubspaceError(NumericalError):
     """A class subspace collapsed (zero support matrix)."""
 
 
-class DivergenceError(FewshotError):
+class DivergenceError(NumericalError):
     """Training produced a non-finite loss."""
-
-    def __init__(self, message: str, episode_index: int | None = None):
-        super().__init__(message)
-        self.episode_index = episode_index

@@ -32,7 +32,7 @@ from . import autodiff, encoder, heads, linalg
 from .autodiff import Tape
 from .encoder import EncoderParams
 from .episodes import Dataset, Episode, check_sampleable, sample_episode
-from .errors import ConditioningError, ConfigError, ContractError, DivergenceError
+from .errors import ConfigError, ContractError, DivergenceError, NumericalError
 from .heads import Hyper, RegressionHead
 
 OPTIMIZERS = ("adam", "sgd")
@@ -180,7 +180,7 @@ def episode_accuracy(embedded: np.ndarray, episodes: list[Episode], head,
     stack = np.swapaxes(embedded[:, columns], 0, 1)              # E x M x (NK + NQ)
     try:
         dist = head.distances_np(stack[..., :nk], stack[..., nk:], hyper)
-    except ConditioningError as exc:
+    except NumericalError as exc:
         if exc.episode_index is None:
             raise
         raise exc.at_episode(first + exc.episode_index) from exc
@@ -221,13 +221,11 @@ def train_step(params: EncoderParams, batch: list[Episode], config: TrainConfig,
     for i, episode in enumerate(batch):
         try:
             loss, dist = episode_loss_on_tape(attached, params, episode, head, hyper, tape)
-        except ConditioningError as exc:
+            value = loss.item()
+            if not np.isfinite(value):
+                raise DivergenceError(f"training diverged: non-finite loss {value}")
+        except NumericalError as exc:
             raise exc.at_episode(episode_offset + i) from exc
-        value = loss.item()
-        if not np.isfinite(value):
-            raise DivergenceError(
-                f"non-finite loss {value} at episode {episode_offset + i}",
-                episode_index=episode_offset + i)
         losses.append(value)
         # The loss's distances are the pre-update params' distances, so this
         # is the episode's accuracy without embedding a second time.

@@ -2,7 +2,9 @@
 and byte-identical logs across reruns.
 """
 
+import argparse
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -61,6 +63,24 @@ def test_config_file_rejects_unknown_keys_and_bad_syntax(tmp_path):
     bad_value.write_text("episodes = many\n")
     with pytest.raises(cli.ConfigError, match="line 1"):
         parse_config_file(str(bad_value))
+
+
+@pytest.mark.parametrize("key", ["head", "optimizer", "activation", "final_activation"])
+def test_config_file_choices_are_checked_like_flags(monkeypatch, tmp_path, capsys, key):
+    cfg = tmp_path / "choice.cfg"
+    cfg.write_text(f"k = 3\n{key} = foo\n")
+    with pytest.raises(cli.ConfigError, match=f"line 2: bad value 'foo' for '{key}'"):
+        parse_config_file(str(cfg))
+    monkeypatch.setattr(cli, "_load_domain", no_data)
+    assert run(["train", "--config", str(cfg), "--out", "x"]) == EXIT_USAGE
+    assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--k", "2.5"), ("--lr", "abc"), ("--seed", "x")])
+def test_malformed_flag_values_name_the_flag(monkeypatch, capsys, flag, value):
+    monkeypatch.setattr(cli, "_load_domain", no_data)
+    assert run(["train", *FAST_TRAIN, flag, value, "--out", "x"]) == EXIT_USAGE
+    assert f"{flag}: bad value '{value}'" in capsys.readouterr().err
 
 
 def test_dashed_keys_match_flag_spelling(tmp_path):
@@ -207,6 +227,15 @@ def test_shift_evaluates_on_the_test_classes_of_a_target_file(tmp_path, capsys):
     assert report["episodes"] == 8
 
 
+def test_shift_from_a_csv_source_needs_a_target_dataset(monkeypatch, capsys, tmp_path):
+    # --offset only translates the synthetic domain, so a CSV source with no
+    # target would otherwise evaluate on its own test split whatever the offset
+    monkeypatch.setattr(cli, "_load_domain", no_data)
+    source = tmp_path / "b.csv"
+    assert run(["shift", *FAST_TRAIN, "--dataset", str(source), "--offset", "3"]) == EXIT_USAGE
+    assert "--target-dataset" in capsys.readouterr().err
+
+
 def test_missing_dataset_file_is_an_io_error(capsys):
     assert run(["train", *FAST_TRAIN, "--dataset", "/nonexistent/x.csv",
                 "--out", "/tmp/unused"]) == EXIT_IO
@@ -264,7 +293,8 @@ def test_all_zero_class_support_is_a_numerical_failure(tmp_path, capsys):
     code = run(["train", "--dataset", str(zero), *TINY_CSV_TRAIN, "--head", "regression",
                 "--k", "2", "--out", str(tmp_path / "out")])
     assert code == EXIT_NUMERICAL
-    assert "all-zero support matrix" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "class 2 has an all-zero support matrix at episode 0" in err
 
 
 def test_singular_ridge_system_is_a_numerical_failure(tmp_path, capsys):
@@ -339,3 +369,55 @@ def test_run_config_defaults_are_the_documented_ones():
     tc = config.train_config()
     assert tc.n_way == 5 and tc.k_shot == 5 and tc.q_queries == 16
     assert tc.final_activation == "none"
+
+
+# The flag surface as it was when the flags were first generated from
+# RunConfig: option string -> dest, for every command and then per command.
+COMMON_FLAGS = {
+    "--config": "config", "--dataset": "dataset", "--n": "n", "--k": "k",
+    "--q": "q", "--episodes": "episodes", "--eval-episodes": "eval_episodes",
+    "--lr": "lr", "--lambda1": "lambda1", "--lambda2": "lambda2", "--head": "head",
+    "--seed": "seed", "--threads": "threads", "--out": "out",
+    "--optimizer": "optimizer", "--batch-tasks": "batch_tasks",
+    "--val-interval": "val_interval", "--val-episodes": "val_episodes",
+    "--embed-dim": "embed_dim", "--hidden-dim": "hidden_dim", "--depth": "depth",
+    "--activation": "activation", "--final-activation": "final_activation",
+    "--synth-classes": "synth_classes", "--per-class": "per_class", "--dim": "dim",
+    "--spread": "spread", "--within-std": "within_std",
+}
+COMMAND_FLAGS = {
+    "train": {},
+    "eval": {"--checkpoint": "checkpoint"},
+    "ablate": {"--lambda2-values": "lambda2_values"},
+    "shift": {"--target-dataset": "target_dataset", "--offset": "offset"},
+    "check": {},
+}
+FLAG_CHOICES = {
+    "--head": ("regression", "proto", "cosine"), "--optimizer": ("adam", "sgd"),
+    "--activation": ("tanh", "relu", "none"),
+    "--final-activation": ("tanh", "relu", "none"),
+}
+
+
+def subparsers():
+    parser = cli._build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_every_command_keeps_its_option_strings_dests_and_choices():
+    commands = subparsers()
+    assert list(commands) == list(cli.COMMANDS) == list(COMMAND_FLAGS)
+    for name, sub in commands.items():
+        seen = {tuple(a.option_strings): (a.dest, tuple(a.choices or ()) or None)
+                for a in sub._actions if a.dest != "help"}
+        expected = {(option,): (dest, FLAG_CHOICES.get(option))
+                    for option, dest in {**COMMON_FLAGS, **COMMAND_FLAGS[name]}.items()}
+        assert seen == expected, name
+
+
+def test_every_run_config_field_is_a_flag_or_a_file_only_key():
+    dests = {a.dest for sub in subparsers().values() for a in sub._actions}
+    names = {f.name for f in fields(RunConfig)}
+    assert names - dests == {"val_fraction", "test_fraction"}
+    assert dests - names == {"help", "config"}

@@ -13,7 +13,8 @@ from fewshot.evaluate import evaluate
 from fewshot.encoder import EncoderParams, Layer, default_layer_spec, embed_np, init_encoder
 from fewshot.episodes import sample_episode, split_classes, synth_gaussian
 from fewshot.errors import (ConditioningError, ConfigError, ContractError,
-                            DivergenceError, SamplingError)
+                            DegenerateSubspaceError, DivergenceError,
+                            NumericalError, SamplingError)
 from fewshot.heads import Hyper, RegressionHead
 from fewshot.linalg import named_stream
 from fewshot.train import (AdamState, TrainConfig, adam_update, chunk_episodes,
@@ -272,6 +273,24 @@ def test_conditioning_error_carries_the_global_episode_index():
                    episode_offset=120)
     assert info.value.episode_index == 120
     assert str(info.value).endswith("of class 1 at episode 120")
+
+
+def test_degenerate_subspace_error_carries_the_global_episode_index():
+    # zero weights and biases embed every support block at the origin, so
+    # the ortho penalty has no direction for the first class
+    train_set, _, _ = small_splits()
+    config = small_config(lambda2=0.01)
+    params = init_encoder(named_stream(3, "init"),
+                          default_layer_spec(train_set.dim, 4, 8, 1))
+    for layer in params.layers:
+        layer.weight[...] = 0.0
+    episode = sample_episode(train_set, 3, 2, 3, named_stream(3, "train-sampling"))
+    with pytest.raises(DegenerateSubspaceError) as info:
+        train_step(params, [episode], config, AdamState.for_params(params),
+                   episode_offset=120)
+    assert isinstance(info.value, NumericalError)
+    assert info.value.episode_index == 120
+    assert str(info.value).endswith("class 1 has an all-zero support matrix at episode 120")
 
 
 @pytest.mark.parametrize("head_name", sorted(heads.HEADS))
