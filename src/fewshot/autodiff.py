@@ -9,27 +9,26 @@ tape and its nodes are freed by reference counting as soon as the tape
 goes out of scope, without waiting for the cyclic garbage collector.
 
 Values are matrices or stacks of matrices (see ``linalg``).  The op set
-is exactly what the encoder and the heads record:
+is exactly what the encoder, the heads and the trainer record:
 
 - dense: one encoder layer ``act(W x + b)`` as a single node, valued by
   ``dense_np`` (which ``encoder.embed_np`` calls too);
-- structure: add, mul, scale, neg, sub (broadcasting), add_diag,
-  transpose and matmul (on the last two axes; matmul broadcasts leading
-  ones), col_slice, blocks (an M x NK matrix as an (N, M, K) stack of
-  K-column class blocks, or an (E, M, NK) stack of episodes as
-  (E, N, M, K)), expand_dims (a unit axis, so a stack of episodes'
-  queries broadcasts against their class stacks); ops that broadcast sum
-  each adjoint back to their input's shape in one helper,
-  ``_unbroadcast``;
-- reductions: frobenius_norm_sq, col_norms, col_normalize,
-  block_normalize (each class block to unit Frobenius norm), and
-  cross_entropy (the episode loss, a stabilized log-sum-exp inside);
-- solve_spd, a symmetric positive-definite solve per stacked matrix,
-  whose adjoint uses the implicit-function rule (for ``X = A^{-1} B``:
-  ``Ab = -A^{-T} G X^T``, ``Bb = A^{-T} G``), so the closed-form ridge
-  coefficients stay differentiable without unrolling any iterative solver.
+- structure: add, scale, neg, sub (broadcasting), transpose and matmul
+  (on the last two axes; matmul broadcasts leading ones), col_slice,
+  blocks (an M x NK matrix as an (N, M, K) stack of K-column class
+  blocks, or an (E, M, NK) stack of episodes as (E, N, M, K)),
+  expand_dims (a unit axis, so a stack of episodes' queries broadcasts
+  against their class stacks); ops that broadcast sum each adjoint back
+  to their input's shape in one helper, ``_unbroadcast``;
+- reductions: col_norms, col_normalize and cross_entropy (the episode
+  loss, a stabilized log-sum-exp inside);
+- the regression head's two nodes: ridge_residuals (the distance of every
+  query to every class span, through one stacked Cholesky factorization
+  and one solve for the K x M ridge operator, whose closed-form adjoint
+  reuses that operator instead of solving again) and subspace_overlap
+  (the orthogonalization penalty).
 
-Constants (``Tape.const``: an input batch, a mask, an averaging matrix)
+Constants (``Tape.const``: an input batch, a centroid or averaging matrix)
 get no adjoint: an op with several operands computes none for a constant
 one, and a constant's ``.grad`` reads as zeros, like an unused node's.  Adjoints are
 never accumulated in place: ``backward`` stores the first one as it comes
@@ -131,6 +130,19 @@ def _swap(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
+def _split(shape: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """(..., M, N, K): the shape of an (..., M, NK) value cut into n K-column blocks."""
+    *lead, m, width = shape
+    if n < 1 or width % n:
+        raise ShapeError(f"cannot split {width} columns into {n} equal blocks")
+    return (*lead, m, n, width // n)
+
+
+def _class_stack(value: np.ndarray, n: int) -> np.ndarray:
+    """The (..., N, M, K) contiguous stack of an (..., M, NK) value's blocks."""
+    return np.ascontiguousarray(np.swapaxes(value.reshape(_split(value.shape, n)), -3, -2))
+
+
 def _live(*operands) -> list[tuple[int, np.ndarray]]:
     """(id, adjoint) for each (var, adjoint thunk) whose var is not a constant."""
     return [(v.id, adjoint()) for v, adjoint in operands if v.op != "const"]
@@ -165,19 +177,6 @@ def sub(a: Var, b: Var) -> Var:
     return tape._append("sub", value, back)
 
 
-def mul(a: Var, b: Var) -> Var:
-    """Elementwise product (the penalty applies its block mask with it)."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mul expects matching shapes, got {a.shape} and {b.shape}")
-    tape = _tape_of(a, b)
-    av, bv = a.value, b.value
-
-    def back(g):
-        return _live((a, lambda: g * bv), (b, lambda: g * av))
-
-    return tape._append("mul", av * bv, back)
-
-
 def scale(a: Var, c: float) -> Var:
     c = float(c)
 
@@ -189,19 +188,6 @@ def scale(a: Var, c: float) -> Var:
 
 def neg(a: Var) -> Var:
     return scale(a, -1.0)
-
-
-def add_diag(a: Var, c: float) -> Var:
-    """Add ``c`` to the diagonal of each square matrix (the ridge term)."""
-    k = a.shape[-1]
-    if a.shape[-2] != k:
-        raise ShapeError(f"add_diag expects square matrices, got {a.shape}")
-    value = a.value + float(c) * np.eye(k)
-
-    def back(g):
-        return [(a.id, g)]
-
-    return a.tape._append("add_diag", value, back)
 
 
 def transpose(a: Var) -> Var:
@@ -245,16 +231,12 @@ def blocks(a: Var, n: int) -> Var:
 
     In the heads the blocks are the N classes of an episode's support.
     """
-    *lead, m, width = a.shape
-    if n < 1 or width % n:
-        raise ShapeError(f"cannot split {width} columns into {n} equal blocks")
     shape = a.shape
 
     def back(g):
         return [(a.id, np.swapaxes(g, -3, -2).reshape(shape))]
 
-    value = np.swapaxes(a.value.reshape(*lead, m, n, width // n), -3, -2)
-    return a.tape._append("blocks", np.ascontiguousarray(value), back)
+    return a.tape._append("blocks", _class_stack(a.value, n), back)
 
 
 def expand_dims(a: Var, axis: int) -> Var:
@@ -308,15 +290,6 @@ def dense(w: Var, b: Var, x: Var, activation: str) -> Var:
 # -- norms and reductions ----------------------------------------------------
 
 
-def frobenius_norm_sq(a: Var) -> Var:
-    av = a.value
-
-    def back(g):
-        return [(a.id, (2.0 * float(g[0, 0])) * av)]
-
-    return a.tape._append("frobenius_norm_sq", np.array([[np.sum(av * av)]]), back)
-
-
 def col_norms(a: Var) -> Var:
     """Euclidean norm of every column: a lone M x B matrix gives a 1 x B
     row, an (N, M, B) stack an N x B matrix, an (E, N, M, B) stack an
@@ -352,29 +325,6 @@ def col_normalize(a: Var) -> Var:
     return a.tape._append("col_normalize", y, back)
 
 
-def block_normalize(a: Var, n: int) -> Var:
-    """Scale each of the ``n`` K-column blocks of an M x NK matrix to unit
-    Frobenius norm.  An all-zero block has no direction and is refused."""
-    m, width = a.shape
-    if n < 1 or width % n:
-        raise ShapeError(f"cannot split {width} columns into {n} equal blocks")
-    av = a.value.reshape(m, n, width // n)
-    norms = np.sqrt(np.sum(av * av, axis=(0, 2), keepdims=True))
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateSubspaceError(
-            f"degenerate class subspace: class {zero[0] + 1} has an all-zero "
-            "support matrix")
-    y = av / norms
-
-    def back(g):
-        g = g.reshape(av.shape)
-        dots = np.sum(y * g, axis=(0, 2), keepdims=True)
-        return [(a.id, ((g - y * dots) / norms).reshape(m, width))]
-
-    return a.tape._append("block_normalize", y.reshape(m, width), back)
-
-
 def cross_entropy(a: Var, rows: np.ndarray) -> Var:
     """Mean over the columns j of an N x B distance matrix d of
     ``d[rows[j], j] + logsumexp(-d[:, j])`` (``rows`` 0-based, checked by
@@ -404,27 +354,86 @@ def cross_entropy(a: Var, rows: np.ndarray) -> Var:
                           back)
 
 
-# -- linear solve ------------------------------------------------------------
+# -- the regression head's two nodes -----------------------------------------
 
 
-def solve_spd(a: Var, b: Var) -> Var:
-    """Solve A X = B for symmetric positive definite A via Cholesky.
+def ridge_residuals(support: Var, query: Var, n: int, lambda1: float) -> Var:
+    """N x B ridge residual norms ``||Q - S_c P_c Q||`` of the M x B queries Q
+    to the ``n`` K-column class blocks S_c of the M x NK support, as one
+    node; (E, M, NK) and (E, M, B) episode stacks give (E, N, B).
 
-    A is (..., K, K) and B is (..., K, B) with the same leading axes: one
-    solve per stacked matrix.  The forward factorization is cached and
-    reused by the adjoint solves.
+    ``P_c = (S_c^T S_c + lambda1 I)^{-1} S_c^T`` is the K x M ridge operator:
+    one stacked Cholesky factorization and one solve on M columns.  With
+    ``C = P Q``, ``R = Q - S C``, ``d`` the column norms of R and
+    ``Rb = R g / d`` (0 where d = 0), the adjoint needs no second solve:
+    ``W = -P Rb`` and ``T = Rb + S W`` give ``Sb = R W^T - T C^T`` and
+    ``Qb = T`` summed over the classes.  With lambda1 = 0 every S_c must
+    have full column rank, so M >= K is required, and a rank-deficient
+    block fails the factorization with an error that names its class.
     """
-    tape = _tape_of(a, b)
-    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"solve_spd dimensions disagree: {a.shape} vs {b.shape}")
-    low = linalg.cholesky(a.value)
-    x = linalg.solve_with_factor(low, b.value)
+    tape = _tape_of(support, query)
+    if query.shape[:-1] != support.shape[:-1]:
+        raise ShapeError(
+            f"queries {query.shape} do not match the support's rows {support.shape}")
+    s = _class_stack(support.value, n)                          # (..., N, M, K)
+    m, k = s.shape[-2:]
+    if lambda1 == 0.0 and m < k:
+        raise ContractError(
+            f"lambda1 = 0 needs embedding dim >= shots, got M={m} < K={k}")
+    # S^T S from a contiguous S^T, so a rank-deficient Gram matrix keeps its
+    # exact zero pivot
+    st = np.ascontiguousarray(_swap(s))
+    gram = st @ s
+    gram += float(lambda1) * np.eye(k)
+    p = linalg.solve_with_factor(linalg.cholesky(gram), st)    # (..., N, K, M)
+    q = query.value[..., None, :, :]
+    c = p @ q
+    r = s @ c
+    np.subtract(q, r, out=r)
+    d = np.sqrt(np.sum(r * r, axis=-2))
 
     def back(g):
-        gb = linalg.solve_with_factor(low, g)
-        return _live((a, lambda: -gb @ _swap(x)), (b, lambda: gb))
+        rb = r * (g / np.where(d > 0.0, d, 1.0))[..., None, :]
+        if (d == 0.0).any():
+            rb = np.where((d > 0.0)[..., None, :], rb, 0.0)
+        w = -(p @ rb)
+        t = s @ w
+        t += rb
+        return _live(
+            (support, lambda: np.swapaxes(r @ _swap(w) - t @ _swap(c), -3, -2)
+             .reshape(support.shape)),
+            (query, lambda: t.sum(axis=-3)))
 
-    return tape._append("solve_spd", x, back)
+    return tape._append("ridge_residuals", d, back)
+
+
+def subspace_overlap(a: Var, n: int) -> Var:
+    """The sum of squares of the off-diagonal K x K blocks of ``X = V^T V``,
+    V the M x NK matrix ``a`` with each of its ``n`` K-column blocks scaled
+    to unit Frobenius norm, as one node with adjoint ``4 g V X`` taken back
+    through the scaling.  An all-zero block has no direction and is refused.
+    """
+    m, width = a.shape
+    shape = _split(a.shape, n)
+    av = a.value.reshape(shape)
+    norms = np.sqrt(np.sum(av * av, axis=(0, 2), keepdims=True))
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise DegenerateSubspaceError(
+            f"degenerate class subspace: class {zero[0] + 1} has an all-zero "
+            "support matrix")
+    y = av / norms
+    v = y.reshape(m, width)
+    x = np.ascontiguousarray(v.T) @ v
+    own = np.arange(n)
+    x.reshape(n, shape[-1], n, shape[-1])[own, :, own, :] = 0.0
+
+    def back(g):
+        gv = ((4.0 * float(g[0, 0])) * (v @ x)).reshape(shape)
+        dots = np.sum(y * gv, axis=(0, 2), keepdims=True)
+        return [(a.id, ((gv - y * dots) / norms).reshape(m, width))]
+
+    return a.tape._append("subspace_overlap", np.array([[np.sum(x * x)]]), back)
 
 
 def backward(tape: Tape, loss: Var) -> None:

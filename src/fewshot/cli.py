@@ -159,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             help=_HELP.get(key))
 
     common = argparse.ArgumentParser(add_help=False)
-    own = {key for *_, keys in COMMANDS.values() for key in keys}
+    own = {key for _, shared, keys, _ in COMMANDS.values() if shared for key in keys}
     for key in ("config", *_FIELD_TYPES):
         if key not in own and key not in _FILE_ONLY:
             add_flag(common, key)
@@ -168,9 +168,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Few-shot classification by regression-error distance "
                     "to class subspaces, with prototype and cosine baselines.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, keys) in COMMANDS.items():
-        command = sub.add_parser(name, parents=[common], help=help_text)
-        for key in keys:
+    for name, (_, shared, keys, help_text) in COMMANDS.items():
+        command = sub.add_parser(name, parents=[common] if shared else [], help=help_text)
+        for key in keys if shared else ("config", *keys):
             add_flag(command, key)
     return parser
 
@@ -327,16 +327,16 @@ def cmd_check(config: RunConfig) -> int:
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 
-# name -> (handler, help, the RunConfig fields that only this command takes
-# as flags); every other field but _FILE_ONLY is a flag of every command.
+# name -> (handler, shared, the RunConfig fields that only this command takes
+# as flags, help); a shared command also takes every other field but
+# _FILE_ONLY as a flag, and every command takes --config.
 COMMANDS = {
-    "train": (cmd_train, "episodic training; writes a checkpoint and history log", ()),
-    "eval": (cmd_eval, "evaluate a checkpoint on test-split episodes", ("checkpoint",)),
-    "ablate": (cmd_ablate, "paired runs over a list of lambda2 values",
-               ("lambda2_values",)),
-    "shift": (cmd_shift, "train on domain A, evaluate on domain B",
-              ("target_dataset", "offset")),
-    "check": (cmd_check, "run the verification suites and report pass/fail", ()),
+    "train": (cmd_train, True, (), "episodic training; writes a checkpoint and history log"),
+    "eval": (cmd_eval, True, ("checkpoint",), "evaluate a checkpoint on test-split episodes"),
+    "ablate": (cmd_ablate, True, ("lambda2_values",), "paired runs over a list of lambda2 values"),
+    "shift": (cmd_shift, True, ("target_dataset", "offset"),
+              "train on domain A, evaluate on domain B"),
+    "check": (cmd_check, False, ("seed",), "run the verification suites and report pass/fail"),
 }
 
 

@@ -11,11 +11,13 @@ The regression head represents class c by the span of its columns S_c
 
     d(e, S_c) = || e - S_c (S_c^T S_c + lam1 I)^{-1} S_c^T e ||_2
 
-computed in coefficient form: C_c = (S_c^T S_c + lam1 I)^{-1} S_c^T Q is a
-K x K solve for all query columns Q at once (one stacked Cholesky solve
-for all classes), and the distance is the column norm of Q - S_c C_c.
-Class posteriors are a softmax over negated distances, and the training
-loss adds a pairwise subspace-orthogonalization penalty
+computed through the K x M ridge operator P_c = (S_c^T S_c + lam1 I)^{-1}
+S_c^T (one stacked Cholesky factorization for all classes, one solve on
+the M columns of S_c^T) as the column norms of Q - S_c P_c Q for all query
+columns Q at once: one tape node, ``autodiff.ridge_residuals``, whose
+adjoint reuses P instead of solving again.  Class posteriors are a softmax
+over negated distances, and the training loss adds a pairwise
+subspace-orthogonalization penalty (one node, ``autodiff.subspace_overlap``)
 
     sum_{i != j} ||S_i^T S_j||_F^2 / (||S_i||_F^2 ||S_j||_F^2)
 
@@ -65,27 +67,6 @@ class Hyper:
                 raise ContractError(f"{name} must be finite and nonnegative, got {value}")
 
 
-def regression_distance_rows(support: Var, query: Var, n_way: int,
-                             lambda1: float) -> Var:
-    """N x B ridge residual norms of the M x B queries to each class block.
-
-    With lambda1 > 0 every S_c^T S_c + lambda1 I is positive definite.
-    With lambda1 = 0 the caller guarantees each S_c has full column rank,
-    so M >= K is required; a rank-deficient block then surfaces as a
-    conditioning error that names its class.
-    """
-    s = autodiff.blocks(support, n_way)                       # N x M x K
-    m, k = s.shape[-2:]
-    if lambda1 == 0.0 and m < k:
-        raise ContractError(
-            f"lambda1 = 0 needs embedding dim >= shots, got M={m} < K={k}")
-    query = _per_class(query)
-    st = autodiff.transpose(s)
-    gram = autodiff.add_diag(autodiff.matmul(st, s), lambda1)
-    coeff = autodiff.solve_spd(gram, autodiff.matmul(st, query))  # N x K x B
-    return autodiff.col_norms(autodiff.sub(query, autodiff.matmul(s, coeff)))
-
-
 def _per_class(query: Var) -> Var:
     """Queries that broadcast against the class axis of a ``blocks`` stack:
     M x B already does; (E, M, B) episode stacks get a unit class axis."""
@@ -97,16 +78,12 @@ def ortho_penalty(support: Var, n_way: int) -> Var:
 
     With every class block of the M x NK support scaled to unit Frobenius
     norm (V), the (i, j) K x K block of V^T V is S_i^T S_j / (||S_i|| ||S_j||),
-    so the sum is the squared Frobenius norm of V^T V with its diagonal
-    blocks masked out.
+    so the sum is the squared Frobenius norm of V^T V without its diagonal
+    blocks: the one ``autodiff.subspace_overlap`` node.
     """
     if n_way < 2:
         raise ContractError(f"penalty needs at least 2 subspaces, got {n_way}")
-    unit = autodiff.block_normalize(support, n_way)
-    k = unit.shape[1] // n_way
-    off_diagonal = support.tape.const(1.0 - np.kron(np.eye(n_way), np.ones((k, k))))
-    cross = autodiff.matmul(autodiff.transpose(unit), unit)          # NK x NK
-    return autodiff.frobenius_norm_sq(autodiff.mul(cross, off_diagonal))
+    return autodiff.subspace_overlap(support, n_way)
 
 
 def _check_labels(labels: np.ndarray, n_way: int, count: int) -> np.ndarray:
@@ -166,7 +143,7 @@ class RegressionHead:
     distances_np = distances_np
 
     def distance_rows(self, support: Var, query: Var, hyper: Hyper) -> Var:
-        return regression_distance_rows(support, query, hyper.n_way, hyper.lambda1)
+        return autodiff.ridge_residuals(support, query, hyper.n_way, hyper.lambda1)
 
     def episode_loss(self, support: Var, query: Var, labels,
                      hyper: Hyper) -> tuple[Var, Var]:

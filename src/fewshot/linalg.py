@@ -6,8 +6,9 @@ matrices of one shape (the heads stack one matrix per class: N x rows x
 cols).  Rank-1 data is carried as an ``(n, 1)`` column.  The helpers here
 enforce that convention and provide the handful of primitives the rest
 of the package builds on, including a symmetric-positive-definite solver
-via an explicit Cholesky factorization (no matrix is ever inverted
-directly) that treats a whole stack at once and loops only over K.
+via an explicit right-looking Cholesky factorization (no matrix is ever
+inverted directly) that treats a whole stack at once and loops only over
+K: the regression head's one factorization per scored episode.
 """
 
 from __future__ import annotations
@@ -45,36 +46,40 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def cholesky(a: np.ndarray) -> np.ndarray:
     """Lower-triangular factor L with ``a = L @ L.T`` of each K x K matrix.
 
-    ``a`` is one matrix or a stack (..., K, K); the loop runs over K only.
+    ``a`` is one matrix or a stack (..., K, K); the loop runs over K only,
+    one rank-1 update of the trailing block per pivot (right-looking).
     Written out explicitly (rather than delegated) so that a failure can
     name the offending pivot and, in a stack, its 1-based class (position
     on the last stacked axis): the matrices here are tiny K x K Gram
     matrices and a non-positive pivot means the caller forgot the ridge
-    term on a rank-deficient system.  In a stack of episodes (E, N, K, K)
-    the error's ``episode_index`` is the position on the episode axis.
+    term on a rank-deficient system.  The pivots are checked once, after
+    the loop; the first failure named is the lowest pivot index, then the
+    first matrix in the stack.  In a stack of episodes (E, N, K, K) the
+    error's ``episode_index`` is the position on the episode axis.
     """
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ShapeError(f"cholesky expects square matrices, got {a.shape}")
     k = a.shape[-1]
-    low = np.zeros(a.shape, dtype=np.float64)
-    for j in range(k):
-        row = low[..., j, :j]
-        d = a[..., j, j] - np.einsum("...i,...i->...", row, row)
-        bad = ~((d > 0.0) & np.isfinite(d))
-        if bad.any():
-            where = tuple(np.argwhere(bad)[0])
-            pivot = float(d[where])
-            owner = f" of class {where[-1] + 1}" if where else ""
-            raise ConditioningError(
-                f"matrix is not positive definite: non-positive pivot {pivot:.3e} "
-                f"at index {j}{owner}",
-                episode_index=int(where[-2]) if len(where) > 1 else None)
-        root = np.sqrt(d)
-        low[..., j, j] = root
-        if j + 1 < k:
-            below = np.matmul(low[..., j + 1 :, :j], row[..., None])[..., 0]
-            low[..., j + 1 :, j] = (a[..., j + 1 :, j] - below) / root[..., None]
-    return low
+    low = np.array(a, dtype=np.float64, copy=True)
+    pivots = np.empty(a.shape[:-1])
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for j in range(k):
+            pivots[..., j] = low[..., j, j]
+            low[..., j, j] = root = np.sqrt(pivots[..., j])
+            col = low[..., j + 1 :, j]
+            col /= root[..., None]
+            low[..., j + 1 :, j + 1 :] -= col[..., :, None] * col[..., None, :]
+        bad = ~((pivots > 0.0) & np.isfinite(pivots))
+    if bad.any():
+        j = int(np.argmax(bad.reshape(-1, k).any(axis=0)))
+        where = tuple(np.argwhere(bad[..., j])[0])
+        pivot = float(pivots[where + (j,)])
+        owner = f" of class {where[-1] + 1}" if where else ""
+        raise ConditioningError(
+            f"matrix is not positive definite: non-positive pivot {pivot:.3e} "
+            f"at index {j}{owner}",
+            episode_index=int(where[-2]) if len(where) > 1 else None)
+    return np.tril(low)
 
 
 def solve_lower(low: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoder, heads, linalg, train
-from .autodiff import Tape, backward
+from .autodiff import Tape, backward, ridge_residuals
 from .encoder import EncoderParams, Layer, init_encoder
 from .episodes import Episode
 from .errors import ShapeError
@@ -77,7 +77,7 @@ def ridge_distance_iterative(s: np.ndarray, e: np.ndarray, lambda1: float) -> fl
 def _distance(s: np.ndarray, e: np.ndarray, lambda1: float) -> float:
     """The production regression distance of one query column, off a throwaway tape."""
     tape = Tape()
-    return heads.regression_distance_rows(tape.leaf(s), tape.leaf(e), 1, lambda1).item()
+    return ridge_residuals(tape.leaf(s), tape.leaf(e), 1, lambda1).item()
 
 
 def check_closed_form_oracle(seed: int = 0, instances: int = 200) -> CheckResult:
@@ -276,8 +276,7 @@ def check_posterior_contracts(seed: int = 0, trials: int = 100) -> CheckResult:
     rng2 = linalg.rng_from_seed(seed + 1)
     s_vals = [rng2.standard_normal((6, 2)) for _ in range(3)]
     e_val = rng2.standard_normal((6, 1))
-    dist = heads.regression_distance_rows(tape.leaf(np.hstack(s_vals)), tape.leaf(e_val),
-                                          3, 1e-3)
+    dist = ridge_residuals(tape.leaf(np.hstack(s_vals)), tape.leaf(e_val), 3, 1e-3)
     post = np.array([
         np.exp(-heads.cross_entropy_from_distances(dist, np.array([c]), 3).item())
         for c in (1, 2, 3)

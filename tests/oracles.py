@@ -6,6 +6,14 @@ from fewshot.encoder import embed_np
 from fewshot.heads import predict_np
 
 
+def lstsq_distances(s, queries, lambda1):
+    """1 x B ridge residual norms of the queries to span(S), with the ridge
+    coefficients from numpy's solver (for autodiff.ridge_residuals)."""
+    gram = s.T @ s + lambda1 * np.eye(s.shape[1])
+    resid = queries - s @ np.linalg.solve(gram, s.T @ queries)
+    return np.sqrt(np.sum(resid * resid, axis=0, keepdims=True))
+
+
 def ortho_penalty_np(supports):
     """Tape-free double-loop reference for heads.ortho_penalty (ordered pairs)."""
     total = 0.0

@@ -349,6 +349,14 @@ def test_check_command_reports_all_suites(capsys):
     assert "5/5 checks passed" in shown
 
 
+def test_check_refuses_flags_it_does_not_read(capsys):
+    # check reads only the seed; a training knob is a usage error, not ignored
+    with pytest.raises(SystemExit) as info:
+        run(["check", "--episodes", "5"])
+    assert info.value.code == EXIT_USAGE
+    assert "--episodes" in capsys.readouterr().err
+
+
 def test_unknown_config_key_via_flag_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("unknown_option = 1\n")
@@ -372,7 +380,8 @@ def test_run_config_defaults_are_the_documented_ones():
 
 
 # The flag surface as it was when the flags were first generated from
-# RunConfig: option string -> dest, for every command and then per command.
+# RunConfig, except that check takes only --config and --seed: option
+# string -> dest, shared by the training commands and then per command.
 COMMON_FLAGS = {
     "--config": "config", "--dataset": "dataset", "--n": "n", "--k": "k",
     "--q": "q", "--episodes": "episodes", "--eval-episodes": "eval_episodes",
@@ -386,11 +395,11 @@ COMMON_FLAGS = {
     "--spread": "spread", "--within-std": "within_std",
 }
 COMMAND_FLAGS = {
-    "train": {},
-    "eval": {"--checkpoint": "checkpoint"},
-    "ablate": {"--lambda2-values": "lambda2_values"},
-    "shift": {"--target-dataset": "target_dataset", "--offset": "offset"},
-    "check": {},
+    "train": {**COMMON_FLAGS},
+    "eval": {**COMMON_FLAGS, "--checkpoint": "checkpoint"},
+    "ablate": {**COMMON_FLAGS, "--lambda2-values": "lambda2_values"},
+    "shift": {**COMMON_FLAGS, "--target-dataset": "target_dataset", "--offset": "offset"},
+    "check": {"--config": "config", "--seed": "seed"},
 }
 FLAG_CHOICES = {
     "--head": ("regression", "proto", "cosine"), "--optimizer": ("adam", "sgd"),
@@ -412,7 +421,7 @@ def test_every_command_keeps_its_option_strings_dests_and_choices():
         seen = {tuple(a.option_strings): (a.dest, tuple(a.choices or ()) or None)
                 for a in sub._actions if a.dest != "help"}
         expected = {(option,): (dest, FLAG_CHOICES.get(option))
-                    for option, dest in {**COMMON_FLAGS, **COMMAND_FLAGS[name]}.items()}
+                    for option, dest in COMMAND_FLAGS[name].items()}
         assert seen == expected, name
 
 

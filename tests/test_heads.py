@@ -6,33 +6,25 @@ independent numpy oracles.
 import numpy as np
 import pytest
 
-from fewshot.autodiff import Tape
+from fewshot.autodiff import Tape, ridge_residuals
 from fewshot.errors import ContractError, DegenerateSubspaceError, ShapeError
 from fewshot.heads import (HEADS, CosineHead, Hyper, ProtoHead,
                            RegressionHead, cross_entropy_from_distances,
-                           make_head, ortho_penalty, predict_np,
-                           regression_distance_rows)
+                           make_head, ortho_penalty, predict_np)
 from fewshot.verify import build_projector_np, softmax_neg_np
-from oracles import ortho_penalty_np
+from oracles import lstsq_distances, ortho_penalty_np
 
 
 def regression_distances_np(s, queries, lambda1):
     """1 x B residual norms of the production path, off a throwaway tape."""
     tape = Tape()
-    return regression_distance_rows(tape.leaf(s), tape.leaf(queries), 1, lambda1).value
+    return ridge_residuals(tape.leaf(s), tape.leaf(queries), 1, lambda1).value
 
 
 def penalty(supports):
     """heads.ortho_penalty of per-class blocks laid side by side (M x NK)."""
     tape = Tape()
     return ortho_penalty(tape.leaf(np.hstack(supports)), len(supports)).item()
-
-
-def lstsq_distances(s, queries, lambda1):
-    """Independent numpy oracle: ridge coefficients from numpy's solver."""
-    gram = s.T @ s + lambda1 * np.eye(s.shape[1])
-    resid = queries - s @ np.linalg.solve(gram, s.T @ queries)
-    return np.sqrt(np.sum(resid * resid, axis=0, keepdims=True))
 
 
 def lse_reconstruction(dist, labels):
@@ -133,7 +125,7 @@ def test_regression_distance_rejects_fat_support_without_a_ridge():
     # without a ridge, K > M columns cannot have full column rank
     tape = Tape()
     with pytest.raises(ContractError, match="M=2 < K=3"):
-        regression_distance_rows(tape.leaf(np.ones((2, 6))), tape.leaf(np.ones((2, 1))),
+        ridge_residuals(tape.leaf(np.ones((2, 6))), tape.leaf(np.ones((2, 1))),
                                  2, 0.0)
 
 
@@ -141,9 +133,9 @@ def test_regression_distance_checks_query_shape():
     tape = Tape()
     support = tape.leaf(np.hstack([np.eye(3), np.eye(3)]))
     with pytest.raises(ShapeError):
-        regression_distance_rows(support, tape.leaf(np.ones((2, 1))), 2, 0.1)
+        ridge_residuals(support, tape.leaf(np.ones((2, 1))), 2, 0.1)
     with pytest.raises(ShapeError):
-        regression_distance_rows(support, tape.leaf(np.ones((4, 1))), 2, 0.1)
+        ridge_residuals(support, tape.leaf(np.ones((4, 1))), 2, 0.1)
 
 
 def test_stacked_distances_match_one_class_at_a_time():
@@ -151,13 +143,13 @@ def test_stacked_distances_match_one_class_at_a_time():
     s_vals = [rng.standard_normal((6, 3)) for _ in range(4)]
     q = rng.standard_normal((6, 5))
     tape = Tape()
-    dist = regression_distance_rows(tape.leaf(np.hstack(s_vals)), tape.leaf(q), 4, 0.3)
+    dist = ridge_residuals(tape.leaf(np.hstack(s_vals)), tape.leaf(q), 4, 0.3)
     oracle = np.vstack([lstsq_distances(s, q, 0.3) for s in s_vals])
     assert dist.shape == (4, 5)
     assert np.allclose(dist.value, oracle, atol=1e-12)
     # 12 support columns do not split into 5 equal class blocks
     with pytest.raises(ShapeError):
-        regression_distance_rows(tape.leaf(np.hstack(s_vals)), tape.leaf(q), 5, 0.3)
+        ridge_residuals(tape.leaf(np.hstack(s_vals)), tape.leaf(q), 5, 0.3)
 
 
 # -- posterior -----------------------------------------------------------------
@@ -195,7 +187,7 @@ def test_tape_posterior_matches_numpy():
     tape = Tape()
     s_vals = [rng.standard_normal((6, 2)) for _ in range(4)]
     e = rng.standard_normal((6, 1))
-    dist = regression_distance_rows(tape.leaf(np.hstack(s_vals)), tape.leaf(e), 4, 1e-3)
+    dist = ridge_residuals(tape.leaf(np.hstack(s_vals)), tape.leaf(e), 4, 1e-3)
     on_tape = np.array([
         np.exp(-cross_entropy_from_distances(dist, np.array([c]), 4).item())
         for c in range(1, 5)

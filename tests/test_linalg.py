@@ -1,5 +1,7 @@
 """Dense kernel tests: shape coercion, factorization, solves, seeded RNG."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,32 @@ def test_stacked_cholesky_names_the_failing_class():
         linalg.cholesky(a)
     with pytest.raises(ShapeError):
         linalg.cholesky(np.zeros((2, 2, 3)))
+
+
+def test_stacked_cholesky_names_the_lowest_failing_index_first():
+    # class 1 fails at index 3, class 2 already at index 1
+    a = np.stack([np.diag([1.0, 2.0, 3.0, -1.0]), np.diag([1.0, -2.0, 3.0, 4.0])])
+    with pytest.raises(ConditioningError, match="pivot -2.000e[+]00 at index 1 of class 2$"):
+        linalg.cholesky(a)
+
+
+def test_cholesky_of_an_episode_stack_names_its_episode():
+    a = np.tile(np.eye(3), (3, 2, 1, 1))                      # (E, N, K, K)
+    a[2, 1, 2, 2] = 0.0
+    with pytest.raises(ConditioningError, match="index 2 of class 2") as info:
+        linalg.cholesky(a)
+    assert info.value.episode_index == 2
+
+
+def test_a_failing_factorization_warns_nothing():
+    # the failed pivot's NaN square root and the divisions after it stay silent
+    a = np.stack([np.eye(3), np.diag([1.0, -1.0, 0.0]), np.full((3, 3), np.nan)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConditioningError, match="index 0 of class 3"):
+            linalg.cholesky(a)
+        with pytest.raises(ConditioningError, match="index 1 of class 2"):
+            linalg.cholesky(a[:2])
 
 
 def test_triangular_solves_have_tiny_residuals():
