@@ -23,14 +23,15 @@ is exactly what the encoder, the heads and the trainer record:
 - reductions: col_norms, col_normalize and cross_entropy (the episode
   loss, a stabilized log-sum-exp inside);
 - the regression head's two nodes: ridge_residuals (the distance of every
-  query to every class span, through one stacked Cholesky factorization
-  and one solve for the K x M ridge operator, whose closed-form adjoint
-  reuses that operator instead of solving again) and subspace_overlap
-  (the orthogonalization penalty).
+  query to every class span, through one stacked Cholesky sweep that
+  yields the inverse factor, and two matrix products for the K x M ridge
+  operator, whose closed-form adjoint reuses that operator instead of
+  solving again) and subspace_overlap (the orthogonalization penalty).
 
 Constants (``Tape.const``: an input batch, a centroid or averaging matrix)
 get no adjoint: an op with several operands computes none for a constant
-one, and a constant's ``.grad`` reads as zeros, like an unused node's.  Adjoints are
+one, and ``backward`` leaves a constant's ``.grad`` as None (a node the
+loss does not depend on gets zeros).  Adjoints are
 never accumulated in place: ``backward`` stores the first one as it comes
 and sums later ones into a new array, so an adjoint that is another
 node's adjoint (add, sub) or a view of it (blocks) needs no copy.
@@ -362,8 +363,9 @@ def ridge_residuals(support: Var, query: Var, n: int, lambda1: float) -> Var:
     to the ``n`` K-column class blocks S_c of the M x NK support, as one
     node; (E, M, NK) and (E, M, B) episode stacks give (E, N, B).
 
-    ``P_c = (S_c^T S_c + lambda1 I)^{-1} S_c^T`` is the K x M ridge operator:
-    one stacked Cholesky factorization and one solve on M columns.  With
+    ``P_c = (S_c^T S_c + lambda1 I)^{-1} S_c^T`` is the K x M ridge operator
+    ``L^{-T} L^{-1} S_c^T``: one stacked Cholesky sweep gives the inverse
+    factor L^{-1}, and the solve on M columns is two matrix products.  With
     ``C = P Q``, ``R = Q - S C``, ``d`` the column norms of R and
     ``Rb = R g / d`` (0 where d = 0), the adjoint needs no second solve:
     ``W = -P Rb`` and ``T = Rb + S W`` give ``Sb = R W^T - T C^T`` and
@@ -384,7 +386,7 @@ def ridge_residuals(support: Var, query: Var, n: int, lambda1: float) -> Var:
     # exact zero pivot
     st = np.ascontiguousarray(_swap(s))
     gram = st @ s
-    gram += float(lambda1) * np.eye(k)
+    np.einsum("...ii->...i", gram)[...] += float(lambda1)      # the diagonal, in place
     p = linalg.solve_with_factor(linalg.cholesky(gram), st)    # (..., N, K, M)
     q = query.value[..., None, :, :]
     c = p @ q
@@ -438,7 +440,7 @@ def subspace_overlap(a: Var, n: int) -> Var:
 
 def backward(tape: Tape, loss: Var) -> None:
     """Accumulate d(loss)/d(node) into ``.grad`` for every node at or before
-    ``loss`` (zeros for constants and for nodes the loss does not depend on).
+    ``loss`` (None for constants, zeros for nodes the loss does not depend on).
 
     One reverse pass suffices: a node's consumers come after it on the
     tape.  Repeated calls recompute every ``.grad``, so they are idempotent.
@@ -452,7 +454,9 @@ def backward(tape: Tape, loss: Var) -> None:
     grads: dict[int, np.ndarray] = {loss.id: np.ones((1, 1))}
     for var in reversed(tape.nodes[: loss.id + 1]):
         g = grads.pop(var.id, None)
-        if g is None or var.op == "const":
+        if var.op == "const":
+            continue
+        if g is None:
             var.grad = np.zeros_like(var.value)
             continue
         var.grad = g

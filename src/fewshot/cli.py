@@ -6,8 +6,9 @@ mirror the flag names. Exit codes: 0 success, 1 verification failure,
 2 usage error, 3 I/O or file-format error, 4 numerical failure (a
 ``NumericalError``, which names its episode).
 
-``--threads`` (config key ``threads``) is accepted and ignored, so older
-config files still parse; evaluation runs on one thread.
+Each command takes as flags only the fields it reads; a config file may
+set any field. ``--threads`` (config key ``threads``) is accepted and
+ignored, so older config files still parse; evaluation runs on one thread.
 """
 
 from __future__ import annotations
@@ -89,7 +90,6 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _CHOICES = {"head": tuple(HEADS), "optimizer": OPTIMIZERS,
             "activation": ACTIVATIONS, "final_activation": ACTIVATIONS}
-_FILE_ONLY = ("val_fraction", "test_fraction")
 _HELP = {
     "config": "flat key = value config file",
     "dataset": "'synth' or a CSV path (label,feat_1,...,feat_D)",
@@ -154,24 +154,16 @@ def parse_config_file(path: str) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    def add_flag(parser, key):
-        parser.add_argument(_flag(key), dest=key, choices=_CHOICES.get(key),
-                            help=_HELP.get(key))
-
-    common = argparse.ArgumentParser(add_help=False)
-    own = {key for _, shared, keys, _ in COMMANDS.values() if shared for key in keys}
-    for key in ("config", *_FIELD_TYPES):
-        if key not in own and key not in _FILE_ONLY:
-            add_flag(common, key)
     parser = argparse.ArgumentParser(
         prog="fewshot",
         description="Few-shot classification by regression-error distance "
                     "to class subspaces, with prototype and cosine baselines.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, shared, keys, help_text) in COMMANDS.items():
-        command = sub.add_parser(name, parents=[common] if shared else [], help=help_text)
-        for key in keys if shared else ("config", *keys):
-            add_flag(command, key)
+    for name, (_, keys, help_text) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for key in ("config", *keys):
+            command.add_argument(_flag(key), dest=key, choices=_CHOICES.get(key),
+                                 help=_HELP.get(key))
     return parser
 
 
@@ -327,16 +319,29 @@ def cmd_check(config: RunConfig) -> int:
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 
-# name -> (handler, shared, the RunConfig fields that only this command takes
-# as flags, help); a shared command also takes every other field but
-# _FILE_ONLY as a flag, and every command takes --config.
+# The flags of the training commands: every RunConfig field but the split
+# fractions, which only a config file sets, and those a single command reads.
+_TRAINING_FLAGS = tuple(key for key in _FIELD_TYPES if key not in (
+    "val_fraction", "test_fraction", "checkpoint", "lambda2_values", "target_dataset",
+    "offset"))
+# What eval reads: the data and its split, the episode shape, the head and
+# lambda1; the encoder's shape comes from the checkpoint.
+_EVAL_FLAGS = ("dataset", "n", "k", "q", "eval_episodes", "lambda1", "head", "seed",
+               "out", "checkpoint", "synth_classes", "per_class", "dim", "spread",
+               "within_std")
+
+# name -> (handler, the RunConfig fields it takes as flags, help).  Every
+# command also takes --config, whose file may set any field: a command
+# ignores the keys it does not read, so one config.txt serves train and eval.
 COMMANDS = {
-    "train": (cmd_train, True, (), "episodic training; writes a checkpoint and history log"),
-    "eval": (cmd_eval, True, ("checkpoint",), "evaluate a checkpoint on test-split episodes"),
-    "ablate": (cmd_ablate, True, ("lambda2_values",), "paired runs over a list of lambda2 values"),
-    "shift": (cmd_shift, True, ("target_dataset", "offset"),
+    "train": (cmd_train, _TRAINING_FLAGS,
+              "episodic training; writes a checkpoint and history log"),
+    "eval": (cmd_eval, _EVAL_FLAGS, "evaluate a checkpoint on test-split episodes"),
+    "ablate": (cmd_ablate, (*_TRAINING_FLAGS, "lambda2_values"),
+               "paired runs over a list of lambda2 values"),
+    "shift": (cmd_shift, (*_TRAINING_FLAGS, "target_dataset", "offset"),
               "train on domain A, evaluate on domain B"),
-    "check": (cmd_check, False, ("seed",), "run the verification suites and report pass/fail"),
+    "check": (cmd_check, ("seed",), "run the verification suites and report pass/fail"),
 }
 
 

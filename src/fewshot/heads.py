@@ -12,12 +12,13 @@ The regression head represents class c by the span of its columns S_c
     d(e, S_c) = || e - S_c (S_c^T S_c + lam1 I)^{-1} S_c^T e ||_2
 
 computed through the K x M ridge operator P_c = (S_c^T S_c + lam1 I)^{-1}
-S_c^T (one stacked Cholesky factorization for all classes, one solve on
-the M columns of S_c^T) as the column norms of Q - S_c P_c Q for all query
-columns Q at once: one tape node, ``autodiff.ridge_residuals``, whose
-adjoint reuses P instead of solving again.  Class posteriors are a softmax
-over negated distances, and the training loss adds a pairwise
-subspace-orthogonalization penalty (one node, ``autodiff.subspace_overlap``)
+S_c^T = W_c^T W_c S_c^T (one stacked Cholesky sweep for all classes yields
+the inverse factors W_c, and the rest is two matrix products) as the
+column norms of Q - S_c P_c Q for all query columns Q at once: one tape
+node, ``autodiff.ridge_residuals``, whose adjoint reuses P instead of
+solving again.  Class posteriors are a softmax over negated distances, and
+the training loss adds a pairwise subspace-orthogonalization penalty (one
+node, ``autodiff.subspace_overlap``)
 
     sum_{i != j} ||S_i^T S_j||_F^2 / (||S_i||_F^2 ||S_j||_F^2)
 

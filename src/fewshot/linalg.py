@@ -1,14 +1,17 @@
 """Dense float64 linear algebra over matrices and stacks of matrices.
 
 Every tensor in this library is a C-contiguous float64 ``numpy`` array
-of rank 2 or more: the last two axes are a matrix, and leading axes stack
+of rank 2 or more (``cholesky``'s factor, a strided view, is the one
+exception): the last two axes are a matrix, and leading axes stack
 matrices of one shape (the heads stack one matrix per class: N x rows x
 cols).  Rank-1 data is carried as an ``(n, 1)`` column.  The helpers here
 enforce that convention and provide the handful of primitives the rest
-of the package builds on, including a symmetric-positive-definite solver
-via an explicit right-looking Cholesky factorization (no matrix is ever
-inverted directly) that treats a whole stack at once and loops only over
-K: the regression head's one factorization per scored episode.
+of the package builds on, including a symmetric-positive-definite solver:
+an explicit right-looking Cholesky sweep that treats a whole stack at once,
+loops only over K and turns the identity into the inverse factor L^{-1} as
+it factors, so a solve is two matrix products.  That K x K triangular
+factor is the only matrix ever inverted; it is the regression head's one
+factorization per scored episode.
 """
 
 from __future__ import annotations
@@ -44,10 +47,16 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular factor L with ``a = L @ L.T`` of each K x K matrix.
+    """Inverse Cholesky factor W = L^{-1} of each K x K matrix, ``a = L @ L.T``.
 
-    ``a`` is one matrix or a stack (..., K, K); the loop runs over K only,
-    one rank-1 update of the trailing block per pivot (right-looking).
+    ``a`` is one matrix or a stack (..., K, K).  One right-looking sweep
+    runs over the rows of the augmented (..., K, 2K) array [a | I], reading
+    a's upper triangle: each pivot scales its row by 1/sqrt(pivot) and takes
+    a rank-1 update off the rows below, on both halves at once.  Row j of
+    the left half then holds row j of L^T right of the diagonal, and the
+    right half becomes W = L^{-1}, lower-triangular with exact zeros above
+    the diagonal, returned as a strided view.  The loop runs over K only,
+    and ``solve_with_factor`` needs no triangular solve.
     Written out explicitly (rather than delegated) so that a failure can
     name the offending pivot and, in a stack, its 1-based class (position
     on the last stacked axis): the matrices here are tiny K x K Gram
@@ -60,15 +69,17 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ShapeError(f"cholesky expects square matrices, got {a.shape}")
     k = a.shape[-1]
-    low = np.array(a, dtype=np.float64, copy=True)
+    aug = np.zeros(a.shape[:-1] + (2 * k,))
+    aug[..., :k] = a
+    aug[..., range(k), range(k, 2 * k)] = 1.0
     pivots = np.empty(a.shape[:-1])
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for j in range(k):
-            pivots[..., j] = low[..., j, j]
-            low[..., j, j] = root = np.sqrt(pivots[..., j])
-            col = low[..., j + 1 :, j]
-            col /= root[..., None]
-            low[..., j + 1 :, j + 1 :] -= col[..., :, None] * col[..., None, :]
+            pivots[..., j] = aug[..., j, j]
+            live = slice(j + 1, k + j + 1)   # a right of the pivot, then W's first j + 1
+            row = aug[..., j, live]
+            row /= np.sqrt(pivots[..., j, None])
+            aug[..., j + 1 :, live] -= row[..., : k - j - 1, None] * row[..., None, :]
         bad = ~((pivots > 0.0) & np.isfinite(pivots))
     if bad.any():
         j = int(np.argmax(bad.reshape(-1, k).any(axis=0)))
@@ -79,37 +90,13 @@ def cholesky(a: np.ndarray) -> np.ndarray:
             f"matrix is not positive definite: non-positive pivot {pivot:.3e} "
             f"at index {j}{owner}",
             episode_index=int(where[-2]) if len(where) > 1 else None)
-    return np.tril(low)
+    return aug[..., k:]
 
 
-def solve_lower(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Forward substitution: solve ``low @ x = b`` for lower-triangular low,
-    per stacked matrix (``b`` is (..., K, B) with low's leading axes)."""
-    k = low.shape[-1]
-    x = np.array(b, dtype=np.float64, copy=True)
-    for i in range(k):
-        if i:
-            x[..., i, :] -= np.matmul(low[..., i : i + 1, :i], x[..., :i, :])[..., 0, :]
-        x[..., i, :] /= low[..., i, i, None]
-    return x
-
-
-def solve_upper(up: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Back substitution: solve ``up @ x = b`` for upper-triangular up,
-    per stacked matrix (``b`` is (..., K, B) with up's leading axes)."""
-    k = up.shape[-1]
-    x = np.array(b, dtype=np.float64, copy=True)
-    for i in range(k - 1, -1, -1):
-        if i + 1 < k:
-            x[..., i, :] -= np.matmul(up[..., i : i + 1, i + 1 :],
-                                      x[..., i + 1 :, :])[..., 0, :]
-        x[..., i, :] /= up[..., i, i, None]
-    return x
-
-
-def solve_with_factor(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``(low @ low.T) x = b`` given precomputed Cholesky factors."""
-    return solve_upper(np.swapaxes(low, -1, -2), solve_lower(low, b))
+def solve_with_factor(w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a x = b`` given ``w = cholesky(a)``: x = W^T (W b), two
+    matrix products per stacked matrix (``b`` is (..., K, B))."""
+    return np.swapaxes(w, -1, -2) @ (w @ b)
 
 
 # ---------------------------------------------------------------------------

@@ -421,7 +421,7 @@ def test_relu_gradient_at_zero_is_zero():
 
 
 def test_constants_get_no_adjoint():
-    # the ops compute nothing for a constant operand, and its grad reads zero
+    # the ops compute nothing for a constant operand, and backward gives it no grad
     w, b, x, m = mats(7, (3, 4), (3, 1), (4, 5), (3, 5))
     tape = Tape()
     wv, bv, xc, mc = tape.leaf(w), tape.leaf(b), tape.const(x), tape.const(m)
@@ -434,8 +434,8 @@ def test_constants_get_no_adjoint():
     dist = autodiff.ridge_residuals(h, tape.const(x[:3]), 1, 0.5)
     assert [i for i, _ in dist._backward(np.ones(dist.shape))] == [h.id]
     backward(tape, loss)
-    assert np.array_equal(xc.grad, np.zeros_like(x))
-    assert np.array_equal(mc.grad, np.zeros_like(m))
+    assert xc.grad is None
+    assert mc.grad is None
     assert float(np.max(np.abs(wv.grad))) > 0.0
     # the same loss with x and the offset as leaves gives W and b the same grads
     tape = Tape()

@@ -4,7 +4,9 @@ and byte-identical logs across reruns.
 
 import argparse
 import json
+import shlex
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,11 +23,13 @@ def run(argv):
     return main(argv)
 
 
-FAST_TRAIN = [
+FAST_EVAL = [
     "--synth-classes", "12", "--per-class", "12", "--dim", "4",
-    "--n", "2", "--k", "2", "--q", "3", "--episodes", "6",
-    "--val-interval", "100", "--embed-dim", "4", "--hidden-dim", "6",
-    "--depth", "1", "--eval-episodes", "8",
+    "--n", "2", "--k", "2", "--q", "3", "--eval-episodes", "8",
+]
+FAST_TRAIN = [
+    *FAST_EVAL, "--episodes", "6", "--val-interval", "100", "--embed-dim", "4",
+    "--hidden-dim", "6", "--depth", "1",
 ]
 
 
@@ -138,7 +142,7 @@ def test_train_requires_an_output_directory(capsys):
 
 
 def test_eval_requires_a_checkpoint(capsys):
-    assert run(["eval"] + FAST_TRAIN) == EXIT_USAGE
+    assert run(["eval"] + FAST_EVAL) == EXIT_USAGE
     assert "--checkpoint" in capsys.readouterr().err
 
 
@@ -154,7 +158,7 @@ def test_train_writes_artifacts_and_eval_reads_them(tmp_path, capsys):
     assert len(history) == 6
     capsys.readouterr()
 
-    code = run(["eval", *FAST_TRAIN,
+    code = run(["eval", *FAST_EVAL,
                 "--checkpoint", str(out / "encoder.txt"),
                 "--out", str(out)])
     assert code == EXIT_OK
@@ -308,7 +312,7 @@ def test_singular_ridge_system_is_a_numerical_failure(tmp_path, capsys):
         layer.weight[...] = 0.0
     save_encoder(params, out / "zero.txt")
     capsys.readouterr()
-    code = run(["eval", *FAST_TRAIN, "--lambda1", "0",
+    code = run(["eval", *FAST_EVAL, "--lambda1", "0",
                 "--checkpoint", str(out / "zero.txt")])
     assert code == EXIT_NUMERICAL
     err = capsys.readouterr().err
@@ -327,19 +331,42 @@ def test_singular_ridge_system_is_a_numerical_failure(tmp_path, capsys):
 def test_malformed_checkpoint_exits_3_and_names_the_file(tmp_path, capsys, body):
     path = tmp_path / "enc.txt"
     path.write_text("fewshot-encoder v1\n" + body)
-    assert run(["eval", *FAST_TRAIN, "--checkpoint", str(path)]) == EXIT_IO
+    assert run(["eval", *FAST_EVAL, "--checkpoint", str(path)]) == EXIT_IO
     assert str(path) in capsys.readouterr().err
 
 
 def test_threads_is_accepted_and_ignored(tmp_path, capsys):
+    # a flag of the training commands, and a config key that eval accepts too
+    for threads in ("1", "4"):
+        out = str(tmp_path / threads)
+        assert run(["train", *FAST_TRAIN, "--threads", threads, "--out", out]) == EXIT_OK
+    assert ((tmp_path / "1" / "history.log").read_bytes()
+            == (tmp_path / "4" / "history.log").read_bytes())
+    cfg = tmp_path / "threads.cfg"
+    cfg.write_text("threads = 4\n")
+    capsys.readouterr()
+    ckpt = ["--checkpoint", str(tmp_path / "1" / "encoder.txt")]
+    assert run(["eval", *FAST_EVAL, *ckpt]) == EXIT_OK
+    one = capsys.readouterr().out
+    assert run(["eval", *FAST_EVAL, *ckpt, "--config", str(cfg)]) == EXIT_OK
+    assert capsys.readouterr().out == one
+
+
+def test_eval_refuses_training_flags_but_reads_a_training_config(tmp_path, capsys):
+    # eval takes as flags only what it reads; the config file train wrote,
+    # training keys and all, still serves eval
+    with pytest.raises(SystemExit) as info:
+        run(["eval", *FAST_EVAL, "--checkpoint", "enc.txt", "--lr", "5"])
+    assert info.value.code == EXIT_USAGE
+    assert "--lr" in capsys.readouterr().err
     out = tmp_path / "run"
     assert run(["train", *FAST_TRAIN, "--out", str(out)]) == EXIT_OK
     capsys.readouterr()
     ckpt = ["--checkpoint", str(out / "encoder.txt")]
-    assert run(["eval", *FAST_TRAIN, *ckpt, "--threads", "1"]) == EXIT_OK
-    one = capsys.readouterr().out
-    assert run(["eval", *FAST_TRAIN, *ckpt, "--threads", "4"]) == EXIT_OK
-    assert capsys.readouterr().out == one
+    assert run(["eval", *FAST_EVAL, *ckpt]) == EXIT_OK
+    by_flags = capsys.readouterr().out
+    assert run(["eval", "--config", str(out / "config.txt"), *ckpt]) == EXIT_OK
+    assert capsys.readouterr().out == by_flags
 
 
 def test_check_command_reports_all_suites(capsys):
@@ -380,8 +407,9 @@ def test_run_config_defaults_are_the_documented_ones():
 
 
 # The flag surface as it was when the flags were first generated from
-# RunConfig, except that check takes only --config and --seed: option
-# string -> dest, shared by the training commands and then per command.
+# RunConfig, except that check takes only --config and --seed and eval only
+# the flags it reads: option string -> dest, shared by the training
+# commands and then per command.
 COMMON_FLAGS = {
     "--config": "config", "--dataset": "dataset", "--n": "n", "--k": "k",
     "--q": "q", "--episodes": "episodes", "--eval-episodes": "eval_episodes",
@@ -396,7 +424,13 @@ COMMON_FLAGS = {
 }
 COMMAND_FLAGS = {
     "train": {**COMMON_FLAGS},
-    "eval": {**COMMON_FLAGS, "--checkpoint": "checkpoint"},
+    "eval": {
+        "--config": "config", "--dataset": "dataset", "--n": "n", "--k": "k", "--q": "q",
+        "--eval-episodes": "eval_episodes", "--lambda1": "lambda1", "--head": "head",
+        "--seed": "seed", "--out": "out", "--checkpoint": "checkpoint",
+        "--synth-classes": "synth_classes", "--per-class": "per_class", "--dim": "dim",
+        "--spread": "spread", "--within-std": "within_std",
+    },
     "ablate": {**COMMON_FLAGS, "--lambda2-values": "lambda2_values"},
     "shift": {**COMMON_FLAGS, "--target-dataset": "target_dataset", "--offset": "offset"},
     "check": {"--config": "config", "--seed": "seed"},
@@ -430,3 +464,21 @@ def test_every_run_config_field_is_a_flag_or_a_file_only_key():
     names = {f.name for f in fields(RunConfig)}
     assert names - dests == {"val_fraction", "test_fraction"}
     assert dests - names == {"help", "config"}
+
+
+def readme_commands():
+    """Every ``fewshot ...`` command line in README.md, continuations joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = text.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.lstrip().startswith("fewshot ")]
+
+
+def test_readme_commands_parse(capsys):
+    commands = readme_commands()
+    assert {argv[1] for argv in commands} >= {"train", "eval"}
+    parser = cli._build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"{shlex.join(argv)}: {capsys.readouterr().err}")

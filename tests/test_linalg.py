@@ -61,17 +61,17 @@ def test_matmul_associativity():
     assert np.allclose(left, right, atol=1e-12)
 
 
-def test_cholesky_reconstructs_spd_matrices():
+def test_cholesky_returns_the_inverse_factor():
     rng = np.random.default_rng(19)
-    for _ in range(25):
-        k = int(rng.integers(1, 7))
+    for k in [1, *(int(v) for v in rng.integers(1, 7, size=24))]:
         s = rng.standard_normal((k + 3, k))
         a = s.T @ s + 1e-3 * np.eye(k)
-        low = linalg.cholesky(a)
-        assert np.allclose(low @ low.T, a, atol=1e-10)
-        # strict lower triangle only
-        assert np.allclose(low, np.tril(low))
-        assert np.all(np.diag(low) > 0.0)
+        w = linalg.cholesky(a)
+        # exact zeros above the diagonal, a positive diagonal
+        assert np.array_equal(w, np.tril(w))
+        assert np.all(np.diag(w) > 0.0)
+        assert np.allclose(w @ a @ w.T, np.eye(k), atol=1e-10)
+        assert np.allclose(np.linalg.inv(w), np.linalg.cholesky(a), atol=1e-10)
 
 
 def test_cholesky_names_the_failing_pivot():
@@ -84,15 +84,18 @@ def test_cholesky_names_the_failing_pivot():
 
 def test_stacked_cholesky_and_solves_equal_the_per_matrix_results():
     rng = np.random.default_rng(37)
-    for _ in range(10):
+    for trial in range(12):
         n, k = (int(v) for v in rng.integers(1, 7, size=2))
-        s = rng.standard_normal((n, k + 2, k))
-        a = np.swapaxes(s, 1, 2) @ s + 1e-2 * np.eye(k)
-        b = rng.standard_normal((n, k, 3))
-        low = linalg.cholesky(a)
-        x = linalg.solve_with_factor(low, b)
-        for c in range(n):
-            assert np.allclose(low[c], linalg.cholesky(a[c]), rtol=1e-14, atol=1e-14)
+        # (N, K, K) class stacks, then (E, N, K, K) episode stacks; K = 1 too
+        lead = (n,) if trial % 2 == 0 else (int(rng.integers(1, 4)), n)
+        k = 1 if trial >= 10 else k
+        s = rng.standard_normal((*lead, k + 2, k))
+        a = np.swapaxes(s, -1, -2) @ s + 1e-2 * np.eye(k)
+        b = rng.standard_normal((*lead, k, 3))
+        w = linalg.cholesky(a)
+        x = linalg.solve_with_factor(w, b)
+        for c in np.ndindex(lead):
+            assert np.allclose(w[c], linalg.cholesky(a[c]), rtol=1e-14, atol=1e-14)
             assert np.allclose(x[c], linalg.solve_with_factor(linalg.cholesky(a[c]), b[c]),
                                rtol=1e-12, atol=1e-13)
             assert np.allclose(x[c], np.linalg.solve(a[c], b[c]), atol=1e-9)
@@ -132,17 +135,15 @@ def test_a_failing_factorization_warns_nothing():
             linalg.cholesky(a[:2])
 
 
-def test_triangular_solves_have_tiny_residuals():
+def test_solve_with_factor_has_tiny_residuals():
     rng = np.random.default_rng(23)
     for _ in range(20):
         k = int(rng.integers(1, 7))
         low = np.tril(rng.standard_normal((k, k))) + 3.0 * np.eye(k)
+        a = low @ low.T
         b = rng.standard_normal((k, 2))
-        x = linalg.solve_lower(low, b)
-        assert np.allclose(low @ x, b, atol=1e-10)
-        up = low.T
-        y = linalg.solve_upper(up, b)
-        assert np.allclose(up @ y, b, atol=1e-10)
+        x = linalg.solve_with_factor(linalg.cholesky(a), b)
+        assert np.allclose(a @ x, b, atol=1e-10)
 
 
 def test_solve_spd_matches_numpy_solver():
