@@ -13,33 +13,30 @@ is exactly what the encoder, the heads and the trainer record:
 
 - dense: one encoder layer ``act(W x + b)`` as a single node, valued by
   ``dense_np`` (which ``encoder.embed_np`` calls too);
-- structure: add, scale, neg, sub (broadcasting), transpose and matmul
-  (on the last two axes; matmul broadcasts leading ones), col_slice,
-  blocks (an M x NK matrix as an (N, M, K) stack of K-column class
-  blocks, or an (E, M, NK) stack of episodes as (E, N, M, K)),
-  expand_dims (a unit axis, so a stack of episodes' queries broadcasts
-  against their class stacks); ops that broadcast sum each adjoint back
-  to their input's shape in one helper, ``_unbroadcast``;
-- reductions: col_norms, col_normalize and cross_entropy (the episode
-  loss, a stabilized log-sum-exp inside);
-- the regression head's two nodes: ridge_residuals (the distance of every
-  query to every class span, through one stacked Cholesky sweep that
-  yields the inverse factor, and two matrix products for the K x M ridge
-  operator, whose closed-form adjoint reuses that operator instead of
-  solving again) and subspace_overlap (the orthogonalization penalty).
+- structure: add, scale and col_slice (the support and query columns of
+  an embedded episode);
+- the episode loss: cross_entropy (a stabilized log-sum-exp inside);
+- one distance node per head, each mapping an M x NK support (N classes
+  of K adjacent columns) and M x B queries to an N x B distance matrix,
+  or (E, M, NK) and (E, M, B) episode stacks to (E, N, B), with a
+  closed-form adjoint: ridge_residuals (the distance of every query to
+  every class span, through one stacked Cholesky sweep that yields the
+  inverse factor, and two matrix products for the K x M ridge operator,
+  which the adjoint reuses instead of solving again), centroid_distances
+  (to every class mean) and mean_cosine (the negated mean cosine
+  similarity to every class's columns);
+- the regression head's penalty: subspace_overlap.
 
-Constants (``Tape.const``: an input batch, a centroid or averaging matrix)
-get no adjoint: an op with several operands computes none for a constant
-one, and ``backward`` leaves a constant's ``.grad`` as None (a node the
-loss does not depend on gets zeros).  Adjoints are
-never accumulated in place: ``backward`` stores the first one as it comes
-and sums later ones into a new array, so an adjoint that is another
-node's adjoint (add, sub) or a view of it (blocks) needs no copy.
+Constants (``Tape.const``: an input batch) get no adjoint: an op with
+several operands computes none for a constant one, and ``backward``
+leaves a constant's ``.grad`` as None (a node the loss does not depend
+on gets zeros).  Adjoints are never accumulated in place: ``backward``
+stores the first one as it comes and sums later ones into a new array,
+so an adjoint that is another node's adjoint (add) needs no copy.
 
 Evaluation records the same ops on a throwaway tape and reads ``.value``;
 nothing forces a backward pass.
 """
-
 from __future__ import annotations
 
 import weakref
@@ -118,15 +115,6 @@ def _tape_of(*vars_: Var) -> Tape:
     return tape
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum an adjoint over the axes that broadcasting added or stretched."""
-    if g.shape == shape:
-        return g
-    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
-    stretched = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    return g.sum(axis=stretched, keepdims=True) if stretched else g
-
-
 def _swap(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
@@ -142,6 +130,24 @@ def _split(shape: tuple[int, ...], n: int) -> tuple[int, ...]:
 def _class_stack(value: np.ndarray, n: int) -> np.ndarray:
     """The (..., N, M, K) contiguous stack of an (..., M, NK) value's blocks."""
     return np.ascontiguousarray(np.swapaxes(value.reshape(_split(value.shape, n)), -3, -2))
+
+
+def _episode_tape(support: Var, query: Var) -> Tape:
+    """The tape of a distance node's operands, whose rows must match."""
+    tape = _tape_of(support, query)
+    if query.shape[:-1] != support.shape[:-1]:
+        raise ShapeError(
+            f"queries {query.shape} do not match the support's rows {support.shape}")
+    return tape
+
+
+def _residual_adjoint(r: np.ndarray, d: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``r g / d``: the adjoint of residual columns r from that of their
+    norms d, with the class axis of d in front of r's rows; 0 where d = 0."""
+    rb = r * (g / np.where(d > 0.0, d, 1.0))[..., None, :]
+    if (d == 0.0).any():
+        rb = np.where((d > 0.0)[..., None, :], rb, 0.0)
+    return rb
 
 
 def _live(*operands) -> list[tuple[int, np.ndarray]]:
@@ -163,21 +169,6 @@ def add(a: Var, b: Var) -> Var:
     return tape._append("add", a.value + b.value, back)
 
 
-def sub(a: Var, b: Var) -> Var:
-    """Elementwise difference; leading and unit axes broadcast."""
-    tape = _tape_of(a, b)
-    try:
-        value = a.value - b.value
-    except ValueError:
-        raise ShapeError(f"sub cannot broadcast {a.shape} with {b.shape}") from None
-
-    def back(g):
-        return _live((a, lambda: _unbroadcast(g, a.shape)),
-                     (b, lambda: -_unbroadcast(g, b.shape)))
-
-    return tape._append("sub", value, back)
-
-
 def scale(a: Var, c: float) -> Var:
     c = float(c)
 
@@ -185,32 +176,6 @@ def scale(a: Var, c: float) -> Var:
         return [(a.id, g * c)]
 
     return a.tape._append("scale", a.value * c, back)
-
-
-def neg(a: Var) -> Var:
-    return scale(a, -1.0)
-
-
-def transpose(a: Var) -> Var:
-    """Swap the last two axes."""
-
-    def back(g):
-        return [(a.id, np.ascontiguousarray(_swap(g)))]
-
-    return a.tape._append("transpose", np.ascontiguousarray(_swap(a.value)), back)
-
-
-def matmul(a: Var, b: Var) -> Var:
-    """Matrix product over the last two axes; leading axes broadcast."""
-    value = linalg.matmul(a.value, b.value)
-    tape = _tape_of(a, b)
-    av, bv = a.value, b.value
-
-    def back(g):
-        return _live((a, lambda: _unbroadcast(g @ _swap(bv), av.shape)),
-                     (b, lambda: _unbroadcast(_swap(av) @ g, bv.shape)))
-
-    return tape._append("matmul", value, back)
 
 
 def col_slice(a: Var, start: int, stop: int) -> Var:
@@ -224,30 +189,6 @@ def col_slice(a: Var, start: int, stop: int) -> Var:
         return [(a.id, full)]
 
     return a.tape._append("col_slice", np.ascontiguousarray(a.value[:, start:stop]), back)
-
-
-def blocks(a: Var, n: int) -> Var:
-    """An M x NK matrix as an (N, M, K) stack: block c is columns cK..cK+K-1.
-    Leading axes carry through: an (E, M, NK) stack gives (E, N, M, K).
-
-    In the heads the blocks are the N classes of an episode's support.
-    """
-    shape = a.shape
-
-    def back(g):
-        return [(a.id, np.swapaxes(g, -3, -2).reshape(shape))]
-
-    return a.tape._append("blocks", _class_stack(a.value, n), back)
-
-
-def expand_dims(a: Var, axis: int) -> Var:
-    """``a`` with a new unit axis at ``axis``, as ``np.expand_dims`` places it."""
-    shape = a.shape
-
-    def back(g):
-        return [(a.id, g.reshape(shape))]
-
-    return a.tape._append("expand_dims", np.expand_dims(a.value, axis), back)
 
 
 # -- one encoder layer -------------------------------------------------------
@@ -288,42 +229,7 @@ def dense(w: Var, b: Var, x: Var, activation: str) -> Var:
     return tape._append("dense", out, back)
 
 
-# -- norms and reductions ----------------------------------------------------
-
-
-def col_norms(a: Var) -> Var:
-    """Euclidean norm of every column: a lone M x B matrix gives a 1 x B
-    row, an (N, M, B) stack an N x B matrix, an (E, N, M, B) stack an
-    (E, N, B) one.  Zero columns get zero grad."""
-    av = a.value
-    norms = np.sqrt(np.sum(av * av, axis=-2, keepdims=True))
-
-    def back(g):
-        safe = np.where(norms > 0.0, norms, 1.0)
-        out = av * (g.reshape(norms.shape) / safe)
-        if (norms == 0.0).any():
-            out = np.where(norms > 0.0, out, 0.0)
-        return [(a.id, out)]
-
-    value = norms if av.ndim == 2 else norms[..., 0, :]
-    return a.tape._append("col_norms", value, back)
-
-
-def col_normalize(a: Var) -> Var:
-    """Scale every column to unit norm (zero columns pass through as zero)."""
-    av = a.value
-    norms = np.sqrt(np.sum(av * av, axis=-2, keepdims=True))
-    safe = np.where(norms > 0.0, norms, 1.0)
-    y = av / safe
-
-    def back(g):
-        dots = np.sum(y * g, axis=-2, keepdims=True)
-        out = (g - y * dots) / safe
-        if (norms == 0.0).any():
-            out = np.where(norms > 0.0, out, 0.0)
-        return [(a.id, out)]
-
-    return a.tape._append("col_normalize", y, back)
+# -- the episode loss --------------------------------------------------------
 
 
 def cross_entropy(a: Var, rows: np.ndarray) -> Var:
@@ -355,7 +261,73 @@ def cross_entropy(a: Var, rows: np.ndarray) -> Var:
                           back)
 
 
-# -- the regression head's two nodes -----------------------------------------
+# -- the distance nodes ------------------------------------------------------
+
+
+def centroid_distances(support: Var, query: Var, n: int) -> Var:
+    """N x B distances ``||q - c||`` of the M x B queries to the means c of
+    the ``n`` K-column class blocks of the M x NK support, as one node;
+    (E, M, NK) and (E, M, B) episode stacks give (E, N, B).
+
+    With ``R = q - c`` and ``Rb = R g / d`` (0 where d = 0), the adjoint
+    is ``Qb = Rb`` summed over the classes and ``Sb_c = -Rb / K`` summed
+    over the queries, the same for each of class c's K columns.
+    """
+    tape = _episode_tape(support, query)
+    s = _class_stack(support.value, n)                          # (..., N, M, K)
+    k = s.shape[-1]
+    r = query.value[..., None, :, :] - s @ np.full((k, 1), 1.0 / k)
+    d = np.sqrt(np.sum(r * r, axis=-2))
+
+    def back(g):
+        rb = _residual_adjoint(r, d, g)
+        cb = rb.sum(axis=-1) * (-1.0 / k)                      # (..., N, M)
+        return _live((support, lambda: np.repeat(_swap(cb), k, axis=-1)),
+                     (query, lambda: rb.sum(axis=-3)))
+
+    return tape._append("centroid_distances", d, back)
+
+
+def _unit_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` with every column scaled to unit norm (a zero column stays
+    zero), and the column norms."""
+    norms = np.sqrt(np.sum(a * a, axis=-2, keepdims=True))
+    return a / np.where(norms > 0.0, norms, 1.0), norms
+
+
+def _unit_columns_adjoint(y: np.ndarray, norms: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The adjoint of ``_unit_columns``' input: g less its component along
+    each unit column y, over the norm; 0 for a zero column."""
+    out = (g - y * np.sum(y * g, axis=-2, keepdims=True)) / np.where(norms > 0.0, norms, 1.0)
+    return np.where(norms > 0.0, out, 0.0) if (norms == 0.0).any() else out
+
+
+def mean_cosine(support: Var, query: Var, n: int) -> Var:
+    """N x B negated mean cosine similarities of the M x B queries to the
+    columns of each of the ``n`` K-column class blocks of the M x NK
+    support, as one node; (E, M, NK) and (E, M, B) episode stacks give
+    (E, N, B).  An all-zero column has similarity 0 and a zero adjoint.
+
+    The NK x B similarities of the unit columns are averaged by an N x NK
+    matrix whose row c holds 1/K over class c's K columns; the adjoint goes
+    back through both products and the column normalizations.
+    """
+    tape = _episode_tape(support, query)
+    k = _split(support.shape, n)[-1]
+    ys, s_norms = _unit_columns(support.value)
+    yq, q_norms = _unit_columns(query.value)
+    yst = np.ascontiguousarray(_swap(ys))                       # (..., NK, M)
+    sims = yst @ yq                                             # (..., NK, B)
+    mean = np.kron(np.eye(n), np.full((1, k), 1.0 / k))        # N x NK
+
+    def back(g):
+        gs = _swap(mean) @ -g
+        return _live(
+            (support, lambda: _unit_columns_adjoint(
+                ys, s_norms, np.ascontiguousarray(_swap(gs @ _swap(yq))))),
+            (query, lambda: _unit_columns_adjoint(yq, q_norms, _swap(yst) @ gs)))
+
+    return tape._append("mean_cosine", -(mean @ sims), back)
 
 
 def ridge_residuals(support: Var, query: Var, n: int, lambda1: float) -> Var:
@@ -373,10 +345,7 @@ def ridge_residuals(support: Var, query: Var, n: int, lambda1: float) -> Var:
     have full column rank, so M >= K is required, and a rank-deficient
     block fails the factorization with an error that names its class.
     """
-    tape = _tape_of(support, query)
-    if query.shape[:-1] != support.shape[:-1]:
-        raise ShapeError(
-            f"queries {query.shape} do not match the support's rows {support.shape}")
+    tape = _episode_tape(support, query)
     s = _class_stack(support.value, n)                          # (..., N, M, K)
     m, k = s.shape[-2:]
     if lambda1 == 0.0 and m < k:
@@ -395,9 +364,7 @@ def ridge_residuals(support: Var, query: Var, n: int, lambda1: float) -> Var:
     d = np.sqrt(np.sum(r * r, axis=-2))
 
     def back(g):
-        rb = r * (g / np.where(d > 0.0, d, 1.0))[..., None, :]
-        if (d == 0.0).any():
-            rb = np.where((d > 0.0)[..., None, :], rb, 0.0)
+        rb = _residual_adjoint(r, d, g)
         w = -(p @ rb)
         t = s @ w
         t += rb

@@ -160,7 +160,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "to class subspaces, with prototype and cosine baselines.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, keys, help_text) in COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
+        # no abbreviations: ablate's --lambda2 would otherwise pass as the
+        # prefix of --lambda2-values instead of being refused
+        command = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for key in ("config", *keys):
             command.add_argument(_flag(key), dest=key, choices=_CHOICES.get(key),
                                  help=_HELP.get(key))
@@ -337,7 +339,9 @@ COMMANDS = {
     "train": (cmd_train, _TRAINING_FLAGS,
               "episodic training; writes a checkpoint and history log"),
     "eval": (cmd_eval, _EVAL_FLAGS, "evaluate a checkpoint on test-split episodes"),
-    "ablate": (cmd_ablate, (*_TRAINING_FLAGS, "lambda2_values"),
+    # ablate's lambda2 values come from --lambda2-values, not --lambda2
+    "ablate": (cmd_ablate, (*(k for k in _TRAINING_FLAGS if k != "lambda2"),
+                            "lambda2_values"),
                "paired runs over a list of lambda2 values"),
     "shift": (cmd_shift, (*_TRAINING_FLAGS, "target_dataset", "offset"),
               "train on domain A, evaluate on domain B"),

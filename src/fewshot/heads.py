@@ -2,9 +2,8 @@
 
 An N-way K-shot episode's embedded support arrives as one M x NK block U:
 class c's K columns sit side by side, in columns (c-1)K to cK-1.  Every
-head scores all N classes at once; ``autodiff.blocks`` turns U into an
-(N, M, K) stack where a head needs one matrix per class, so there is no
-loop over classes.
+head scores all N classes at once, with no loop over classes: its
+distance is one tape node with a closed-form adjoint.
 
 The regression head represents class c by the span of its columns S_c
 (M x K).  A query embedding e is scored by the ridge regression residual
@@ -24,16 +23,16 @@ node, ``autodiff.subspace_overlap``)
 
 over ordered pairs: the squared off-diagonal K x K blocks of V^T V, where
 V is U with every class block scaled to unit Frobenius norm.  Prototype
-(distance to the support mean) and cosine (mean negated cosine
-similarity) heads provide baselines under the same episode protocol.
+(distance to the support mean, ``autodiff.centroid_distances``) and
+cosine (mean negated cosine similarity, ``autodiff.mean_cosine``) heads
+provide baselines under the same episode protocol.
 
-Each head writes its distance math once, as ``distance_rows`` on tape
-ops.  Training differentiates it; ``distances_np`` runs the same ops on a
-throwaway tape and returns the values, with no backward pass.  The ops
-also take a leading episode axis: validation and evaluation score a
-chunk of E episodes at once, as an (E, M, NK) support stack (``blocks``
-makes it (E, N, M, K)) and (E, M, B) queries, and get (E, N, B)
-distances back.
+Each head writes its distance once, as ``distance_rows``: a call to its
+node.  Training differentiates it; ``distances_np`` records the same node
+on a throwaway tape and returns its value, with no backward pass.  The
+nodes also take a leading episode axis: validation and evaluation score
+a chunk of E episodes at once, as an (E, M, NK) support stack and (E, M,
+B) queries, and get (E, N, B) distances back.
 """
 
 from __future__ import annotations
@@ -66,12 +65,6 @@ class Hyper:
         for name, value in (("lambda1", self.lambda1), ("lambda2", self.lambda2)):
             if not (math.isfinite(value) and value >= 0.0):
                 raise ContractError(f"{name} must be finite and nonnegative, got {value}")
-
-
-def _per_class(query: Var) -> Var:
-    """Queries that broadcast against the class axis of a ``blocks`` stack:
-    M x B already does; (E, M, B) episode stacks get a unit class axis."""
-    return query if len(query.shape) == 2 else autodiff.expand_dims(query, -3)
 
 
 def ortho_penalty(support: Var, n_way: int) -> Var:
@@ -132,7 +125,7 @@ def episode_loss(head, support: Var, query: Var, labels,
 
 def distances_np(head, support: np.ndarray, query: np.ndarray,
                  hyper: Hyper) -> np.ndarray:
-    """Values of the head's tape ops, recorded on a throwaway tape."""
+    """The value of the head's distance node, recorded on a throwaway tape."""
     tape = Tape()
     return head.distance_rows(tape.leaf(support), tape.leaf(query), hyper).value
 
@@ -164,11 +157,7 @@ class ProtoHead:
     distances_np = distances_np
 
     def distance_rows(self, support: Var, query: Var, hyper: Hyper) -> Var:
-        s = autodiff.blocks(support, hyper.n_way)                # N x M x K
-        k = s.shape[-1]
-        mean = support.tape.const(np.full((k, 1), 1.0 / k))
-        centroids = autodiff.matmul(s, mean)                     # N x M x 1
-        return autodiff.col_norms(autodiff.sub(_per_class(query), centroids))
+        return autodiff.centroid_distances(support, query, hyper.n_way)
 
 
 class CosineHead:
@@ -179,13 +168,7 @@ class CosineHead:
     distances_np = distances_np
 
     def distance_rows(self, support: Var, query: Var, hyper: Hyper) -> Var:
-        n = hyper.n_way
-        k = support.shape[-1] // n
-        sims = autodiff.matmul(autodiff.transpose(autodiff.col_normalize(support)),
-                               autodiff.col_normalize(query))    # NK x B
-        # Row c of the averaging matrix holds 1/K over class c's K columns.
-        mean = support.tape.const(np.kron(np.eye(n), np.full((1, k), 1.0 / k)))
-        return autodiff.neg(autodiff.matmul(mean, sims))
+        return autodiff.mean_cosine(support, query, hyper.n_way)
 
 
 HEADS = {cls.name: cls for cls in (RegressionHead, ProtoHead, CosineHead)}

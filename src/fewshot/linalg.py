@@ -39,13 +39,6 @@ def as_stack(values) -> np.ndarray:
     return np.ascontiguousarray(a) if a.ndim > 2 else as_matrix(a)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over the last two axes, broadcasting leading axes."""
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def cholesky(a: np.ndarray) -> np.ndarray:
     """Inverse Cholesky factor W = L^{-1} of each K x K matrix, ``a = L @ L.T``.
 

@@ -1,7 +1,10 @@
 """Tape op tests: every op's gradient against central finite differences,
-the two fused regression-head nodes against numpy oracles, plus the
+the fused distance and penalty nodes against numpy oracles, plus the
 structural contracts (idempotent backward, no adjoint aliasing, constants
 without adjoints, stabilized reductions, shape and tape-mixing errors).
+
+A test reduces a value to a scalar loss with ``probe``, a weighted sum
+recorded as a test-only node, so the package keeps no op for tests alone.
 """
 
 import numpy as np
@@ -60,45 +63,51 @@ def mats(seed, *shapes):
     return [rng.standard_normal(s) for s in shapes]
 
 
-def total(v):
-    """The sum of every entry of a matrix, as 1^T V 1 with constant ones."""
-    m, n = v.shape
-    ones_row = v.tape.const(np.ones((1, m)))
-    return autodiff.matmul(autodiff.matmul(ones_row, v), v.tape.const(np.ones((n, 1))))
+def probe(v, weights=None):
+    """The scalar sum(w * v) as one test-only node with adjoint g w.  By
+    default w is random and fixed by v's shape, so every entry of v counts
+    differently and a misplaced entry changes the loss."""
+    w = (np.random.default_rng(v.value.size).standard_normal(v.shape)
+         if weights is None else weights)
 
+    def back(g):
+        return [(v.id, float(g[0, 0]) * w)]
 
-def sq_norm(v):
-    """The sum of squared entries of a matrix or stack, from public ops:
-    column norms down to one row, that row's norm as a 1 x 1, squared."""
-    while len(v.shape) > 2:
-        v = autodiff.col_norms(v)
-    norm = autodiff.col_norms(autodiff.transpose(autodiff.col_norms(v)))
-    return autodiff.matmul(norm, norm)
+    return v.tape._append("probe", np.array([[np.sum(w * v.value)]]), back)
 
 
 def ridge(t, v, n=2, lambda1=0.5):
-    """The ridge residuals of leaves v[0] (support) and v[1] (queries),
-    each (class, query) distance weighted differently."""
-    d = autodiff.ridge_residuals(v[0], v[1], n, lambda1)
-    weights = np.random.default_rng(d.shape[-1]).standard_normal(d.shape)
-    return sq_norm(autodiff.sub(d, t.const(weights)))
+    """The probed ridge residuals of leaves v[0] (support) and v[1] (queries)."""
+    return probe(autodiff.ridge_residuals(v[0], v[1], n, lambda1))
+
+
+# The three heads' distance nodes, each (support, query, n) -> distances.
+DISTANCES = {
+    "ridge": lambda s, q, n: autodiff.ridge_residuals(s, q, n, 0.5),
+    "centroid": autodiff.centroid_distances,
+    "cosine": autodiff.mean_cosine,
+}
 
 
 # -- per-op gradient fidelity -------------------------------------------------
 
 
 def test_add_and_sub_gradients():
+    # a - b is add(a, scale(b, -1)), as a loss adds its weighted penalty
     for seed in range(5):
         a, b = mats(seed, (3, 2), (3, 2))
-        check_op(lambda t, v: sq_norm(autodiff.add(v[0], v[1])), [a, b])
-        check_op(lambda t, v: sq_norm(autodiff.sub(v[0], v[1])), [a, b])
+        check_op(lambda t, v: probe(autodiff.add(v[0], v[1])), [a, b])
+        check_op(lambda t, v: probe(autodiff.add(v[0], autodiff.scale(v[1], -1.0))), [a, b])
+        check_op(lambda t, v: probe(autodiff.add(
+            autodiff.dense(t.const(np.eye(3)), t.const(np.zeros((3, 1))), v[0], "tanh"),
+            v[1])), [a, b])
 
 
 def test_scale_neg_add_diag_gradients():
     for seed in range(5):
         (a,) = mats(seed + 20, (3, 3))
-        check_op(lambda t, v: sq_norm(autodiff.scale(v[0], -1.7)), [a])
-        check_op(lambda t, v: sq_norm(autodiff.neg(v[0])), [a])
+        check_op(lambda t, v: probe(autodiff.scale(v[0], -1.7)), [a])
+        check_op(lambda t, v: probe(autodiff.scale(v[0], -1.0)), [a])
         # the ridge term on the Gram diagonal, with K = 3 > M = 2 so that
         # only lambda1 I makes each class's system definite
         x, q = mats(seed + 25, (2, 6), (2, 3))
@@ -112,11 +121,11 @@ def test_dense_gradients():
         w, b, x = mats(seed + 30, (3, 4), (3, 1), (4, 5))
         assert np.min(np.abs(w @ x + b)) > 1e-3
         for act in ("relu", "tanh", "none"):
-            check_op(lambda t, v: sq_norm(
+            check_op(lambda t, v: probe(
                 autodiff.dense(v[0], v[1], v[2], act)), [w, b, x])
         # two layers chained, as the encoder records them
         w2, b2 = mats(seed + 35, (2, 3), (2, 1))
-        check_op(lambda t, v: sq_norm(autodiff.dense(
+        check_op(lambda t, v: probe(autodiff.dense(
             v[3], v[4], autodiff.dense(v[0], v[1], v[2], "tanh"), "none")), [w, b, x, w2, b2])
 
 
@@ -125,7 +134,7 @@ def test_add_col_gradients():
     eye = np.eye(3)
     for seed in range(5):
         a, c = mats(seed + 30, (3, 4), (3, 1))
-        check_op(lambda t, v: sq_norm(
+        check_op(lambda t, v: probe(
             autodiff.dense(t.const(eye), v[1], v[0], "none")), [a, c])
 
 
@@ -141,65 +150,47 @@ def test_dense_value_is_the_shared_layer_function():
     assert np.array_equal(autodiff.dense_np(w, b, x, "none"), pre)
 
 
-def test_transpose_and_matmul_gradients():
-    for seed in range(5):
-        a, b = mats(seed + 40, (2, 4), (4, 3))
-        check_op(lambda t, v: sq_norm(autodiff.transpose(v[0])), [a])
-        check_op(lambda t, v: sq_norm(autodiff.matmul(v[0], v[1])), [a, b])
-
-
 def test_col_slice_and_blocks_gradients():
+    # an embedded episode's support (two 2 x 3 class blocks) and its queries
+    # sliced from one matrix, as a training step does, through each distance
     for seed in range(5):
-        a, wide, w = mats(seed + 50, (2, 4), (2, 6), (2, 3))
-        check_op(lambda t, v: sq_norm(autodiff.col_slice(v[0], 1, 3)), [a])
-        # two 2 x 3 class blocks; every (class, column) norm has its own
-        # weight, so a misplaced column would change the loss
-        check_op(lambda t, v: sq_norm(autodiff.sub(
-            autodiff.col_norms(autodiff.blocks(v[0], 2)), t.const(w))), [wide])
+        a, episode = mats(seed + 50, (2, 4), (2, 9))
+        check_op(lambda t, v: probe(autodiff.col_slice(v[0], 1, 3)), [a])
+        for node in DISTANCES.values():
+            check_op(lambda t, v: probe(node(
+                autodiff.col_slice(v[0], 0, 6), autodiff.col_slice(v[0], 6, 9), 2)),
+                [episode])
 
 
 def test_blocks_lay_class_columns_along_the_stack_axis():
-    a = np.arange(12.0).reshape(2, 6)
+    # class c is columns cK..cK+K-1 of each episode's support: every node's
+    # row c equals the node on that block alone, for a lone episode and a stack
+    rng = np.random.default_rng(55)
+    x = rng.standard_normal((2, 3, 6))
+    q = rng.standard_normal((2, 3, 4))
     tape = Tape()
-    stack = autodiff.blocks(tape.leaf(a), 3)
-    assert stack.shape == (3, 2, 2)
-    for c in range(3):
-        assert np.array_equal(stack.value[c], a[:, 2 * c : 2 * c + 2])
-    # a leading episode axis carries through
-    episodes = np.stack([a, -a])
-    stack = autodiff.blocks(tape.leaf(episodes), 3)
-    assert stack.shape == (2, 3, 2, 2)
-    for e in range(2):
-        for c in range(3):
-            assert np.array_equal(stack.value[e, c], episodes[e][:, 2 * c : 2 * c + 2])
+    for name, node in DISTANCES.items():
+        stacked = node(tape.leaf(x), tape.leaf(q), 3).value
+        assert stacked.shape == (2, 3, 4), name
+        for e in range(2):
+            lone = node(tape.leaf(x[e]), tape.leaf(q[e]), 3).value
+            assert np.allclose(lone, stacked[e], rtol=1e-14, atol=1e-14), name
+            for c in range(3):
+                block = node(tape.leaf(x[e][:, 2 * c : 2 * c + 2]), tape.leaf(q[e]), 1)
+                assert np.allclose(block.value[0], stacked[e, c],
+                                   rtol=1e-14, atol=1e-14), name
 
 
 def test_stacked_and_broadcasting_ops_gradients():
-    # (2, 3, 3) stacks come from blocks of a 3 x 6 matrix
+    # the baseline nodes broadcast the queries against the class axis: an
+    # M x NK support with M x B queries, an (E, M, NK) stack with (E, M, B),
+    # and a constant query, where only the support gets an adjoint
     for seed in range(5):
-        x, y, r, c, m, w = mats(seed + 110, (3, 6), (3, 4), (3, 2), (3, 1), (4, 3), (2, 4))
-        stack = lambda v: autodiff.blocks(v[0], 2)
-        # matmul broadcasting its right operand, then its left one
-        check_op(lambda t, v: sq_norm(
-            autodiff.matmul(autodiff.transpose(stack(v)), v[1])), [x, y])
-        check_op(lambda t, v: sq_norm(
-            autodiff.matmul(v[1], stack(v))), [x, m])
-        # sub broadcasting a matrix against a stack, and a column stack
-        # against a matrix (both operands stretch)
-        check_op(lambda t, v: sq_norm(autodiff.sub(
-            v[1], autodiff.matmul(stack(v), v[2]))), [x, y[:, :2], r])
-        check_op(lambda t, v: sq_norm(autodiff.sub(
-            v[1], autodiff.matmul(stack(v), v[2]))), [x, r, c])
-        # 3-D col_norms (an N x B result) and col_normalize
-        check_op(lambda t, v: sq_norm(autodiff.sub(autodiff.col_norms(
-            autodiff.matmul(autodiff.transpose(stack(v)), v[1])), t.const(w))), [x, y])
-        check_op(lambda t, v: sq_norm(autodiff.matmul(
-            autodiff.col_normalize(stack(v)), v[1])), [x, r])
-        # a stack of 2 episodes: (2, 3, 4) supports as (2, 2, 3, 2) class
-        # stacks, and (2, 3, 2) queries given a unit class axis
-        e, q = mats(seed + 130, (2, 3, 4), (2, 3, 2))
-        check_op(lambda t, v: sq_norm(autodiff.col_norms(autodiff.sub(
-            autodiff.expand_dims(v[1], -3), autodiff.blocks(v[0], 2)))), [e, q])
+        x, y, e, q = mats(seed + 110, (3, 6), (3, 4), (2, 3, 4), (2, 3, 2))
+        for node in (autodiff.centroid_distances, autodiff.mean_cosine):
+            check_op(lambda t, v: probe(node(v[0], v[1], 2)), [x, y])
+            check_op(lambda t, v: probe(node(v[0], v[1], 2)), [e, q])
+            check_op(lambda t, v: probe(node(v[0], t.const(y), 3)), [x])
 
 
 def test_stacked_solve_spd_gradients():
@@ -257,46 +248,50 @@ def test_subspace_overlap_gradients_and_oracle_values():
 
 
 def test_col_slice_leaves_other_columns_with_zero_grad():
-    (a,) = mats(99, (2, 4))
+    a, w = mats(99, (2, 4), (2, 2))
     _, (g,) = analytic(
-        lambda t, v: sq_norm(autodiff.col_slice(v[0], 1, 3)), [a])
+        lambda t, v: probe(autodiff.col_slice(v[0], 1, 3), w), [a])
     assert np.array_equal(g[:, 0], np.zeros(2))
     assert np.array_equal(g[:, 3], np.zeros(2))
-    assert np.allclose(g[:, 1:3], 2.0 * a[:, 1:3])
+    assert np.array_equal(g[:, 1:3], w)
 
 
 def test_sum_all_and_nonlinearity_gradients():
-    # the all-entry sum (total) and the tanh and relu of dense with W = I, b = 0
+    # the all-entry sum (probe weights of one) and the tanh and relu of
+    # dense with W = I, b = 0
     eye, zero = np.eye(3), np.zeros((3, 1))
     for seed in range(5):
         (a,) = mats(seed + 60, (3, 3))
-        check_op(lambda t, v: autodiff.matmul(total(v[0]), total(v[0])), [a])
-        check_op(lambda t, v: total(
+        check_op(lambda t, v: probe(
+            autodiff.dense(t.const(eye), t.const(zero), v[0], "tanh"), np.ones((3, 3))), [a])
+        check_op(lambda t, v: probe(
             autodiff.dense(t.const(eye), t.const(zero), v[0], "tanh")), [a])
         # keep relu inputs away from the kink
         r = a + np.sign(a) * 0.2
-        check_op(lambda t, v: sq_norm(
+        check_op(lambda t, v: probe(
             autodiff.dense(t.const(eye), t.const(zero), v[0], "relu")), [r])
 
 
 def test_norm_and_normalize_gradients():
+    # the centroid distance (a column norm) and the cosine (column
+    # normalization) at the edges of the class shape: one shot per class
+    # (K = 1), one class (N = 1) and a single query
     for seed in range(5):
         rng = np.random.default_rng(seed + 70)
-        col = rng.standard_normal((4, 1)) + 0.5
-        a = rng.standard_normal((3, 4)) + 0.3
-        w = rng.standard_normal((3, 4))
-        check_op(lambda t, v: autodiff.col_norms(v[0]), [col])
-        check_op(lambda t, v: sq_norm(v[0]), [a])
-        check_op(lambda t, v: total(autodiff.col_norms(v[0])), [a])
-        check_op(
-            lambda t, v: sq_norm(autodiff.sub(autodiff.col_normalize(v[0]), v[1])),
-            [a, w])
+        s = rng.standard_normal((3, 4)) + 0.3
+        q = rng.standard_normal((3, 5)) - 0.2
+        col = rng.standard_normal((3, 1)) + 0.5
+        for node in (autodiff.centroid_distances, autodiff.mean_cosine):
+            check_op(lambda t, v: probe(node(v[0], v[1], 4)), [s, q])
+            check_op(lambda t, v: probe(node(v[0], v[1], 1)), [s, q])
+            check_op(lambda t, v: probe(node(v[0], v[1], 2)), [s, col])
 
 
 def test_cross_entropy_gradients():
     # one column, then several, with repeated and distinct true rows; the
-    # second loss reaches the distances through a matmul, so the adjoint is
-    # checked when it is not the first node backward visits
+    # second loss reaches the distances through a dense layer, so the
+    # adjoint is checked when it is not the first node backward visits
+    zero = np.zeros((4, 1))
     for seed in range(5):
         rng = np.random.default_rng(seed + 80)
         col = rng.standard_normal((5, 1))
@@ -306,8 +301,8 @@ def test_cross_entropy_gradients():
         rows = np.array([2, 0, 2])
         check_op(lambda t, v: autodiff.cross_entropy(v[0], rows), [a])
         check_op(lambda t, v: autodiff.add(
-            autodiff.cross_entropy(autodiff.matmul(v[0], v[1]), rows),
-            sq_norm(v[1])), [a, m])
+            autodiff.cross_entropy(autodiff.dense(v[0], t.const(zero), v[1], "none"), rows),
+            probe(v[1])), [a, m])
 
 
 def test_cross_entropy_matches_the_composed_oracle_bit_for_bit():
@@ -352,7 +347,7 @@ def test_backward_is_idempotent():
     x = tape.leaf(a)
     w = tape.leaf(np.array([[0.5, -1.0, 2.0], [1.5, 0.3, -0.7]]))
     b = tape.leaf(np.zeros((2, 1)))
-    loss = sq_norm(autodiff.dense(w, b, x, "tanh"))
+    loss = probe(autodiff.dense(w, b, x, "tanh"))
     backward(tape, loss)
     first = x.grad.copy()
     backward(tape, loss)
@@ -362,8 +357,8 @@ def test_backward_is_idempotent():
 def test_nodes_the_loss_ignores_get_zero_grad():
     tape = Tape()
     x = tape.leaf(np.ones((2, 2)))
-    unused = autodiff.transpose(x)
-    loss = total(x)
+    unused = autodiff.scale(x, 2.0)
+    loss = probe(x, np.ones((2, 2)))
     backward(tape, loss)
     assert np.array_equal(unused.grad, np.zeros((2, 2)))
     assert np.array_equal(x.grad, np.ones((2, 2)))
@@ -375,25 +370,26 @@ def test_reused_variable_accumulates_without_corrupting_upstream():
     tape = Tape()
     x = tape.leaf(np.ones((2, 2)))
     y = autodiff.add(x, x)
-    loss = total(y)
+    loss = probe(y, np.ones((2, 2)))
     backward(tape, loss)
     assert np.array_equal(x.grad, 2.0 * np.ones((2, 2)))
     assert np.array_equal(y.grad, np.ones((2, 2)))
 
 
-def test_blocks_adjoint_views_do_not_alias_the_output_grad():
-    # one block: the adjoint handed to x is a view of y's grad, stored
-    # first; the later accumulation into x must not rewrite y.grad
-    rng = np.random.default_rng(8)
-    a = rng.standard_normal((2, 3))
-    tape = Tape()
-    x = tape.leaf(a)
-    fx = sq_norm(x)
-    y = autodiff.blocks(x, 1)
-    loss = autodiff.add(fx, sq_norm(y))
-    backward(tape, loss)
-    assert np.allclose(x.grad, 4.0 * a)
-    assert np.allclose(y.grad, 2.0 * y.value)
+def test_distance_adjoints_do_not_alias_the_output_grad():
+    # the support feeds a distance node and a second consumer; the adjoint
+    # of that consumer reaches it first, so summing the node's support
+    # adjoint into it must rewrite neither the node's grad nor that adjoint
+    s, q, w, ws = mats(8, (2, 6), (2, 3), (3, 3), (2, 6))
+    for name, node in DISTANCES.items():
+        _, (alone, _) = analytic(lambda t, v: probe(node(v[0], v[1], 3), w), [s, q])
+        tape = Tape()
+        support, query = tape.leaf(s), tape.leaf(q)
+        dist = node(support, query, 3)
+        loss = autodiff.add(probe(dist, w), probe(support, ws))
+        backward(tape, loss)
+        assert np.array_equal(dist.grad, w), name
+        assert np.allclose(support.grad, alone + ws, rtol=1e-14, atol=1e-14), name
 
 
 def test_logsumexp_is_stable_for_large_inputs():
@@ -416,54 +412,66 @@ def test_relu_gradient_at_zero_is_zero():
     tape = Tape()
     x = tape.leaf(np.array([[0.0, -1.0, 2.0]]))
     y = autodiff.dense(tape.leaf(np.ones((1, 1))), tape.leaf(np.zeros((1, 1))), x, "relu")
-    backward(tape, total(y))
+    backward(tape, probe(y, np.ones((1, 3))))
     assert np.array_equal(x.grad, np.array([[0.0, 0.0, 1.0]]))
 
 
 def test_constants_get_no_adjoint():
     # the ops compute nothing for a constant operand, and backward gives it no grad
-    w, b, x, m = mats(7, (3, 4), (3, 1), (4, 5), (3, 5))
+    w, b, x, q = mats(7, (3, 4), (3, 1), (4, 6), (3, 5))
+    g = np.ones((3, 6))
     tape = Tape()
-    wv, bv, xc, mc = tape.leaf(w), tape.leaf(b), tape.const(x), tape.const(m)
+    wv, bv, xc, qc = tape.leaf(w), tape.leaf(b), tape.const(x), tape.const(q)
     h = autodiff.dense(wv, bv, xc, "tanh")
-    shifted = autodiff.sub(h, mc)
-    loss = sq_norm(autodiff.sub(autodiff.add(shifted, mc), mc))
-    g = np.ones(h.shape)
     assert [i for i, _ in h._backward(g)] == [wv.id, bv.id]
-    assert [i for i, _ in shifted._backward(g)] == [h.id]
-    dist = autodiff.ridge_residuals(h, tape.const(x[:3]), 1, 0.5)
-    assert [i for i, _ in dist._backward(np.ones(dist.shape))] == [h.id]
+    for name, node in DISTANCES.items():
+        dist = node(h, qc, 2)
+        assert [i for i, _ in dist._backward(np.ones(dist.shape))] == [h.id], name
+        ql = tape.leaf(q)
+        dist = node(tape.const(h.value), ql, 2)
+        assert [i for i, _ in dist._backward(np.ones(dist.shape))] == [ql.id], name
+    loss = probe(autodiff.mean_cosine(h, qc, 2))
     backward(tape, loss)
     assert xc.grad is None
-    assert mc.grad is None
+    assert qc.grad is None
     assert float(np.max(np.abs(wv.grad))) > 0.0
-    # the same loss with x and the offset as leaves gives W and b the same grads
+    # the same loss with x and the queries as leaves gives W and b the same grads
     tape = Tape()
-    wl, bl, xl, ml = tape.leaf(w), tape.leaf(b), tape.leaf(x), tape.leaf(m)
-    shifted = autodiff.sub(autodiff.dense(wl, bl, xl, "tanh"), ml)
-    backward(tape, sq_norm(autodiff.sub(autodiff.add(shifted, ml), ml)))
+    wl, bl, xl, ql = tape.leaf(w), tape.leaf(b), tape.leaf(x), tape.leaf(q)
+    backward(tape, probe(autodiff.mean_cosine(autodiff.dense(wl, bl, xl, "tanh"), ql, 2)))
     assert np.array_equal(wl.grad, wv.grad)
     assert np.array_equal(bl.grad, bv.grad)
     assert float(np.max(np.abs(xl.grad))) > 0.0
 
 
 def test_zero_norm_gradients_are_zero():
+    # a query on its class centroid: d = 0 exactly, and that distance
+    # passes no gradient back (the probe weighs only it)
     tape = Tape()
-    v = tape.leaf(np.zeros((3, 1)))
-    backward(tape, autodiff.col_norms(v))
-    assert np.array_equal(v.grad, np.zeros((3, 1)))
+    s = tape.leaf(np.array([[1.0, 3.0, 5.0, 7.0], [2.0, 6.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]]))
+    q = tape.leaf(np.array([[2.0, 1.0], [4.0, 0.0], [0.0, 2.0]]))
+    dist = autodiff.centroid_distances(s, q, 2)
+    assert dist.value[0, 0] == 0.0
+    only = np.zeros((2, 2))
+    only[0, 0] = 1.0
+    backward(tape, probe(dist, only))
+    assert np.array_equal(s.grad, np.zeros((3, 4)))
+    assert np.array_equal(q.grad, np.zeros((3, 2)))
+    # every distance weighted: the d = 0 entry keeps every gradient finite
+    backward(tape, probe(dist))
+    assert np.all(np.isfinite(s.grad)) and np.all(np.isfinite(q.grad))
 
+    # an all-zero support column and an all-zero query column: similarity 0
+    # in their entries, and a zero adjoint for each
     tape = Tape()
-    a = tape.leaf(np.array([[0.0, 1.0], [0.0, 2.0]]))
-    backward(tape, total(autodiff.col_norms(a)))
-    assert np.array_equal(a.grad[:, 0], np.zeros(2))
-
-    tape = Tape()
-    b = tape.leaf(np.array([[0.0, 3.0], [0.0, 4.0]]))
-    y = autodiff.col_normalize(b)
-    assert np.array_equal(y.value[:, 0], np.zeros(2))
-    backward(tape, total(y))
-    assert np.array_equal(b.grad[:, 0], np.zeros(2))
+    s = tape.leaf(np.array([[0.0, 1.0, 2.0, -1.0], [0.0, 2.0, 1.0, 3.0]]))
+    q = tape.leaf(np.array([[0.0, 3.0], [0.0, 4.0]]))
+    dist = autodiff.mean_cosine(s, q, 2)
+    assert np.array_equal(dist.value[:, 0], np.zeros(2))
+    backward(tape, probe(dist))
+    assert np.array_equal(s.grad[:, 0], np.zeros(2))
+    assert np.array_equal(q.grad[:, 0], np.zeros(2))
+    assert np.all(np.isfinite(s.grad)) and np.all(np.isfinite(q.grad))
 
 
 def test_ops_reject_mixed_tapes():
@@ -472,6 +480,9 @@ def test_ops_reject_mixed_tapes():
     b = t2.leaf(np.ones((2, 2)))
     with pytest.raises(ContractError):
         autodiff.add(a, b)
+    for node in DISTANCES.values():
+        with pytest.raises(ContractError):
+            node(a, b, 2)
 
 
 def test_a_variable_outliving_its_tape_is_refused():
@@ -480,7 +491,7 @@ def test_a_variable_outliving_its_tape_is_refused():
     x = Tape().leaf(np.ones((2, 2)))
     assert x.value.shape == (2, 2)
     with pytest.raises(ContractError, match="tape"):
-        autodiff.neg(x)
+        autodiff.scale(x, -1.0)
 
 
 def test_backward_demands_a_scalar_loss_from_its_own_tape():
@@ -510,16 +521,15 @@ def test_shape_errors_for_malformed_operands():
     with pytest.raises(ShapeError):
         autodiff.col_slice(a, 2, 5)
     with pytest.raises(ShapeError):
-        autodiff.sub(a, b)
-    with pytest.raises(ShapeError):
         a.item()
     with pytest.raises(ShapeError):
-        autodiff.blocks(a, 2)
-    with pytest.raises(ShapeError):
         autodiff.subspace_overlap(a, 2)
-    with pytest.raises(ShapeError):
-        autodiff.matmul(autodiff.blocks(a, 3), a)
-    with pytest.raises(ShapeError):
-        autodiff.ridge_residuals(a, col, 1, 0.5)
-    with pytest.raises(ShapeError):
-        autodiff.ridge_residuals(tape.leaf(np.ones((2, 2, 3))), a, 1, 0.5)
+    for node in DISTANCES.values():
+        # NK = 3 columns cannot make 2 classes
+        with pytest.raises(ShapeError):
+            node(a, tape.leaf(np.ones((2, 4))), 2)
+        # queries with the wrong rows, and a lone query matrix against a stack
+        with pytest.raises(ShapeError):
+            node(a, col, 1)
+        with pytest.raises(ShapeError):
+            node(tape.leaf(np.ones((2, 2, 3))), a, 1)

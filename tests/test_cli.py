@@ -203,6 +203,22 @@ def test_ablate_rejects_malformed_value_lists(capsys):
     assert "--lambda2-values" in capsys.readouterr().err
 
 
+def test_ablate_refuses_the_lambda2_flag_but_reads_a_config_with_it(tmp_path, capsys):
+    # every model's lambda2 comes from --lambda2-values; --lambda2 would be
+    # ignored, so it is a usage error, while a config file may still set it
+    with pytest.raises(SystemExit) as info:
+        run(["ablate", *FAST_TRAIN, "--lambda2-values", "0", "--lambda2", "5"])
+    assert info.value.code == EXIT_USAGE
+    assert "--lambda2" in capsys.readouterr().err
+    cfg = tmp_path / "lambda2.cfg"
+    cfg.write_text("lambda2 = 5\n")
+    assert run(["ablate", *FAST_TRAIN, "--lambda2-values", "0,0.01"]) == EXIT_OK
+    by_flags = capsys.readouterr().out
+    assert run(["ablate", *FAST_TRAIN, "--lambda2-values", "0,0.01",
+                "--config", str(cfg)]) == EXIT_OK
+    assert capsys.readouterr().out == by_flags
+
+
 @pytest.mark.parametrize("values", ["0,-1", "0,nan", "inf"])
 def test_ablate_rejects_out_of_range_values_before_training(monkeypatch, capsys, values):
     monkeypatch.setattr(cli, "_load_domain", no_data)
@@ -407,9 +423,9 @@ def test_run_config_defaults_are_the_documented_ones():
 
 
 # The flag surface as it was when the flags were first generated from
-# RunConfig, except that check takes only --config and --seed and eval only
-# the flags it reads: option string -> dest, shared by the training
-# commands and then per command.
+# RunConfig, except that check takes only --config and --seed, eval only
+# the flags it reads and ablate no --lambda2: option string -> dest, shared
+# by the training commands and then per command.
 COMMON_FLAGS = {
     "--config": "config", "--dataset": "dataset", "--n": "n", "--k": "k",
     "--q": "q", "--episodes": "episodes", "--eval-episodes": "eval_episodes",
@@ -431,7 +447,8 @@ COMMAND_FLAGS = {
         "--synth-classes": "synth_classes", "--per-class": "per_class", "--dim": "dim",
         "--spread": "spread", "--within-std": "within_std",
     },
-    "ablate": {**COMMON_FLAGS, "--lambda2-values": "lambda2_values"},
+    "ablate": {**{f: d for f, d in COMMON_FLAGS.items() if f != "--lambda2"},
+               "--lambda2-values": "lambda2_values"},
     "shift": {**COMMON_FLAGS, "--target-dataset": "target_dataset", "--offset": "offset"},
     "check": {"--config": "config", "--seed": "seed"},
 }

@@ -4,6 +4,7 @@ Runtime code imports only numpy, the standard library and the package
 itself, and solves nothing with ``np.linalg``: every solve goes through
 the package's own Cholesky.  ``verify.py`` holds the independent oracles
 the ``check`` suites compare against, so it alone may call ``np.linalg``.
+The tape ops and the kernels beneath them hold only what the package runs.
 """
 
 import ast
@@ -62,3 +63,35 @@ def test_only_the_oracle_module_calls_numpy_linalg():
     offenders = [f"{name}:{line}" for name, lines in uses.items()
                  if name != ORACLE_MODULE for line in lines]
     assert offenders == []
+
+
+OP_MODULES = ("autodiff", "linalg")
+
+
+def called_names(node):
+    """The callee of every call under ``node``: ``f`` of ``f(...)``, or of
+    ``autodiff.f(...)`` and ``linalg.f(...)``."""
+    for call in ast.walk(node):
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        if isinstance(func, ast.Name):
+            yield func.id
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id in OP_MODULES):
+            yield func.attr
+
+
+def test_every_public_op_and_kernel_has_a_caller_in_the_package():
+    # a public autodiff or linalg function that only tests call is dead code;
+    # a call inside the function's own definition does not count
+    trees = dict(parsed())
+    calls = {(name, getattr(top, "name", None), callee)
+             for name, tree in trees.items() for top in tree.body
+             for callee in called_names(top)}
+    dead = [f"{module}.py: {top.name}"
+            for module in OP_MODULES for top in trees[f"{module}.py"].body
+            if isinstance(top, ast.FunctionDef) and not top.name.startswith("_")
+            and not any(callee == top.name and (name, owner) != (f"{module}.py", top.name)
+                        for name, owner, callee in calls)]
+    assert dead == []

@@ -6,7 +6,7 @@ independent numpy oracles.
 import numpy as np
 import pytest
 
-from fewshot.autodiff import Tape, ridge_residuals
+from fewshot.autodiff import Tape, backward, ridge_residuals
 from fewshot.errors import ContractError, DegenerateSubspaceError, ShapeError
 from fewshot.heads import (HEADS, CosineHead, Hyper, ProtoHead,
                            RegressionHead, cross_entropy_from_distances,
@@ -329,16 +329,32 @@ def test_regression_head_loss_matches_numpy_reconstruction():
 
 
 def test_proto_distances_match_manual_centroids():
+    # one episode, then an (E, M, NK) stack of episodes checked one by one
     rng = np.random.default_rng(61)
-    support_cols = [rng.standard_normal((4, 3)) for _ in range(3)]
-    query = rng.standard_normal((4, 5))
+    support = rng.standard_normal((3, 4, 9))
+    query = rng.standard_normal((3, 4, 5))
     hyper = Hyper(3, 3, 5, 0.0, 0.0)
-    got = ProtoHead().distances_np(np.hstack(support_cols), query, hyper)
-    for c, s in enumerate(support_cols):
-        centroid = s.mean(axis=1, keepdims=True)
-        for j in range(5):
-            expected = float(np.linalg.norm(query[:, [j]] - centroid))
-            assert got[c, j] == pytest.approx(expected, abs=1e-12)
+    lone = ProtoHead().distances_np(support[0], query[0], hyper)
+    stacked = ProtoHead().distances_np(support, query, hyper)
+    assert stacked.shape == (3, 3, 5)
+    for s, q, got in [(support[0], query[0], lone), *zip(support, query, stacked)]:
+        for c in range(3):
+            centroid = s[:, 3 * c : 3 * c + 3].mean(axis=1, keepdims=True)
+            for j in range(5):
+                expected = float(np.linalg.norm(q[:, [j]] - centroid))
+                assert got[c, j] == pytest.approx(expected, abs=1e-12)
+    # the first query is class 1's centroid exactly: d = 0 there, and the
+    # episode loss still gives finite gradients everywhere
+    support = np.array([[1.0, 3.0, 0.0, 4.0], [2.0, 0.0, 1.0, 1.0], [3.0, 1.0, 5.0, 2.0]])
+    query = np.array([[2.0, 0.5], [1.0, 1.0], [2.0, -1.0]])
+    hyper = Hyper(2, 2, 1, 0.0, 0.0)
+    tape = Tape()
+    s, q = tape.leaf(support), tape.leaf(query)
+    loss, dist = ProtoHead().episode_loss(s, q, np.array([1, 2]), hyper)
+    assert dist.value[0, 0] == 0.0
+    backward(tape, loss)
+    assert np.all(np.isfinite(s.grad)) and np.all(np.isfinite(q.grad))
+    assert np.isfinite(loss.item())
 
 
 def test_proto_episode_loss_agrees_with_its_distances():
@@ -357,21 +373,25 @@ def test_proto_episode_loss_agrees_with_its_distances():
 
 
 def test_cosine_scores_match_manual_means():
+    # one episode, then an (E, M, NK) stack of episodes checked one by one
     rng = np.random.default_rng(71)
-    support_cols = [rng.standard_normal((4, 2)) for _ in range(2)]
-    query = rng.standard_normal((4, 3))
+    support = rng.standard_normal((2, 4, 4))
+    query = rng.standard_normal((2, 4, 3))
     hyper = Hyper(2, 2, 3, 0.0, 0.0)
-    got = CosineHead().distances_np(np.hstack(support_cols), query, hyper)
-    for c, s in enumerate(support_cols):
-        for j in range(3):
-            e = query[:, j]
-            sims = [
-                float(e @ s[:, t] / (np.linalg.norm(e) * np.linalg.norm(s[:, t])))
-                for t in range(2)
-            ]
-            assert got[c, j] == pytest.approx(-np.mean(sims), abs=1e-12)
-    # negated similarity lies in [-1, 1]
-    assert np.all(got >= -1.0 - 1e-12) and np.all(got <= 1.0 + 1e-12)
+    lone = CosineHead().distances_np(support[0], query[0], hyper)
+    stacked = CosineHead().distances_np(support, query, hyper)
+    assert stacked.shape == (2, 2, 3)
+    for s, q, got in [(support[0], query[0], lone), *zip(support, query, stacked)]:
+        for c in range(2):
+            for j in range(3):
+                v = q[:, j]
+                sims = [
+                    float(v @ s[:, 2 * c + t] / (np.linalg.norm(v) * np.linalg.norm(s[:, 2 * c + t])))
+                    for t in range(2)
+                ]
+                assert got[c, j] == pytest.approx(-np.mean(sims), abs=1e-12)
+        # negated similarity lies in [-1, 1]
+        assert np.all(got >= -1.0 - 1e-12) and np.all(got <= 1.0 + 1e-12)
 
 
 def test_baseline_tape_rows_match_numpy_twins():

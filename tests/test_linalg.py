@@ -9,20 +9,6 @@ from fewshot import linalg
 from fewshot.errors import ConditioningError, ShapeError
 
 
-def matmul_oracle(a, b):
-    """Triple-loop product, independent of the @ operator."""
-    n, k = a.shape
-    k2, m = b.shape
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
 def test_as_matrix_coerces_scalars_and_vectors():
     assert linalg.as_matrix(3.0).shape == (1, 1)
     assert linalg.as_matrix([1.0, 2.0, 3.0]).shape == (3, 1)
@@ -35,30 +21,6 @@ def test_as_matrix_coerces_scalars_and_vectors():
 def test_as_matrix_rejects_rank_3():
     with pytest.raises(ShapeError):
         linalg.as_matrix(np.zeros((2, 2, 2)))
-
-
-def test_matmul_matches_triple_loop_oracle():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        n, k, m = rng.integers(1, 6, size=3)
-        a = rng.standard_normal((n, k))
-        b = rng.standard_normal((k, m))
-        assert np.allclose(linalg.matmul(a, b), matmul_oracle(a, b), atol=1e-12)
-
-
-def test_matmul_rejects_mismatched_inner_dims():
-    with pytest.raises(ShapeError):
-        linalg.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
-def test_matmul_associativity():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((3, 4))
-    b = rng.standard_normal((4, 5))
-    c = rng.standard_normal((5, 2))
-    left = linalg.matmul(linalg.matmul(a, b), c)
-    right = linalg.matmul(a, linalg.matmul(b, c))
-    assert np.allclose(left, right, atol=1e-12)
 
 
 def test_cholesky_returns_the_inverse_factor():
