@@ -1,18 +1,17 @@
 """Reverse-mode automatic differentiation on a per-episode tape.
 
 The tape is define-by-run: each op computes its forward value eagerly and
-appends a node holding the input ids and a closure that maps the output
-adjoint to input adjoints.  ``backward`` walks the node list once in
+appends a node holding a closure that maps the output adjoint to
+(input id, input adjoint) pairs.  ``backward`` walks the node list once in
 reverse, which is a valid topological order because inputs always precede
 the ops that consume them.  A node refers to its tape only weakly, so a
 tape and its nodes are freed by reference counting as soon as the tape
 goes out of scope, without waiting for the cyclic garbage collector.
 
 Values are matrices or stacks of matrices (see ``linalg``).  The op set
-is exactly what the encoder, the heads and the trainer record:
+is exactly what the trainer and the heads record; the encoder records its
+own node, ``encoder.forward``, through ``Tape.append``:
 
-- dense: one encoder layer ``act(W x + b)`` as a single node, valued by
-  ``dense_np`` (which ``encoder.embed_np`` calls too);
 - structure: add, scale and col_slice (the support and query columns of
   an embedded episode);
 - the episode loss: cross_entropy (a stabilized log-sum-exp inside);
@@ -27,12 +26,10 @@ is exactly what the encoder, the heads and the trainer record:
   similarity to every class's columns);
 - the regression head's penalty: subspace_overlap.
 
-Constants (``Tape.const``: an input batch) get no adjoint: an op with
-several operands computes none for a constant one, and ``backward``
-leaves a constant's ``.grad`` as None (a node the loss does not depend
-on gets zeros).  Adjoints are never accumulated in place: ``backward``
-stores the first one as it comes and sums later ones into a new array,
-so an adjoint that is another node's adjoint (add) needs no copy.
+Every operand of an op gets an adjoint.  Adjoints are never accumulated
+in place: ``backward`` stores the first one as it comes and sums later
+ones into a new array, so an adjoint that is another node's adjoint (add)
+needs no copy.
 
 Evaluation records the same ops on a throwaway tape and reads ``.value``;
 nothing forces a backward pass.
@@ -93,18 +90,16 @@ class Tape:
         self.nodes: list[Var] = []
         self._ref = weakref.ref(self)
 
-    def _append(self, op: str, value: np.ndarray, backward: Adjoint | None) -> Var:
+    def append(self, op: str, value: np.ndarray, backward: Adjoint | None) -> Var:
+        """Record a node valued ``value`` whose ``backward`` maps its output
+        adjoint to (input id, input adjoint) pairs; None for a leaf."""
         var = Var(self._ref, len(self.nodes), op, value, backward)
         self.nodes.append(var)
         return var
 
     def leaf(self, values) -> Var:
         """Enter a tensor whose gradient is wanted (a parameter) onto the tape."""
-        return self._append("leaf", linalg.as_stack(values), None)
-
-    def const(self, values) -> Var:
-        """Enter a tensor that gets no adjoint (see the module docstring)."""
-        return self._append("const", linalg.as_stack(values), None)
+        return self.append("leaf", linalg.as_stack(values), None)
 
 
 def _tape_of(*vars_: Var) -> Tape:
@@ -150,11 +145,6 @@ def _residual_adjoint(r: np.ndarray, d: np.ndarray, g: np.ndarray) -> np.ndarray
     return rb
 
 
-def _live(*operands) -> list[tuple[int, np.ndarray]]:
-    """(id, adjoint) for each (var, adjoint thunk) whose var is not a constant."""
-    return [(v.id, adjoint()) for v, adjoint in operands if v.op != "const"]
-
-
 # -- elementwise and structural ops -----------------------------------------
 
 
@@ -164,9 +154,9 @@ def add(a: Var, b: Var) -> Var:
     tape = _tape_of(a, b)
 
     def back(g):
-        return _live((a, lambda: g), (b, lambda: g))
+        return [(a.id, g), (b.id, g)]
 
-    return tape._append("add", a.value + b.value, back)
+    return tape.append("add", a.value + b.value, back)
 
 
 def scale(a: Var, c: float) -> Var:
@@ -175,7 +165,7 @@ def scale(a: Var, c: float) -> Var:
     def back(g):
         return [(a.id, g * c)]
 
-    return a.tape._append("scale", a.value * c, back)
+    return a.tape.append("scale", a.value * c, back)
 
 
 def col_slice(a: Var, start: int, stop: int) -> Var:
@@ -188,45 +178,7 @@ def col_slice(a: Var, start: int, stop: int) -> Var:
         full[:, start:stop] = g
         return [(a.id, full)]
 
-    return a.tape._append("col_slice", np.ascontiguousarray(a.value[:, start:stop]), back)
-
-
-# -- one encoder layer -------------------------------------------------------
-
-
-def dense_np(w: np.ndarray, b: np.ndarray, x: np.ndarray, activation: str) -> np.ndarray:
-    """act(W x + b), b an out x 1 column; act is "tanh", "relu" or "none"."""
-    h = w @ x
-    h += b
-    if activation == "tanh":
-        np.tanh(h, out=h)
-    elif activation == "relu":
-        np.maximum(h, 0.0, out=h)
-    elif activation != "none":
-        raise ContractError(f"unknown activation {activation!r}")
-    return h
-
-
-def dense(w: Var, b: Var, x: Var, activation: str) -> Var:
-    """One encoder layer, ``dense_np`` as one node.  The relu gradient at
-    exactly 0 is 0; a constant x (the input batch) costs no ``W^T g``."""
-    if w.shape[1] != x.shape[0] or b.shape != (w.shape[0], 1):
-        raise ShapeError(
-            f"dense expects W (out x in), b (out x 1) and x (in x B), got "
-            f"{w.shape}, {b.shape} and {x.shape}")
-    tape = _tape_of(w, b, x)
-    wv, xv = w.value, x.value
-    out = dense_np(wv, b.value, xv, activation)
-
-    def back(g):
-        if activation == "tanh":
-            g = g * (1.0 - out * out)
-        elif activation == "relu":
-            g = g * (out > 0.0)
-        return _live((w, lambda: g @ xv.T), (b, lambda: g.sum(axis=1, keepdims=True)),
-                     (x, lambda: wv.T @ g))
-
-    return tape._append("dense", out, back)
+    return a.tape.append("col_slice", np.ascontiguousarray(a.value[:, start:stop]), back)
 
 
 # -- the episode loss --------------------------------------------------------
@@ -257,7 +209,7 @@ def cross_entropy(a: Var, rows: np.ndarray) -> Var:
         out -= soft * s
         return [(a.id, out)]
 
-    return a.tape._append("cross_entropy", np.array([[float(np.sum(per_column))]]) * c,
+    return a.tape.append("cross_entropy", np.array([[float(np.sum(per_column))]]) * c,
                           back)
 
 
@@ -282,10 +234,10 @@ def centroid_distances(support: Var, query: Var, n: int) -> Var:
     def back(g):
         rb = _residual_adjoint(r, d, g)
         cb = rb.sum(axis=-1) * (-1.0 / k)                      # (..., N, M)
-        return _live((support, lambda: np.repeat(_swap(cb), k, axis=-1)),
-                     (query, lambda: rb.sum(axis=-3)))
+        return [(support.id, np.repeat(_swap(cb), k, axis=-1)),
+                (query.id, rb.sum(axis=-3))]
 
-    return tape._append("centroid_distances", d, back)
+    return tape.append("centroid_distances", d, back)
 
 
 def _unit_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -322,12 +274,11 @@ def mean_cosine(support: Var, query: Var, n: int) -> Var:
 
     def back(g):
         gs = _swap(mean) @ -g
-        return _live(
-            (support, lambda: _unit_columns_adjoint(
-                ys, s_norms, np.ascontiguousarray(_swap(gs @ _swap(yq))))),
-            (query, lambda: _unit_columns_adjoint(yq, q_norms, _swap(yst) @ gs)))
+        return [(support.id, _unit_columns_adjoint(
+                    ys, s_norms, np.ascontiguousarray(_swap(gs @ _swap(yq))))),
+                (query.id, _unit_columns_adjoint(yq, q_norms, _swap(yst) @ gs))]
 
-    return tape._append("mean_cosine", -(mean @ sims), back)
+    return tape.append("mean_cosine", -(mean @ sims), back)
 
 
 def ridge_residuals(support: Var, query: Var, n: int, lambda1: float) -> Var:
@@ -368,12 +319,11 @@ def ridge_residuals(support: Var, query: Var, n: int, lambda1: float) -> Var:
         w = -(p @ rb)
         t = s @ w
         t += rb
-        return _live(
-            (support, lambda: np.swapaxes(r @ _swap(w) - t @ _swap(c), -3, -2)
-             .reshape(support.shape)),
-            (query, lambda: t.sum(axis=-3)))
+        return [(support.id, np.swapaxes(r @ _swap(w) - t @ _swap(c), -3, -2)
+                 .reshape(support.shape)),
+                (query.id, t.sum(axis=-3))]
 
-    return tape._append("ridge_residuals", d, back)
+    return tape.append("ridge_residuals", d, back)
 
 
 def subspace_overlap(a: Var, n: int) -> Var:
@@ -402,12 +352,12 @@ def subspace_overlap(a: Var, n: int) -> Var:
         dots = np.sum(y * gv, axis=(0, 2), keepdims=True)
         return [(a.id, ((gv - y * dots) / norms).reshape(m, width))]
 
-    return a.tape._append("subspace_overlap", np.array([[np.sum(x * x)]]), back)
+    return a.tape.append("subspace_overlap", np.array([[np.sum(x * x)]]), back)
 
 
 def backward(tape: Tape, loss: Var) -> None:
     """Accumulate d(loss)/d(node) into ``.grad`` for every node at or before
-    ``loss`` (None for constants, zeros for nodes the loss does not depend on).
+    ``loss`` (zeros for nodes the loss does not depend on).
 
     One reverse pass suffices: a node's consumers come after it on the
     tape.  Repeated calls recompute every ``.grad``, so they are idempotent.
@@ -421,8 +371,6 @@ def backward(tape: Tape, loss: Var) -> None:
     grads: dict[int, np.ndarray] = {loss.id: np.ones((1, 1))}
     for var in reversed(tape.nodes[: loss.id + 1]):
         g = grads.pop(var.id, None)
-        if var.op == "const":
-            continue
         if g is None:
             var.grad = np.zeros_like(var.value)
             continue

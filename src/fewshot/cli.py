@@ -342,7 +342,7 @@ COMMANDS = {
     # ablate's lambda2 values come from --lambda2-values, not --lambda2
     "ablate": (cmd_ablate, (*(k for k in _TRAINING_FLAGS if k != "lambda2"),
                             "lambda2_values"),
-               "paired runs over a list of lambda2 values"),
+               "paired regression-head runs over a list of lambda2 values"),
     "shift": (cmd_shift, (*_TRAINING_FLAGS, "target_dataset", "offset"),
               "train on domain A, evaluate on domain B"),
     "check": (cmd_check, ("seed",), "run the verification suites and report pass/fail"),

@@ -3,17 +3,19 @@
 All parameters live in one float64 vector, ``EncoderParams.vector``, laid
 out W0, b0, W1, b1, ... (each row-major); every layer's ``weight`` and
 ``bias`` is a view into it.  Only this module knows that layout:
-``EncoderParams`` packs it, ``with_vector`` re-views it and ``gradient``
-gathers tape gradients in it, so ``train``'s optimizers are vector ops.
+``EncoderParams`` packs it and ``with_vector`` re-views it, so
+``train``'s optimizers are vector ops.
 
-For training, ``attach`` enters the weights and biases onto a tape once
-per episode batch so gradients accumulate on the returned handles;
-``forward`` then records one ``autodiff.dense`` node per layer, and the
-train step reads both its loss and its accuracy from that one embedding.
-Validation and test evaluation embed each split once with ``embed_np``,
-with no tape.  A layer's math, ``act(W x + b)``, exists once, as
-``autodiff.dense_np``: the tape node's value and every ``embed_np`` layer
-are that function, so the two routes agree exactly.
+For training, ``params.vector`` is the one leaf of an episode batch's
+tape (``Tape.leaf``), and ``forward`` records the whole layer chain as
+one node of it.  The node's adjoint writes every layer's gradient into
+the views of one new vector, so the gradient is laid out as
+``params.vector`` when it is made.  The train step reads both its loss
+and its accuracy from that one embedding.  Validation and test
+evaluation embed each split once with ``embed_np``, with no tape.  A
+layer's math, ``act(W x + b)``, exists once, as ``dense_np``: the node's
+value and every ``embed_np`` layer are that function, so the two routes
+agree exactly.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff, linalg
-from .autodiff import Tape, Var
-from .errors import CheckpointError, ConfigError, ShapeError
+from . import linalg
+from .autodiff import Var
+from .errors import CheckpointError, ConfigError, ContractError, ShapeError
 
 ACTIVATIONS = ("tanh", "relu", "none")
 
@@ -126,34 +128,70 @@ def init_encoder(seed, spec) -> EncoderParams:
     return EncoderParams(layers)
 
 
-def attach(params: EncoderParams, tape: Tape) -> list[tuple[Var, Var]]:
-    """Enter every (weight, bias) pair onto the tape as leaves."""
-    return [(tape.leaf(l.weight), tape.leaf(l.bias)) for l in params.layers]
-
-
-def gradient(attached: list[tuple[Var, Var]]) -> np.ndarray:
-    """The gradients of ``attach``'s leaves after ``autodiff.backward``,
-    laid out as ``EncoderParams.vector``."""
-    return np.concatenate([var.grad.ravel() for pair in attached for var in pair])
-
-
-def forward(attached: list[tuple[Var, Var]], params: EncoderParams, x: Var) -> Var:
-    """Record one dense node per layer; x is D x B, the result M x B."""
-    h = x
-    for (w_var, b_var), layer in zip(attached, params.layers):
-        h = autodiff.dense(w_var, b_var, h, layer.activation)
+def dense_np(w: np.ndarray, b: np.ndarray, x: np.ndarray, activation: str) -> np.ndarray:
+    """act(W x + b), b an out x 1 column; act is "tanh", "relu" or "none"."""
+    h = w @ x
+    h += b
+    if activation == "tanh":
+        np.tanh(h, out=h)
+    elif activation == "relu":
+        np.maximum(h, 0.0, out=h)
+    elif activation != "none":
+        raise ContractError(f"unknown activation {activation!r}")
     return h
+
+
+def _input(params: EncoderParams, batch) -> np.ndarray:
+    """``batch`` as a D x B matrix, D the encoder's input dimension."""
+    x = linalg.as_matrix(batch)
+    if x.shape[0] != params.input_dim:
+        raise ShapeError(
+            f"batch has {x.shape[0]} rows, encoder expects {params.input_dim}")
+    return x
+
+
+def forward(theta: Var, params: EncoderParams, x) -> Var:
+    """The layer chain on the D x B batch ``x`` as one node, M x B, of the
+    leaf ``theta``: a parameter vector laid out as ``params.vector`` and
+    entered with ``Tape.leaf``.  ``x`` is a plain array and gets no adjoint.
+
+    The adjoint walks the layers in reverse: with g the adjoint of a
+    layer's pre-activation, it writes ``g x^T`` and g's row sums into that
+    layer's weight and bias views of one new vector, then passes ``W^T g``
+    to the layer below.  The relu gradient at exactly 0 is 0.
+    """
+    size = params.vector.size
+    if theta.shape != (size, 1):
+        raise ShapeError(f"parameter leaf must be {size} x 1, got {theta.shape}")
+    layers = params.with_vector(theta.value.reshape(size)).layers
+    outs = [_input(params, x)]
+    for layer in layers:
+        outs.append(dense_np(layer.weight, layer.bias, outs[-1], layer.activation))
+
+    def back(g):
+        grad = np.empty(size)
+        views = params.with_vector(grad).layers
+        for i in reversed(range(len(layers))):
+            out = outs[i + 1]
+            if layers[i].activation == "tanh":
+                g = g * (1.0 - out * out)
+            elif layers[i].activation == "relu":
+                g = g * (out > 0.0)
+            np.matmul(g, outs[i].T, out=views[i].weight)
+            np.sum(g, axis=1, keepdims=True, out=views[i].bias)
+            if i:
+                g = layers[i].weight.T @ g
+        return [(theta.id, grad.reshape(size, 1))]
+
+    return theta.tape.append("encoder", outs[-1], back)
 
 
 def embed_np(params: EncoderParams, batch) -> np.ndarray:
     """Tape-free forward pass: the layer function ``forward`` records.
     Validation and evaluation embed a whole split with one call."""
-    h = linalg.as_matrix(batch)
-    if h.shape[0] != params.input_dim:
-        raise ShapeError(
-            f"batch has {h.shape[0]} rows, encoder expects {params.input_dim}")
+    h = _input(params, batch)
     for layer in params.layers:
-        h = autodiff.dense_np(layer.weight, layer.bias, h, layer.activation)
+        h = dense_np(layer.weight, layer.bias, h, layer.activation)
     return h
 
 
@@ -214,9 +252,12 @@ def load_encoder(path) -> EncoderParams:
         if len(parts) != expected:
             raise CheckpointError(f"{path}: {what} has {len(parts)} values, expected {expected}")
         try:
-            return np.array([float(p) for p in parts])
+            values = np.array([float(p) for p in parts])
         except ValueError:
             raise CheckpointError(f"{path}: non-numeric value in {what}") from None
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{path}: non-finite value in {what}")
+        return values
 
     spec = []
     layers = []

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff, encoder, heads, linalg
-from .autodiff import Tape
+from .autodiff import Tape, Var
 from .encoder import EncoderParams
 from .episodes import Dataset, Episode, check_sampleable, sample_episode
 from .errors import ConfigError, ContractError, DivergenceError, NumericalError
@@ -133,17 +133,18 @@ def sgd_update(params: EncoderParams, grad: np.ndarray, lr: float) -> EncoderPar
     return params.with_vector(params.vector - lr * grad)
 
 
-def episode_loss_on_tape(attached, params: EncoderParams, episode: Episode,
-                         head, hyper: Hyper, tape: Tape):
+def episode_loss_on_tape(theta: Var, params: EncoderParams, episode: Episode,
+                         head, hyper: Hyper):
     """Embed the episode's support and queries (``episode.x``) on the tape
-    and record the head loss.
+    of the parameter leaf ``theta`` (see ``encoder.forward``) and record
+    the head loss.
 
     The support stays one M x NK block, class by class as sampled.
 
     Returns (loss, N x B distance matrix), as ``head.episode_loss`` does.
     """
     nk = episode.n_way * episode.k_shot
-    embeds = encoder.forward(attached, params, tape.const(episode.x))
+    embeds = encoder.forward(theta, params, episode.x)
     support = autodiff.col_slice(embeds, 0, nk)
     query = autodiff.col_slice(embeds, nk, embeds.shape[1])
     return head.episode_loss(support, query, episode.query_y, hyper)
@@ -214,13 +215,13 @@ def train_step(params: EncoderParams, batch: list[Episode], config: TrainConfig,
     head = head if head is not None else RegressionHead()
     hyper = config.hyper()
     tape = Tape()
-    attached = encoder.attach(params, tape)
+    theta = tape.leaf(params.vector)
     total = None
     losses = []
     accuracies = []
     for i, episode in enumerate(batch):
         try:
-            loss, dist = episode_loss_on_tape(attached, params, episode, head, hyper, tape)
+            loss, dist = episode_loss_on_tape(theta, params, episode, head, hyper)
             value = loss.item()
             if not np.isfinite(value):
                 raise DivergenceError(f"training diverged: non-finite loss {value}")
@@ -232,7 +233,7 @@ def train_step(params: EncoderParams, batch: list[Episode], config: TrainConfig,
         accuracies.append(np.mean(heads.predict_np(dist.value) == episode.query_y))
         total = loss if total is None else autodiff.add(total, loss)
     autodiff.backward(tape, total)
-    grad = encoder.gradient(attached)
+    grad = theta.grad.reshape(params.vector.shape)
     if config.optimizer == "adam":
         new_params = adam_update(params, grad, state, config.lr)
     else:

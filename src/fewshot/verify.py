@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import encoder, heads, linalg, train
+from . import heads, linalg, train
 from .autodiff import Tape, backward, ridge_residuals
 from .encoder import EncoderParams, Layer, init_encoder
 from .episodes import Episode
@@ -198,11 +198,11 @@ def _random_episode(rng: np.random.Generator, n: int, k: int, q: int, d: int) ->
 
 
 def _episode_loss(params, episode, hyper, head):
-    """(tape, attached parameters, loss) of one episode's training loss."""
+    """(tape, parameter leaf, loss) of one episode's training loss."""
     tape = Tape()
-    attached = encoder.attach(params, tape)
-    loss, _ = train.episode_loss_on_tape(attached, params, episode, head, hyper, tape)
-    return tape, attached, loss
+    theta = tape.leaf(params.vector)
+    loss, _ = train.episode_loss_on_tape(theta, params, episode, head, hyper)
+    return tape, theta, loss
 
 
 def check_gradient_fidelity(seed: int = 0, trials: int = 20,
@@ -224,9 +224,9 @@ def check_gradient_fidelity(seed: int = 0, trials: int = 20,
         spec = [(5, 6, "tanh"), (6, 4, "none")]
         params = init_encoder(int(rng.integers(2**32)), spec)
 
-        tape, attached, loss = _episode_loss(params, episode, hyper, head)
+        tape, theta, loss = _episode_loss(params, episode, hyper, head)
         backward(tape, loss)
-        analytic = encoder.gradient(attached)
+        analytic = theta.grad[:, 0]
         flat = params.vector
 
         def loss_at(vec):

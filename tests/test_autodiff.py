@@ -1,7 +1,8 @@
-"""Tape op tests: every op's gradient against central finite differences,
-the fused distance and penalty nodes against numpy oracles, plus the
-structural contracts (idempotent backward, no adjoint aliasing, constants
-without adjoints, stabilized reductions, shape and tape-mixing errors).
+"""Tape node tests: the gradient of every op, and of the encoder's node,
+against central finite differences, the fused distance and penalty nodes
+against numpy oracles, plus the structural contracts (idempotent backward,
+no adjoint aliasing, no adjoint for the encoder's input batch, stabilized
+reductions, shape and tape-mixing errors).
 
 A test reduces a value to a scalar loss with ``probe``, a weighted sum
 recorded as a test-only node, so the package keeps no op for tests alone.
@@ -10,8 +11,9 @@ recorded as a test-only node, so the package keeps no op for tests alone.
 import numpy as np
 import pytest
 
-from fewshot import autodiff
+from fewshot import autodiff, encoder
 from fewshot.autodiff import Tape, backward
+from fewshot.encoder import ACTIVATIONS, EncoderParams, Layer, default_layer_spec, init_encoder
 from fewshot.errors import ContractError, ShapeError
 
 from oracles import cross_entropy_np, lstsq_distances, ortho_penalty_np
@@ -73,12 +75,31 @@ def probe(v, weights=None):
     def back(g):
         return [(v.id, float(g[0, 0]) * w)]
 
-    return v.tape._append("probe", np.array([[np.sum(w * v.value)]]), back)
+    return v.tape.append("probe", np.array([[np.sum(w * v.value)]]), back)
 
 
 def ridge(t, v, n=2, lambda1=0.5):
     """The probed ridge residuals of leaves v[0] (support) and v[1] (queries)."""
     return probe(autodiff.ridge_residuals(v[0], v[1], n, lambda1))
+
+
+def encoder_case(seed, depth, act, batch=5):
+    """A 4 -> 3 (x depth) -> 2 encoder with every layer's activation
+    ``act`` and random weights and biases, its parameter vector as a
+    column (the shape ``Tape.leaf`` gives it), and a 4 x batch input."""
+    rng = np.random.default_rng(seed)
+    params = init_encoder(seed, default_layer_spec(4, 2, 3, depth, act, act))
+    params.vector[:] = rng.standard_normal(params.vector.size)
+    return params, params.vector[:, None].copy(), rng.standard_normal((4, batch))
+
+
+def pre_activations(params, x):
+    """Every layer's W h + b on the input x."""
+    pres = []
+    for layer in params.layers:
+        pres.append(layer.weight @ x + layer.bias)
+        x = encoder.dense_np(layer.weight, layer.bias, x, layer.activation)
+    return pres
 
 
 # The three heads' distance nodes, each (support, query, n) -> distances.
@@ -98,9 +119,7 @@ def test_add_and_sub_gradients():
         a, b = mats(seed, (3, 2), (3, 2))
         check_op(lambda t, v: probe(autodiff.add(v[0], v[1])), [a, b])
         check_op(lambda t, v: probe(autodiff.add(v[0], autodiff.scale(v[1], -1.0))), [a, b])
-        check_op(lambda t, v: probe(autodiff.add(
-            autodiff.dense(t.const(np.eye(3)), t.const(np.zeros((3, 1))), v[0], "tanh"),
-            v[1])), [a, b])
+        check_op(lambda t, v: probe(autodiff.add(autodiff.scale(v[0], 2.0), v[1])), [a, b])
 
 
 def test_scale_neg_add_diag_gradients():
@@ -115,39 +134,55 @@ def test_scale_neg_add_diag_gradients():
 
 
 def test_dense_gradients():
-    # W, b and x all leaves, for every activation; relu pre-activations are
-    # kept away from the kink so the stencil never straddles it
+    # the encoder node, every layer act(W x + b), against differences in
+    # its parameter column, for every activation at depth 0 and depth 2;
+    # relu pre-activations are kept away from the kink so the stencil
+    # never straddles it
     for seed in range(5):
-        w, b, x = mats(seed + 30, (3, 4), (3, 1), (4, 5))
-        assert np.min(np.abs(w @ x + b)) > 1e-3
-        for act in ("relu", "tanh", "none"):
-            check_op(lambda t, v: probe(
-                autodiff.dense(v[0], v[1], v[2], act)), [w, b, x])
-        # two layers chained, as the encoder records them
-        w2, b2 = mats(seed + 35, (2, 3), (2, 1))
-        check_op(lambda t, v: probe(autodiff.dense(
-            v[3], v[4], autodiff.dense(v[0], v[1], v[2], "tanh"), "none")), [w, b, x, w2, b2])
+        for depth in (0, 2):
+            for act in ACTIVATIONS:
+                params, theta, x = encoder_case(seed + 30, depth, act)
+                assert min(np.min(np.abs(p)) for p in pre_activations(params, x)) > 1e-3
+                check_op(lambda t, v: probe(encoder.forward(v[0], params, x)), [theta])
 
 
-def test_add_col_gradients():
-    # the bias column added to every column: dense with W = I and no activation
-    eye = np.eye(3)
-    for seed in range(5):
-        a, c = mats(seed + 30, (3, 4), (3, 1))
-        check_op(lambda t, v: probe(
-            autodiff.dense(t.const(eye), v[1], v[0], "none")), [a, c])
+def test_a_batch_of_episodes_sums_into_one_gradient():
+    # two episodes embedded on one tape, as a train step with two tasks
+    # records them: the leaf's gradient is the sum of each episode's
+    params, theta, x = encoder_case(40, 2, "tanh")
+    y = np.random.default_rng(41).standard_normal((4, 3))
+
+    def episode(batch):
+        return lambda t, v: probe(encoder.forward(v[0], params, batch))
+
+    def both(t, v):
+        return autodiff.add(episode(x)(t, v), episode(y)(t, v))
+
+    check_op(both, [theta])
+    _, (summed,) = analytic(both, [theta])
+    _, (first,) = analytic(episode(x), [theta])
+    _, (second,) = analytic(episode(y), [theta])
+    assert summed.shape == theta.shape
+    assert np.array_equal(summed, first + second)
 
 
 def test_dense_value_is_the_shared_layer_function():
-    w, b, x = mats(36, (3, 4), (3, 1), (4, 5))
-    for act in ("relu", "tanh", "none"):
+    # the node's value is dense_np applied layer by layer, as embed_np does
+    for act in ACTIVATIONS:
+        params, theta, x = encoder_case(36, 2, act)
         tape = Tape()
-        out = autodiff.dense(tape.leaf(w), tape.leaf(b), tape.const(x), act)
-        assert np.array_equal(out.value, autodiff.dense_np(w, b, x, act))
+        out = encoder.forward(tape.leaf(theta), params, x)
+        h = x
+        for layer in params.layers:
+            h = encoder.dense_np(layer.weight, layer.bias, h, act)
+        assert np.array_equal(out.value, h)
+    w, b, x = mats(36, (3, 4), (3, 1), (4, 5))
     pre = w @ x + b
-    assert np.array_equal(autodiff.dense_np(w, b, x, "relu"), np.maximum(pre, 0.0))
-    assert np.array_equal(autodiff.dense_np(w, b, x, "tanh"), np.tanh(pre))
-    assert np.array_equal(autodiff.dense_np(w, b, x, "none"), pre)
+    assert np.array_equal(encoder.dense_np(w, b, x, "relu"), np.maximum(pre, 0.0))
+    assert np.array_equal(encoder.dense_np(w, b, x, "tanh"), np.tanh(pre))
+    assert np.array_equal(encoder.dense_np(w, b, x, "none"), pre)
+    with pytest.raises(ContractError):
+        encoder.dense_np(w, b, x, "sigmoid")
 
 
 def test_col_slice_and_blocks_gradients():
@@ -184,13 +219,13 @@ def test_blocks_lay_class_columns_along_the_stack_axis():
 def test_stacked_and_broadcasting_ops_gradients():
     # the baseline nodes broadcast the queries against the class axis: an
     # M x NK support with M x B queries, an (E, M, NK) stack with (E, M, B),
-    # and a constant query, where only the support gets an adjoint
+    # and a fixed query, whose adjoint goes unchecked
     for seed in range(5):
         x, y, e, q = mats(seed + 110, (3, 6), (3, 4), (2, 3, 4), (2, 3, 2))
         for node in (autodiff.centroid_distances, autodiff.mean_cosine):
             check_op(lambda t, v: probe(node(v[0], v[1], 2)), [x, y])
             check_op(lambda t, v: probe(node(v[0], v[1], 2)), [e, q])
-            check_op(lambda t, v: probe(node(v[0], t.const(y), 3)), [x])
+            check_op(lambda t, v: probe(node(v[0], t.leaf(y), 3)), [x])
 
 
 def test_stacked_solve_spd_gradients():
@@ -200,8 +235,8 @@ def test_stacked_solve_spd_gradients():
         x, y, e, q = mats(seed + 120, (4, 6), (4, 5), (2, 4, 6), (2, 4, 3))
         check_op(ridge, [x, y])
         check_op(ridge, [e, q])
-        # a constant query: only the support gets an adjoint
-        check_op(lambda t, v: ridge(t, [v[0], t.const(y)]), [x])
+        # a fixed query, whose adjoint goes unchecked
+        check_op(lambda t, v: ridge(t, [v[0], t.leaf(y)]), [x])
 
 
 def test_stacked_solve_spd_values_match_numpy_per_class():
@@ -256,22 +291,6 @@ def test_col_slice_leaves_other_columns_with_zero_grad():
     assert np.array_equal(g[:, 1:3], w)
 
 
-def test_sum_all_and_nonlinearity_gradients():
-    # the all-entry sum (probe weights of one) and the tanh and relu of
-    # dense with W = I, b = 0
-    eye, zero = np.eye(3), np.zeros((3, 1))
-    for seed in range(5):
-        (a,) = mats(seed + 60, (3, 3))
-        check_op(lambda t, v: probe(
-            autodiff.dense(t.const(eye), t.const(zero), v[0], "tanh"), np.ones((3, 3))), [a])
-        check_op(lambda t, v: probe(
-            autodiff.dense(t.const(eye), t.const(zero), v[0], "tanh")), [a])
-        # keep relu inputs away from the kink
-        r = a + np.sign(a) * 0.2
-        check_op(lambda t, v: probe(
-            autodiff.dense(t.const(eye), t.const(zero), v[0], "relu")), [r])
-
-
 def test_norm_and_normalize_gradients():
     # the centroid distance (a column norm) and the cosine (column
     # normalization) at the edges of the class shape: one shot per class
@@ -289,7 +308,7 @@ def test_norm_and_normalize_gradients():
 
 def test_cross_entropy_gradients():
     # one column, then several, with repeated and distinct true rows; the
-    # second loss reaches the distances through a dense layer, so the
+    # second loss reaches the distances through the encoder node, so the
     # adjoint is checked when it is not the first node backward visits
     zero = np.zeros((4, 1))
     for seed in range(5):
@@ -300,9 +319,11 @@ def test_cross_entropy_gradients():
         check_op(lambda t, v: autodiff.cross_entropy(v[0], np.array([3])), [col])
         rows = np.array([2, 0, 2])
         check_op(lambda t, v: autodiff.cross_entropy(v[0], rows), [a])
+        params = EncoderParams([Layer(a, zero, "none")])
+        theta = params.vector[:, None].copy()
         check_op(lambda t, v: autodiff.add(
-            autodiff.cross_entropy(autodiff.dense(v[0], t.const(zero), v[1], "none"), rows),
-            probe(v[1])), [a, m])
+            autodiff.cross_entropy(encoder.forward(v[0], params, m), rows),
+            probe(v[0])), [theta])
 
 
 def test_cross_entropy_matches_the_composed_oracle_bit_for_bit():
@@ -342,16 +363,14 @@ def test_solve_spd_value_matches_numpy():
 
 
 def test_backward_is_idempotent():
-    (a,) = mats(1, (3, 2))
+    params, column, x = encoder_case(1, 1, "tanh")
     tape = Tape()
-    x = tape.leaf(a)
-    w = tape.leaf(np.array([[0.5, -1.0, 2.0], [1.5, 0.3, -0.7]]))
-    b = tape.leaf(np.zeros((2, 1)))
-    loss = probe(autodiff.dense(w, b, x, "tanh"))
+    theta = tape.leaf(column)
+    loss = probe(encoder.forward(theta, params, x))
     backward(tape, loss)
-    first = x.grad.copy()
+    first = theta.grad.copy()
     backward(tape, loss)
-    assert np.array_equal(first, x.grad)
+    assert np.array_equal(first, theta.grad)
 
 
 def test_nodes_the_loss_ignores_get_zero_grad():
@@ -409,39 +428,34 @@ def test_logsumexp_is_stable_for_large_inputs():
 
 
 def test_relu_gradient_at_zero_is_zero():
+    # W = 1, b = -1 on inputs 1, -1, 2: pre-activations 0, -2, 1, so only
+    # the third column passes gradient, giving dW = 2 and db = 1 (a relu
+    # gradient of 1 at 0 would give dW = 3 and db = 2)
+    params = EncoderParams([Layer(np.ones((1, 1)), np.array([[-1.0]]), "relu")])
     tape = Tape()
-    x = tape.leaf(np.array([[0.0, -1.0, 2.0]]))
-    y = autodiff.dense(tape.leaf(np.ones((1, 1))), tape.leaf(np.zeros((1, 1))), x, "relu")
+    theta = tape.leaf(params.vector)
+    y = encoder.forward(theta, params, np.array([[1.0, -1.0, 2.0]]))
+    assert np.array_equal(y.value, np.array([[0.0, 0.0, 1.0]]))
     backward(tape, probe(y, np.ones((1, 3))))
-    assert np.array_equal(x.grad, np.array([[0.0, 0.0, 1.0]]))
+    assert np.array_equal(theta.grad, np.array([[2.0], [1.0]]))
 
 
 def test_constants_get_no_adjoint():
-    # the ops compute nothing for a constant operand, and backward gives it no grad
-    w, b, x, q = mats(7, (3, 4), (3, 1), (4, 6), (3, 5))
-    g = np.ones((3, 6))
+    # the encoder node's input batch is a plain array: its adjoint names
+    # only the parameter leaf, while each distance node gives both of its
+    # operands an adjoint
+    params, column, x = encoder_case(7, 1, "tanh", batch=6)
+    (q,) = mats(7, (2, 5))
     tape = Tape()
-    wv, bv, xc, qc = tape.leaf(w), tape.leaf(b), tape.const(x), tape.const(q)
-    h = autodiff.dense(wv, bv, xc, "tanh")
-    assert [i for i, _ in h._backward(g)] == [wv.id, bv.id]
+    theta, query = tape.leaf(column), tape.leaf(q)
+    h = encoder.forward(theta, params, x)
+    assert [i for i, _ in h._backward(np.ones(h.shape))] == [theta.id]
     for name, node in DISTANCES.items():
-        dist = node(h, qc, 2)
-        assert [i for i, _ in dist._backward(np.ones(dist.shape))] == [h.id], name
-        ql = tape.leaf(q)
-        dist = node(tape.const(h.value), ql, 2)
-        assert [i for i, _ in dist._backward(np.ones(dist.shape))] == [ql.id], name
-    loss = probe(autodiff.mean_cosine(h, qc, 2))
-    backward(tape, loss)
-    assert xc.grad is None
-    assert qc.grad is None
-    assert float(np.max(np.abs(wv.grad))) > 0.0
-    # the same loss with x and the queries as leaves gives W and b the same grads
-    tape = Tape()
-    wl, bl, xl, ql = tape.leaf(w), tape.leaf(b), tape.leaf(x), tape.leaf(q)
-    backward(tape, probe(autodiff.mean_cosine(autodiff.dense(wl, bl, xl, "tanh"), ql, 2)))
-    assert np.array_equal(wl.grad, wv.grad)
-    assert np.array_equal(bl.grad, bv.grad)
-    assert float(np.max(np.abs(xl.grad))) > 0.0
+        dist = node(h, query, 2)
+        assert [i for i, _ in dist._backward(np.ones(dist.shape))] == [h.id, query.id], name
+    backward(tape, probe(autodiff.mean_cosine(h, query, 2)))
+    assert theta.grad.shape == column.shape
+    assert float(np.max(np.abs(theta.grad))) > 0.0
 
 
 def test_zero_norm_gradients_are_zero():
@@ -512,12 +526,13 @@ def test_shape_errors_for_malformed_operands():
     col = tape.leaf(np.ones((3, 1)))
     with pytest.raises(ShapeError):
         autodiff.add(a, b)
+    params = init_encoder(0, [(3, 2, "none")])
+    theta = tape.leaf(params.vector)
+    # a batch of the wrong height, and a parameter column of the wrong size
     with pytest.raises(ShapeError):
-        autodiff.dense(a, col, b, "none")
+        encoder.forward(theta, params, np.ones((2, 4)))
     with pytest.raises(ShapeError):
-        autodiff.dense(a, tape.leaf(np.ones((2, 1))), a, "none")
-    with pytest.raises(ContractError):
-        autodiff.dense(a, tape.leaf(np.ones((2, 1))), b, "sigmoid")
+        encoder.forward(tape.leaf(np.ones(5)), params, np.ones((3, 4)))
     with pytest.raises(ShapeError):
         autodiff.col_slice(a, 2, 5)
     with pytest.raises(ShapeError):

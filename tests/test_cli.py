@@ -351,6 +351,21 @@ def test_malformed_checkpoint_exits_3_and_names_the_file(tmp_path, capsys, body)
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("head, value", [("proto", "nan"), ("cosine", "inf"),
+                                         ("regression", "-inf")])
+def test_non_finite_checkpoint_exits_3_and_names_the_file_and_row(tmp_path, capsys,
+                                                                 head, value):
+    # scored as is, such a weight gave proto and cosine a chance-level
+    # report and exit 0, and regression a Cholesky failure
+    path = tmp_path / "enc.txt"
+    path.write_text(f"fewshot-encoder v1\nlayers 1\nlayer 4 2 none\n"
+                    f"0 0 0 0\n0 {value} 0 0\n0 0\n")
+    assert run(["eval", *FAST_EVAL, "--head", head, "--checkpoint", str(path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "non-finite value in layer 0 weight row 1" in err
+
+
 def test_threads_is_accepted_and_ignored(tmp_path, capsys):
     # a flag of the training commands, and a config key that eval accepts too
     for threads in ("1", "4"):

@@ -79,7 +79,7 @@ def test_tape_and_numpy_forward_agree():
         params = init_encoder(seed, spec)
         x = rng.standard_normal((6, 5))
         tape = Tape()
-        on_tape = encoder.forward(encoder.attach(params, tape), params, tape.const(x)).value
+        on_tape = encoder.forward(tape.leaf(params.vector), params, x).value
         plain = embed_np(params, x)
         assert np.max(np.abs(on_tape - plain)) < 1e-14
 
@@ -99,20 +99,19 @@ def test_embed_rejects_wrong_input_dim():
         embed_np(params, np.zeros((5, 2)))
     with pytest.raises(ShapeError):
         tape = Tape()
-        encoder.forward(encoder.attach(params, tape), params, tape.const(np.zeros((5, 2))))
+        encoder.forward(tape.leaf(params.vector), params, np.zeros((5, 2)))
 
 
 def test_forward_gradients_flow_to_all_layers():
     params = init_encoder(2, [(3, 4, "tanh"), (4, 2, "none")])
     tape = Tape()
-    attached = encoder.attach(params, tape)
-    x = tape.leaf(np.random.default_rng(1).standard_normal((3, 4)))
-    out = encoder.forward(attached, params, x)
+    theta = tape.leaf(params.vector)
+    out = encoder.forward(theta, params, np.random.default_rng(1).standard_normal((3, 4)))
     autodiff.backward(tape, autodiff.cross_entropy(out, np.array([0, 1, 1, 0])))
-    for w_var, b_var in attached:
-        assert float(np.max(np.abs(w_var.grad))) > 0.0
-        assert w_var.grad.shape == w_var.value.shape
-        assert b_var.grad.shape == b_var.value.shape
+    assert theta.grad.shape == (params.vector.size, 1)
+    for layer in params.with_vector(theta.grad[:, 0]).layers:
+        assert float(np.max(np.abs(layer.weight))) > 0.0
+        assert float(np.max(np.abs(layer.bias))) > 0.0
 
 
 def test_copy_is_independent():
@@ -159,19 +158,22 @@ def test_params_are_views_of_one_vector_in_w0_b0_w1_b1_order(tmp_path):
         assert np.shares_memory(layer.bias, loaded.vector)
 
 
-def test_gradient_gathers_leaf_grads_in_vector_order():
+def test_forward_lays_the_gradient_out_as_the_vector():
+    # the node's gradient against backpropagation by hand, concatenated in
+    # the W0, b0, W1, b1 order of ``params.vector``
     params = init_encoder(2, [(3, 4, "tanh"), (4, 2, "none")])
+    x = np.random.default_rng(1).standard_normal((3, 4))
     tape = Tape()
-    attached = encoder.attach(params, tape)
-    out = encoder.forward(attached, params,
-                          tape.const(np.random.default_rng(1).standard_normal((3, 4))))
+    theta = tape.leaf(params.vector)
+    out = encoder.forward(theta, params, x)
     autodiff.backward(tape, autodiff.cross_entropy(out, np.array([0, 1, 1, 0])))
-    grad = encoder.gradient(attached)
-    assert grad.shape == params.vector.shape
-    as_params = params.with_vector(grad)
-    for (w_var, b_var), layer in zip(attached, as_params.layers):
-        assert np.array_equal(layer.weight, w_var.grad)
-        assert np.array_equal(layer.bias, b_var.grad)
+    first, second = params.layers
+    h = np.tanh(first.weight @ x + first.bias)
+    g = (second.weight.T @ out.grad) * (1.0 - h * h)
+    expected = np.concatenate([(g @ x.T).ravel(), g.sum(axis=1),
+                               (out.grad @ h.T).ravel(), out.grad.sum(axis=1)])
+    assert theta.grad.shape == (expected.size, 1)
+    assert np.allclose(theta.grad[:, 0], expected, rtol=1e-13, atol=1e-16)
 
 
 def test_checkpoint_round_trip_is_value_exact(tmp_path):

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fewshot import heads
+from fewshot import autodiff, heads, train
 from fewshot.evaluate import evaluate
 from fewshot.encoder import EncoderParams, Layer, default_layer_spec, embed_np, init_encoder
 from fewshot.episodes import sample_episode, split_classes, synth_gaussian
@@ -175,13 +175,11 @@ def test_tape_loss_matches_numpy_reconstruction():
     episode = sample_episode(train_set, 3, 2, 3, named_stream(0, "train-sampling"))
 
     from fewshot.autodiff import Tape
-    from fewshot.encoder import attach
     from fewshot.train import episode_loss_on_tape
 
     tape = Tape()
-    attached = attach(params, tape)
-    loss, _ = episode_loss_on_tape(attached, params, episode, RegressionHead(),
-                                   config.hyper(), tape)
+    loss, _ = episode_loss_on_tape(tape.leaf(params.vector), params, episode,
+                                   RegressionHead(), config.hyper())
 
     support = embed_np(params, episode.support_x)
     query = embed_np(params, episode.query_x)
@@ -194,6 +192,47 @@ def test_tape_loss_matches_numpy_reconstruction():
     expected = float(np.mean(picked + lse[0, :]))
     expected += config.hyper().lambda2 * ortho_penalty_np(cols)
     assert loss.item() == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("head_name, nodes", [("regression", 9), ("proto", 6), ("cosine", 6)])
+def test_a_training_tape_has_one_leaf_and_gives_the_optimizer_a_flat_gradient(
+        monkeypatch, head_name, nodes):
+    # one episode per step at a 3-layer encoder, lambda2 > 0: the parameter
+    # vector is the tape's one leaf and the layer chain one node, and the
+    # optimizers get a gradient of params.vector's shape (a P x 1 one would
+    # broadcast against Adam's moments into a P x P array)
+    train_set, _, _ = small_splits()
+    params = init_encoder(named_stream(3, "init"),
+                          default_layer_spec(train_set.dim, 4, 8, 2))
+    assert len(params.layers) == 3
+    episode = sample_episode(train_set, 3, 2, 3, named_stream(3, "train-sampling"))
+    tapes, shapes = [], []
+    backward, adam, sgd = autodiff.backward, train.adam_update, train.sgd_update
+
+    def record_tape(tape, loss):
+        tapes.append(tape)
+        backward(tape, loss)
+
+    def record_grad(update):
+        def recorded(params, grad, *rest):
+            shapes.append(grad.shape)
+            return update(params, grad, *rest)
+        return recorded
+
+    monkeypatch.setattr(autodiff, "backward", record_tape)
+    monkeypatch.setattr(train, "adam_update", record_grad(adam))
+    monkeypatch.setattr(train, "sgd_update", record_grad(sgd))
+    for optimizer in train.OPTIMIZERS:
+        config = small_config(lambda2=1e-2, optimizer=optimizer)
+        train_step(params, [episode], config, AdamState.for_params(params),
+                   heads.make_head(head_name))
+    assert [len(tape.nodes) for tape in tapes] == [nodes, nodes]
+    for tape in tapes:
+        ops = [v.op for v in tape.nodes]
+        assert ops[:2] == ["leaf", "encoder"]
+        assert ops.count("leaf") == 1
+        assert tape.nodes[0].grad.size == params.vector.size
+    assert shapes == [params.vector.shape, params.vector.shape]
 
 
 def test_episode_accuracy_agrees_with_manual_argmin():
