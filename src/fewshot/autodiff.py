@@ -1,4 +1,5 @@
-"""Reverse-mode automatic differentiation on a per-episode tape.
+"""Reverse-mode automatic differentiation on a per-episode tape, and the
+numeric kernels of the episode loss.
 
 The tape is define-by-run: each op computes its forward value eagerly and
 appends a node holding a closure that maps the output adjoint to
@@ -8,14 +9,17 @@ the ops that consume them.  A node refers to its tape only weakly, so a
 tape and its nodes are freed by reference counting as soon as the tape
 goes out of scope, without waiting for the cyclic garbage collector.
 
-Values are matrices or stacks of matrices (see ``linalg``).  The op set
-is exactly what the trainer and the heads record; the encoder records its
-own node, ``encoder.forward``, through ``Tape.append``:
+A training step records three kinds of node: the parameter leaf
+(``Tape.leaf``), the encoder (``encoder.forward``) and one episode loss
+(``heads.episode_loss``), each through ``Tape.append``; ``add`` sums a
+batch's losses.
 
-- structure: add, scale and col_slice (the support and query columns of
-  an embedded episode);
-- the episode loss: cross_entropy (a stabilized log-sum-exp inside);
-- one distance node per head, each mapping an M x NK support (N classes
+The loss is composed of plain numpy kernels, each returning ``(value,
+back)`` where ``back(g)`` maps the adjoint g of the value to the adjoints
+of its array operands, so the loss node chains them by hand and scoring
+calls them with no tape at all:
+
+- one distance kernel per head, each mapping an M x NK support (N classes
   of K adjacent columns) and M x B queries to an N x B distance matrix,
   or (E, M, NK) and (E, M, B) episode stacks to (E, N, B), with a
   closed-form adjoint: ridge_residuals (the distance of every query to
@@ -24,15 +28,12 @@ own node, ``encoder.forward``, through ``Tape.append``:
   which the adjoint reuses instead of solving again), centroid_distances
   (to every class mean) and mean_cosine (the negated mean cosine
   similarity to every class's columns);
+- cross_entropy (a stabilized log-sum-exp inside);
 - the regression head's penalty: subspace_overlap.
 
-Every operand of an op gets an adjoint.  Adjoints are never accumulated
-in place: ``backward`` stores the first one as it comes and sums later
-ones into a new array, so an adjoint that is another node's adjoint (add)
-needs no copy.
-
-Evaluation records the same ops on a throwaway tape and reads ``.value``;
-nothing forces a backward pass.
+Adjoints are never accumulated in place: ``backward`` stores the first
+one as it comes and sums later ones into a new array, so an adjoint that
+is another node's adjoint (add) needs no copy.
 """
 from __future__ import annotations
 
@@ -102,14 +103,6 @@ class Tape:
         return self.append("leaf", linalg.as_stack(values), None)
 
 
-def _tape_of(*vars_: Var) -> Tape:
-    tape = vars_[0].tape
-    for v in vars_[1:]:
-        if v.tape is not tape:
-            raise ContractError("ops cannot mix variables from different tapes")
-    return tape
-
-
 def _swap(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
@@ -127,13 +120,11 @@ def _class_stack(value: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(value.reshape(_split(value.shape, n)), -3, -2))
 
 
-def _episode_tape(support: Var, query: Var) -> Tape:
-    """The tape of a distance node's operands, whose rows must match."""
-    tape = _tape_of(support, query)
+def _check_rows(support: np.ndarray, query: np.ndarray) -> None:
+    """A distance kernel's operands must match in every axis but the columns."""
     if query.shape[:-1] != support.shape[:-1]:
         raise ShapeError(
             f"queries {query.shape} do not match the support's rows {support.shape}")
-    return tape
 
 
 def _residual_adjoint(r: np.ndarray, d: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -145,13 +136,15 @@ def _residual_adjoint(r: np.ndarray, d: np.ndarray, g: np.ndarray) -> np.ndarray
     return rb
 
 
-# -- elementwise and structural ops -----------------------------------------
+# -- the tape's one structural op ---------------------------------------------
 
 
 def add(a: Var, b: Var) -> Var:
     if a.shape != b.shape:
         raise ShapeError(f"add expects matching shapes, got {a.shape} and {b.shape}")
-    tape = _tape_of(a, b)
+    tape = a.tape
+    if b.tape is not tape:
+        raise ContractError("ops cannot mix variables from different tapes")
 
     def back(g):
         return [(a.id, g), (b.id, g)]
@@ -159,39 +152,17 @@ def add(a: Var, b: Var) -> Var:
     return tape.append("add", a.value + b.value, back)
 
 
-def scale(a: Var, c: float) -> Var:
-    c = float(c)
-
-    def back(g):
-        return [(a.id, g * c)]
-
-    return a.tape.append("scale", a.value * c, back)
+# -- the loss kernels: (value, back) ------------------------------------------
 
 
-def col_slice(a: Var, start: int, stop: int) -> Var:
-    if not (0 <= start < stop <= a.shape[1]):
-        raise ShapeError(f"column slice [{start}:{stop}] out of range for {a.shape}")
-    shape = a.shape
-
-    def back(g):
-        full = np.zeros(shape)
-        full[:, start:stop] = g
-        return [(a.id, full)]
-
-    return a.tape.append("col_slice", np.ascontiguousarray(a.value[:, start:stop]), back)
-
-
-# -- the episode loss --------------------------------------------------------
-
-
-def cross_entropy(a: Var, rows: np.ndarray) -> Var:
+def cross_entropy(d: np.ndarray, rows: np.ndarray):
     """Mean over the columns j of an N x B distance matrix d of
     ``d[rows[j], j] + logsumexp(-d[:, j])`` (``rows`` 0-based, checked by
-    the caller), as one node with adjoint ``(onehot - softmax(-d)) / B``.
-    The float operations follow the order of the pick, negate,
-    log-sum-exp, add, sum and scale ops this node stands for.
+    the caller), as a 1 x 1 value whose ``back`` gives the adjoint
+    ``(onehot - softmax(-d)) / B`` of d.  The float operations follow the
+    order of the pick, negate, log-sum-exp, add, sum and scale ops this
+    kernel stands for.
     """
-    d = a.value
     b = d.shape[1]
     cols = np.arange(b)
     neg_d = -d
@@ -207,37 +178,33 @@ def cross_entropy(a: Var, rows: np.ndarray) -> Var:
         out = np.zeros(d.shape)
         out[rows, cols] = s
         out -= soft * s
-        return [(a.id, out)]
+        return out
 
-    return a.tape.append("cross_entropy", np.array([[float(np.sum(per_column))]]) * c,
-                          back)
-
-
-# -- the distance nodes ------------------------------------------------------
+    return np.array([[float(np.sum(per_column))]]) * c, back
 
 
-def centroid_distances(support: Var, query: Var, n: int) -> Var:
+def centroid_distances(support: np.ndarray, query: np.ndarray, n: int):
     """N x B distances ``||q - c||`` of the M x B queries to the means c of
-    the ``n`` K-column class blocks of the M x NK support, as one node;
-    (E, M, NK) and (E, M, B) episode stacks give (E, N, B).
+    the ``n`` K-column class blocks of the M x NK support; (E, M, NK) and
+    (E, M, B) episode stacks give (E, N, B).  ``back`` gives the (support,
+    query) adjoints.
 
     With ``R = q - c`` and ``Rb = R g / d`` (0 where d = 0), the adjoint
     is ``Qb = Rb`` summed over the classes and ``Sb_c = -Rb / K`` summed
     over the queries, the same for each of class c's K columns.
     """
-    tape = _episode_tape(support, query)
-    s = _class_stack(support.value, n)                          # (..., N, M, K)
+    _check_rows(support, query)
+    s = _class_stack(support, n)                                # (..., N, M, K)
     k = s.shape[-1]
-    r = query.value[..., None, :, :] - s @ np.full((k, 1), 1.0 / k)
+    r = query[..., None, :, :] - s @ np.full((k, 1), 1.0 / k)
     d = np.sqrt(np.sum(r * r, axis=-2))
 
     def back(g):
         rb = _residual_adjoint(r, d, g)
         cb = rb.sum(axis=-1) * (-1.0 / k)                      # (..., N, M)
-        return [(support.id, np.repeat(_swap(cb), k, axis=-1)),
-                (query.id, rb.sum(axis=-3))]
+        return np.repeat(_swap(cb), k, axis=-1), rb.sum(axis=-3)
 
-    return tape.append("centroid_distances", d, back)
+    return d, back
 
 
 def _unit_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,37 +221,38 @@ def _unit_columns_adjoint(y: np.ndarray, norms: np.ndarray, g: np.ndarray) -> np
     return np.where(norms > 0.0, out, 0.0) if (norms == 0.0).any() else out
 
 
-def mean_cosine(support: Var, query: Var, n: int) -> Var:
+def mean_cosine(support: np.ndarray, query: np.ndarray, n: int):
     """N x B negated mean cosine similarities of the M x B queries to the
     columns of each of the ``n`` K-column class blocks of the M x NK
-    support, as one node; (E, M, NK) and (E, M, B) episode stacks give
-    (E, N, B).  An all-zero column has similarity 0 and a zero adjoint.
+    support; (E, M, NK) and (E, M, B) episode stacks give (E, N, B).  An
+    all-zero column has similarity 0 and a zero adjoint.  ``back`` gives
+    the (support, query) adjoints.
 
     The NK x B similarities of the unit columns are averaged by an N x NK
     matrix whose row c holds 1/K over class c's K columns; the adjoint goes
     back through both products and the column normalizations.
     """
-    tape = _episode_tape(support, query)
+    _check_rows(support, query)
     k = _split(support.shape, n)[-1]
-    ys, s_norms = _unit_columns(support.value)
-    yq, q_norms = _unit_columns(query.value)
+    ys, s_norms = _unit_columns(support)
+    yq, q_norms = _unit_columns(query)
     yst = np.ascontiguousarray(_swap(ys))                       # (..., NK, M)
     sims = yst @ yq                                             # (..., NK, B)
     mean = np.kron(np.eye(n), np.full((1, k), 1.0 / k))        # N x NK
 
     def back(g):
         gs = _swap(mean) @ -g
-        return [(support.id, _unit_columns_adjoint(
-                    ys, s_norms, np.ascontiguousarray(_swap(gs @ _swap(yq))))),
-                (query.id, _unit_columns_adjoint(yq, q_norms, _swap(yst) @ gs))]
+        return (_unit_columns_adjoint(ys, s_norms, np.ascontiguousarray(_swap(gs @ _swap(yq)))),
+                _unit_columns_adjoint(yq, q_norms, _swap(yst) @ gs))
 
-    return tape.append("mean_cosine", -(mean @ sims), back)
+    return -(mean @ sims), back
 
 
-def ridge_residuals(support: Var, query: Var, n: int, lambda1: float) -> Var:
+def ridge_residuals(support: np.ndarray, query: np.ndarray, n: int, lambda1: float):
     """N x B ridge residual norms ``||Q - S_c P_c Q||`` of the M x B queries Q
-    to the ``n`` K-column class blocks S_c of the M x NK support, as one
-    node; (E, M, NK) and (E, M, B) episode stacks give (E, N, B).
+    to the ``n`` K-column class blocks S_c of the M x NK support; (E, M, NK)
+    and (E, M, B) episode stacks give (E, N, B).  ``back`` gives the
+    (support, query) adjoints.
 
     ``P_c = (S_c^T S_c + lambda1 I)^{-1} S_c^T`` is the K x M ridge operator
     ``L^{-T} L^{-1} S_c^T``: one stacked Cholesky sweep gives the inverse
@@ -296,8 +264,8 @@ def ridge_residuals(support: Var, query: Var, n: int, lambda1: float) -> Var:
     have full column rank, so M >= K is required, and a rank-deficient
     block fails the factorization with an error that names its class.
     """
-    tape = _episode_tape(support, query)
-    s = _class_stack(support.value, n)                          # (..., N, M, K)
+    _check_rows(support, query)
+    s = _class_stack(support, n)                                # (..., N, M, K)
     m, k = s.shape[-2:]
     if lambda1 == 0.0 and m < k:
         raise ContractError(
@@ -308,7 +276,7 @@ def ridge_residuals(support: Var, query: Var, n: int, lambda1: float) -> Var:
     gram = st @ s
     np.einsum("...ii->...i", gram)[...] += float(lambda1)      # the diagonal, in place
     p = linalg.solve_with_factor(linalg.cholesky(gram), st)    # (..., N, K, M)
-    q = query.value[..., None, :, :]
+    q = query[..., None, :, :]
     c = p @ q
     r = s @ c
     np.subtract(q, r, out=r)
@@ -319,22 +287,22 @@ def ridge_residuals(support: Var, query: Var, n: int, lambda1: float) -> Var:
         w = -(p @ rb)
         t = s @ w
         t += rb
-        return [(support.id, np.swapaxes(r @ _swap(w) - t @ _swap(c), -3, -2)
-                 .reshape(support.shape)),
-                (query.id, t.sum(axis=-3))]
+        return (np.swapaxes(r @ _swap(w) - t @ _swap(c), -3, -2).reshape(support.shape),
+                t.sum(axis=-3))
 
-    return tape.append("ridge_residuals", d, back)
+    return d, back
 
 
-def subspace_overlap(a: Var, n: int) -> Var:
+def subspace_overlap(a: np.ndarray, n: int):
     """The sum of squares of the off-diagonal K x K blocks of ``X = V^T V``,
     V the M x NK matrix ``a`` with each of its ``n`` K-column blocks scaled
-    to unit Frobenius norm, as one node with adjoint ``4 g V X`` taken back
-    through the scaling.  An all-zero block has no direction and is refused.
+    to unit Frobenius norm, as a 1 x 1 value whose ``back`` gives the
+    adjoint ``4 g V X`` of a, taken back through the scaling.  An all-zero
+    block has no direction and is refused.
     """
     m, width = a.shape
     shape = _split(a.shape, n)
-    av = a.value.reshape(shape)
+    av = a.reshape(shape)
     norms = np.sqrt(np.sum(av * av, axis=(0, 2), keepdims=True))
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
@@ -350,9 +318,9 @@ def subspace_overlap(a: Var, n: int) -> Var:
     def back(g):
         gv = ((4.0 * float(g[0, 0])) * (v @ x)).reshape(shape)
         dots = np.sum(y * gv, axis=(0, 2), keepdims=True)
-        return [(a.id, ((gv - y * dots) / norms).reshape(m, width))]
+        return ((gv - y * dots) / norms).reshape(m, width)
 
-    return a.tape.append("subspace_overlap", np.array([[np.sum(x * x)]]), back)
+    return np.array([[np.sum(x * x)]]), back
 
 
 def backward(tape: Tape, loss: Var) -> None:

@@ -135,24 +135,20 @@ def sgd_update(params: EncoderParams, grad: np.ndarray, lr: float) -> EncoderPar
 
 def episode_loss_on_tape(theta: Var, params: EncoderParams, episode: Episode,
                          head, hyper: Hyper):
-    """Embed the episode's support and queries (``episode.x``) on the tape
-    of the parameter leaf ``theta`` (see ``encoder.forward``) and record
-    the head loss.
+    """Embed the episode's support and queries (``episode.x``, the support
+    one block of NK columns, class by class as sampled, then the queries)
+    on the tape of the parameter leaf ``theta`` (see ``encoder.forward``),
+    and record the head's loss on that embedding as one node.
 
-    The support stays one M x NK block, class by class as sampled.
-
-    Returns (loss, N x B distance matrix), as ``head.episode_loss`` does.
+    Returns (loss, N x B distance array), as ``head.episode_loss`` does.
     """
-    nk = episode.n_way * episode.k_shot
     embeds = encoder.forward(theta, params, episode.x)
-    support = autodiff.col_slice(embeds, 0, nk)
-    query = autodiff.col_slice(embeds, nk, embeds.shape[1])
-    return head.episode_loss(support, query, episode.query_y, hyper)
+    return head.episode_loss(embeds, episode.query_y, hyper)
 
 
 # Float budget of one scoring chunk.  The largest per-episode value a
-# head records is an N x max(M, K) x B stack (regression residuals and
-# coefficients, proto differences), and the tape keeps a few of them
+# head computes is an N x max(M, K) x B stack (regression residuals and
+# coefficients, proto differences), and a kernel keeps a few of them
 # alive; 2**16 floats (512 KiB) hold 10 episodes at 5-way 5-shot with 16
 # queries and M = 16, which keeps scoring well inside the memory of one
 # training step.
@@ -205,15 +201,12 @@ def split_accuracies(params: EncoderParams, head, dataset: Dataset,
         for i, chunk in enumerate(chunks)])
 
 
-def train_step(params: EncoderParams, batch: list[Episode], config: TrainConfig,
-               state: AdamState | None, head=None,
-               episode_offset: int = 0) -> tuple[EncoderParams, dict]:
-    """One optimizer update on the summed loss over a batch of episodes;
-    Adam updates ``state`` in place."""
-    if config.optimizer == "adam" and state is None:
-        raise ContractError("adam needs an optimizer state: pass AdamState.for_params(params)")
-    head = head if head is not None else RegressionHead()
-    hyper = config.hyper()
+def batch_gradient(params: EncoderParams, batch: list[Episode], head,
+                   hyper: Hyper, episode_offset: int = 0) -> tuple[np.ndarray, dict]:
+    """The gradient of the summed loss over a batch of episodes, laid out
+    as ``params.vector``, and the batch's mean loss and accuracy."""
+    if not batch:
+        raise ContractError("a training step needs at least one episode, got an empty batch")
     tape = Tape()
     theta = tape.leaf(params.vector)
     total = None
@@ -230,15 +223,26 @@ def train_step(params: EncoderParams, batch: list[Episode], config: TrainConfig,
         losses.append(value)
         # The loss's distances are the pre-update params' distances, so this
         # is the episode's accuracy without embedding a second time.
-        accuracies.append(np.mean(heads.predict_np(dist.value) == episode.query_y))
+        accuracies.append(np.mean(heads.predict_np(dist) == episode.query_y))
         total = loss if total is None else autodiff.add(total, loss)
     autodiff.backward(tape, total)
-    grad = theta.grad.reshape(params.vector.shape)
+    metrics = {"loss": float(np.mean(losses)), "accuracy": float(np.mean(accuracies))}
+    return theta.grad.reshape(params.vector.shape), metrics
+
+
+def train_step(params: EncoderParams, batch: list[Episode], config: TrainConfig,
+               state: AdamState | None, head=None,
+               episode_offset: int = 0) -> tuple[EncoderParams, dict]:
+    """One optimizer update on the summed loss over a batch of episodes;
+    Adam updates ``state`` in place."""
+    if config.optimizer == "adam" and state is None:
+        raise ContractError("adam needs an optimizer state: pass AdamState.for_params(params)")
+    head = head if head is not None else RegressionHead()
+    grad, metrics = batch_gradient(params, batch, head, config.hyper(), episode_offset)
     if config.optimizer == "adam":
         new_params = adam_update(params, grad, state, config.lr)
     else:
         new_params = sgd_update(params, grad, config.lr)
-    metrics = {"loss": float(np.mean(losses)), "accuracy": float(np.mean(accuracies))}
     return new_params, metrics
 
 

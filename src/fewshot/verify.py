@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import heads, linalg, train
-from .autodiff import Tape, backward, ridge_residuals
+from .autodiff import ridge_residuals
 from .encoder import EncoderParams, Layer, init_encoder
 from .episodes import Episode
 from .errors import ShapeError
@@ -75,9 +75,8 @@ def ridge_distance_iterative(s: np.ndarray, e: np.ndarray, lambda1: float) -> fl
 
 
 def _distance(s: np.ndarray, e: np.ndarray, lambda1: float) -> float:
-    """The production regression distance of one query column, off a throwaway tape."""
-    tape = Tape()
-    return ridge_residuals(tape.leaf(s), tape.leaf(e), 1, lambda1).item()
+    """The production regression distance of one query column."""
+    return ridge_residuals(s, e, 1, lambda1)[0].item()
 
 
 def check_closed_form_oracle(seed: int = 0, instances: int = 200) -> CheckResult:
@@ -197,14 +196,6 @@ def _random_episode(rng: np.random.Generator, n: int, k: int, q: int, d: int) ->
     return Episode(n, k, q, np.hstack([support, query]), support_y, query_y, relabel)
 
 
-def _episode_loss(params, episode, hyper, head):
-    """(tape, parameter leaf, loss) of one episode's training loss."""
-    tape = Tape()
-    theta = tape.leaf(params.vector)
-    loss, _ = train.episode_loss_on_tape(theta, params, episode, head, hyper)
-    return tape, theta, loss
-
-
 def check_gradient_fidelity(seed: int = 0, trials: int = 20,
                             h: float = 1e-4) -> CheckResult:
     """Analytic gradient of the full episode loss vs central differences.
@@ -224,13 +215,12 @@ def check_gradient_fidelity(seed: int = 0, trials: int = 20,
         spec = [(5, 6, "tanh"), (6, 4, "none")]
         params = init_encoder(int(rng.integers(2**32)), spec)
 
-        tape, theta, loss = _episode_loss(params, episode, hyper, head)
-        backward(tape, loss)
-        analytic = theta.grad[:, 0]
+        analytic, _ = train.batch_gradient(params, [episode], head, hyper)
         flat = params.vector
 
         def loss_at(vec):
-            return _episode_loss(params.with_vector(vec), episode, hyper, head)[2].item()
+            return train.batch_gradient(params.with_vector(vec), [episode], head,
+                                        hyper)[1]["loss"]
 
         for i in range(flat.size):
             plus = flat.copy()
@@ -270,22 +260,21 @@ def check_posterior_contracts(seed: int = 0, trials: int = 100) -> CheckResult:
     if worst_sum > 1e-12:
         failures.append(f"posterior sum off by {worst_sum:.3e}")
 
-    # The tape loss is -log posterior of the labelled class; it agrees with
+    # The loss is -log posterior of the labelled class; it agrees with
     # the numpy softmax over projector-route distances.
-    tape = Tape()
     rng2 = linalg.rng_from_seed(seed + 1)
     s_vals = [rng2.standard_normal((6, 2)) for _ in range(3)]
     e_val = rng2.standard_normal((6, 1))
-    dist = ridge_residuals(tape.leaf(np.hstack(s_vals)), tape.leaf(e_val), 3, 1e-3)
+    dist, _ = ridge_residuals(np.hstack(s_vals), e_val, 3, 1e-3)
     post = np.array([
-        np.exp(-heads.cross_entropy_from_distances(dist, np.array([c]), 3).item())
+        np.exp(-heads.cross_entropy_from_distances(dist, np.array([c]), 3)[0].item())
         for c in (1, 2, 3)
     ])
     projector_dist = np.array([
         [np.linalg.norm(e_val - build_projector_np(s, 1e-3) @ e_val)] for s in s_vals
     ])
     if np.max(np.abs(post - softmax_neg_np(projector_dist)[:, 0])) > 1e-12:
-        failures.append("tape posterior disagrees with numpy posterior")
+        failures.append("loss posterior disagrees with numpy posterior")
 
     detail = f"{trials} trials; max |sum - 1| = {worst_sum:.2e}"
     if failures:

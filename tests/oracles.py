@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from fewshot import autodiff
 from fewshot.encoder import embed_np
 from fewshot.heads import predict_np
 
@@ -50,6 +51,13 @@ def cross_entropy_np(d, rows):
     pick_adjoint = np.zeros(d.shape)
     pick_adjoint[rows, cols] = g_add[0, :]
     return value, grad + pick_adjoint
+
+
+def cross_entropy_node(h, rows):
+    """The cross-entropy kernel of the tape variable ``h``'s value, recorded
+    as a test-only loss node on its tape."""
+    value, back = autodiff.cross_entropy(h.value, rows)
+    return h.tape.append("cross_entropy", value, lambda g: [(h.id, back(g))])
 
 
 def episode_accuracy_np(params, head, episode, hyper):

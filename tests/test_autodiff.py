@@ -1,11 +1,15 @@
-"""Tape node tests: the gradient of every op, and of the encoder's node,
-against central finite differences, the fused distance and penalty nodes
-against numpy oracles, plus the structural contracts (idempotent backward,
-no adjoint aliasing, no adjoint for the encoder's input batch, stabilized
-reductions, shape and tape-mixing errors).
+"""Tape and kernel tests: the gradient of the tape's nodes (the encoder and
+add) and the adjoint of every loss kernel (the three distances, the
+cross-entropy and the subspace overlap) against central finite
+differences, the kernels against numpy oracles, plus the structural
+contracts (idempotent backward, no adjoint aliasing, no adjoint for the
+encoder's input batch, stabilized reductions, shape and tape-mixing
+errors).
 
-A test reduces a value to a scalar loss with ``probe``, a weighted sum
-recorded as a test-only node, so the package keeps no op for tests alone.
+A tape test reduces a value to a scalar loss with ``probe``, a weighted
+sum recorded as a test-only node, so the package keeps no op for tests
+alone; a kernel's ``back(w)`` is checked against differences of the same
+kind of weighted sum of its value.
 """
 
 import numpy as np
@@ -15,8 +19,9 @@ from fewshot import autodiff, encoder
 from fewshot.autodiff import Tape, backward
 from fewshot.encoder import ACTIVATIONS, EncoderParams, Layer, default_layer_spec, init_encoder
 from fewshot.errors import ContractError, ShapeError
+from fewshot.heads import CosineHead, Hyper
 
-from oracles import cross_entropy_np, lstsq_distances, ortho_penalty_np
+from oracles import cross_entropy_node, cross_entropy_np, lstsq_distances, ortho_penalty_np
 
 H = 1e-6
 TOL = 5e-5
@@ -69,8 +74,7 @@ def probe(v, weights=None):
     """The scalar sum(w * v) as one test-only node with adjoint g w.  By
     default w is random and fixed by v's shape, so every entry of v counts
     differently and a misplaced entry changes the loss."""
-    w = (np.random.default_rng(v.value.size).standard_normal(v.shape)
-         if weights is None else weights)
+    w = fixed_weights(v.shape) if weights is None else weights
 
     def back(g):
         return [(v.id, float(g[0, 0]) * w)]
@@ -78,9 +82,41 @@ def probe(v, weights=None):
     return v.tape.append("probe", np.array([[np.sum(w * v.value)]]), back)
 
 
-def ridge(t, v, n=2, lambda1=0.5):
-    """The probed ridge residuals of leaves v[0] (support) and v[1] (queries)."""
-    return probe(autodiff.ridge_residuals(v[0], v[1], n, lambda1))
+def fixed_weights(shape):
+    """Random weights fixed by ``shape``, so every entry of a value counts
+    differently and a misplaced entry changes the weighted sum."""
+    return np.random.default_rng(int(np.prod(shape))).standard_normal(shape)
+
+
+def adjoints(back, g):
+    """``back(g)`` as a list: one array for a one-operand kernel, else a tuple."""
+    out = back(g)
+    return [out] if isinstance(out, np.ndarray) else list(out)
+
+
+def check_kernel(kernel, operands, tol=TOL, h=H):
+    """``back(w)`` of ``kernel(*operands)`` against central differences of
+    ``sum(w * value)`` in every operand, one coordinate at a time."""
+    value, back = kernel(*operands)
+    w = fixed_weights(value.shape)
+    exact = adjoints(back, w)
+    assert len(exact) == len(operands)
+    for i, e in enumerate(exact):
+        assert e.shape == operands[i].shape
+        approx = np.zeros_like(operands[i])
+        for idx in np.ndindex(approx.shape):
+            plus = [m.copy() for m in operands]
+            minus = [m.copy() for m in operands]
+            plus[i][idx] += h
+            minus[i][idx] -= h
+            approx[idx] = (np.sum(w * kernel(*plus)[0])
+                           - np.sum(w * kernel(*minus)[0])) / (2.0 * h)
+        scale = max(1.0, float(np.max(np.abs(approx))))
+        assert np.max(np.abs(e - approx)) / scale < tol, (e, approx)
+
+
+def ridge(s, q, n=2, lambda1=0.5):
+    return autodiff.ridge_residuals(s, q, n, lambda1)
 
 
 def encoder_case(seed, depth, act, batch=5):
@@ -102,7 +138,7 @@ def pre_activations(params, x):
     return pres
 
 
-# The three heads' distance nodes, each (support, query, n) -> distances.
+# The three heads' distance kernels, each (support, query, n) -> (d, back).
 DISTANCES = {
     "ridge": lambda s, q, n: autodiff.ridge_residuals(s, q, n, 0.5),
     "centroid": autodiff.centroid_distances,
@@ -110,27 +146,27 @@ DISTANCES = {
 }
 
 
-# -- per-op gradient fidelity -------------------------------------------------
+# -- gradient fidelity: the tape's nodes and the loss kernels ------------------
 
 
 def test_add_and_sub_gradients():
-    # a - b is add(a, scale(b, -1)), as a loss adds its weighted penalty
+    # add, with distinct operands and with one operand twice; a - b is the
+    # sum of a weighted and a negatively weighted term, as a batch sums losses
     for seed in range(5):
         a, b = mats(seed, (3, 2), (3, 2))
+        w = fixed_weights(a.shape)
         check_op(lambda t, v: probe(autodiff.add(v[0], v[1])), [a, b])
-        check_op(lambda t, v: probe(autodiff.add(v[0], autodiff.scale(v[1], -1.0))), [a, b])
-        check_op(lambda t, v: probe(autodiff.add(autodiff.scale(v[0], 2.0), v[1])), [a, b])
+        check_op(lambda t, v: probe(autodiff.add(v[0], v[0])), [a])
+        check_op(lambda t, v: autodiff.add(probe(v[0], w), probe(v[1], -w)), [a, b])
 
 
 def test_scale_neg_add_diag_gradients():
+    # the ridge term on the Gram diagonal, with K = 3 > M = 2 so that only
+    # lambda1 I makes each class's system definite (the scale op is gone:
+    # the loss node weighs its penalty by hand)
     for seed in range(5):
-        (a,) = mats(seed + 20, (3, 3))
-        check_op(lambda t, v: probe(autodiff.scale(v[0], -1.7)), [a])
-        check_op(lambda t, v: probe(autodiff.scale(v[0], -1.0)), [a])
-        # the ridge term on the Gram diagonal, with K = 3 > M = 2 so that
-        # only lambda1 I makes each class's system definite
         x, q = mats(seed + 25, (2, 6), (2, 3))
-        check_op(lambda t, v: ridge(t, v, 2, 0.5), [x, q])
+        check_kernel(lambda s, q: ridge(s, q, 2, 0.5), [x, q])
 
 
 def test_dense_gradients():
@@ -187,56 +223,59 @@ def test_dense_value_is_the_shared_layer_function():
 
 def test_col_slice_and_blocks_gradients():
     # an embedded episode's support (two 2 x 3 class blocks) and its queries
-    # sliced from one matrix, as a training step does, through each distance
+    # cut from one matrix as contiguous column slices, as the loss node cuts
+    # them, through each distance kernel; the two adjoints, laid side by
+    # side, are the episode's
+    def sliced(node):
+        def kernel(episode):
+            d, back = node(np.ascontiguousarray(episode[:, :6]),
+                           np.ascontiguousarray(episode[:, 6:]), 2)
+            return d, lambda g: np.hstack(back(g))
+        return kernel
+
     for seed in range(5):
-        a, episode = mats(seed + 50, (2, 4), (2, 9))
-        check_op(lambda t, v: probe(autodiff.col_slice(v[0], 1, 3)), [a])
+        (episode,) = mats(seed + 50, (2, 9))
         for node in DISTANCES.values():
-            check_op(lambda t, v: probe(node(
-                autodiff.col_slice(v[0], 0, 6), autodiff.col_slice(v[0], 6, 9), 2)),
-                [episode])
+            check_kernel(sliced(node), [episode])
 
 
 def test_blocks_lay_class_columns_along_the_stack_axis():
-    # class c is columns cK..cK+K-1 of each episode's support: every node's
-    # row c equals the node on that block alone, for a lone episode and a stack
+    # class c is columns cK..cK+K-1 of each episode's support: every kernel's
+    # row c equals the kernel on that block alone, for a lone episode and a stack
     rng = np.random.default_rng(55)
     x = rng.standard_normal((2, 3, 6))
     q = rng.standard_normal((2, 3, 4))
-    tape = Tape()
     for name, node in DISTANCES.items():
-        stacked = node(tape.leaf(x), tape.leaf(q), 3).value
+        stacked, _ = node(x, q, 3)
         assert stacked.shape == (2, 3, 4), name
         for e in range(2):
-            lone = node(tape.leaf(x[e]), tape.leaf(q[e]), 3).value
+            lone, _ = node(x[e], q[e], 3)
             assert np.allclose(lone, stacked[e], rtol=1e-14, atol=1e-14), name
             for c in range(3):
-                block = node(tape.leaf(x[e][:, 2 * c : 2 * c + 2]), tape.leaf(q[e]), 1)
-                assert np.allclose(block.value[0], stacked[e, c],
+                block, _ = node(x[e][:, 2 * c : 2 * c + 2], q[e], 1)
+                assert np.allclose(block[0], stacked[e, c],
                                    rtol=1e-14, atol=1e-14), name
 
 
 def test_stacked_and_broadcasting_ops_gradients():
-    # the baseline nodes broadcast the queries against the class axis: an
+    # the baseline kernels broadcast the queries against the class axis: an
     # M x NK support with M x B queries, an (E, M, NK) stack with (E, M, B),
-    # and a fixed query, whose adjoint goes unchecked
+    # and three classes of two shots
     for seed in range(5):
         x, y, e, q = mats(seed + 110, (3, 6), (3, 4), (2, 3, 4), (2, 3, 2))
         for node in (autodiff.centroid_distances, autodiff.mean_cosine):
-            check_op(lambda t, v: probe(node(v[0], v[1], 2)), [x, y])
-            check_op(lambda t, v: probe(node(v[0], v[1], 2)), [e, q])
-            check_op(lambda t, v: probe(node(v[0], t.leaf(y), 3)), [x])
+            check_kernel(lambda s, q: node(s, q, 2), [x, y])
+            check_kernel(lambda s, q: node(s, q, 2), [e, q])
+            check_kernel(lambda s, q: node(s, q, 3), [x, y])
 
 
 def test_stacked_solve_spd_gradients():
-    # the ridge node solves one SPD system per class block: M x NK supports
+    # the ridge kernel solves one SPD system per class block: M x NK supports
     # with M x B queries, and (E, M, NK) with (E, M, B) episode stacks
     for seed in range(5):
         x, y, e, q = mats(seed + 120, (4, 6), (4, 5), (2, 4, 6), (2, 4, 3))
-        check_op(ridge, [x, y])
-        check_op(ridge, [e, q])
-        # a fixed query, whose adjoint goes unchecked
-        check_op(lambda t, v: ridge(t, [v[0], t.leaf(y)]), [x])
+        check_kernel(ridge, [x, y])
+        check_kernel(ridge, [e, q])
 
 
 def test_stacked_solve_spd_values_match_numpy_per_class():
@@ -244,51 +283,39 @@ def test_stacked_solve_spd_values_match_numpy_per_class():
     rng = np.random.default_rng(125)
     x = rng.standard_normal((2, 5, 9))
     q = rng.standard_normal((2, 5, 4))
-    tape = Tape()
-    dist = autodiff.ridge_residuals(tape.leaf(x), tape.leaf(q), 3, 0.2)
+    dist, _ = autodiff.ridge_residuals(x, q, 3, 0.2)
     assert dist.shape == (2, 3, 4)
     for e in range(2):
-        lone = autodiff.ridge_residuals(tape.leaf(x[e]), tape.leaf(q[e]), 3, 0.2)
-        assert np.allclose(lone.value, dist.value[e], rtol=1e-14, atol=1e-14)
+        lone, _ = autodiff.ridge_residuals(x[e], q[e], 3, 0.2)
+        assert np.allclose(lone, dist[e], rtol=1e-14, atol=1e-14)
         for c in range(3):
             expected = lstsq_distances(x[e][:, 3 * c : 3 * c + 3], q[e], 0.2)
-            assert np.allclose(dist.value[e, c], expected[0], atol=1e-12)
+            assert np.allclose(dist[e, c], expected[0], atol=1e-12)
 
 
 def test_ridge_residual_inside_a_class_span_has_zero_gradient():
     # S = (e1, e2), lambda1 = 0: the query (2, -3, 0) lies in the span, so
     # its residual and distance are exactly 0, and 0 is its gradient
     s = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    tape = Tape()
-    support, query = tape.leaf(s), tape.leaf(np.array([[2.0], [-3.0], [0.0]]))
-    dist = autodiff.ridge_residuals(support, query, 1, 0.0)
-    assert dist.value[0, 0] == 0.0
-    backward(tape, dist)
-    assert np.array_equal(support.grad, np.zeros_like(s))
-    assert np.array_equal(query.grad, np.zeros((3, 1)))
+    dist, back = autodiff.ridge_residuals(s, np.array([[2.0], [-3.0], [0.0]]), 1, 0.0)
+    assert dist[0, 0] == 0.0
+    support_grad, query_grad = back(np.ones((1, 1)))
+    assert np.array_equal(support_grad, np.zeros_like(s))
+    assert np.array_equal(query_grad, np.zeros((3, 1)))
 
 
 def test_subspace_overlap_gradients_and_oracle_values():
     for seed in range(5):
         x, y = mats(seed + 140, (4, 6), (3, 6))
-        check_op(lambda t, v: autodiff.subspace_overlap(v[0], 2), [x])
-        check_op(lambda t, v: autodiff.subspace_overlap(v[0], 3), [x])
-        check_op(lambda t, v: autodiff.subspace_overlap(v[0], 6), [y])
-        tape = Tape()
+        check_kernel(lambda a: autodiff.subspace_overlap(a, 2), [x])
+        check_kernel(lambda a: autodiff.subspace_overlap(a, 3), [x])
+        check_kernel(lambda a: autodiff.subspace_overlap(a, 6), [y])
         for n in (2, 3, 6):
-            value = autodiff.subspace_overlap(tape.leaf(x), n).item()
+            value, _ = autodiff.subspace_overlap(x, n)
             k = 6 // n
             oracle = ortho_penalty_np([x[:, k * c : k * c + k] for c in range(n)])
-            assert value == pytest.approx(oracle, rel=1e-12)
-
-
-def test_col_slice_leaves_other_columns_with_zero_grad():
-    a, w = mats(99, (2, 4), (2, 2))
-    _, (g,) = analytic(
-        lambda t, v: probe(autodiff.col_slice(v[0], 1, 3), w), [a])
-    assert np.array_equal(g[:, 0], np.zeros(2))
-    assert np.array_equal(g[:, 3], np.zeros(2))
-    assert np.array_equal(g[:, 1:3], w)
+            assert value.shape == (1, 1)
+            assert value[0, 0] == pytest.approx(oracle, rel=1e-12)
 
 
 def test_norm_and_normalize_gradients():
@@ -301,28 +328,29 @@ def test_norm_and_normalize_gradients():
         q = rng.standard_normal((3, 5)) - 0.2
         col = rng.standard_normal((3, 1)) + 0.5
         for node in (autodiff.centroid_distances, autodiff.mean_cosine):
-            check_op(lambda t, v: probe(node(v[0], v[1], 4)), [s, q])
-            check_op(lambda t, v: probe(node(v[0], v[1], 1)), [s, q])
-            check_op(lambda t, v: probe(node(v[0], v[1], 2)), [s, col])
+            check_kernel(lambda s, q: node(s, q, 4), [s, q])
+            check_kernel(lambda s, q: node(s, q, 1), [s, q])
+            check_kernel(lambda s, q: node(s, q, 2), [s, col])
 
 
 def test_cross_entropy_gradients():
-    # one column, then several, with repeated and distinct true rows; the
-    # second loss reaches the distances through the encoder node, so the
-    # adjoint is checked when it is not the first node backward visits
+    # one column, then several, with repeated and distinct true rows; then
+    # the kernel on the encoder's output as a test-only node beside a probe,
+    # so its adjoint is checked on the tape when it is not the first node
+    # backward visits
     zero = np.zeros((4, 1))
     for seed in range(5):
         rng = np.random.default_rng(seed + 80)
         col = rng.standard_normal((5, 1))
         a = rng.standard_normal((4, 3))
         m = rng.standard_normal((3, 3))
-        check_op(lambda t, v: autodiff.cross_entropy(v[0], np.array([3])), [col])
+        check_kernel(lambda d: autodiff.cross_entropy(d, np.array([3])), [col])
         rows = np.array([2, 0, 2])
-        check_op(lambda t, v: autodiff.cross_entropy(v[0], rows), [a])
+        check_kernel(lambda d: autodiff.cross_entropy(d, rows), [a])
         params = EncoderParams([Layer(a, zero, "none")])
         theta = params.vector[:, None].copy()
         check_op(lambda t, v: autodiff.add(
-            autodiff.cross_entropy(encoder.forward(v[0], params, m), rows),
+            cross_entropy_node(encoder.forward(v[0], params, m), rows),
             probe(v[0])), [theta])
 
 
@@ -331,22 +359,19 @@ def test_cross_entropy_matches_the_composed_oracle_bit_for_bit():
         rng = np.random.default_rng(seed + 85)
         d = np.abs(rng.standard_normal((5, 7))) * 3.0
         rows = rng.integers(0, 5, size=7)
-        tape = Tape()
-        dist = tape.leaf(d)
-        loss = autodiff.cross_entropy(dist, rows)
-        backward(tape, loss)
+        loss, back = autodiff.cross_entropy(d, rows)
         value, adjoint = cross_entropy_np(d, rows)
-        assert np.array_equal(loss.value, value)
-        assert np.array_equal(dist.grad, adjoint)
+        assert np.array_equal(loss, value)
+        assert np.array_equal(back(np.ones((1, 1))), adjoint)
 
 
 def test_solve_spd_gradients_through_gram_construction():
-    # the support enters the ridge node twice, through S^T S + lambda1 I and
-    # through S^T Q; lambda1 = 0 with M >= K, and M = K
+    # the support enters the ridge kernel twice, through S^T S + lambda1 I
+    # and through S^T Q; lambda1 = 0 with M >= K, and M = K
     for seed in range(5):
         x, y, sq, qq = mats(seed + 90, (5, 6), (5, 4), (3, 6), (3, 2))
-        check_op(lambda t, v: ridge(t, v, 2, 0.0), [x, y])
-        check_op(lambda t, v: ridge(t, v, 2, 0.0), [sq, qq])
+        check_kernel(lambda s, q: ridge(s, q, 2, 0.0), [x, y])
+        check_kernel(lambda s, q: ridge(s, q, 2, 0.0), [sq, qq])
 
 
 def test_solve_spd_value_matches_numpy():
@@ -354,9 +379,8 @@ def test_solve_spd_value_matches_numpy():
     rng = np.random.default_rng(123)
     s = rng.standard_normal((5, 4))
     q = rng.standard_normal((5, 3))
-    tape = Tape()
-    dist = autodiff.ridge_residuals(tape.leaf(s), tape.leaf(q), 1, 0.0)
-    assert np.allclose(dist.value, lstsq_distances(s, q, 0.0), atol=1e-12)
+    dist, _ = autodiff.ridge_residuals(s, q, 1, 0.0)
+    assert np.allclose(dist, lstsq_distances(s, q, 0.0), atol=1e-12)
 
 
 # -- structural contracts ------------------------------------------------------
@@ -376,7 +400,7 @@ def test_backward_is_idempotent():
 def test_nodes_the_loss_ignores_get_zero_grad():
     tape = Tape()
     x = tape.leaf(np.ones((2, 2)))
-    unused = autodiff.scale(x, 2.0)
+    unused = autodiff.add(x, x)
     loss = probe(x, np.ones((2, 2)))
     backward(tape, loss)
     assert np.array_equal(unused.grad, np.zeros((2, 2)))
@@ -396,35 +420,40 @@ def test_reused_variable_accumulates_without_corrupting_upstream():
 
 
 def test_distance_adjoints_do_not_alias_the_output_grad():
-    # the support feeds a distance node and a second consumer; the adjoint
-    # of that consumer reaches it first, so summing the node's support
-    # adjoint into it must rewrite neither the node's grad nor that adjoint
-    s, q, w, ws = mats(8, (2, 6), (2, 3), (3, 3), (2, 6))
-    for name, node in DISTANCES.items():
-        _, (alone, _) = analytic(lambda t, v: probe(node(v[0], v[1], 3), w), [s, q])
-        tape = Tape()
-        support, query = tape.leaf(s), tape.leaf(q)
-        dist = node(support, query, 3)
-        loss = autodiff.add(probe(dist, w), probe(support, ws))
-        backward(tape, loss)
-        assert np.array_equal(dist.grad, w), name
-        assert np.allclose(support.grad, alone + ws, rtol=1e-14, atol=1e-14), name
+    # the loss node sums the penalty's support adjoint with the distance's,
+    # and backward may hand the same g to several nodes: a kernel's back
+    # must leave g as it was, return arrays that share memory with neither
+    # g nor one another, and give the same adjoints when called again
+    s, q, w = mats(8, (2, 6), (2, 3), (3, 3))
+    kernels = {name: (node(s, q, 3), w) for name, node in DISTANCES.items()}
+    kernels["cross_entropy"] = (autodiff.cross_entropy(w, np.array([0, 2, 1])),
+                                np.full((1, 1), 0.7))
+    kernels["subspace_overlap"] = (autodiff.subspace_overlap(s, 3), np.full((1, 1), 0.7))
+    for name, ((_, back), g) in kernels.items():
+        before = g.copy()
+        first = adjoints(back, g)
+        assert np.array_equal(g, before), name
+        for i, adj in enumerate(first):
+            assert not np.shares_memory(adj, g), name
+            assert not any(np.shares_memory(adj, other) for other in first[i + 1:]), name
+        kept = [adj.copy() for adj in first]
+        for adj in first:
+            adj += 1.0
+        assert all(np.array_equal(a, b) for a, b in zip(adjoints(back, g), kept)), name
 
 
 def test_logsumexp_is_stable_for_large_inputs():
     # the cross-entropy's log-sum-exp of -d, where exp(-d) overflows
-    tape = Tape()
-    col = tape.leaf(np.array([[-1000.0], [-999.0]]))
-    out = autodiff.cross_entropy(col, np.array([1]))
+    value, _ = autodiff.cross_entropy(np.array([[-1000.0], [-999.0]]), np.array([1]))
     expected = -999.0 + 1000.0 + np.log(1.0 + np.exp(-1.0))
-    assert out.item() == pytest.approx(expected, abs=1e-12)
-    big = tape.leaf(np.array([[-800.0, 800.0], [-799.0, 801.0]]))
-    loss = autodiff.cross_entropy(big, np.array([0, 0]))
-    assert loss.item() == pytest.approx(
+    assert value[0, 0] == pytest.approx(expected, abs=1e-12)
+    big = np.array([[-800.0, 800.0], [-799.0, 801.0]])
+    value, back = autodiff.cross_entropy(big, np.array([0, 0]))
+    assert value[0, 0] == pytest.approx(
         0.5 * (np.log(1.0 + np.exp(-1.0)) + np.log(1.0 + np.exp(-1.0))), abs=1e-12)
-    backward(tape, loss)
-    assert np.all(np.isfinite(big.grad))
-    assert big.grad[1, 0] == pytest.approx(-0.5 / (1.0 + np.exp(1.0)), abs=1e-15)
+    grad = back(np.ones((1, 1)))
+    assert np.all(np.isfinite(grad))
+    assert grad[1, 0] == pytest.approx(-0.5 / (1.0 + np.exp(1.0)), abs=1e-15)
 
 
 def test_relu_gradient_at_zero_is_zero():
@@ -441,51 +470,51 @@ def test_relu_gradient_at_zero_is_zero():
 
 
 def test_constants_get_no_adjoint():
-    # the encoder node's input batch is a plain array: its adjoint names
-    # only the parameter leaf, while each distance node gives both of its
-    # operands an adjoint
+    # the encoder node's input batch is a plain array, so its adjoint names
+    # only the parameter leaf, and the loss node's names only the embedding;
+    # each distance kernel gives both of its operands an adjoint
     params, column, x = encoder_case(7, 1, "tanh", batch=6)
-    (q,) = mats(7, (2, 5))
     tape = Tape()
-    theta, query = tape.leaf(column), tape.leaf(q)
+    theta = tape.leaf(column)
     h = encoder.forward(theta, params, x)
     assert [i for i, _ in h._backward(np.ones(h.shape))] == [theta.id]
+    loss, _ = CosineHead().episode_loss(h, np.array([1, 2]), Hyper(2, 2, 1, 0.0, 0.0))
+    assert [i for i, _ in loss._backward(np.ones((1, 1)))] == [h.id]
+    (q,) = mats(7, (2, 5))
     for name, node in DISTANCES.items():
-        dist = node(h, query, 2)
-        assert [i for i, _ in dist._backward(np.ones(dist.shape))] == [h.id, query.id], name
-    backward(tape, probe(autodiff.mean_cosine(h, query, 2)))
+        dist, back = node(h.value, q, 2)
+        assert [a.shape for a in back(np.ones(dist.shape))] == [h.shape, q.shape], name
+    backward(tape, loss)
     assert theta.grad.shape == column.shape
     assert float(np.max(np.abs(theta.grad))) > 0.0
 
 
 def test_zero_norm_gradients_are_zero():
     # a query on its class centroid: d = 0 exactly, and that distance
-    # passes no gradient back (the probe weighs only it)
-    tape = Tape()
-    s = tape.leaf(np.array([[1.0, 3.0, 5.0, 7.0], [2.0, 6.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]]))
-    q = tape.leaf(np.array([[2.0, 1.0], [4.0, 0.0], [0.0, 2.0]]))
-    dist = autodiff.centroid_distances(s, q, 2)
-    assert dist.value[0, 0] == 0.0
+    # passes no gradient back (the weights pick only it)
+    s = np.array([[1.0, 3.0, 5.0, 7.0], [2.0, 6.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
+    q = np.array([[2.0, 1.0], [4.0, 0.0], [0.0, 2.0]])
+    dist, back = autodiff.centroid_distances(s, q, 2)
+    assert dist[0, 0] == 0.0
     only = np.zeros((2, 2))
     only[0, 0] = 1.0
-    backward(tape, probe(dist, only))
-    assert np.array_equal(s.grad, np.zeros((3, 4)))
-    assert np.array_equal(q.grad, np.zeros((3, 2)))
+    support_grad, query_grad = back(only)
+    assert np.array_equal(support_grad, np.zeros((3, 4)))
+    assert np.array_equal(query_grad, np.zeros((3, 2)))
     # every distance weighted: the d = 0 entry keeps every gradient finite
-    backward(tape, probe(dist))
-    assert np.all(np.isfinite(s.grad)) and np.all(np.isfinite(q.grad))
+    support_grad, query_grad = back(fixed_weights(dist.shape))
+    assert np.all(np.isfinite(support_grad)) and np.all(np.isfinite(query_grad))
 
     # an all-zero support column and an all-zero query column: similarity 0
     # in their entries, and a zero adjoint for each
-    tape = Tape()
-    s = tape.leaf(np.array([[0.0, 1.0, 2.0, -1.0], [0.0, 2.0, 1.0, 3.0]]))
-    q = tape.leaf(np.array([[0.0, 3.0], [0.0, 4.0]]))
-    dist = autodiff.mean_cosine(s, q, 2)
-    assert np.array_equal(dist.value[:, 0], np.zeros(2))
-    backward(tape, probe(dist))
-    assert np.array_equal(s.grad[:, 0], np.zeros(2))
-    assert np.array_equal(q.grad[:, 0], np.zeros(2))
-    assert np.all(np.isfinite(s.grad)) and np.all(np.isfinite(q.grad))
+    s = np.array([[0.0, 1.0, 2.0, -1.0], [0.0, 2.0, 1.0, 3.0]])
+    q = np.array([[0.0, 3.0], [0.0, 4.0]])
+    dist, back = autodiff.mean_cosine(s, q, 2)
+    assert np.array_equal(dist[:, 0], np.zeros(2))
+    support_grad, query_grad = back(fixed_weights(dist.shape))
+    assert np.array_equal(support_grad[:, 0], np.zeros(2))
+    assert np.array_equal(query_grad[:, 0], np.zeros(2))
+    assert np.all(np.isfinite(support_grad)) and np.all(np.isfinite(query_grad))
 
 
 def test_ops_reject_mixed_tapes():
@@ -494,9 +523,6 @@ def test_ops_reject_mixed_tapes():
     b = t2.leaf(np.ones((2, 2)))
     with pytest.raises(ContractError):
         autodiff.add(a, b)
-    for node in DISTANCES.values():
-        with pytest.raises(ContractError):
-            node(a, b, 2)
 
 
 def test_a_variable_outliving_its_tape_is_refused():
@@ -505,7 +531,7 @@ def test_a_variable_outliving_its_tape_is_refused():
     x = Tape().leaf(np.ones((2, 2)))
     assert x.value.shape == (2, 2)
     with pytest.raises(ContractError, match="tape"):
-        autodiff.scale(x, -1.0)
+        autodiff.add(x, x)
 
 
 def test_backward_demands_a_scalar_loss_from_its_own_tape():
@@ -521,11 +547,8 @@ def test_backward_demands_a_scalar_loss_from_its_own_tape():
 
 def test_shape_errors_for_malformed_operands():
     tape = Tape()
-    a = tape.leaf(np.ones((2, 3)))
-    b = tape.leaf(np.ones((3, 2)))
-    col = tape.leaf(np.ones((3, 1)))
     with pytest.raises(ShapeError):
-        autodiff.add(a, b)
+        autodiff.add(tape.leaf(np.ones((2, 3))), tape.leaf(np.ones((3, 2))))
     params = init_encoder(0, [(3, 2, "none")])
     theta = tape.leaf(params.vector)
     # a batch of the wrong height, and a parameter column of the wrong size
@@ -534,17 +557,16 @@ def test_shape_errors_for_malformed_operands():
     with pytest.raises(ShapeError):
         encoder.forward(tape.leaf(np.ones(5)), params, np.ones((3, 4)))
     with pytest.raises(ShapeError):
-        autodiff.col_slice(a, 2, 5)
-    with pytest.raises(ShapeError):
-        a.item()
+        tape.leaf(np.ones((2, 3))).item()
+    a = np.ones((2, 3))
     with pytest.raises(ShapeError):
         autodiff.subspace_overlap(a, 2)
     for node in DISTANCES.values():
         # NK = 3 columns cannot make 2 classes
         with pytest.raises(ShapeError):
-            node(a, tape.leaf(np.ones((2, 4))), 2)
+            node(a, np.ones((2, 4)), 2)
         # queries with the wrong rows, and a lone query matrix against a stack
         with pytest.raises(ShapeError):
-            node(a, col, 1)
+            node(a, np.ones((3, 1)), 1)
         with pytest.raises(ShapeError):
-            node(tape.leaf(np.ones((2, 2, 3))), a, 1)
+            node(np.ones((2, 2, 3)), a, 1)

@@ -1,6 +1,6 @@
 """Head tests: hand-checked projectors and distances, posterior laws,
-the orthogonalization penalty, and each head's one distance path against
-independent numpy oracles.
+the orthogonalization penalty, each head's one distance path against
+independent numpy oracles, and the one-node episode loss's adjoint.
 """
 
 import numpy as np
@@ -16,15 +16,19 @@ from oracles import lstsq_distances, ortho_penalty_np
 
 
 def regression_distances_np(s, queries, lambda1):
-    """1 x B residual norms of the production path, off a throwaway tape."""
-    tape = Tape()
-    return ridge_residuals(tape.leaf(s), tape.leaf(queries), 1, lambda1).value
+    """1 x B residual norms of the production path."""
+    return ridge_residuals(s, queries, 1, lambda1)[0]
 
 
 def penalty(supports):
     """heads.ortho_penalty of per-class blocks laid side by side (M x NK)."""
+    return ortho_penalty(np.hstack(supports), len(supports))[0].item()
+
+
+def loss_on_leaf(head, embedded, labels, hyper):
+    """``head.episode_loss`` on a leaf holding the M x (NK + B) embedding."""
     tape = Tape()
-    return ortho_penalty(tape.leaf(np.hstack(supports)), len(supports)).item()
+    return head.episode_loss(tape.leaf(embedded), labels, hyper)
 
 
 def lse_reconstruction(dist, labels):
@@ -123,33 +127,29 @@ def test_projector_route_matches_coefficient_route():
 
 def test_regression_distance_rejects_fat_support_without_a_ridge():
     # without a ridge, K > M columns cannot have full column rank
-    tape = Tape()
     with pytest.raises(ContractError, match="M=2 < K=3"):
-        ridge_residuals(tape.leaf(np.ones((2, 6))), tape.leaf(np.ones((2, 1))),
-                                 2, 0.0)
+        ridge_residuals(np.ones((2, 6)), np.ones((2, 1)), 2, 0.0)
 
 
 def test_regression_distance_checks_query_shape():
-    tape = Tape()
-    support = tape.leaf(np.hstack([np.eye(3), np.eye(3)]))
+    support = np.hstack([np.eye(3), np.eye(3)])
     with pytest.raises(ShapeError):
-        ridge_residuals(support, tape.leaf(np.ones((2, 1))), 2, 0.1)
+        ridge_residuals(support, np.ones((2, 1)), 2, 0.1)
     with pytest.raises(ShapeError):
-        ridge_residuals(support, tape.leaf(np.ones((4, 1))), 2, 0.1)
+        ridge_residuals(support, np.ones((4, 1)), 2, 0.1)
 
 
 def test_stacked_distances_match_one_class_at_a_time():
     rng = np.random.default_rng(47)
     s_vals = [rng.standard_normal((6, 3)) for _ in range(4)]
     q = rng.standard_normal((6, 5))
-    tape = Tape()
-    dist = ridge_residuals(tape.leaf(np.hstack(s_vals)), tape.leaf(q), 4, 0.3)
+    dist, _ = ridge_residuals(np.hstack(s_vals), q, 4, 0.3)
     oracle = np.vstack([lstsq_distances(s, q, 0.3) for s in s_vals])
     assert dist.shape == (4, 5)
-    assert np.allclose(dist.value, oracle, atol=1e-12)
+    assert np.allclose(dist, oracle, atol=1e-12)
     # 12 support columns do not split into 5 equal class blocks
     with pytest.raises(ShapeError):
-        ridge_residuals(tape.leaf(np.hstack(s_vals)), tape.leaf(q), 5, 0.3)
+        ridge_residuals(np.hstack(s_vals), q, 5, 0.3)
 
 
 # -- posterior -----------------------------------------------------------------
@@ -182,14 +182,13 @@ def test_posterior_is_shift_invariant_and_stable():
 
 
 def test_tape_posterior_matches_numpy():
-    # the tape loss of a query labelled c is -log posterior_c
+    # the loss of a query labelled c is -log posterior_c
     rng = np.random.default_rng(7)
-    tape = Tape()
     s_vals = [rng.standard_normal((6, 2)) for _ in range(4)]
     e = rng.standard_normal((6, 1))
-    dist = ridge_residuals(tape.leaf(np.hstack(s_vals)), tape.leaf(e), 4, 1e-3)
+    dist, _ = ridge_residuals(np.hstack(s_vals), e, 4, 1e-3)
     on_tape = np.array([
-        np.exp(-cross_entropy_from_distances(dist, np.array([c]), 4).item())
+        np.exp(-cross_entropy_from_distances(dist, np.array([c]), 4)[0].item())
         for c in range(1, 5)
     ])
     oracle = np.vstack([lstsq_distances(s, e, 1e-3) for s in s_vals])
@@ -198,9 +197,8 @@ def test_tape_posterior_matches_numpy():
 
 
 def test_posterior_needs_two_classes():
-    tape = Tape()
     with pytest.raises(ContractError):
-        cross_entropy_from_distances(tape.leaf(np.ones((1, 1))), np.array([1]), 1)
+        cross_entropy_from_distances(np.ones((1, 1)), np.array([1]), 1)
 
 
 # -- orthogonalization penalty ---------------------------------------------------
@@ -256,24 +254,19 @@ def test_penalty_rejects_degenerate_and_lonely_subspaces():
 
 
 def test_uninformative_distances_cost_log_n():
-    tape = Tape()
-    dist = tape.leaf(np.full((2, 4), 3.0))
     labels = np.array([1, 2, 1, 2])
-    loss = cross_entropy_from_distances(dist, labels, 2)
+    loss, _ = cross_entropy_from_distances(np.full((2, 4), 3.0), labels, 2)
     assert loss.item() == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_confident_correct_distances_cost_little():
-    tape = Tape()
-    dist = tape.leaf(np.array([[0.0, 10.0], [10.0, 0.0]]))
     labels = np.array([1, 2])
-    loss = cross_entropy_from_distances(dist, labels, 2)
+    loss, _ = cross_entropy_from_distances(np.array([[0.0, 10.0], [10.0, 0.0]]), labels, 2)
     assert loss.item() == pytest.approx(np.log(1.0 + np.exp(-10.0)), abs=1e-12)
 
 
 def test_cross_entropy_label_contracts():
-    tape = Tape()
-    dist = tape.leaf(np.zeros((3, 4)))
+    dist = np.zeros((3, 4))
     with pytest.raises(ContractError):
         cross_entropy_from_distances(dist, np.array([0, 1, 2, 3]), 3)
     with pytest.raises(ContractError):
@@ -291,10 +284,8 @@ def test_episode_loss_adds_exactly_the_weighted_penalty():
     labels = np.array([1, 1, 2, 2, 3, 3])
 
     def loss_at(lambda2):
-        tape = Tape()
         hyper = Hyper(3, 2, 2, 1e-3, lambda2)
-        loss, _ = RegressionHead().episode_loss(tape.leaf(np.hstack(s_vals)),
-                                                tape.leaf(q), labels, hyper)
+        loss, _ = loss_on_leaf(RegressionHead(), np.hstack(s_vals + [q]), labels, hyper)
         return loss.item()
 
     bare = loss_at(0.0)
@@ -312,17 +303,64 @@ def test_regression_head_loss_matches_numpy_reconstruction():
         labels = np.repeat(np.arange(1, n + 1), q)
         hyper = Hyper(n, k, q, 1e-2, 1e-2)
 
-        tape = Tape()
         head = RegressionHead()
-        loss, dist = head.episode_loss(tape.leaf(np.hstack(support_cols)),
-                                       tape.leaf(query), labels, hyper)
+        loss, dist = loss_on_leaf(head, np.hstack(support_cols + [query]), labels, hyper)
 
         oracle = np.vstack([lstsq_distances(s, query, hyper.lambda1)
                             for s in support_cols])
-        assert np.allclose(dist.value, oracle, atol=1e-12)
+        assert np.allclose(dist, oracle, atol=1e-12)
         expected = lse_reconstruction(oracle, labels)
         expected += hyper.lambda2 * ortho_penalty_np(support_cols)
         assert loss.item() == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("lambda2", [0.0, 0.05])
+def test_the_loss_node_differentiates_the_whole_episode_loss(lambda2):
+    # one node per episode: its adjoint in the embedding leaf against
+    # central differences, and, bit for bit, the kernels' adjoints chained
+    # by hand: the support columns get the distance adjoint plus the
+    # overlap adjoint at g = lambda2 (regression only; the baselines'
+    # losses do not read lambda2), the query columns the distance adjoint
+    rng = np.random.default_rng(79)
+    hyper = Hyper(3, 2, 2, 0.3, lambda2)
+    labels = np.array([1, 1, 2, 2, 3, 3])
+    embedded = rng.standard_normal((4, 12))
+    support, query = embedded[:, :6].copy(), embedded[:, 6:].copy()
+    h = 1e-6
+    for head in (RegressionHead(), ProtoHead(), CosineHead()):
+        tape = Tape()
+        leaf = tape.leaf(embedded)
+        loss, dist = head.episode_loss(leaf, labels, hyper)
+        assert [v.op for v in tape.nodes] == ["leaf", "episode_loss"]
+        backward(tape, loss)
+        approx = np.zeros_like(embedded)
+        for idx in np.ndindex(embedded.shape):
+            plus, minus = embedded.copy(), embedded.copy()
+            plus[idx] += h
+            minus[idx] -= h
+            approx[idx] = (loss_on_leaf(head, plus, labels, hyper)[0].item()
+                           - loss_on_leaf(head, minus, labels, hyper)[0].item()) / (2.0 * h)
+        assert np.max(np.abs(leaf.grad - approx)) < 5e-5 * max(1.0, np.max(np.abs(approx)))
+
+        d, dist_back = head.distance_rows(support, query, hyper)
+        assert np.array_equal(d, dist)
+        _, ce_back = cross_entropy_from_distances(d, labels, 3)
+        support_grad, query_grad = dist_back(ce_back(np.ones((1, 1))))
+        if head.name == "regression" and lambda2 > 0.0:
+            _, penalty_back = ortho_penalty(support, 3)
+            support_grad = penalty_back(np.full((1, 1), lambda2)) + support_grad
+        assert np.array_equal(leaf.grad[:, :6], support_grad), head.name
+        assert np.array_equal(leaf.grad[:, 6:], query_grad), head.name
+
+
+def test_the_loss_node_checks_the_embedding_width():
+    # 3-way 2-shot with 6 labels needs 12 columns; 11 or 13 name both counts
+    hyper = Hyper(3, 2, 2, 0.3, 0.05)
+    labels = np.array([1, 1, 2, 2, 3, 3])
+    for head in (RegressionHead(), ProtoHead(), CosineHead()):
+        for width in (11, 13):
+            with pytest.raises(ShapeError, match=f"12 in all, got {width}"):
+                loss_on_leaf(head, np.ones((4, width)), labels, hyper)
 
 
 # -- baseline heads ----------------------------------------------------------------
@@ -349,11 +387,11 @@ def test_proto_distances_match_manual_centroids():
     query = np.array([[2.0, 0.5], [1.0, 1.0], [2.0, -1.0]])
     hyper = Hyper(2, 2, 1, 0.0, 0.0)
     tape = Tape()
-    s, q = tape.leaf(support), tape.leaf(query)
-    loss, dist = ProtoHead().episode_loss(s, q, np.array([1, 2]), hyper)
-    assert dist.value[0, 0] == 0.0
+    embedded = tape.leaf(np.hstack([support, query]))
+    loss, dist = ProtoHead().episode_loss(embedded, np.array([1, 2]), hyper)
+    assert dist[0, 0] == 0.0
     backward(tape, loss)
-    assert np.all(np.isfinite(s.grad)) and np.all(np.isfinite(q.grad))
+    assert np.all(np.isfinite(embedded.grad))
     assert np.isfinite(loss.item())
 
 
@@ -365,9 +403,7 @@ def test_proto_episode_loss_agrees_with_its_distances():
     labels = np.repeat(np.arange(1, n + 1), q)
     hyper = Hyper(n, k, q, 0.0, 0.0)
     head = ProtoHead()
-    tape = Tape()
-    loss, _ = head.episode_loss(tape.leaf(np.hstack(support_cols)),
-                                tape.leaf(query), labels, hyper)
+    loss, _ = loss_on_leaf(head, np.hstack(support_cols + [query]), labels, hyper)
     dist = head.distances_np(np.hstack(support_cols), query, hyper)
     assert loss.item() == pytest.approx(lse_reconstruction(dist, labels), rel=1e-12)
 
@@ -403,9 +439,8 @@ def test_baseline_tape_rows_match_numpy_twins():
     hyper = Hyper(3, 3, 4, 0.5, 0.0)
     support = np.hstack(support_cols)
     for head in (RegressionHead(), ProtoHead(), CosineHead()):
-        tape = Tape()
-        _, dist = head.episode_loss(tape.leaf(support), tape.leaf(query), labels, hyper)
-        assert np.array_equal(dist.value, head.distances_np(support, query, hyper))
+        _, dist = loss_on_leaf(head, np.hstack([support, query]), labels, hyper)
+        assert np.array_equal(dist, head.distances_np(support, query, hyper))
 
 
 def test_every_head_defines_its_traced_methods_in_its_own_body():

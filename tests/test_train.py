@@ -194,18 +194,21 @@ def test_tape_loss_matches_numpy_reconstruction():
     assert loss.item() == pytest.approx(expected, rel=1e-10)
 
 
-@pytest.mark.parametrize("head_name, nodes", [("regression", 9), ("proto", 6), ("cosine", 6)])
+@pytest.mark.parametrize("head_name", ["regression", "proto", "cosine"])
 def test_a_training_tape_has_one_leaf_and_gives_the_optimizer_a_flat_gradient(
-        monkeypatch, head_name, nodes):
+        monkeypatch, head_name):
     # one episode per step at a 3-layer encoder, lambda2 > 0: the parameter
-    # vector is the tape's one leaf and the layer chain one node, and the
-    # optimizers get a gradient of params.vector's shape (a P x 1 one would
-    # broadcast against Adam's moments into a P x P array)
+    # vector is the tape's one leaf, the layer chain one node and the loss
+    # one node, and the optimizers get a gradient of params.vector's shape
+    # (a P x 1 one would broadcast against Adam's moments into a P x P
+    # array); two episodes per step record two encoder and loss pairs and
+    # the add that sums them
     train_set, _, _ = small_splits()
     params = init_encoder(named_stream(3, "init"),
                           default_layer_spec(train_set.dim, 4, 8, 2))
     assert len(params.layers) == 3
-    episode = sample_episode(train_set, 3, 2, 3, named_stream(3, "train-sampling"))
+    rng = named_stream(3, "train-sampling")
+    episodes = [sample_episode(train_set, 3, 2, 3, rng) for _ in range(2)]
     tapes, shapes = [], []
     backward, adam, sgd = autodiff.backward, train.adam_update, train.sgd_update
 
@@ -224,15 +227,56 @@ def test_a_training_tape_has_one_leaf_and_gives_the_optimizer_a_flat_gradient(
     monkeypatch.setattr(train, "sgd_update", record_grad(sgd))
     for optimizer in train.OPTIMIZERS:
         config = small_config(lambda2=1e-2, optimizer=optimizer)
-        train_step(params, [episode], config, AdamState.for_params(params),
+        train_step(params, episodes[:1], config, AdamState.for_params(params),
                    heads.make_head(head_name))
-    assert [len(tape.nodes) for tape in tapes] == [nodes, nodes]
+    train_step(params, episodes, small_config(lambda2=1e-2, batch_tasks=2),
+               AdamState.for_params(params), heads.make_head(head_name))
+    assert [len(tape.nodes) for tape in tapes] == [3, 3, 6]
+    for tape in tapes[:2]:
+        assert [v.op for v in tape.nodes] == ["leaf", "encoder", "episode_loss"]
+    assert [v.op for v in tapes[2].nodes] == ["leaf", "encoder", "episode_loss",
+                                              "encoder", "episode_loss", "add"]
     for tape in tapes:
-        ops = [v.op for v in tape.nodes]
-        assert ops[:2] == ["leaf", "encoder"]
-        assert ops.count("leaf") == 1
         assert tape.nodes[0].grad.size == params.vector.size
-    assert shapes == [params.vector.shape, params.vector.shape]
+    assert shapes == [params.vector.shape] * 3
+
+
+def test_an_empty_batch_is_refused_before_the_tape_or_the_optimizer(monkeypatch):
+    # a step with no episode has no loss to differentiate; Adam's step
+    # count stays 0 and no tape is built, for Adam and for SGD
+    train_set, _, _ = small_splits()
+    params = init_encoder(named_stream(3, "init"),
+                          default_layer_spec(train_set.dim, 4, 8, 1))
+
+    def no_tape(*args):
+        raise AssertionError("a tape was built")
+
+    monkeypatch.setattr(autodiff.Tape, "leaf", no_tape)
+    for optimizer in train.OPTIMIZERS:
+        state = AdamState.for_params(params)
+        with pytest.raises(ContractError, match="at least one episode"):
+            train_step(params, [], small_config(optimizer=optimizer), state)
+        assert state.step == 0
+        assert not state.m.any() and not state.v.any()
+
+
+def test_scoring_records_no_tape(monkeypatch):
+    # validation and evaluation call the distance kernels directly
+    train_set, val_set, test_set = small_splits()
+    config = small_config(val_episodes=3)
+    params = init_encoder(named_stream(5, "init"),
+                          default_layer_spec(train_set.dim, 4, 8, 1))
+
+    def no_node(*args):
+        raise AssertionError("scoring recorded a tape node")
+
+    monkeypatch.setattr(autodiff.Tape, "append", no_node)
+    for name in sorted(heads.HEADS):
+        head = heads.make_head(name)
+        assert 0.0 <= validate(params, head, val_set, config,
+                               named_stream(5, "validation")) <= 1.0
+        report = evaluate(params, head, test_set, 3, 2, 3, 4, seed=5)
+        assert 0.0 <= report.mean_accuracy <= 100.0
 
 
 def test_episode_accuracy_agrees_with_manual_argmin():
