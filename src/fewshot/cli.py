@@ -7,8 +7,8 @@ mirror the flag names. Exit codes: 0 success, 1 verification failure,
 ``NumericalError``, which names its episode).
 
 Each command takes as flags only the fields it reads; a config file may
-set any field. ``--threads`` (config key ``threads``) is accepted and
-ignored, so older config files still parse; evaluation runs on one thread.
+set any field. Only the regression head's loss reads lambda2: ``train`` and
+``shift`` refuse a non-zero one for another head; ``ablate`` takes no ``--head``.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class RunConfig:
     lambda2_values: str = "0,0.01"
     head: str = "regression"
     seed: int = 0
-    threads: int = 1             # accepted and ignored
     out: str = ""
     checkpoint: str = ""
     batch_tasks: int = 1
@@ -76,6 +75,11 @@ class RunConfig:
     test_fraction: float = 1.0 / 6.0
 
     def train_config(self) -> TrainConfig:
+        """The training knobs; only the regression head's loss reads lambda2."""
+        if self.head != "regression" and self.lambda2:
+            raise ConfigError(f"the {self.head} head's loss does not read lambda2, so "
+                              f"lambda2 {self.lambda2:g} would train the lambda2 = 0 "
+                              "model; pass 0 or auto, or use the regression head")
         return TrainConfig(
             n_way=self.n, k_shot=self.k, q_queries=self.q,
             batch_tasks=self.batch_tasks, episodes=self.episodes,
@@ -99,9 +103,8 @@ _HELP = {
     "episodes": "training episodes",
     "lr": "learning rate",
     "lambda1": "ridge conditioning weight",
-    "lambda2": "orthogonalization weight, or 'auto' (by shot count)",
+    "lambda2": "orthogonalization weight (regression head), or 'auto' (by shot count)",
     "seed": "root random seed",
-    "threads": "accepted and ignored (evaluation is single-threaded)",
     "out": "output directory",
     "final_activation": "activation on the embedding layer itself",
     "dim": "synthetic feature dim",
@@ -288,9 +291,9 @@ def cmd_ablate(config: RunConfig) -> int:
             raise ConfigError(
                 f"--lambda2-values entries must be finite and nonnegative, got {value}")
     train_set, val_set, test_set = _load_domain(config)
-    result = ablate_lambda2(
-        train_set, val_set, test_set, config.train_config(), values,
-        head_name=config.head, eval_episodes=config.eval_episodes)
+    result = ablate_lambda2(  # always the regression head, whatever a config file says
+        train_set, val_set, test_set, replace(config, head="regression").train_config(),
+        values, eval_episodes=config.eval_episodes)
     return _publish(config, f"{result.summary()}\nshared test-episode fingerprint: "
                             f"{result.reports[0].episodes_fingerprint[:16]}...",
                     result.reports, "ablation.log")
@@ -336,11 +339,11 @@ _EVAL_FLAGS = ("dataset", "n", "k", "q", "eval_episodes", "lambda1", "head", "se
 # command also takes --config, whose file may set any field: a command
 # ignores the keys it does not read, so one config.txt serves train and eval.
 COMMANDS = {
-    "train": (cmd_train, _TRAINING_FLAGS,
+    "train": (cmd_train, tuple(k for k in _TRAINING_FLAGS if k != "eval_episodes"),
               "episodic training; writes a checkpoint and history log"),
     "eval": (cmd_eval, _EVAL_FLAGS, "evaluate a checkpoint on test-split episodes"),
-    # ablate's lambda2 values come from --lambda2-values, not --lambda2
-    "ablate": (cmd_ablate, (*(k for k in _TRAINING_FLAGS if k != "lambda2"),
+    # ablate's lambda2 values come from --lambda2-values; its head is regression
+    "ablate": (cmd_ablate, (*(k for k in _TRAINING_FLAGS if k not in ("lambda2", "head")),
                             "lambda2_values"),
                "paired regression-head runs over a list of lambda2 values"),
     "shift": (cmd_shift, (*_TRAINING_FLAGS, "target_dataset", "offset"),

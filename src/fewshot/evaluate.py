@@ -25,7 +25,7 @@ import numpy as np
 from . import linalg
 from .encoder import EncoderParams
 from .episodes import Dataset, sample_episode
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 from .heads import Hyper, make_head
 from .train import TrainConfig, fit, split_accuracies
 
@@ -138,22 +138,18 @@ class AblationResult:
 
 
 def ablate_lambda2(train_set: Dataset, val_set: Dataset, test_set: Dataset,
-                   config: TrainConfig, lambda2_values, head_name: str = "regression",
+                   config: TrainConfig, lambda2_values,
                    eval_episodes: int = 600) -> AblationResult:
-    """Train one model per lambda2 with otherwise identical seeds and
-    evaluate every model on the same test-episode sequence.  Only the
-    regression head's loss reads lambda2, so no other head is ablated."""
+    """Train one regression-head model per lambda2 with otherwise identical
+    seeds and evaluate every model on the same test-episode sequence.  Only
+    the regression head's loss reads lambda2, so no other head is ablated."""
     if not lambda2_values:
         raise ContractError("ablation needs at least one lambda2 value")
-    if head_name != "regression":
-        raise ConfigError(
-            f"the {head_name} head's loss does not read lambda2, so a lambda2 "
-            "ablation would train identical models; use the regression head")
     # Every value is checked (by TrainConfig) before the first model trains.
     configs = [replace(config, lambda2=float(value)) for value in lambda2_values]
     reports = []
     for cfg in configs:
-        head = make_head(head_name)
+        head = make_head("regression")
         params, _ = fit(train_set, val_set, cfg, head=head)
         reports.append(evaluate(
             params, head, test_set, cfg.n_way, cfg.k_shot, cfg.q_queries,

@@ -212,7 +212,7 @@ def test_criterion_10_reruns_write_byte_identical_history(tmp_path):
             "--n", "2", "--k", "2", "--q", "3", "--episodes", "40",
             "--val-interval", "20", "--val-episodes", "10",
             "--embed-dim", "4", "--hidden-dim", "6", "--depth", "1",
-            "--seed", "3", "--threads", "1"]
+            "--seed", "3"]
     a = tmp_path / "a"
     b = tmp_path / "b"
     assert main(args + ["--out", str(a)]) == EXIT_OK

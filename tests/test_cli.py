@@ -3,6 +3,7 @@ and byte-identical logs across reruns.
 """
 
 import argparse
+import importlib
 import json
 import shlex
 from dataclasses import fields
@@ -23,14 +24,17 @@ def run(argv):
     return main(argv)
 
 
-FAST_EVAL = [
+FAST_DATA = [
     "--synth-classes", "12", "--per-class", "12", "--dim", "4",
-    "--n", "2", "--k", "2", "--q", "3", "--eval-episodes", "8",
+    "--n", "2", "--k", "2", "--q", "3",
 ]
+FAST_EVAL = [*FAST_DATA, "--eval-episodes", "8"]
 FAST_TRAIN = [
-    *FAST_EVAL, "--episodes", "6", "--val-interval", "100", "--embed-dim", "4",
+    *FAST_DATA, "--episodes", "6", "--val-interval", "100", "--embed-dim", "4",
     "--hidden-dim", "6", "--depth", "1",
 ]
+# ablate and shift train and then evaluate
+FAST_RUN = [*FAST_TRAIN, "--eval-episodes", "8"]
 
 
 def no_data(*args, **kwargs):
@@ -179,7 +183,7 @@ def test_written_config_is_readable_again(tmp_path):
 def test_history_logs_are_byte_identical_across_reruns(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
-    args = ["train", *FAST_TRAIN, "--seed", "5", "--threads", "1"]
+    args = ["train", *FAST_TRAIN, "--seed", "5"]
     assert run(args + ["--out", str(a)]) == EXIT_OK
     assert run(args + ["--out", str(b)]) == EXIT_OK
     assert (a / "history.log").read_bytes() == (b / "history.log").read_bytes()
@@ -191,7 +195,7 @@ def test_history_logs_are_byte_identical_across_reruns(tmp_path):
 
 
 def test_ablate_prints_paired_deltas(tmp_path, capsys):
-    code = run(["ablate", *FAST_TRAIN, "--lambda2-values", "0,0.01"])
+    code = run(["ablate", *FAST_RUN, "--lambda2-values", "0,0.01"])
     assert code == EXIT_OK
     shown = capsys.readouterr().out
     assert "paired accuracy delta" in shown
@@ -199,22 +203,23 @@ def test_ablate_prints_paired_deltas(tmp_path, capsys):
 
 
 def test_ablate_rejects_malformed_value_lists(capsys):
-    assert run(["ablate", *FAST_TRAIN, "--lambda2-values", "0,abc"]) == EXIT_USAGE
+    assert run(["ablate", *FAST_RUN, "--lambda2-values", "0,abc"]) == EXIT_USAGE
     assert "--lambda2-values" in capsys.readouterr().err
 
 
 def test_ablate_refuses_the_lambda2_flag_but_reads_a_config_with_it(tmp_path, capsys):
-    # every model's lambda2 comes from --lambda2-values; --lambda2 would be
-    # ignored, so it is a usage error, while a config file may still set it
+    # every model's lambda2 comes from --lambda2-values and its head is the
+    # regression head; --lambda2 would be ignored, so it is a usage error,
+    # while a config file may still set it, and a head with it
     with pytest.raises(SystemExit) as info:
-        run(["ablate", *FAST_TRAIN, "--lambda2-values", "0", "--lambda2", "5"])
+        run(["ablate", *FAST_RUN, "--lambda2-values", "0", "--lambda2", "5"])
     assert info.value.code == EXIT_USAGE
     assert "--lambda2" in capsys.readouterr().err
     cfg = tmp_path / "lambda2.cfg"
-    cfg.write_text("lambda2 = 5\n")
-    assert run(["ablate", *FAST_TRAIN, "--lambda2-values", "0,0.01"]) == EXIT_OK
+    cfg.write_text("lambda2 = 5\nhead = proto\n")
+    assert run(["ablate", *FAST_RUN, "--lambda2-values", "0,0.01"]) == EXIT_OK
     by_flags = capsys.readouterr().out
-    assert run(["ablate", *FAST_TRAIN, "--lambda2-values", "0,0.01",
+    assert run(["ablate", *FAST_RUN, "--lambda2-values", "0,0.01",
                 "--config", str(cfg)]) == EXIT_OK
     assert capsys.readouterr().out == by_flags
 
@@ -222,14 +227,14 @@ def test_ablate_refuses_the_lambda2_flag_but_reads_a_config_with_it(tmp_path, ca
 @pytest.mark.parametrize("values", ["0,-1", "0,nan", "inf"])
 def test_ablate_rejects_out_of_range_values_before_training(monkeypatch, capsys, values):
     monkeypatch.setattr(cli, "_load_domain", no_data)
-    assert run(["ablate", *FAST_TRAIN, "--lambda2-values", values]) == EXIT_USAGE
+    assert run(["ablate", *FAST_RUN, "--lambda2-values", values]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "--lambda2-values" in err
     assert "finite and nonnegative" in err
 
 
 def test_shift_evaluates_on_the_translated_domain(capsys):
-    code = run(["shift", *FAST_TRAIN, "--offset", "0.5"])
+    code = run(["shift", *FAST_RUN, "--offset", "0.5"])
     assert code == EXIT_OK
     shown = capsys.readouterr().out
     assert "synth -> synth-shifted" in shown
@@ -238,7 +243,7 @@ def test_shift_evaluates_on_the_translated_domain(capsys):
 def test_shift_evaluates_on_the_test_classes_of_a_target_file(tmp_path, capsys):
     target = tmp_path / "b.csv"
     save_csv(synth_gaussian(7, 12, 12, 4, offset=0.5, name="b"), target)
-    code = run(["shift", *FAST_TRAIN, "--target-dataset", str(target),
+    code = run(["shift", *FAST_RUN, "--target-dataset", str(target),
                 "--out", str(tmp_path)])
     assert code == EXIT_OK
     assert f"synth -> {target}" in capsys.readouterr().out
@@ -252,7 +257,7 @@ def test_shift_from_a_csv_source_needs_a_target_dataset(monkeypatch, capsys, tmp
     # target would otherwise evaluate on its own test split whatever the offset
     monkeypatch.setattr(cli, "_load_domain", no_data)
     source = tmp_path / "b.csv"
-    assert run(["shift", *FAST_TRAIN, "--dataset", str(source), "--offset", "3"]) == EXIT_USAGE
+    assert run(["shift", *FAST_RUN, "--dataset", str(source), "--offset", "3"]) == EXIT_USAGE
     assert "--target-dataset" in capsys.readouterr().err
 
 
@@ -366,26 +371,59 @@ def test_non_finite_checkpoint_exits_3_and_names_the_file_and_row(tmp_path, caps
     assert "non-finite value in layer 0 weight row 1" in err
 
 
-def test_threads_is_accepted_and_ignored(tmp_path, capsys):
-    # a flag of the training commands, and a config key that eval accepts too
-    for threads in ("1", "4"):
-        out = str(tmp_path / threads)
-        assert run(["train", *FAST_TRAIN, "--threads", threads, "--out", out]) == EXIT_OK
-    assert ((tmp_path / "1" / "history.log").read_bytes()
-            == (tmp_path / "4" / "history.log").read_bytes())
+@pytest.mark.parametrize("argv, flag", [
+    (["train", *FAST_TRAIN, "--eval-episodes", "5", "--out", "x"], "--eval-episodes"),
+    (["ablate", *FAST_RUN, "--head", "regression"], "--head"),
+], ids=["train-eval-episodes", "ablate-head"])
+def test_training_commands_refuse_flags_they_do_not_read(monkeypatch, capsys, argv, flag):
+    # train evaluates nothing, and ablate always trains the regression head
+    monkeypatch.setattr(cli, "_load_domain", no_data)
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["train", "--out", "x"], ["eval", "--checkpoint", "enc.txt"]],
+                         ids=["train", "eval"])
+def test_a_threads_config_key_is_unknown(monkeypatch, tmp_path, capsys, argv):
+    # the key that older config.txt files carry names itself when refused
+    monkeypatch.setattr(cli, "_load_domain", no_data)
     cfg = tmp_path / "threads.cfg"
     cfg.write_text("threads = 4\n")
-    capsys.readouterr()
-    ckpt = ["--checkpoint", str(tmp_path / "1" / "encoder.txt")]
-    assert run(["eval", *FAST_EVAL, *ckpt]) == EXIT_OK
-    one = capsys.readouterr().out
-    assert run(["eval", *FAST_EVAL, *ckpt, "--config", str(cfg)]) == EXIT_OK
-    assert capsys.readouterr().out == one
+    assert run([*argv, "--config", str(cfg)]) == EXIT_USAGE
+    assert "unknown key 'threads'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("head", ["proto", "cosine"])
+@pytest.mark.parametrize("command", ["train", "shift"])
+def test_a_head_that_does_not_read_lambda2_refuses_a_non_zero_one(
+        monkeypatch, tmp_path, capsys, command, head):
+    # such a head would silently train the lambda2 = 0 model; 0 and 'auto'
+    # still train it
+    def no_fit(*args, **kwargs):
+        raise AssertionError("trained before refusing lambda2")
+
+    argv = [command, *(FAST_TRAIN if command == "train" else FAST_RUN),
+            "--head", head, "--out", str(tmp_path / "out")]
+    cfg = tmp_path / "lambda2.cfg"
+    cfg.write_text("lambda2 = 0.05\n")
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "fit", no_fit)
+        patched.setattr(importlib.import_module("fewshot.evaluate"), "fit", no_fit)
+        for source in (["--lambda2", "0.05"], ["--config", str(cfg)]):
+            assert run([*argv, *source]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert f"the {head} head" in err
+            assert "lambda2 0.05" in err
+    for value in ("0", "auto"):
+        assert run([*argv, "--lambda2", value]) == EXIT_OK
 
 
 def test_eval_refuses_training_flags_but_reads_a_training_config(tmp_path, capsys):
     # eval takes as flags only what it reads; the config file train wrote,
-    # training keys and all, still serves eval
+    # training keys and all, still serves eval (train takes no
+    # --eval-episodes, so the file holds the default, 600)
     with pytest.raises(SystemExit) as info:
         run(["eval", *FAST_EVAL, "--checkpoint", "enc.txt", "--lr", "5"])
     assert info.value.code == EXIT_USAGE
@@ -396,7 +434,8 @@ def test_eval_refuses_training_flags_but_reads_a_training_config(tmp_path, capsy
     ckpt = ["--checkpoint", str(out / "encoder.txt")]
     assert run(["eval", *FAST_EVAL, *ckpt]) == EXIT_OK
     by_flags = capsys.readouterr().out
-    assert run(["eval", "--config", str(out / "config.txt"), *ckpt]) == EXIT_OK
+    assert run(["eval", "--config", str(out / "config.txt"), *ckpt,
+                "--eval-episodes", "8"]) == EXIT_OK
     assert capsys.readouterr().out == by_flags
 
 
@@ -431,7 +470,7 @@ def test_run_config_defaults_are_the_documented_ones():
     assert config.lambda1 == pytest.approx(1e-3)
     assert config.lambda2 is None
     assert config.head == "regression"
-    assert config.threads == 1
+    assert len(fields(RunConfig)) == 32
     tc = config.train_config()
     assert tc.n_way == 5 and tc.k_shot == 5 and tc.q_queries == 16
     assert tc.final_activation == "none"
@@ -439,13 +478,14 @@ def test_run_config_defaults_are_the_documented_ones():
 
 # The flag surface as it was when the flags were first generated from
 # RunConfig, except that check takes only --config and --seed, eval only
-# the flags it reads and ablate no --lambda2: option string -> dest, shared
-# by the training commands and then per command.
+# the flags it reads, train no --eval-episodes, ablate no --lambda2 or
+# --head, and no command --threads: option string -> dest, shared by the
+# training commands and then per command.
 COMMON_FLAGS = {
     "--config": "config", "--dataset": "dataset", "--n": "n", "--k": "k",
     "--q": "q", "--episodes": "episodes", "--eval-episodes": "eval_episodes",
     "--lr": "lr", "--lambda1": "lambda1", "--lambda2": "lambda2", "--head": "head",
-    "--seed": "seed", "--threads": "threads", "--out": "out",
+    "--seed": "seed", "--out": "out",
     "--optimizer": "optimizer", "--batch-tasks": "batch_tasks",
     "--val-interval": "val_interval", "--val-episodes": "val_episodes",
     "--embed-dim": "embed_dim", "--hidden-dim": "hidden_dim", "--depth": "depth",
@@ -454,7 +494,7 @@ COMMON_FLAGS = {
     "--spread": "spread", "--within-std": "within_std",
 }
 COMMAND_FLAGS = {
-    "train": {**COMMON_FLAGS},
+    "train": {f: d for f, d in COMMON_FLAGS.items() if f != "--eval-episodes"},
     "eval": {
         "--config": "config", "--dataset": "dataset", "--n": "n", "--k": "k", "--q": "q",
         "--eval-episodes": "eval_episodes", "--lambda1": "lambda1", "--head": "head",
@@ -462,7 +502,7 @@ COMMAND_FLAGS = {
         "--synth-classes": "synth_classes", "--per-class": "per_class", "--dim": "dim",
         "--spread": "spread", "--within-std": "within_std",
     },
-    "ablate": {**{f: d for f, d in COMMON_FLAGS.items() if f != "--lambda2"},
+    "ablate": {**{f: d for f, d in COMMON_FLAGS.items() if f not in ("--lambda2", "--head")},
                "--lambda2-values": "lambda2_values"},
     "shift": {**COMMON_FLAGS, "--target-dataset": "target_dataset", "--offset": "offset"},
     "check": {"--config": "config", "--seed": "seed"},

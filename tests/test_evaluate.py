@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from fewshot import train
-from fewshot.cli import EXIT_USAGE, main
 from fewshot.encoder import EncoderParams, Layer, default_layer_spec, init_encoder
 from fewshot.episodes import Dataset, sample_episode, split_classes, synth_gaussian
-from fewshot.errors import ConditioningError, ConfigError, ContractError
+from fewshot.errors import ConditioningError, ContractError
 from fewshot.evaluate import (Z95, ablate_lambda2, confidence_interval,
                               domain_shift, evaluate, fingerprint_config,
                               format_table)
@@ -259,23 +258,6 @@ def test_ablation_checks_every_value_before_training(monkeypatch):
     monkeypatch.setattr(importlib.import_module("fewshot.evaluate"), "fit", no_fit)
     with pytest.raises(ContractError, match="lambda2"):
         ablate_lambda2(train, val, test, config, [0.0, -1.0])
-
-
-@pytest.mark.parametrize("head", ["proto", "cosine"])
-def test_ablation_refuses_a_head_whose_loss_does_not_read_lambda2(monkeypatch, capsys, head):
-    # such a head would train one identical model per value
-    train, val, test = splits(seed=3)
-    config = TrainConfig(n_way=3, k_shot=2, q_queries=3, episodes=10,
-                         embed_dim=4, hidden_dim=8, depth=1, seed=3)
-
-    def no_fit(*args, **kwargs):
-        raise AssertionError("trained a head that does not read lambda2")
-
-    monkeypatch.setattr(importlib.import_module("fewshot.evaluate"), "fit", no_fit)
-    with pytest.raises(ConfigError, match=f"{head} head.*lambda2"):
-        ablate_lambda2(train, val, test, config, [0.0, 1e-2], head_name=head)
-    assert main(["ablate", "--head", head, "--lambda2-values", "0,0.01"]) == EXIT_USAGE
-    assert f"{head} head" in capsys.readouterr().err
 
 
 def test_domain_shift_labels_both_domains():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fewshot import verify
+from fewshot import autodiff, verify
 from fewshot.errors import ShapeError
 
 
@@ -44,3 +44,18 @@ def test_all_suites_pass():
     assert len(results) == 5
     for result in results:
         assert result.passed, result.line()
+
+
+def test_gradient_suite_runs_one_backward_pass_per_trial(monkeypatch):
+    # the finite-difference losses are values only; just the analytic
+    # gradient of each trial differentiates
+    calls = []
+    backward = autodiff.backward
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(autodiff, "backward", counted)
+    assert verify.check_gradient_fidelity(0).passed
+    assert len(calls) == 20
