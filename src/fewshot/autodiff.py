@@ -1,23 +1,16 @@
-"""Reverse-mode automatic differentiation on a per-episode tape, and the
-numeric kernels of the episode loss.
+"""Reverse-mode differentiation of a training step, and the numeric
+kernels of the episode loss.
 
-The tape is define-by-run: each op computes its forward value eagerly and
-appends a node holding a closure that maps the output adjoint to
-(input id, input adjoint) pairs.  ``backward`` walks the node list once in
-reverse, which is a valid topological order because inputs always precede
-the ops that consume them.  A node refers to its tape only weakly, so a
-tape and its nodes are freed by reference counting as soon as the tape
-goes out of scope, without waiting for the cyclic garbage collector.
+Every differentiable function here and in ``encoder`` and ``heads``
+returns ``(value, back)``, where ``back(g)`` maps the adjoint g of the
+value to the adjoints of its array operands.  A training step's loss is a
+fixed chain, parameter vector -> ``encoder.forward`` -> one
+``heads.episode_loss`` per episode, so its record, the ``Tape``, is just
+the list of each episode's (encoder back, loss back) pair, and
+``backward`` runs each pair from a unit adjoint and sums the gradients.
 
-A training step records three kinds of node: the parameter leaf
-(``Tape.leaf``), the encoder (``encoder.forward``) and one episode loss
-(``heads.episode_loss``), each through ``Tape.append``; ``add`` sums a
-batch's losses.
-
-The loss is composed of plain numpy kernels, each returning ``(value,
-back)`` where ``back(g)`` maps the adjoint g of the value to the adjoints
-of its array operands, so the loss node chains them by hand and scoring
-calls them with no tape at all:
+The loss is composed of plain numpy kernels, chained by hand in the loss
+and called with no tape by scoring:
 
 - one distance kernel per head, each mapping an M x NK support (N classes
   of K adjacent columns) and M x B queries to an N x B distance matrix,
@@ -30,14 +23,9 @@ calls them with no tape at all:
   similarity to every class's columns);
 - cross_entropy (a stabilized log-sum-exp inside);
 - the regression head's penalty: subspace_overlap.
-
-Adjoints are never accumulated in place: ``backward`` stores the first
-one as it comes and sums later ones into a new array, so an adjoint that
-is another node's adjoint (add) needs no copy.
 """
 from __future__ import annotations
 
-import weakref
 from typing import Callable
 
 import numpy as np
@@ -45,62 +33,15 @@ import numpy as np
 from . import linalg
 from .errors import ContractError, DegenerateSubspaceError, ShapeError
 
-Adjoint = Callable[[np.ndarray], list[tuple[int, np.ndarray]]]
-
-
-class Var:
-    """One tape node: a value plus the recipe to push adjoints backward."""
-
-    __slots__ = ("_tape", "id", "op", "value", "grad", "_backward")
-
-    def __init__(self, tape_ref: "weakref.ref[Tape]", node_id: int, op: str,
-                 value: np.ndarray, backward: Adjoint | None):
-        self._tape = tape_ref
-        self.id = node_id
-        self.op = op
-        self.value = value
-        self.grad: np.ndarray | None = None
-        self._backward = backward
-
-    @property
-    def tape(self) -> "Tape":
-        tape = self._tape()
-        if tape is None:
-            raise ContractError("the tape this variable was recorded on is gone")
-        return tape
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
-    def item(self) -> float:
-        if self.value.shape != (1, 1):
-            raise ShapeError(f"item() expects a 1x1 value, got {self.value.shape}")
-        return float(self.value[0, 0])
-
-    def __repr__(self) -> str:
-        return f"Var(id={self.id}, op={self.op!r}, shape={self.value.shape})"
-
 
 class Tape:
-    """Append-only record of one forward computation."""
+    """One training step's (encoder back, loss back) pairs, one per episode."""
 
-    __slots__ = ("nodes", "_ref", "__weakref__")
+    # perfbench's tracer reads len(tape.nodes) in backward and forward's third argument x.
+    __slots__ = ("nodes",)
 
     def __init__(self):
-        self.nodes: list[Var] = []
-        self._ref = weakref.ref(self)
-
-    def append(self, op: str, value: np.ndarray, backward: Adjoint | None) -> Var:
-        """Record a node valued ``value`` whose ``backward`` maps its output
-        adjoint to (input id, input adjoint) pairs; None for a leaf."""
-        var = Var(self._ref, len(self.nodes), op, value, backward)
-        self.nodes.append(var)
-        return var
-
-    def leaf(self, values) -> Var:
-        """Enter a tensor whose gradient is wanted (a parameter) onto the tape."""
-        return self.append("leaf", linalg.as_stack(values), None)
+        self.nodes: list[tuple[Callable, Callable]] = []
 
 
 def _swap(a: np.ndarray) -> np.ndarray:
@@ -134,22 +75,6 @@ def _residual_adjoint(r: np.ndarray, d: np.ndarray, g: np.ndarray) -> np.ndarray
     if (d == 0.0).any():
         rb = np.where((d > 0.0)[..., None, :], rb, 0.0)
     return rb
-
-
-# -- the tape's one structural op ---------------------------------------------
-
-
-def add(a: Var, b: Var) -> Var:
-    if a.shape != b.shape:
-        raise ShapeError(f"add expects matching shapes, got {a.shape} and {b.shape}")
-    tape = a.tape
-    if b.tape is not tape:
-        raise ContractError("ops cannot mix variables from different tapes")
-
-    def back(g):
-        return [(a.id, g), (b.id, g)]
-
-    return tape.append("add", a.value + b.value, back)
 
 
 # -- the loss kernels: (value, back) ------------------------------------------
@@ -323,29 +248,18 @@ def subspace_overlap(a: np.ndarray, n: int):
     return np.array([[np.sum(x * x)]]), back
 
 
-def backward(tape: Tape, loss: Var) -> None:
-    """Accumulate d(loss)/d(node) into ``.grad`` for every node at or before
-    ``loss`` (zeros for nodes the loss does not depend on).
-
-    One reverse pass suffices: a node's consumers come after it on the
-    tape.  Repeated calls recompute every ``.grad``, so they are idempotent.
-    Gradients may share memory with one another; treat them as read-only.
+def backward(tape: Tape) -> np.ndarray:
+    """The gradient of the tape's summed loss: each pair's encoder back of
+    its loss back of a unit adjoint, summed last episode first, as a
+    reverse sweep over the episodes meets them.  The order fixes the bits
+    of a batch of three or more episodes.  The sum is never in place, so
+    no pair's gradient is written to.
     """
-    if loss.tape is not tape:
-        raise ContractError("loss variable does not belong to this tape")
-    if loss.value.shape != (1, 1):
-        raise ContractError(f"backward needs a scalar loss, got shape {loss.value.shape}")
-
-    grads: dict[int, np.ndarray] = {loss.id: np.ones((1, 1))}
-    for var in reversed(tape.nodes[: loss.id + 1]):
-        g = grads.pop(var.id, None)
-        if g is None:
-            var.grad = np.zeros_like(var.value)
-            continue
-        var.grad = g
-        if var._backward is None:
-            continue
-        for input_id, contribution in var._backward(g):
-            seen = grads.get(input_id)
-            # Never in place: ``seen`` may be another node's adjoint or a view of it.
-            grads[input_id] = contribution if seen is None else seen + contribution
+    if not tape.nodes:
+        raise ContractError("backward needs at least one (encoder, loss) pair on the tape")
+    one = np.ones((1, 1))
+    total = None
+    for encoder_back, loss_back in reversed(tape.nodes):
+        grad = encoder_back(loss_back(one))
+        total = grad if total is None else total + grad
+    return total

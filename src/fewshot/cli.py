@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -136,10 +137,13 @@ def _parse_value(key: str, text: str):
 
 
 def parse_config_file(path: str) -> dict:
+    """A config file's values by key.  A ``#`` starts a comment only at the
+    start of a line or after whitespace, so a value such as ``runs/b#1``
+    keeps its ``#``."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

@@ -6,16 +6,14 @@ out W0, b0, W1, b1, ... (each row-major); every layer's ``weight`` and
 ``EncoderParams`` packs it and ``with_vector`` re-views it, so
 ``train``'s optimizers are vector ops.
 
-For training, ``params.vector`` is the one leaf of an episode batch's
-tape (``Tape.leaf``), and ``forward`` records the whole layer chain as
-one node of it.  The node's adjoint writes every layer's gradient into
-the views of one new vector, so the gradient is laid out as
-``params.vector`` when it is made.  The train step reads both its loss
+For training, ``forward`` runs the layer chain on ``params.vector`` and
+returns the embedding with its ``back``, which writes every layer's
+gradient into the views of one new vector, so the gradient is laid out
+as ``params.vector`` when it is made.  The train step reads both its loss
 and its accuracy from that one embedding.  Validation and test
-evaluation embed each split once with ``embed_np``, with no tape.  A
-layer's math, ``act(W x + b)``, exists once, as ``dense_np``: the node's
-value and every ``embed_np`` layer are that function, so the two routes
-agree exactly.
+evaluation embed each split once with ``embed_np``.  A layer's math,
+``act(W x + b)``, exists once, as ``dense_np``: ``forward`` and
+``embed_np`` both run that function, so the two routes agree exactly.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .autodiff import Var
 from .errors import CheckpointError, ConfigError, ContractError, ShapeError
 
 ACTIVATIONS = ("tanh", "relu", "none")
@@ -150,26 +147,24 @@ def _input(params: EncoderParams, batch) -> np.ndarray:
     return x
 
 
-def forward(theta: Var, params: EncoderParams, x) -> Var:
-    """The layer chain on the D x B batch ``x`` as one node, M x B, of the
-    leaf ``theta``: a parameter vector laid out as ``params.vector`` and
-    entered with ``Tape.leaf``.  ``x`` is a plain array and gets no adjoint.
+def forward(vector: np.ndarray, params: EncoderParams, x):
+    """The layer chain with parameters ``vector`` (laid out as
+    ``params.vector``) on the D x B batch ``x``, as ``(M x B embedding,
+    back)``; ``back(g)`` is the gradient in ``vector``, of its shape.  ``x``
+    gets no adjoint.
 
-    The adjoint walks the layers in reverse: with g the adjoint of a
-    layer's pre-activation, it writes ``g x^T`` and g's row sums into that
-    layer's weight and bias views of one new vector, then passes ``W^T g``
-    to the layer below.  The relu gradient at exactly 0 is 0.
+    ``back`` walks the layers in reverse: with g the adjoint of a layer's
+    pre-activation, it writes ``g x^T`` and g's row sums into that layer's
+    weight and bias views of one new vector, then passes ``W^T g`` to the
+    layer below.  The relu gradient at exactly 0 is 0.
     """
-    size = params.vector.size
-    if theta.shape != (size, 1):
-        raise ShapeError(f"parameter leaf must be {size} x 1, got {theta.shape}")
-    layers = params.with_vector(theta.value.reshape(size)).layers
+    layers = params.with_vector(vector).layers
     outs = [_input(params, x)]
     for layer in layers:
         outs.append(dense_np(layer.weight, layer.bias, outs[-1], layer.activation))
 
     def back(g):
-        grad = np.empty(size)
+        grad = np.empty(vector.shape)
         views = params.with_vector(grad).layers
         for i in reversed(range(len(layers))):
             out = outs[i + 1]
@@ -181,14 +176,14 @@ def forward(theta: Var, params: EncoderParams, x) -> Var:
             np.sum(g, axis=1, keepdims=True, out=views[i].bias)
             if i:
                 g = layers[i].weight.T @ g
-        return [(theta.id, grad.reshape(size, 1))]
+        return grad
 
-    return theta.tape.append("encoder", outs[-1], back)
+    return outs[-1], back
 
 
 def embed_np(params: EncoderParams, batch) -> np.ndarray:
-    """Tape-free forward pass: the layer function ``forward`` records.
-    Validation and evaluation embed a whole split with one call."""
+    """``forward``'s embedding alone.  Validation and evaluation embed a
+    whole split with one call."""
     h = _input(params, batch)
     for layer in params.layers:
         h = dense_np(layer.weight, layer.bias, h, layer.activation)

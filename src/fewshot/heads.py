@@ -29,13 +29,13 @@ provide baselines under the same episode protocol.
 
 The kernels are plain functions of arrays that return ``(value, back)``.
 Each head writes its distance once, as ``distance_rows``: a call to its
-kernel.  Training records an episode's whole loss as one tape node,
-``episode_loss``, whose adjoint chains the distance, cross-entropy and
-penalty adjoints by hand; ``distances_np`` takes the distance kernel's
-value, with no tape.  The kernels also take a leading episode axis:
-validation and evaluation score a chunk of E episodes at once, as an
-(E, M, NK) support stack and (E, M, B) queries, and get (E, N, B)
-distances back.
+kernel.  Training takes an episode's whole loss from ``episode_loss``,
+which returns ``(loss, distances, back)`` with a ``back`` that chains the
+distance, cross-entropy and penalty adjoints by hand; ``distances_np``
+takes the distance kernel's value alone.  The kernels also take a leading
+episode axis: validation and evaluation score a chunk of E episodes at
+once, as an (E, M, NK) support stack and (E, M, B) queries, and get
+(E, N, B) distances back.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff, linalg
-from .autodiff import Var
 from .errors import ContractError, ShapeError
 
 
@@ -115,25 +114,25 @@ def cross_entropy_from_distances(dist_matrix: np.ndarray, labels: np.ndarray, n_
 # A head's ``distance_rows`` maps the M x NK support block and the M x B
 # queries, plain arrays, to ``(d, back)``: the N x B distance matrix, or
 # (E, N, B) for (E, M, NK) and (E, M, B) episode stacks, and the kernel's
-# adjoint.  ``episode_loss`` records one episode's whole loss as one tape
-# node on the encoder's output and returns (loss, distances);
-# ``distances_np`` is ``distance_rows``' value, with no tape.  Both are
-# written once, below, and bound in each head's class body, not
-# inherited, because perfbench's tracer patches a head's methods in
-# ``vars(cls)``; the regression head passes its penalty weight.
+# adjoint.  ``episode_loss`` maps the encoder's output to one episode's
+# whole loss, its distances and its ``back``; ``distances_np`` is
+# ``distance_rows``' value alone.  Both are written once, below, and bound
+# in each head's class body, not inherited, because perfbench's tracer
+# patches a head's methods in ``vars(cls)``; the regression head passes
+# its penalty weight.
 
 
-def episode_loss(head, embedded: Var, labels, hyper: Hyper,
-                 lambda2: float = 0.0) -> tuple[Var, np.ndarray]:
+def episode_loss(head, embedded: np.ndarray, labels, hyper: Hyper,
+                 lambda2: float = 0.0):
     """The mean negative log posterior over an episode's queries, plus
-    ``lambda2`` times the penalty of its support unless lambda2 is 0, as one
-    node on the tape of the M x (NK + B) embedding ``embedded`` (the
-    support's NK columns, class by class, then the B queries), and the
-    N x B distances.
+    ``lambda2`` times the penalty of its support unless lambda2 is 0, of
+    the M x (NK + B) embedding ``embedded`` (the support's NK columns,
+    class by class, then the B queries), as ``(1 x 1 loss, N x B
+    distances, back)``; ``back(g)`` is the adjoint of ``embedded``.
 
-    The node's adjoint chains the kernels' adjoints by hand: the support
-    columns get the penalty's adjoint plus the distance's, the query
-    columns the distance's.
+    ``back`` chains the kernels' adjoints by hand: the support columns get
+    the penalty's adjoint plus the distance's, the query columns the
+    distance's.
     """
     nk = hyper.n_way * hyper.k_shot
     labels = np.asarray(labels)
@@ -141,8 +140,8 @@ def episode_loss(head, embedded: Var, labels, hyper: Hyper,
         raise ShapeError(
             f"an embedded episode needs {nk} support plus {labels.size} query "
             f"columns, {nk + labels.size} in all, got {embedded.shape[1]}")
-    support = np.ascontiguousarray(embedded.value[:, :nk])
-    query = np.ascontiguousarray(embedded.value[:, nk:])
+    support = np.ascontiguousarray(embedded[:, :nk])
+    query = np.ascontiguousarray(embedded[:, nk:])
     dist, dist_back = head.distance_rows(support, query, hyper)
     loss, ce_back = cross_entropy_from_distances(dist, labels, hyper.n_way)
     if lambda2 != 0.0:
@@ -156,13 +155,13 @@ def episode_loss(head, embedded: Var, labels, hyper: Hyper,
         out = np.empty(embedded.shape)
         out[:, :nk] = support_grad
         out[:, nk:] = query_grad
-        return [(embedded.id, out)]
+        return out
 
-    return embedded.tape.append("episode_loss", loss, back), dist
+    return loss, dist, back
 
 
 def distances_np(head, support, query, hyper: Hyper) -> np.ndarray:
-    """The value of the head's distance kernel, with no tape."""
+    """The value of the head's distance kernel alone."""
     return head.distance_rows(linalg.as_stack(support), linalg.as_stack(query), hyper)[0]
 
 
@@ -175,8 +174,7 @@ class RegressionHead:
     def distance_rows(self, support: np.ndarray, query: np.ndarray, hyper: Hyper):
         return autodiff.ridge_residuals(support, query, hyper.n_way, hyper.lambda1)
 
-    def episode_loss(self, embedded: Var, labels,
-                     hyper: Hyper) -> tuple[Var, np.ndarray]:
+    def episode_loss(self, embedded: np.ndarray, labels, hyper: Hyper):
         """The shared cross-entropy loss plus the weighted penalty."""
         return episode_loss(self, embedded, labels, hyper, hyper.lambda2)
 

@@ -1,10 +1,11 @@
 """Episodic training: sample episodes, backprop the episode loss, update.
 
-One update step consumes a batch of tasks (default one), accumulates the
-summed loss on a single tape, and applies Adam (or plain SGD) with the
-summed gradient.  Validation accuracy is measured every ``val_interval``
-episodes on freshly sampled validation episodes, and the parameters with
-the best validation accuracy (earliest on ties) are returned.
+One update step consumes a batch of tasks (default one), records each
+episode's (encoder back, loss back) pair on one tape, and applies Adam
+(or plain SGD) with the summed gradient that ``autodiff.backward`` takes
+from it.  Validation accuracy is measured every ``val_interval`` episodes
+on freshly sampled validation episodes, and the parameters with the best
+validation accuracy (earliest on ties) are returned.
 
 Validation and evaluation share one scoring engine, ``split_accuracies``:
 it embeds the whole split once with ``encoder.embed_np``, then scores the
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff, encoder, heads, linalg
-from .autodiff import Tape, Var
+from .autodiff import Tape
 from .encoder import EncoderParams
 from .episodes import Dataset, Episode, check_sampleable, sample_episode
 from .errors import ConfigError, ContractError, DivergenceError, NumericalError
@@ -133,19 +134,6 @@ def sgd_update(params: EncoderParams, grad: np.ndarray, lr: float) -> EncoderPar
     return params.with_vector(params.vector - lr * grad)
 
 
-def episode_loss_on_tape(theta: Var, params: EncoderParams, episode: Episode,
-                         head, hyper: Hyper):
-    """Embed the episode's support and queries (``episode.x``, the support
-    one block of NK columns, class by class as sampled, then the queries)
-    on the tape of the parameter leaf ``theta`` (see ``encoder.forward``),
-    and record the head's loss on that embedding as one node.
-
-    Returns (loss, N x B distance array), as ``head.episode_loss`` does.
-    """
-    embeds = encoder.forward(theta, params, episode.x)
-    return head.episode_loss(embeds, episode.query_y, hyper)
-
-
 # Float budget of one scoring chunk.  The largest per-episode value a
 # head computes is an N x max(M, K) x B stack (regression residuals and
 # coefficients, proto differences), and a kernel keeps a few of them
@@ -208,13 +196,13 @@ def batch_gradient(params: EncoderParams, batch: list[Episode], head,
     if not batch:
         raise ContractError("a training step needs at least one episode, got an empty batch")
     tape = Tape()
-    theta = tape.leaf(params.vector)
-    total = None
     losses = []
     accuracies = []
     for i, episode in enumerate(batch):
         try:
-            loss, dist = episode_loss_on_tape(theta, params, episode, head, hyper)
+            # episode.x: the support's NK columns, class by class, then the queries
+            embedded, encoder_back = encoder.forward(params.vector, params, episode.x)
+            loss, dist, loss_back = head.episode_loss(embedded, episode.query_y, hyper)
             value = loss.item()
             if not np.isfinite(value):
                 raise DivergenceError(f"training diverged: non-finite loss {value}")
@@ -224,10 +212,9 @@ def batch_gradient(params: EncoderParams, batch: list[Episode], head,
         # The loss's distances are the pre-update params' distances, so this
         # is the episode's accuracy without embedding a second time.
         accuracies.append(np.mean(heads.predict_np(dist) == episode.query_y))
-        total = loss if total is None else autodiff.add(total, loss)
-    autodiff.backward(tape, total)
+        tape.nodes.append((encoder_back, loss_back))
     metrics = {"loss": float(np.mean(losses)), "accuracy": float(np.mean(accuracies))}
-    return theta.grad.reshape(params.vector.shape), metrics
+    return autodiff.backward(tape), metrics
 
 
 def train_step(params: EncoderParams, batch: list[Episode], config: TrainConfig,

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import heads, linalg, train
-from .autodiff import Tape, ridge_residuals
-from .encoder import EncoderParams, Layer, init_encoder
+from .autodiff import ridge_residuals
+from .encoder import EncoderParams, Layer, forward, init_encoder
 from .episodes import Episode
 from .errors import ShapeError
 from .heads import Hyper, RegressionHead
@@ -218,10 +218,9 @@ def check_gradient_fidelity(seed: int = 0, trials: int = 20,
         analytic, _ = train.batch_gradient(params, [episode], head, hyper)
         flat = params.vector
 
-        def loss_at(vec):   # the loss node's value on a throwaway tape, no backward
-            tape = Tape()   # kept by name: a node refers to its tape only weakly
-            return train.episode_loss_on_tape(tape.leaf(vec), params, episode, head,
-                                              hyper)[0].item()
+        def loss_at(vec):   # the loss's value alone: no tape, no backward
+            return head.episode_loss(forward(vec, params, episode.x)[0],
+                                     episode.query_y, hyper)[0].item()
 
         for i in range(flat.size):
             plus = flat.copy()

@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from fewshot import autodiff
 from fewshot.encoder import embed_np
 from fewshot.heads import predict_np
 
@@ -16,7 +15,7 @@ def lstsq_distances(s, queries, lambda1):
 
 
 def ortho_penalty_np(supports):
-    """Tape-free double-loop reference for heads.ortho_penalty (ordered pairs)."""
+    """Double-loop reference for heads.ortho_penalty (ordered pairs)."""
     total = 0.0
     norms = [float(np.sum(s * s)) for s in supports]
     for i, si in enumerate(supports):
@@ -51,13 +50,6 @@ def cross_entropy_np(d, rows):
     pick_adjoint = np.zeros(d.shape)
     pick_adjoint[rows, cols] = g_add[0, :]
     return value, grad + pick_adjoint
-
-
-def cross_entropy_node(h, rows):
-    """The cross-entropy kernel of the tape variable ``h``'s value, recorded
-    as a test-only loss node on its tape."""
-    value, back = autodiff.cross_entropy(h.value, rows)
-    return h.tape.append("cross_entropy", value, lambda g: [(h.id, back(g))])
 
 
 def episode_accuracy_np(params, head, episode, hyper):

@@ -1,15 +1,15 @@
-"""Tape and kernel tests: the gradient of the tape's nodes (the encoder and
-add) and the adjoint of every loss kernel (the three distances, the
-cross-entropy and the subspace overlap) against central finite
-differences, the kernels against numpy oracles, plus the structural
-contracts (idempotent backward, no adjoint aliasing, no adjoint for the
-encoder's input batch, stabilized reductions, shape and tape-mixing
-errors).
+"""Adjoint tests: the encoder's ``back``, ``backward`` over a training
+tape of (encoder back, loss back) pairs, and the adjoint of every loss
+kernel (the three distances, the cross-entropy and the subspace overlap)
+against central finite differences, the kernels against numpy oracles,
+plus the structural contracts (idempotent backward, a sum that writes to
+no adjoint, no adjoint for the encoder's input batch, stabilized
+reductions, shape errors).
 
-A tape test reduces a value to a scalar loss with ``probe``, a weighted
-sum recorded as a test-only node, so the package keeps no op for tests
-alone; a kernel's ``back(w)`` is checked against differences of the same
-kind of weighted sum of its value.
+Every function under test returns ``(value, back)``: ``back(w)`` is
+checked against differences of the weighted sum ``sum(w * value)``.  A
+tape's loss is reduced to a scalar by ``probe``, a weighted sum kept in
+the tests, so the package keeps no function for tests alone.
 """
 
 import numpy as np
@@ -21,48 +21,10 @@ from fewshot.encoder import ACTIVATIONS, EncoderParams, Layer, default_layer_spe
 from fewshot.errors import ContractError, ShapeError
 from fewshot.heads import CosineHead, Hyper
 
-from oracles import cross_entropy_node, cross_entropy_np, lstsq_distances, ortho_penalty_np
+from oracles import cross_entropy_np, lstsq_distances, ortho_penalty_np
 
 H = 1e-6
 TOL = 5e-5
-
-
-def analytic(build, leaves):
-    """Gradients of build(tape, vars) with respect to every leaf."""
-    tape = Tape()
-    vars_ = [tape.leaf(m) for m in leaves]
-    loss = build(tape, vars_)
-    backward(tape, loss)
-    return loss.item(), [v.grad.copy() for v in vars_]
-
-
-def numeric(build, leaves, h=H):
-    """Central finite differences, one coordinate at a time."""
-
-    def value(mats):
-        tape = Tape()
-        vars_ = [tape.leaf(m) for m in mats]
-        return build(tape, vars_).item()
-
-    grads = []
-    for i in range(len(leaves)):
-        g = np.zeros_like(leaves[i])
-        for idx in np.ndindex(g.shape):
-            plus = [m.copy() for m in leaves]
-            minus = [m.copy() for m in leaves]
-            plus[i][idx] += h
-            minus[i][idx] -= h
-            g[idx] = (value(plus) - value(minus)) / (2.0 * h)
-        grads.append(g)
-    return grads
-
-
-def check_op(build, leaves, tol=TOL):
-    _, exact = analytic(build, leaves)
-    approx = numeric(build, leaves)
-    for e, a in zip(exact, approx):
-        scale = max(1.0, float(np.max(np.abs(a))))
-        assert np.max(np.abs(e - a)) / scale < tol, (e, a)
 
 
 def mats(seed, *shapes):
@@ -70,16 +32,11 @@ def mats(seed, *shapes):
     return [rng.standard_normal(s) for s in shapes]
 
 
-def probe(v, weights=None):
-    """The scalar sum(w * v) as one test-only node with adjoint g w.  By
-    default w is random and fixed by v's shape, so every entry of v counts
-    differently and a misplaced entry changes the loss."""
-    w = fixed_weights(v.shape) if weights is None else weights
-
-    def back(g):
-        return [(v.id, float(g[0, 0]) * w)]
-
-    return v.tape.append("probe", np.array([[np.sum(w * v.value)]]), back)
+def probe(value):
+    """The scalar ``sum(w * value)`` as ``(1 x 1 value, back)``, w random
+    and fixed by value's shape, so a misplaced entry changes the loss."""
+    w = fixed_weights(value.shape)
+    return np.array([[np.sum(w * value)]]), lambda g: float(g[0, 0]) * w
 
 
 def fixed_weights(shape):
@@ -121,12 +78,33 @@ def ridge(s, q, n=2, lambda1=0.5):
 
 def encoder_case(seed, depth, act, batch=5):
     """A 4 -> 3 (x depth) -> 2 encoder with every layer's activation
-    ``act`` and random weights and biases, its parameter vector as a
-    column (the shape ``Tape.leaf`` gives it), and a 4 x batch input."""
+    ``act`` and random weights and biases, a copy of its parameter
+    vector, and a 4 x batch input."""
     rng = np.random.default_rng(seed)
     params = init_encoder(seed, default_layer_spec(4, 2, 3, depth, act, act))
     params.vector[:] = rng.standard_normal(params.vector.size)
-    return params, params.vector[:, None].copy(), rng.standard_normal((4, batch))
+    return params, params.vector.copy(), rng.standard_normal((4, batch))
+
+
+def training_tape(vector, params, episodes):
+    """One (encoder back, loss back) pair per (batch, loss) of ``episodes``,
+    in order, as a training step records them, and the summed loss."""
+    tape, total = Tape(), 0.0
+    for x, loss in episodes:
+        embedded, encoder_back = encoder.forward(vector, params, x)
+        value, loss_back = loss(embedded)
+        tape.nodes.append((encoder_back, loss_back))
+        total += value[0, 0]
+    return tape, total
+
+
+def summed(params, episodes):
+    """The summed loss of ``training_tape`` as a kernel of the parameter
+    vector, whose ``back`` scales ``backward`` of the tape."""
+    def kernel(vector):
+        tape, total = training_tape(vector, params, episodes)
+        return np.array([[total]]), lambda g: float(g[0, 0]) * backward(tape)
+    return kernel
 
 
 def pre_activations(params, x):
@@ -146,18 +124,7 @@ DISTANCES = {
 }
 
 
-# -- gradient fidelity: the tape's nodes and the loss kernels ------------------
-
-
-def test_add_and_sub_gradients():
-    # add, with distinct operands and with one operand twice; a - b is the
-    # sum of a weighted and a negatively weighted term, as a batch sums losses
-    for seed in range(5):
-        a, b = mats(seed, (3, 2), (3, 2))
-        w = fixed_weights(a.shape)
-        check_op(lambda t, v: probe(autodiff.add(v[0], v[1])), [a, b])
-        check_op(lambda t, v: probe(autodiff.add(v[0], v[0])), [a])
-        check_op(lambda t, v: autodiff.add(probe(v[0], w), probe(v[1], -w)), [a, b])
+# -- gradient fidelity: the encoder, the tape and the loss kernels -------------
 
 
 def test_scale_neg_add_diag_gradients():
@@ -170,48 +137,40 @@ def test_scale_neg_add_diag_gradients():
 
 
 def test_dense_gradients():
-    # the encoder node, every layer act(W x + b), against differences in
-    # its parameter column, for every activation at depth 0 and depth 2;
+    # the encoder, every layer act(W x + b), against differences in its
+    # parameter vector, for every activation at depth 0 and depth 2;
     # relu pre-activations are kept away from the kink so the stencil
     # never straddles it
     for seed in range(5):
         for depth in (0, 2):
             for act in ACTIVATIONS:
-                params, theta, x = encoder_case(seed + 30, depth, act)
+                params, vector, x = encoder_case(seed + 30, depth, act)
                 assert min(np.min(np.abs(p)) for p in pre_activations(params, x)) > 1e-3
-                check_op(lambda t, v: probe(encoder.forward(v[0], params, x)), [theta])
+                check_kernel(lambda v: encoder.forward(v, params, x), [vector])
 
 
 def test_a_batch_of_episodes_sums_into_one_gradient():
-    # two episodes embedded on one tape, as a train step with two tasks
-    # records them: the leaf's gradient is the sum of each episode's
-    params, theta, x = encoder_case(40, 2, "tanh")
+    # two episodes on one tape, as a train step with two tasks records
+    # them: backward's gradient is the sum of each episode's
+    params, vector, x = encoder_case(40, 2, "tanh")
     y = np.random.default_rng(41).standard_normal((4, 3))
-
-    def episode(batch):
-        return lambda t, v: probe(encoder.forward(v[0], params, batch))
-
-    def both(t, v):
-        return autodiff.add(episode(x)(t, v), episode(y)(t, v))
-
-    check_op(both, [theta])
-    _, (summed,) = analytic(both, [theta])
-    _, (first,) = analytic(episode(x), [theta])
-    _, (second,) = analytic(episode(y), [theta])
-    assert summed.shape == theta.shape
-    assert np.array_equal(summed, first + second)
+    check_kernel(summed(params, [(x, probe), (y, probe)]), [vector])
+    summed_grad = backward(training_tape(vector, params, [(x, probe), (y, probe)])[0])
+    first = backward(training_tape(vector, params, [(x, probe)])[0])
+    second = backward(training_tape(vector, params, [(y, probe)])[0])
+    assert summed_grad.shape == vector.shape
+    assert np.array_equal(summed_grad, second + first)
 
 
 def test_dense_value_is_the_shared_layer_function():
-    # the node's value is dense_np applied layer by layer, as embed_np does
+    # forward's value is dense_np applied layer by layer, as embed_np does
     for act in ACTIVATIONS:
-        params, theta, x = encoder_case(36, 2, act)
-        tape = Tape()
-        out = encoder.forward(tape.leaf(theta), params, x)
+        params, vector, x = encoder_case(36, 2, act)
+        out, _ = encoder.forward(vector, params, x)
         h = x
         for layer in params.layers:
             h = encoder.dense_np(layer.weight, layer.bias, h, act)
-        assert np.array_equal(out.value, h)
+        assert np.array_equal(out, h)
     w, b, x = mats(36, (3, 4), (3, 1), (4, 5))
     pre = w @ x + b
     assert np.array_equal(encoder.dense_np(w, b, x, "relu"), np.maximum(pre, 0.0))
@@ -335,9 +294,9 @@ def test_norm_and_normalize_gradients():
 
 def test_cross_entropy_gradients():
     # one column, then several, with repeated and distinct true rows; then
-    # the kernel on the encoder's output as a test-only node beside a probe,
-    # so its adjoint is checked on the tape when it is not the first node
-    # backward visits
+    # the kernel as the loss of a tape's first episode, before a probed
+    # second one, so its adjoint is checked through backward when it is not
+    # the first pair backward runs
     zero = np.zeros((4, 1))
     for seed in range(5):
         rng = np.random.default_rng(seed + 80)
@@ -348,10 +307,8 @@ def test_cross_entropy_gradients():
         rows = np.array([2, 0, 2])
         check_kernel(lambda d: autodiff.cross_entropy(d, rows), [a])
         params = EncoderParams([Layer(a, zero, "none")])
-        theta = params.vector[:, None].copy()
-        check_op(lambda t, v: autodiff.add(
-            cross_entropy_node(encoder.forward(v[0], params, m), rows),
-            probe(v[0])), [theta])
+        episodes = [(m, lambda h: autodiff.cross_entropy(h, rows)), (m.T, probe)]
+        check_kernel(summed(params, episodes), [params.vector.copy()])
 
 
 def test_cross_entropy_matches_the_composed_oracle_bit_for_bit():
@@ -387,36 +344,23 @@ def test_solve_spd_value_matches_numpy():
 
 
 def test_backward_is_idempotent():
-    params, column, x = encoder_case(1, 1, "tanh")
-    tape = Tape()
-    theta = tape.leaf(column)
-    loss = probe(encoder.forward(theta, params, x))
-    backward(tape, loss)
-    first = theta.grad.copy()
-    backward(tape, loss)
-    assert np.array_equal(first, theta.grad)
-
-
-def test_nodes_the_loss_ignores_get_zero_grad():
-    tape = Tape()
-    x = tape.leaf(np.ones((2, 2)))
-    unused = autodiff.add(x, x)
-    loss = probe(x, np.ones((2, 2)))
-    backward(tape, loss)
-    assert np.array_equal(unused.grad, np.zeros((2, 2)))
-    assert np.array_equal(x.grad, np.ones((2, 2)))
+    # a second call gives the same gradient and leaves the first one as it was
+    params, vector, x = encoder_case(1, 1, "tanh")
+    tape, _ = training_tape(vector, params, [(x, probe), (x[:, :2], probe)])
+    first = backward(tape)
+    kept = first.copy()
+    assert np.array_equal(backward(tape), kept)
+    assert np.array_equal(first, kept)
 
 
 def test_reused_variable_accumulates_without_corrupting_upstream():
-    # add returns the same adjoint array for both inputs; x stores it as
-    # is, so accumulating into x in place would also rewrite y.grad.
+    # two pairs whose encoder backs return one and the same array: the sum
+    # is a new array, and the shared one keeps its values
+    shared = np.ones(4)
     tape = Tape()
-    x = tape.leaf(np.ones((2, 2)))
-    y = autodiff.add(x, x)
-    loss = probe(y, np.ones((2, 2)))
-    backward(tape, loss)
-    assert np.array_equal(x.grad, 2.0 * np.ones((2, 2)))
-    assert np.array_equal(y.grad, np.ones((2, 2)))
+    tape.nodes += [(lambda g: shared, lambda g: g)] * 2
+    assert np.array_equal(backward(tape), 2.0 * np.ones(4))
+    assert np.array_equal(shared, np.ones(4))
 
 
 def test_distance_adjoints_do_not_alias_the_output_grad():
@@ -461,32 +405,28 @@ def test_relu_gradient_at_zero_is_zero():
     # the third column passes gradient, giving dW = 2 and db = 1 (a relu
     # gradient of 1 at 0 would give dW = 3 and db = 2)
     params = EncoderParams([Layer(np.ones((1, 1)), np.array([[-1.0]]), "relu")])
-    tape = Tape()
-    theta = tape.leaf(params.vector)
-    y = encoder.forward(theta, params, np.array([[1.0, -1.0, 2.0]]))
-    assert np.array_equal(y.value, np.array([[0.0, 0.0, 1.0]]))
-    backward(tape, probe(y, np.ones((1, 3))))
-    assert np.array_equal(theta.grad, np.array([[2.0], [1.0]]))
+    y, back = encoder.forward(params.vector, params, np.array([[1.0, -1.0, 2.0]]))
+    assert np.array_equal(y, np.array([[0.0, 0.0, 1.0]]))
+    assert np.array_equal(back(np.ones((1, 3))), np.array([2.0, 1.0]))
 
 
 def test_constants_get_no_adjoint():
-    # the encoder node's input batch is a plain array, so its adjoint names
-    # only the parameter leaf, and the loss node's names only the embedding;
+    # the encoder's input batch is a plain array, so its back gives only the
+    # parameter vector's adjoint, and the loss's back only the embedding's;
     # each distance kernel gives both of its operands an adjoint
-    params, column, x = encoder_case(7, 1, "tanh", batch=6)
-    tape = Tape()
-    theta = tape.leaf(column)
-    h = encoder.forward(theta, params, x)
-    assert [i for i, _ in h._backward(np.ones(h.shape))] == [theta.id]
-    loss, _ = CosineHead().episode_loss(h, np.array([1, 2]), Hyper(2, 2, 1, 0.0, 0.0))
-    assert [i for i, _ in loss._backward(np.ones((1, 1)))] == [h.id]
+    params, vector, x = encoder_case(7, 1, "tanh", batch=6)
+    h, encoder_back = encoder.forward(vector, params, x)
+    grad = encoder_back(np.ones(h.shape))
+    assert isinstance(grad, np.ndarray) and grad.shape == vector.shape
+    _, _, loss_back = CosineHead().episode_loss(h, np.array([1, 2]), Hyper(2, 2, 1, 0.0, 0.0))
+    embedding_grad = loss_back(np.ones((1, 1)))
+    assert isinstance(embedding_grad, np.ndarray) and embedding_grad.shape == h.shape
     (q,) = mats(7, (2, 5))
     for name, node in DISTANCES.items():
-        dist, back = node(h.value, q, 2)
+        dist, back = node(h, q, 2)
         assert [a.shape for a in back(np.ones(dist.shape))] == [h.shape, q.shape], name
-    backward(tape, loss)
-    assert theta.grad.shape == column.shape
-    assert float(np.max(np.abs(theta.grad))) > 0.0
+    grad = encoder_back(embedding_grad)
+    assert float(np.max(np.abs(grad))) > 0.0
 
 
 def test_zero_norm_gradients_are_zero():
@@ -517,47 +457,22 @@ def test_zero_norm_gradients_are_zero():
     assert np.all(np.isfinite(support_grad)) and np.all(np.isfinite(query_grad))
 
 
-def test_ops_reject_mixed_tapes():
-    t1, t2 = Tape(), Tape()
-    a = t1.leaf(np.ones((2, 2)))
-    b = t2.leaf(np.ones((2, 2)))
-    with pytest.raises(ContractError):
-        autodiff.add(a, b)
-
-
-def test_a_variable_outliving_its_tape_is_refused():
-    # nodes hold their tape weakly; once the tape is freed, recording on
-    # one of its variables fails with a named contract error
-    x = Tape().leaf(np.ones((2, 2)))
-    assert x.value.shape == (2, 2)
-    with pytest.raises(ContractError, match="tape"):
-        autodiff.add(x, x)
-
-
-def test_backward_demands_a_scalar_loss_from_its_own_tape():
-    tape = Tape()
-    x = tape.leaf(np.ones((2, 2)))
-    with pytest.raises(ContractError):
-        backward(tape, x)
-    other = Tape()
-    y = other.leaf(np.ones((1, 1)))
-    with pytest.raises(ContractError):
-        backward(tape, y)
+def test_backward_refuses_an_empty_tape():
+    # a tape with no episode has no loss to differentiate
+    with pytest.raises(ContractError, match="at least one"):
+        backward(Tape())
 
 
 def test_shape_errors_for_malformed_operands():
-    tape = Tape()
-    with pytest.raises(ShapeError):
-        autodiff.add(tape.leaf(np.ones((2, 3))), tape.leaf(np.ones((3, 2))))
     params = init_encoder(0, [(3, 2, "none")])
-    theta = tape.leaf(params.vector)
-    # a batch of the wrong height, and a parameter column of the wrong size
+    # a batch of the wrong height, and parameter vectors of the wrong size
+    # or layout
     with pytest.raises(ShapeError):
-        encoder.forward(theta, params, np.ones((2, 4)))
+        encoder.forward(params.vector, params, np.ones((2, 4)))
     with pytest.raises(ShapeError):
-        encoder.forward(tape.leaf(np.ones(5)), params, np.ones((3, 4)))
+        encoder.forward(np.ones(5), params, np.ones((3, 4)))
     with pytest.raises(ShapeError):
-        tape.leaf(np.ones((2, 3))).item()
+        encoder.forward(params.vector[:, None], params, np.ones((3, 4)))
     a = np.ones((2, 3))
     with pytest.raises(ShapeError):
         autodiff.subspace_overlap(a, 2)

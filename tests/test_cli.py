@@ -5,7 +5,10 @@ and byte-identical logs across reruns.
 import argparse
 import importlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -439,11 +442,46 @@ def test_eval_refuses_training_flags_but_reads_a_training_config(tmp_path, capsy
     assert capsys.readouterr().out == by_flags
 
 
+def test_a_hash_inside_a_config_value_is_kept(tmp_path, capsys):
+    # a comment starts at a line's start or after whitespace only
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# note\ndataset = d#1.csv  # a comment\n\t# indented\n")
+    assert parse_config_file(str(cfg)) == {"dataset": "d#1.csv"}
+    # train writes out = <dir>/b#1 to config.txt; eval --config reads the
+    # whole path back and writes report.log there, not into <dir>/b
+    out = tmp_path / "b#1"
+    assert run(["train", *FAST_TRAIN, "--out", str(out)]) == EXIT_OK
+    assert f"out = {out}\n" in (out / "config.txt").read_text()
+    assert run(["eval", "--config", str(out / "config.txt"), "--checkpoint",
+                str(out / "encoder.txt"), "--eval-episodes", "8"]) == EXIT_OK
+    assert (out / "report.log").is_file()
+    assert not (tmp_path / "b").exists()
+    capsys.readouterr()
+
+
 def test_check_command_reports_all_suites(capsys):
     assert run(["check"]) == EXIT_OK
     shown = capsys.readouterr().out
     assert shown.count("[pass]") == 5
     assert "5/5 checks passed" in shown
+
+
+def test_python_dash_m_runs_the_cli():
+    # the package's __main__ hands argv to cli.main and exits with its code
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def fewshot(*argv):
+        return subprocess.run([sys.executable, "-m", "fewshot", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    checked = fewshot("check", "--seed", "0")
+    assert checked.returncode == EXIT_OK, checked.stderr
+    assert "5/5 checks passed" in checked.stdout
+    untargeted = fewshot("train")
+    assert untargeted.returncode == EXIT_USAGE
+    assert "--out" in untargeted.stderr
 
 
 def test_check_refuses_flags_it_does_not_read(capsys):

@@ -4,7 +4,7 @@ Runtime code imports only numpy, the standard library and the package
 itself, and solves nothing with ``np.linalg``: every solve goes through
 the package's own Cholesky.  ``verify.py`` holds the independent oracles
 the ``check`` suites compare against, so it alone may call ``np.linalg``.
-The tape ops and the kernels beneath them hold only what the package runs.
+The public autodiff and linalg functions hold only what the package runs.
 """
 
 import ast

@@ -1,16 +1,14 @@
-"""Encoder tests: init distribution, tape/numpy agreement, checkpoints."""
+"""Encoder tests: init distribution, forward/embed_np agreement, the
+forward adjoint, checkpoints."""
 
 import numpy as np
 import pytest
 
 from fewshot import autodiff, encoder
-from fewshot.autodiff import Tape
 from fewshot.encoder import (EncoderParams, Layer, default_layer_spec, embed_np,
                              init_encoder, load_encoder, save_encoder)
 from fewshot.errors import CheckpointError, ConfigError, ShapeError
 from fewshot.linalg import named_stream
-
-from oracles import cross_entropy_node
 
 
 def test_default_layer_spec_chains_dimensions():
@@ -80,10 +78,9 @@ def test_tape_and_numpy_forward_agree():
         spec = [(6, 9, "tanh"), (9, 7, "relu"), (7, 3, "none")]
         params = init_encoder(seed, spec)
         x = rng.standard_normal((6, 5))
-        tape = Tape()
-        on_tape = encoder.forward(tape.leaf(params.vector), params, x).value
+        trained, _ = encoder.forward(params.vector, params, x)
         plain = embed_np(params, x)
-        assert np.max(np.abs(on_tape - plain)) < 1e-14
+        assert np.max(np.abs(trained - plain)) < 1e-14
 
 
 def test_embedding_is_column_consistent():
@@ -100,18 +97,17 @@ def test_embed_rejects_wrong_input_dim():
     with pytest.raises(ShapeError):
         embed_np(params, np.zeros((5, 2)))
     with pytest.raises(ShapeError):
-        tape = Tape()
-        encoder.forward(tape.leaf(params.vector), params, np.zeros((5, 2)))
+        encoder.forward(params.vector, params, np.zeros((5, 2)))
 
 
 def test_forward_gradients_flow_to_all_layers():
     params = init_encoder(2, [(3, 4, "tanh"), (4, 2, "none")])
-    tape = Tape()
-    theta = tape.leaf(params.vector)
-    out = encoder.forward(theta, params, np.random.default_rng(1).standard_normal((3, 4)))
-    autodiff.backward(tape, cross_entropy_node(out, np.array([0, 1, 1, 0])))
-    assert theta.grad.shape == (params.vector.size, 1)
-    for layer in params.with_vector(theta.grad[:, 0]).layers:
+    out, back = encoder.forward(params.vector, params,
+                                np.random.default_rng(1).standard_normal((3, 4)))
+    _, ce_back = autodiff.cross_entropy(out, np.array([0, 1, 1, 0]))
+    grad = back(ce_back(np.ones((1, 1))))
+    assert grad.shape == params.vector.shape
+    for layer in params.with_vector(grad).layers:
         assert float(np.max(np.abs(layer.weight))) > 0.0
         assert float(np.max(np.abs(layer.bias))) > 0.0
 
@@ -161,21 +157,21 @@ def test_params_are_views_of_one_vector_in_w0_b0_w1_b1_order(tmp_path):
 
 
 def test_forward_lays_the_gradient_out_as_the_vector():
-    # the node's gradient against backpropagation by hand, concatenated in
+    # forward's gradient against backpropagation by hand, concatenated in
     # the W0, b0, W1, b1 order of ``params.vector``
     params = init_encoder(2, [(3, 4, "tanh"), (4, 2, "none")])
     x = np.random.default_rng(1).standard_normal((3, 4))
-    tape = Tape()
-    theta = tape.leaf(params.vector)
-    out = encoder.forward(theta, params, x)
-    autodiff.backward(tape, cross_entropy_node(out, np.array([0, 1, 1, 0])))
+    out, back = encoder.forward(params.vector, params, x)
+    _, ce_back = autodiff.cross_entropy(out, np.array([0, 1, 1, 0]))
+    out_grad = ce_back(np.ones((1, 1)))
+    grad = back(out_grad)
     first, second = params.layers
     h = np.tanh(first.weight @ x + first.bias)
-    g = (second.weight.T @ out.grad) * (1.0 - h * h)
+    g = (second.weight.T @ out_grad) * (1.0 - h * h)
     expected = np.concatenate([(g @ x.T).ravel(), g.sum(axis=1),
-                               (out.grad @ h.T).ravel(), out.grad.sum(axis=1)])
-    assert theta.grad.shape == (expected.size, 1)
-    assert np.allclose(theta.grad[:, 0], expected, rtol=1e-13, atol=1e-16)
+                               (out_grad @ h.T).ravel(), out_grad.sum(axis=1)])
+    assert grad.shape == expected.shape
+    assert np.allclose(grad, expected, rtol=1e-13, atol=1e-16)
 
 
 def test_checkpoint_round_trip_is_value_exact(tmp_path):

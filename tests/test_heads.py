@@ -6,7 +6,7 @@ independent numpy oracles, and the one-node episode loss's adjoint.
 import numpy as np
 import pytest
 
-from fewshot.autodiff import Tape, backward, ridge_residuals
+from fewshot.autodiff import ridge_residuals
 from fewshot.errors import ContractError, DegenerateSubspaceError, ShapeError
 from fewshot.heads import (HEADS, CosineHead, Hyper, ProtoHead,
                            RegressionHead, cross_entropy_from_distances,
@@ -25,10 +25,10 @@ def penalty(supports):
     return ortho_penalty(np.hstack(supports), len(supports))[0].item()
 
 
-def loss_on_leaf(head, embedded, labels, hyper):
-    """``head.episode_loss`` on a leaf holding the M x (NK + B) embedding."""
-    tape = Tape()
-    return head.episode_loss(tape.leaf(embedded), labels, hyper)
+def loss_and_distances(head, embedded, labels, hyper):
+    """``head.episode_loss`` of the M x (NK + B) embedding, less its back."""
+    loss, dist, _ = head.episode_loss(embedded, labels, hyper)
+    return loss, dist
 
 
 def lse_reconstruction(dist, labels):
@@ -285,7 +285,7 @@ def test_episode_loss_adds_exactly_the_weighted_penalty():
 
     def loss_at(lambda2):
         hyper = Hyper(3, 2, 2, 1e-3, lambda2)
-        loss, _ = loss_on_leaf(RegressionHead(), np.hstack(s_vals + [q]), labels, hyper)
+        loss, _ = loss_and_distances(RegressionHead(), np.hstack(s_vals + [q]), labels, hyper)
         return loss.item()
 
     bare = loss_at(0.0)
@@ -294,7 +294,7 @@ def test_episode_loss_adds_exactly_the_weighted_penalty():
 
 
 def test_regression_head_loss_matches_numpy_reconstruction():
-    # same episode, one path on the tape and one from numpy oracles
+    # same episode, one path through the loss and one from numpy oracles
     for seed in range(5):
         rng = np.random.default_rng(500 + seed)
         n, k, q = 3, 2, 2
@@ -304,7 +304,7 @@ def test_regression_head_loss_matches_numpy_reconstruction():
         hyper = Hyper(n, k, q, 1e-2, 1e-2)
 
         head = RegressionHead()
-        loss, dist = loss_on_leaf(head, np.hstack(support_cols + [query]), labels, hyper)
+        loss, dist = loss_and_distances(head, np.hstack(support_cols + [query]), labels, hyper)
 
         oracle = np.vstack([lstsq_distances(s, query, hyper.lambda1)
                             for s in support_cols])
@@ -316,7 +316,7 @@ def test_regression_head_loss_matches_numpy_reconstruction():
 
 @pytest.mark.parametrize("lambda2", [0.0, 0.05])
 def test_the_loss_node_differentiates_the_whole_episode_loss(lambda2):
-    # one node per episode: its adjoint in the embedding leaf against
+    # one loss per episode: its back, the adjoint of the embedding, against
     # central differences, and, bit for bit, the kernels' adjoints chained
     # by hand: the support columns get the distance adjoint plus the
     # overlap adjoint at g = lambda2 (regression only; the baselines'
@@ -328,19 +328,16 @@ def test_the_loss_node_differentiates_the_whole_episode_loss(lambda2):
     support, query = embedded[:, :6].copy(), embedded[:, 6:].copy()
     h = 1e-6
     for head in (RegressionHead(), ProtoHead(), CosineHead()):
-        tape = Tape()
-        leaf = tape.leaf(embedded)
-        loss, dist = head.episode_loss(leaf, labels, hyper)
-        assert [v.op for v in tape.nodes] == ["leaf", "episode_loss"]
-        backward(tape, loss)
+        _, dist, back = head.episode_loss(embedded, labels, hyper)
+        grad = back(np.ones((1, 1)))
         approx = np.zeros_like(embedded)
         for idx in np.ndindex(embedded.shape):
             plus, minus = embedded.copy(), embedded.copy()
             plus[idx] += h
             minus[idx] -= h
-            approx[idx] = (loss_on_leaf(head, plus, labels, hyper)[0].item()
-                           - loss_on_leaf(head, minus, labels, hyper)[0].item()) / (2.0 * h)
-        assert np.max(np.abs(leaf.grad - approx)) < 5e-5 * max(1.0, np.max(np.abs(approx)))
+            approx[idx] = (loss_and_distances(head, plus, labels, hyper)[0].item()
+                           - loss_and_distances(head, minus, labels, hyper)[0].item()) / (2.0 * h)
+        assert np.max(np.abs(grad - approx)) < 5e-5 * max(1.0, np.max(np.abs(approx)))
 
         d, dist_back = head.distance_rows(support, query, hyper)
         assert np.array_equal(d, dist)
@@ -349,8 +346,8 @@ def test_the_loss_node_differentiates_the_whole_episode_loss(lambda2):
         if head.name == "regression" and lambda2 > 0.0:
             _, penalty_back = ortho_penalty(support, 3)
             support_grad = penalty_back(np.full((1, 1), lambda2)) + support_grad
-        assert np.array_equal(leaf.grad[:, :6], support_grad), head.name
-        assert np.array_equal(leaf.grad[:, 6:], query_grad), head.name
+        assert np.array_equal(grad[:, :6], support_grad), head.name
+        assert np.array_equal(grad[:, 6:], query_grad), head.name
 
 
 def test_the_loss_node_checks_the_embedding_width():
@@ -360,7 +357,7 @@ def test_the_loss_node_checks_the_embedding_width():
     for head in (RegressionHead(), ProtoHead(), CosineHead()):
         for width in (11, 13):
             with pytest.raises(ShapeError, match=f"12 in all, got {width}"):
-                loss_on_leaf(head, np.ones((4, width)), labels, hyper)
+                loss_and_distances(head, np.ones((4, width)), labels, hyper)
 
 
 # -- baseline heads ----------------------------------------------------------------
@@ -386,12 +383,10 @@ def test_proto_distances_match_manual_centroids():
     support = np.array([[1.0, 3.0, 0.0, 4.0], [2.0, 0.0, 1.0, 1.0], [3.0, 1.0, 5.0, 2.0]])
     query = np.array([[2.0, 0.5], [1.0, 1.0], [2.0, -1.0]])
     hyper = Hyper(2, 2, 1, 0.0, 0.0)
-    tape = Tape()
-    embedded = tape.leaf(np.hstack([support, query]))
-    loss, dist = ProtoHead().episode_loss(embedded, np.array([1, 2]), hyper)
+    loss, dist, back = ProtoHead().episode_loss(np.hstack([support, query]),
+                                                np.array([1, 2]), hyper)
     assert dist[0, 0] == 0.0
-    backward(tape, loss)
-    assert np.all(np.isfinite(embedded.grad))
+    assert np.all(np.isfinite(back(np.ones((1, 1)))))
     assert np.isfinite(loss.item())
 
 
@@ -403,7 +398,7 @@ def test_proto_episode_loss_agrees_with_its_distances():
     labels = np.repeat(np.arange(1, n + 1), q)
     hyper = Hyper(n, k, q, 0.0, 0.0)
     head = ProtoHead()
-    loss, _ = loss_on_leaf(head, np.hstack(support_cols + [query]), labels, hyper)
+    loss, _ = loss_and_distances(head, np.hstack(support_cols + [query]), labels, hyper)
     dist = head.distances_np(np.hstack(support_cols), query, hyper)
     assert loss.item() == pytest.approx(lse_reconstruction(dist, labels), rel=1e-12)
 
@@ -439,7 +434,7 @@ def test_baseline_tape_rows_match_numpy_twins():
     hyper = Hyper(3, 3, 4, 0.5, 0.0)
     support = np.hstack(support_cols)
     for head in (RegressionHead(), ProtoHead(), CosineHead()):
-        _, dist = loss_on_leaf(head, np.hstack([support, query]), labels, hyper)
+        _, dist = loss_and_distances(head, np.hstack([support, query]), labels, hyper)
         assert np.array_equal(dist, head.distances_np(support, query, hyper))
 
 

@@ -1,5 +1,6 @@
-"""Training-loop tests: config validation, optimizer oracles, the tape loss
-against a numpy reconstruction, divergence reporting, and determinism.
+"""Training-loop tests: config validation, optimizer oracles, the training
+loss against a numpy reconstruction, the tape of a step and the order of
+its gradient sum, divergence reporting, and determinism.
 """
 
 import gc
@@ -8,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fewshot import autodiff, heads, train
+from fewshot import autodiff, encoder, heads, train
 from fewshot.evaluate import evaluate
 from fewshot.encoder import EncoderParams, Layer, default_layer_spec, embed_np, init_encoder
 from fewshot.episodes import sample_episode, split_classes, synth_gaussian
@@ -174,12 +175,8 @@ def test_tape_loss_matches_numpy_reconstruction():
                           default_layer_spec(train_set.dim, 4, 8, 1))
     episode = sample_episode(train_set, 3, 2, 3, named_stream(0, "train-sampling"))
 
-    from fewshot.autodiff import Tape
-    from fewshot.train import episode_loss_on_tape
-
-    tape = Tape()
-    loss, _ = episode_loss_on_tape(tape.leaf(params.vector), params, episode,
-                                   RegressionHead(), config.hyper())
+    embedded, _ = encoder.forward(params.vector, params, episode.x)
+    loss, _, _ = RegressionHead().episode_loss(embedded, episode.query_y, config.hyper())
 
     support = embed_np(params, episode.support_x)
     query = embed_np(params, episode.query_x)
@@ -198,11 +195,10 @@ def test_tape_loss_matches_numpy_reconstruction():
 def test_a_training_tape_has_one_leaf_and_gives_the_optimizer_a_flat_gradient(
         monkeypatch, head_name):
     # one episode per step at a 3-layer encoder, lambda2 > 0: the parameter
-    # vector is the tape's one leaf, the layer chain one node and the loss
-    # one node, and the optimizers get a gradient of params.vector's shape
-    # (a P x 1 one would broadcast against Adam's moments into a P x P
-    # array); two episodes per step record two encoder and loss pairs and
-    # the add that sums them
+    # vector is the one thing differentiated, the tape holds one (encoder
+    # back, loss back) pair, and the optimizers get a gradient of
+    # params.vector's shape (a P x 1 one would broadcast against Adam's
+    # moments into a P x P array); two episodes per step record two pairs
     train_set, _, _ = small_splits()
     params = init_encoder(named_stream(3, "init"),
                           default_layer_spec(train_set.dim, 4, 8, 2))
@@ -212,9 +208,9 @@ def test_a_training_tape_has_one_leaf_and_gives_the_optimizer_a_flat_gradient(
     tapes, shapes = [], []
     backward, adam, sgd = autodiff.backward, train.adam_update, train.sgd_update
 
-    def record_tape(tape, loss):
+    def record_tape(tape):
         tapes.append(tape)
-        backward(tape, loss)
+        return backward(tape)
 
     def record_grad(update):
         def recorded(params, grad, *rest):
@@ -231,14 +227,30 @@ def test_a_training_tape_has_one_leaf_and_gives_the_optimizer_a_flat_gradient(
                    heads.make_head(head_name))
     train_step(params, episodes, small_config(lambda2=1e-2, batch_tasks=2),
                AdamState.for_params(params), heads.make_head(head_name))
-    assert [len(tape.nodes) for tape in tapes] == [3, 3, 6]
-    for tape in tapes[:2]:
-        assert [v.op for v in tape.nodes] == ["leaf", "encoder", "episode_loss"]
-    assert [v.op for v in tapes[2].nodes] == ["leaf", "encoder", "episode_loss",
-                                              "encoder", "episode_loss", "add"]
+    assert [len(tape.nodes) for tape in tapes] == [1, 1, 2]
     for tape in tapes:
-        assert tape.nodes[0].grad.size == params.vector.size
+        assert all(len(pair) == 2 and all(map(callable, pair)) for pair in tape.nodes)
     assert shapes == [params.vector.shape] * 3
+
+
+def test_a_batch_gradient_sums_the_episodes_last_first():
+    # the bits of a three-episode step: backward sums the episode gradients
+    # in reverse, (g3 + g2) + g1, as a reverse sweep over the episodes meets
+    # them; the forward order (g1 + g2) + g3 rounds differently on some seed
+    train_set, _, _ = small_splits()
+    hyper = small_config(lambda2=1e-2).hyper()
+    head = RegressionHead()
+    forward_differs = []
+    for seed in range(5):
+        params = init_encoder(named_stream(seed, "init"),
+                              default_layer_spec(train_set.dim, 4, 8, 1))
+        rng = named_stream(seed, "train-sampling")
+        batch = [sample_episode(train_set, 3, 2, 3, rng) for _ in range(3)]
+        g1, g2, g3 = (train.batch_gradient(params, [ep], head, hyper)[0] for ep in batch)
+        grad, _ = train.batch_gradient(params, batch, head, hyper)
+        assert np.array_equal(grad, (g3 + g2) + g1), seed
+        forward_differs.append(not np.array_equal(grad, (g1 + g2) + g3))
+    assert any(forward_differs)
 
 
 def test_an_empty_batch_is_refused_before_the_tape_or_the_optimizer(monkeypatch):
@@ -251,7 +263,7 @@ def test_an_empty_batch_is_refused_before_the_tape_or_the_optimizer(monkeypatch)
     def no_tape(*args):
         raise AssertionError("a tape was built")
 
-    monkeypatch.setattr(autodiff.Tape, "leaf", no_tape)
+    monkeypatch.setattr(autodiff.Tape, "__init__", no_tape)
     for optimizer in train.OPTIMIZERS:
         state = AdamState.for_params(params)
         with pytest.raises(ContractError, match="at least one episode"):
@@ -261,16 +273,18 @@ def test_an_empty_batch_is_refused_before_the_tape_or_the_optimizer(monkeypatch)
 
 
 def test_scoring_records_no_tape(monkeypatch):
-    # validation and evaluation call the distance kernels directly
+    # validation and evaluation call the distance kernels directly: they
+    # build no tape and run no backward pass
     train_set, val_set, test_set = small_splits()
     config = small_config(val_episodes=3)
     params = init_encoder(named_stream(5, "init"),
                           default_layer_spec(train_set.dim, 4, 8, 1))
 
-    def no_node(*args):
-        raise AssertionError("scoring recorded a tape node")
+    def no_tape(*args):
+        raise AssertionError("scoring built a tape or ran backward")
 
-    monkeypatch.setattr(autodiff.Tape, "append", no_node)
+    monkeypatch.setattr(autodiff.Tape, "__init__", no_tape)
+    monkeypatch.setattr(autodiff, "backward", no_tape)
     for name in sorted(heads.HEADS):
         head = heads.make_head(name)
         assert 0.0 <= validate(params, head, val_set, config,
@@ -503,8 +517,8 @@ def test_heads_share_the_training_loop():
 
 
 def test_fit_and_evaluate_leave_no_cyclic_garbage():
-    # nodes refer to their tape weakly, so reference counting frees every
-    # train-step and evaluation tape; the cyclic collector finds nothing
+    # a tape and its backs form no reference cycle, so reference counting
+    # frees every train-step tape; the cyclic collector finds nothing
     train_set, val_set, test_set = small_splits()
     config = small_config(episodes=3, val_interval=2, val_episodes=2)
     for name in ("regression", "proto", "cosine"):
