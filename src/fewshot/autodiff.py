@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .errors import ContractError, DegenerateSubspaceError, ShapeError
+from .errors import ContractError, DegenerateSubspaceError, NumericalError, ShapeError
 
 
 class Tape:
@@ -42,6 +42,9 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[tuple[Callable, Callable]] = []
+
+
+_FLOAT_MAX = np.finfo(np.float64).max
 
 
 def _swap(a: np.ndarray) -> np.ndarray:
@@ -62,10 +65,24 @@ def _class_stack(value: np.ndarray, n: int) -> np.ndarray:
 
 
 def _check_rows(support: np.ndarray, query: np.ndarray) -> None:
-    """A distance kernel's operands must match in every axis but the columns."""
+    """A distance kernel's operands must match in every axis but the columns,
+    and their largest square times 4 M NK, which bounds every sum of squares
+    a kernel takes, must be finite: an episode too large or infinite raises
+    ``NumericalError`` (in a stack, at its position on the last leading
+    axis), not a wrong distance.  A nan passes, to fail as a non-finite loss."""
     if query.shape[:-1] != support.shape[:-1]:
         raise ShapeError(
             f"queries {query.shape} do not match the support's rows {support.shape}")
+    lead = support.shape[:-2]
+    peak = np.maximum(np.abs(support).reshape(*lead, -1).max(-1),
+                      np.abs(query).reshape(*lead, -1).max(-1))
+    bad = peak > np.sqrt(_FLOAT_MAX / (4.0 * support.shape[-2] * support.shape[-1]))
+    if bad.any():
+        where = tuple(np.argwhere(bad)[0])
+        raise NumericalError(
+            f"embedding overflow: largest magnitude {float(peak[where]):.3e} is too "
+            "large to square in the distance",
+            episode_index=int(where[-1]) if where else None)
 
 
 def _residual_adjoint(r: np.ndarray, d: np.ndarray, g: np.ndarray) -> np.ndarray:

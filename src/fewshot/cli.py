@@ -9,12 +9,13 @@ mirror the flag names. Exit codes: 0 success, 1 verification failure,
 Each command takes as flags only the fields it reads; a config file may
 set any field. Only the regression head's loss reads lambda2: ``train`` and
 ``shift`` refuse a non-zero one for another head; ``ablate`` takes no ``--head``.
+A value out of range is refused by the library object that reads it, which
+a command builds before it reads any data; ``main`` names the flag.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
@@ -22,9 +23,9 @@ import time
 from dataclasses import dataclass, fields, replace
 
 from . import verify
-from .evaluate import ablate_lambda2, domain_shift, evaluate, format_table
+from .evaluate import ablate_lambda2, domain_shift, eval_hyper, evaluate, format_table
 from .encoder import ACTIVATIONS, load_encoder, save_encoder
-from .episodes import load_csv, split_classes, synth_gaussian
+from .episodes import check_synth, load_csv, split_classes, synth_gaussian
 from .errors import (CheckpointError, ConfigError, DatasetFormatError,
                      FewshotError, NumericalError)
 from .heads import HEADS, make_head
@@ -36,6 +37,12 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
+
+
+# The RunConfig field of each library knob named otherwise, and of ablate's
+# lambda2, which --lambda2-values sets: a usage error names the field's flag.
+_FIELD_OF = {"n_way": "n", "k_shot": "k", "q_queries": "q", "n_classes": "synth_classes",
+             ("ablate", "lambda2"): "lambda2_values"}
 
 
 @dataclass
@@ -81,15 +88,8 @@ class RunConfig:
             raise ConfigError(f"the {self.head} head's loss does not read lambda2, so "
                               f"lambda2 {self.lambda2:g} would train the lambda2 = 0 "
                               "model; pass 0 or auto, or use the regression head")
-        return TrainConfig(
-            n_way=self.n, k_shot=self.k, q_queries=self.q,
-            batch_tasks=self.batch_tasks, episodes=self.episodes,
-            lr=self.lr, lambda1=self.lambda1, lambda2=self.lambda2,
-            val_interval=self.val_interval, val_episodes=self.val_episodes,
-            seed=self.seed, optimizer=self.optimizer,
-            embed_dim=self.embed_dim, hidden_dim=self.hidden_dim,
-            depth=self.depth, activation=self.activation,
-            final_activation=self.final_activation)
+        return TrainConfig(**{f.name: getattr(self, _FIELD_OF.get(f.name, f.name))
+                              for f in fields(TrainConfig)})
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -177,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    """defaults <- config file <- flags, then range validation."""
+    """defaults <- config file <- flags; each command's owners check the ranges."""
     config = RunConfig(**({} if args.config is None else parse_config_file(args.config)))
     for key in _FIELD_TYPES:
         value = getattr(args, key, None)
@@ -186,19 +186,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
                 setattr(config, key, _parse_value(key, value))
             except ValueError:
                 raise ConfigError(f"{_flag(key)}: bad value {value!r}") from None
-    for key, floor in (("n", 2), ("k", 1), ("q", 1), ("episodes", 1), ("eval_episodes", 2),
-                       ("batch_tasks", 1), ("val_interval", 1), ("val_episodes", 1),
-                       ("synth_classes", 2), ("per_class", 1), ("dim", 1),
-                       ("embed_dim", 1), ("hidden_dim", 1), ("depth", 0)):
-        if getattr(config, key) < floor:
-            raise ConfigError(f"{_flag(key)} must be >= {floor}, got {getattr(config, key)}")
-    if not (math.isfinite(config.lr) and config.lr > 0):
-        raise ConfigError(f"--lr must be finite and positive, got {config.lr}")
-    if not (math.isfinite(config.lambda1) and config.lambda1 >= 0):
-        raise ConfigError(f"--lambda1 must be finite and nonnegative, got {config.lambda1}")
-    if config.lambda2 is not None and not (math.isfinite(config.lambda2)
-                                           and config.lambda2 >= 0):
-        raise ConfigError(f"--lambda2 must be finite and nonnegative, got {config.lambda2}")
     return config
 
 
@@ -236,12 +223,13 @@ def _config_lines(config: RunConfig) -> str:
 
 
 def cmd_train(config: RunConfig) -> int:
+    train_config = config.train_config()
     if not config.out:
         raise ConfigError("train requires --out (directory for checkpoint and history)")
     train_set, val_set, _ = _load_domain(config)
     head = make_head(config.head)
     started = time.perf_counter()
-    params, history = fit(train_set, val_set, config.train_config(), head=head)
+    params, history = fit(train_set, val_set, train_config, head=head)
     elapsed = time.perf_counter() - started
     os.makedirs(config.out, exist_ok=True)
     save_encoder(params, os.path.join(config.out, "encoder.txt"))
@@ -282,28 +270,27 @@ def cmd_eval(config: RunConfig) -> int:
 
 
 def cmd_ablate(config: RunConfig) -> int:
+    # each model is a regression head whose lambda2, checked by its TrainConfig, is a value
+    train_config = replace(config, lambda2=None).train_config()
     try:
-        values = [float(v) for v in config.lambda2_values.split(",") if v.strip()]
+        values = [replace(train_config, lambda2=float(v)).lambda2
+                  for v in config.lambda2_values.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(
             f"--lambda2-values must be comma-separated numbers, "
             f"got {config.lambda2_values!r}") from None
     if not values:
         raise ConfigError("--lambda2-values is empty")
-    for value in values:
-        if not (math.isfinite(value) and value >= 0):
-            raise ConfigError(
-                f"--lambda2-values entries must be finite and nonnegative, got {value}")
     train_set, val_set, test_set = _load_domain(config)
-    result = ablate_lambda2(  # always the regression head, whatever a config file says
-        train_set, val_set, test_set, replace(config, head="regression").train_config(),
-        values, eval_episodes=config.eval_episodes)
+    result = ablate_lambda2(train_set, val_set, test_set, train_config, values,
+                            eval_episodes=config.eval_episodes)
     return _publish(config, f"{result.summary()}\nshared test-episode fingerprint: "
                             f"{result.reports[0].episodes_fingerprint[:16]}...",
                     result.reports, "ablation.log")
 
 
 def cmd_shift(config: RunConfig) -> int:
+    train_config = config.train_config()
     if config.dataset != "synth" and not config.target_dataset:
         raise ConfigError("shift from a CSV --dataset needs --target-dataset "
                           "(--offset only translates the synthetic data)")
@@ -313,7 +300,7 @@ def cmd_shift(config: RunConfig) -> int:
     else:
         _, _, test_b = _load_domain(config, offset=config.offset, suffix="-shifted")
     report = domain_shift(
-        train_a, val_a, test_b, config.train_config(), head_name=config.head,
+        train_a, val_a, test_b, train_config, head_name=config.head,
         eval_episodes=config.eval_episodes)
     return _publish(config, format_table([report]) + "\n" + report.to_line(),
                     [report], "shift.log")
@@ -358,8 +345,16 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    handler, keys, _ = COMMANDS[args.command]
     try:
-        return COMMANDS[args.command][0](build_run_config(args))
+        config = build_run_config(args)
+        # refuse a command's data and evaluation knobs first, the synthetic ones whatever --dataset is
+        if "dim" in keys:
+            check_synth(config.synth_classes, config.per_class, config.dim, config.spread,
+                        config.within_std, config.offset if "offset" in keys else 0.0)
+        if "eval_episodes" in keys:
+            eval_hyper(config.n, config.k, config.q, config.eval_episodes, config.lambda1)
+        return handler(config)
     except (DatasetFormatError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -367,7 +362,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except FewshotError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        name, space, rest = str(exc).partition(" ")
+        key = _FIELD_OF.get((args.command, name), _FIELD_OF.get(name, name))
+        print(f"error: {_flag(key) + space + rest if key in _FIELD_TYPES else exc}",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

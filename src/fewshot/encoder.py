@@ -83,15 +83,19 @@ def default_layer_spec(input_dim: int = 32, output_dim: int = 16,
                        hidden: int = 64, depth: int = 2,
                        activation: str = "relu",
                        final_activation: str = "none") -> list[tuple[int, int, str]]:
-    """D -> hidden (x depth, activated) -> M (final_activation)."""
-    if depth < 0:
-        raise ConfigError(f"depth must be nonnegative, got {depth}")
+    """D -> hidden (x depth, activated) -> M (final_activation), checked; a
+    size out of range is named by its ``TrainConfig`` field (``embed_dim``)."""
+    for name, value, floor in (("embed_dim", output_dim, 1), ("hidden_dim", hidden, 1),
+                               ("depth", depth, 0)):
+        if value < floor:
+            raise ConfigError(f"{name} must be >= {floor}, got {value}")
     spec: list[tuple[int, int, str]] = []
     prev = input_dim
     for _ in range(depth):
         spec.append((prev, hidden, activation))
         prev = hidden
     spec.append((prev, output_dim, final_activation))
+    _validate_spec(spec)
     return spec
 
 

@@ -150,24 +150,33 @@ def sample_episode(dataset: Dataset, n_way: int, k_shot: int, q_queries: int,
                    relabel, columns)
 
 
-def synth_gaussian(seed, n_classes: int, per_class: int, dim: int,
-                   spread: float = 1.0, within_std: float = 1.0,
-                   offset: float = 0.0, name: str = "synth") -> Dataset:
-    """Isotropic Gaussian blobs around uniformly drawn class centers.
-
-    Centers are uniform in [-spread, spread]^dim, then shifted by
-    ``offset`` in every coordinate (the domain-shift knob: the same seed
-    with a different offset yields translated copies of the same classes).
-    """
-    if n_classes < 2:
-        raise ConfigError(f"need at least 2 classes, got {n_classes}")
-    if per_class < 1 or dim < 1:
-        raise ConfigError("per_class and dim must be positive")
+def check_synth(n_classes: int, per_class: int, dim: int, spread: float = 1.0,
+                within_std: float = 1.0, offset: float = 0.0) -> None:
+    """Refuse a ``synth_gaussian`` argument out of range (see there)."""
+    for what, value, floor in (("n_classes", n_classes, 2), ("per_class", per_class, 1),
+                               ("dim", dim, 1)):
+        if value < floor:
+            raise ConfigError(f"{what} must be >= {floor}, got {value}")
     for what, value in (("spread", spread), ("within_std", within_std)):
         if not (math.isfinite(value) and value >= 0.0):
             raise ConfigError(f"{what} must be finite and nonnegative, got {value}")
     if not math.isfinite(offset):
         raise ConfigError(f"offset must be finite, got {offset}")
+
+
+def synth_gaussian(seed, n_classes: int, per_class: int, dim: int,
+                   spread: float = 1.0, within_std: float = 1.0,
+                   offset: float = 0.0, name: str = "synth") -> Dataset:
+    """Isotropic Gaussian blobs around uniformly drawn class centers.  An
+    argument out of range raises ``ConfigError`` (``check_synth``) with a
+    message that starts with its name and gives the value: "n_classes must
+    be >= 2, got 1", "within_std must be finite and nonnegative, got nan".
+
+    Centers are uniform in [-spread, spread]^dim, then shifted by
+    ``offset`` in every coordinate (the domain-shift knob: the same seed
+    with a different offset yields translated copies of the same classes).
+    """
+    check_synth(n_classes, per_class, dim, spread, within_std, offset)
     rng = seed if isinstance(seed, np.random.Generator) else linalg.rng_from_seed(seed)
     centers = rng.uniform(-spread, spread, size=(dim, n_classes)) + offset
     features = np.empty((dim, n_classes * per_class))

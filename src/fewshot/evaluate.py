@@ -84,16 +84,22 @@ def _assert_no_class_leakage(train_set: Dataset | None, test_set: Dataset) -> No
             f"{sorted(shared)[:5]}")
 
 
+def eval_hyper(n_way: int, k_shot: int, q_queries: int, eval_episodes: int,
+               lambda1: float = 1e-3) -> Hyper:
+    """An evaluation's ``Hyper``, after refusing too few episodes for a CI."""
+    if eval_episodes < 2:
+        raise ContractError(
+            f"eval_episodes must be >= 2 for a confidence interval, got {eval_episodes}")
+    return Hyper(n_way, k_shot, q_queries, lambda1, 0.0)
+
+
 def evaluate(params: EncoderParams, head, test_set: Dataset, n_way: int,
              k_shot: int, q_queries: int, episodes: int, seed: int,
              lambda1: float = 1e-3, train_domain: str | None = None,
              train_set: Dataset | None = None) -> EvalReport:
     """Accuracy over freshly sampled test episodes with a 95% CI."""
-    if episodes < 2:
-        raise ContractError(
-            f"need >= 2 episodes for a confidence interval, got {episodes}")
+    hyper = eval_hyper(n_way, k_shot, q_queries, episodes, lambda1)
     _assert_no_class_leakage(train_set, test_set)
-    hyper = Hyper(n_way, k_shot, q_queries, lambda1, 0.0)
     rng = linalg.named_stream(seed, "evaluation")
     ep_hash = hashlib.sha256()
 
@@ -145,8 +151,10 @@ def ablate_lambda2(train_set: Dataset, val_set: Dataset, test_set: Dataset,
     the regression head's loss reads lambda2, so no other head is ablated."""
     if not lambda2_values:
         raise ContractError("ablation needs at least one lambda2 value")
-    # Every value is checked (by TrainConfig) before the first model trains.
+    # Every value (by TrainConfig) and the episode count are checked before
+    # the first model trains.
     configs = [replace(config, lambda2=float(value)) for value in lambda2_values]
+    eval_hyper(config.n_way, config.k_shot, config.q_queries, eval_episodes)
     reports = []
     for cfg in configs:
         head = make_head("regression")
@@ -176,6 +184,7 @@ def domain_shift(train_a: Dataset, val_a: Dataset | None, test_b: Dataset,
         raise ContractError(
             f"feature dimensions differ across domains: "
             f"{train_a.name} has D={train_a.dim}, {test_b.name} has D={test_b.dim}")
+    eval_hyper(config.n_way, config.k_shot, config.q_queries, eval_episodes)
     head = make_head(head_name)
     params, _ = fit(train_a, val_a, config, head=head)
     return evaluate(

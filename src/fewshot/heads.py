@@ -51,7 +51,9 @@ from .errors import ContractError, ShapeError
 
 @dataclass
 class Hyper:
-    """Episode-shape counts and the two loss hyperparameters."""
+    """Episode-shape counts and the two loss hyperparameters, checked when
+    built: a message starts with the field and gives the value, as in
+    "k_shot must be >= 1, got 0" or "lambda2 must be finite and nonnegative"."""
 
     n_way: int = 5
     k_shot: int = 5
@@ -60,10 +62,9 @@ class Hyper:
     lambda2: float = 1e-2
 
     def __post_init__(self):
-        if self.n_way < 2:
-            raise ContractError(f"n_way must be >= 2, got {self.n_way}")
-        if self.k_shot < 1 or self.q_queries < 1:
-            raise ContractError("k_shot and q_queries must be >= 1")
+        for name, floor in (("n_way", 2), ("k_shot", 1), ("q_queries", 1)):
+            if getattr(self, name) < floor:
+                raise ContractError(f"{name} must be >= {floor}, got {getattr(self, name)}")
         for name, value in (("lambda1", self.lambda1), ("lambda2", self.lambda2)):
             if not (math.isfinite(value) and value >= 0.0):
                 raise ContractError(f"{name} must be finite and nonnegative, got {value}")

@@ -79,8 +79,9 @@ def cholesky(a: np.ndarray) -> np.ndarray:
         where = tuple(np.argwhere(bad[..., j])[0])
         pivot = float(pivots[where + (j,)])
         owner = f" of class {where[-1] + 1}" if where else ""
+        kind = "non-positive" if np.isfinite(pivot) else "non-finite"
         raise ConditioningError(
-            f"matrix is not positive definite: non-positive pivot {pivot:.3e} "
+            f"matrix is not positive definite: {kind} pivot {pivot:.3e} "
             f"at index {j}{owner}",
             episode_index=int(where[-2]) if len(where) > 1 else None)
     return aug[..., k:]

@@ -41,6 +41,10 @@ OPTIMIZERS = ("adam", "sgd")
 
 @dataclass
 class TrainConfig:
+    """The training knobs, checked when built: a message starts with the
+    field and gives the value ("episodes must be >= 1, got 0"), here, in
+    ``Hyper`` or in ``encoder.default_layer_spec`` (the encoder shape)."""
+
     n_way: int = 5
     k_shot: int = 5
     q_queries: int = 16
@@ -61,18 +65,14 @@ class TrainConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.lr) and self.lr > 0.0):
-            raise ConfigError(f"learning rate must be finite and positive, got {self.lr}")
-        if self.episodes < 1 or self.batch_tasks < 1:
-            raise ConfigError("episode and batch counts must be >= 1")
-        if self.val_interval < 1 or self.val_episodes < 1:
-            raise ConfigError("validation interval and episode count must be >= 1")
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
+        for name in ("episodes", "batch_tasks", "val_interval", "val_episodes"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.activation not in encoder.ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.final_activation not in encoder.ACTIVATIONS:
-            raise ConfigError(f"unknown final activation {self.final_activation!r}")
-        self.hyper()   # episode shape and loss weights fail here, not mid-run
+        self.layer_spec(1)   # the encoder shape, episode shape and loss weights
+        self.hyper()         # fail here, not mid-run
 
     @property
     def resolved_lambda2(self) -> float:
@@ -83,6 +83,10 @@ class TrainConfig:
     def hyper(self) -> Hyper:
         return Hyper(self.n_way, self.k_shot, self.q_queries,
                      self.lambda1, self.resolved_lambda2)
+
+    def layer_spec(self, input_dim: int) -> list[tuple[int, int, str]]:
+        return encoder.default_layer_spec(input_dim, self.embed_dim, self.hidden_dim,
+                                          self.depth, self.activation, self.final_activation)
 
 
 # Adam's moment decay rates and denominator floor (Kingma & Ba's defaults).
@@ -257,10 +261,8 @@ def fit(train_set: Dataset, val_set: Dataset | None, config: TrainConfig,
     validates = val_set is not None and config.episodes >= config.val_interval
     for dataset in (train_set, val_set) if validates else (train_set,):
         check_sampleable(dataset, config.n_way, config.k_shot + config.q_queries)
-    spec = encoder.default_layer_spec(
-        train_set.dim, config.embed_dim, config.hidden_dim,
-        config.depth, config.activation, config.final_activation)
-    params = encoder.init_encoder(linalg.named_stream(config.seed, "init"), spec)
+    params = encoder.init_encoder(linalg.named_stream(config.seed, "init"),
+                                  config.layer_spec(train_set.dim))
     sample_rng = linalg.named_stream(config.seed, "train-sampling")
     val_rng = linalg.named_stream(config.seed, "validation")
     state = AdamState.for_params(params) if config.optimizer == "adam" else None

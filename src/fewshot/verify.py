@@ -26,7 +26,7 @@ from .autodiff import ridge_residuals
 from .encoder import EncoderParams, Layer, forward, init_encoder
 from .episodes import Episode
 from .errors import ShapeError
-from .heads import Hyper, RegressionHead
+from .heads import Hyper
 from .train import AdamState, adam_update
 
 
@@ -198,7 +198,9 @@ def _random_episode(rng: np.random.Generator, n: int, k: int, q: int, d: int) ->
 
 def check_gradient_fidelity(seed: int = 0, trials: int = 20,
                             h: float = 1e-4) -> CheckResult:
-    """Analytic gradient of the full episode loss vs central differences.
+    """Analytic gradient of a training step's summed loss vs central
+    differences, for every head and for one- and three-episode batches:
+    trial t trains head t mod 3 on a batch of 1 + 2 (t mod 2) episodes.
 
     Uses a tanh encoder so the loss is smooth everywhere (relu kinks would
     invalidate the finite-difference stencil). Relative error uses a 1e-2
@@ -207,20 +209,20 @@ def check_gradient_fidelity(seed: int = 0, trials: int = 20,
     whose true gradient is near zero.
     """
     worst = 0.0
-    head = RegressionHead()
+    hyper = Hyper(2, 2, 2, lambda1=1e-3, lambda2=1e-2)
     for trial in range(trials):
         rng = linalg.rng_from_seed(seed + 1000 + trial)
-        episode = _random_episode(rng, n=2, k=2, q=2, d=5)
-        hyper = Hyper(2, 2, 2, lambda1=1e-3, lambda2=1e-2)
+        head = heads.make_head(tuple(heads.HEADS)[trial % 3])
+        batch = [_random_episode(rng, n=2, k=2, q=2, d=5) for _ in range(1 + 2 * (trial % 2))]
         spec = [(5, 6, "tanh"), (6, 4, "none")]
         params = init_encoder(int(rng.integers(2**32)), spec)
 
-        analytic, _ = train.batch_gradient(params, [episode], head, hyper)
+        analytic, _ = train.batch_gradient(params, batch, head, hyper)
         flat = params.vector
 
         def loss_at(vec):   # the loss's value alone: no tape, no backward
-            return head.episode_loss(forward(vec, params, episode.x)[0],
-                                     episode.query_y, hyper)[0].item()
+            return sum(head.episode_loss(forward(vec, params, ep.x)[0], ep.query_y,
+                                         hyper)[0].item() for ep in batch)
 
         for i in range(flat.size):
             plus = flat.copy()
@@ -233,7 +235,8 @@ def check_gradient_fidelity(seed: int = 0, trials: int = 20,
     passed = worst < 1e-4
     return CheckResult(
         "loss gradient vs central finite differences", passed,
-        f"{trials} episodes, worst per-coordinate relative error {worst:.3e} (limit 1e-4)")
+        f"{trials} trials over 3 heads and 1- and 3-episode batches, worst "
+        f"per-coordinate relative error {worst:.3e} (limit 1e-4)")
 
 
 # -- posterior contracts -----------------------------------------------------

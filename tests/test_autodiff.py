@@ -12,13 +12,16 @@ tape's loss is reduced to a scalar by ``probe``, a weighted sum kept in
 the tests, so the package keeps no function for tests alone.
 """
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 from fewshot import autodiff, encoder
 from fewshot.autodiff import Tape, backward
 from fewshot.encoder import ACTIVATIONS, EncoderParams, Layer, default_layer_spec, init_encoder
-from fewshot.errors import ContractError, ShapeError
+from fewshot.errors import ContractError, NumericalError, ShapeError
 from fewshot.heads import CosineHead, Hyper
 
 from oracles import cross_entropy_np, lstsq_distances, ortho_penalty_np
@@ -214,6 +217,31 @@ def test_blocks_lay_class_columns_along_the_stack_axis():
                 block, _ = node(x[e][:, 2 * c : 2 * c + 2], q[e], 1)
                 assert np.allclose(block[0], stacked[e, c],
                                    rtol=1e-14, atol=1e-14), name
+
+
+def test_distance_kernels_refuse_an_episode_too_large_to_square():
+    # a finite entry whose square overflows named "non-positive pivot inf"
+    # (ridge) or gave chance-level distances (the baselines); the kernels
+    # now refuse it up front, naming its episode in a stack, and warn nothing
+    rng = np.random.default_rng(60)
+    x = rng.standard_normal((3, 4, 6))
+    q = rng.standard_normal((3, 4, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, node in DISTANCES.items():
+            near = q.copy()
+            near[1, 2, 3] = 1e150            # 4 M NK times its square stays finite
+            node(x, near, 3)
+            for where, value in (((1, 2, 3), 1e160), ((2, 0, 0), np.inf)):
+                big_x, big_q = x.copy(), q.copy()
+                (big_q if value == 1e160 else big_x)[where] = value
+                named = re.escape(f"largest magnitude {value:.3e} ")
+                with pytest.raises(NumericalError, match=named) as info:
+                    node(big_x, big_q, 3)
+                assert info.value.episode_index == where[0], name
+                with pytest.raises(NumericalError) as info:
+                    node(big_x[where[0]], big_q[where[0]], 3)
+                assert info.value.episode_index is None, name
 
 
 def test_stacked_and_broadcasting_ops_gradients():

@@ -6,6 +6,7 @@ import argparse
 import importlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -101,21 +102,37 @@ def test_dashed_keys_match_flag_spelling(tmp_path):
     assert parsed == {"eval_episodes": 44, "within_std": 0.5}
 
 
-def test_usage_errors_name_the_flag(capsys):
-    assert run(["train", "--k", "0", "--out", "x"]) == EXIT_USAGE
-    assert "--k" in capsys.readouterr().err
-    assert run(["train", "--lr", "-1", "--out", "x"]) == EXIT_USAGE
-    assert "--lr" in capsys.readouterr().err
-    assert run(["eval", "--eval-episodes", "1"]) == EXIT_USAGE
-    assert "--eval-episodes" in capsys.readouterr().err
+# Every ranged flag with a value below its range (--offset has none): that
+# value, nan and inf are each refused by the library object that reads the
+# knob, and the message starts with the flag, with the synthetic data and
+# with a CSV --dataset alike.
+BELOW_RANGE = {
+    "n": "1", "k": "0", "q": "0", "episodes": "0", "eval-episodes": "1",
+    "batch-tasks": "0", "val-interval": "0", "val-episodes": "0", "synth-classes": "1",
+    "per-class": "0", "dim": "0", "embed-dim": "0", "hidden-dim": "0", "depth": "-1",
+    "lr": "-1", "lambda1": "-1", "lambda2": "-1", "lambda2-values": "0,-1",
+    "spread": "-1", "within-std": "-1", "offset": None,
+}
+RANGED_FLAGS = [(command, flag) for command, (_, keys, _) in cli.COMMANDS.items()
+                for flag in BELOW_RANGE if flag.replace("-", "_") in keys]
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--embed-dim", "0"), ("--hidden-dim", "0"), ("--depth", "-1")])
-def test_encoder_shape_flags_name_themselves(monkeypatch, capsys, flag, value):
+@pytest.mark.parametrize("command, flag", RANGED_FLAGS,
+                         ids=[f"{c}-{f}" for c, f in RANGED_FLAGS])
+def test_every_out_of_range_flag_exits_2_naming_it_before_reading_data(
+        monkeypatch, tmp_path, capsys, command, flag):
+    # eval's checkpoint and the CSV do not exist: reading either would exit 3
     monkeypatch.setattr(cli, "_load_domain", no_data)
-    assert run(["train", *FAST_TRAIN, flag, value, "--out", "x"]) == EXIT_USAGE
-    assert flag in capsys.readouterr().err
+    out = tmp_path / "out"
+    required = ["--checkpoint", str(tmp_path / "enc.txt")] if command == "eval" else []
+    for dataset in ([], ["--dataset", str(tmp_path / "d.csv")]):
+        for value in filter(None, (BELOW_RANGE[flag], "nan", "inf")):
+            argv = [command, *required, *dataset, f"--{flag}", value, "--out", str(out)]
+            assert run(argv) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert re.match(rf"error: --{flag}[ :]", err), err
+            assert value.split(",")[-1] in err
+            assert not out.exists()
 
 
 def test_depth_zero_is_a_single_layer_encoder(tmp_path):
@@ -129,9 +146,9 @@ def test_depth_zero_is_a_single_layer_encoder(tmp_path):
     (["train", "--lr", "inf"], "--lr"),
     (["train", "--lambda1", "nan"], "--lambda1"),
     (["train", "--lambda2", "nan"], "--lambda2"),
-    (["train", "--within-std", "nan"], "within_std"),
-    (["train", "--spread", "nan"], "spread"),
-    (["shift", "--offset", "nan"], "offset"),
+    (["train", "--within-std", "nan"], "--within-std"),
+    (["train", "--spread", "nan"], "--spread"),
+    (["shift", "--offset", "nan"], "--offset"),
 ], ids=["lr-nan", "lr-inf", "lambda1-nan", "lambda2-nan", "within-std-nan",
         "spread-nan", "offset-nan"])
 def test_non_finite_numeric_flags_are_usage_errors(tmp_path, capsys, argv, named):
@@ -292,11 +309,10 @@ def test_non_finite_features_are_a_format_error(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_features_surface_as_divergence(tmp_path, capsys):
     # finite but distinct features ~1e300 apart: through a linear encoder
-    # every squared distance overflows, so the proto loss is non-finite on
-    # episode 0
+    # every squared distance would overflow, so the distance refuses
+    # episode 0, and nothing warns
     big = tmp_path / "big.csv"
     rows = ["label,f1,f2"]
     for c in (1, 2):
@@ -306,7 +322,27 @@ def test_overflowing_features_surface_as_divergence(tmp_path, capsys):
     code = run(["train", "--dataset", str(big), *TINY_CSV_TRAIN, "--depth", "0",
                 "--out", str(tmp_path / "out")])
     assert code == EXIT_NUMERICAL
-    assert "episode 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "embedding overflow" in err and "episode 0" in err
+
+
+@pytest.mark.parametrize("head", ["regression", "proto", "cosine"])
+def test_an_embedding_too_large_to_square_exits_4_in_train_and_eval(tmp_path, capsys, head):
+    # --spread 1e300 keeps the data and the embedding finite, but not their
+    # squares: cosine then trained on zero unit columns at chance, proto and
+    # cosine reported chance with exit 0, and regression named an inf pivot
+    # "non-positive"
+    out = tmp_path / "run"
+    assert run(["train", *FAST_TRAIN, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    big = ["--head", head, "--spread", "1e300"]
+    for argv in (["train", *FAST_TRAIN, *big, "--lambda2", "0", "--out", str(tmp_path / "big")],
+                 ["eval", *FAST_EVAL, *big, "--checkpoint", str(out / "encoder.txt")]):
+        assert run(argv) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: embedding overflow: largest magnitude "), err
+        assert err.endswith(" at episode 0\n")
+    assert not (tmp_path / "big").exists()
 
 
 def test_all_zero_class_support_is_a_numerical_failure(tmp_path, capsys):

@@ -17,8 +17,14 @@ def test_default_layer_spec_chains_dimensions():
     assert default_layer_spec(8, 4, depth=0) == [(8, 4, "none")]
     spec = default_layer_spec(32, 16, hidden=128, depth=2, final_activation="relu")
     assert spec[-1] == (128, 16, "relu")
-    with pytest.raises(ConfigError):
-        default_layer_spec(8, 4, depth=-1)
+    # a size out of range is named by its TrainConfig field, with its value
+    for kwargs, message in ((dict(depth=-1), "depth must be >= 0, got -1"),
+                            (dict(output_dim=0), "embed_dim must be >= 1, got 0"),
+                            (dict(hidden=0, depth=0), "hidden_dim must be >= 1, got 0")):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            default_layer_spec(8, **kwargs)
+    with pytest.raises(ConfigError, match="unknown activation 'gelu'"):
+        default_layer_spec(8, 4, final_activation="gelu")
 
 
 def test_init_is_deterministic_per_seed():

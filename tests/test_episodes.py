@@ -149,11 +149,11 @@ def test_synth_gaussian_within_class_spread_tracks_within_std():
 
 
 def test_synth_gaussian_validates_counts():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^n_classes must be >= 2, got 1$"):
         synth_gaussian(0, 1, 5, 3)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^per_class must be >= 1, got 0$"):
         synth_gaussian(0, 3, 0, 3)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^dim must be >= 1, got 0$"):
         synth_gaussian(0, 3, 5, 0)
     for bad in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ConfigError, match="spread"):

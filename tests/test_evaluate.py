@@ -260,6 +260,23 @@ def test_ablation_checks_every_value_before_training(monkeypatch):
         ablate_lambda2(train, val, test, config, [0.0, -1.0])
 
 
+def test_too_few_eval_episodes_are_refused_before_training(monkeypatch):
+    # both used to train a model and only then find no confidence interval
+    train, val, test = splits(seed=3)
+    config = TrainConfig(n_way=3, k_shot=2, q_queries=3, episodes=10,
+                         embed_dim=4, hidden_dim=8, depth=1, seed=3)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("trained before checking the eval episode count")
+
+    monkeypatch.setattr(importlib.import_module("fewshot.evaluate"), "fit", no_fit)
+    for run in (lambda: domain_shift(train, val, test, config, eval_episodes=1),
+                lambda: ablate_lambda2(train, val, test, config, [0.0], eval_episodes=1)):
+        with pytest.raises(ContractError, match="^eval_episodes must be >= 2 for a "
+                                                "confidence interval, got 1$"):
+            run()
+
+
 def test_domain_shift_labels_both_domains():
     train_a, val_a, _ = splits(seed=4)
     data_b = synth_gaussian(named_stream(4, "dataset"), 12, 16, 5, 1.0, 0.4,

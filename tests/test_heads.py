@@ -42,11 +42,11 @@ def lse_reconstruction(dist, labels):
 
 def test_hyper_validates_counts_and_weights():
     Hyper(2, 1, 1, 0.0, 0.0)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="^n_way must be >= 2, got 1$"):
         Hyper(n_way=1)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="^k_shot must be >= 1, got 0$"):
         Hyper(k_shot=0)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="^q_queries must be >= 1, got 0$"):
         Hyper(q_queries=0)
     with pytest.raises(ContractError):
         Hyper(lambda1=-0.1)

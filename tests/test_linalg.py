@@ -97,6 +97,17 @@ def test_a_failing_factorization_warns_nothing():
             linalg.cholesky(a[:2])
 
 
+def test_a_non_finite_pivot_is_named_non_finite():
+    # an overflowed Gram matrix is not "non-positive"
+    for bad in (np.inf, np.nan):
+        a = np.stack([np.eye(2), np.diag([1.0, bad])])
+        with pytest.raises(ConditioningError,
+                           match=f"non-finite pivot {bad:.3e} at index 1 of class 2$"):
+            linalg.cholesky(a)
+    with pytest.raises(ConditioningError, match="non-positive pivot -1.000e[+]00"):
+        linalg.cholesky(np.diag([1.0, -1.0]))
+
+
 def test_solve_with_factor_has_tiny_residuals():
     rng = np.random.default_rng(23)
     for _ in range(20):

@@ -43,14 +43,14 @@ def small_config(**overrides):
 
 def test_config_validation():
     for bad in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=f"^lr must be finite and positive, got {bad}$"):
             TrainConfig(lr=bad)
-    with pytest.raises(ConfigError):
-        TrainConfig(episodes=0)
-    with pytest.raises(ConfigError):
-        TrainConfig(batch_tasks=0)
-    with pytest.raises(ConfigError):
-        TrainConfig(val_interval=0)
+    for name in ("episodes", "batch_tasks", "val_interval", "val_episodes"):
+        with pytest.raises(ConfigError, match=f"^{name} must be >= 1, got 0$"):
+            TrainConfig(**{name: 0})
+    # the encoder shape is checked when the config is built, not at fit
+    with pytest.raises(ConfigError, match="^embed_dim must be >= 1, got 0$"):
+        TrainConfig(embed_dim=0)
     with pytest.raises(ConfigError):
         TrainConfig(optimizer="rmsprop")
     with pytest.raises(ConfigError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fewshot import autodiff, verify
+from fewshot import autodiff, train, verify
 from fewshot.errors import ShapeError
 
 
@@ -59,3 +59,18 @@ def test_gradient_suite_runs_one_backward_pass_per_trial(monkeypatch):
     monkeypatch.setattr(autodiff, "backward", counted)
     assert verify.check_gradient_fidelity(0).passed
     assert len(calls) == 20
+
+
+def test_gradient_suite_covers_every_head_and_a_three_episode_batch(monkeypatch):
+    seen = set()
+    batch_gradient = train.batch_gradient
+
+    def recorded(params, batch, head, hyper, *args, **kwargs):
+        seen.add((head.name, len(batch)))
+        return batch_gradient(params, batch, head, hyper, *args, **kwargs)
+
+    monkeypatch.setattr(train, "batch_gradient", recorded)
+    result = verify.check_gradient_fidelity(0)
+    assert result.passed, result.line()
+    assert seen == {(name, size) for name in ("regression", "proto", "cosine")
+                    for size in (1, 3)}
