@@ -150,6 +150,14 @@ def sample_episode(dataset: Dataset, n_way: int, k_shot: int, q_queries: int,
                    relabel, columns)
 
 
+# A drawn feature is a center, uniform over a range of 2 spread, plus the
+# offset, plus within_std times a standard normal draw, which numpy's
+# ziggurat sampler keeps below 13 in magnitude.  Bounding spread, |offset|
+# and 16 within_std by a quarter of the float64 maximum keeps the range and
+# the sum finite.
+_DRAW_MAX = float(np.finfo(np.float64).max) / 4
+
+
 def check_synth(n_classes: int, per_class: int, dim: int, spread: float = 1.0,
                 within_std: float = 1.0, offset: float = 0.0) -> None:
     """Refuse a ``synth_gaussian`` argument out of range (see there)."""
@@ -157,11 +165,12 @@ def check_synth(n_classes: int, per_class: int, dim: int, spread: float = 1.0,
                                ("dim", dim, 1)):
         if value < floor:
             raise ConfigError(f"{what} must be >= {floor}, got {value}")
-    for what, value in (("spread", spread), ("within_std", within_std)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ConfigError(f"{what} must be finite and nonnegative, got {value}")
-    if not math.isfinite(offset):
-        raise ConfigError(f"offset must be finite, got {offset}")
+    for what, value, low, high in (("spread", spread, 0.0, _DRAW_MAX),
+                                   ("within_std", within_std, 0.0, _DRAW_MAX / 16),
+                                   ("offset", offset, -_DRAW_MAX, _DRAW_MAX)):
+        if not low <= value <= high:
+            raise ConfigError(f"{what} must be finite and within [{low:.4g}, {high:.4g}], "
+                              f"got {value}")
 
 
 def synth_gaussian(seed, n_classes: int, per_class: int, dim: int,
@@ -170,7 +179,9 @@ def synth_gaussian(seed, n_classes: int, per_class: int, dim: int,
     """Isotropic Gaussian blobs around uniformly drawn class centers.  An
     argument out of range raises ``ConfigError`` (``check_synth``) with a
     message that starts with its name and gives the value: "n_classes must
-    be >= 2, got 1", "within_std must be finite and nonnegative, got nan".
+    be >= 2, got 1", "within_std must be finite and within [0, 2.809e+306],
+    got nan".  ``spread``, ``within_std`` and ``offset`` are bounded so that
+    every drawn feature is finite.
 
     Centers are uniform in [-spread, spread]^dim, then shifted by
     ``offset`` in every coordinate (the domain-shift knob: the same seed

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import heads, linalg, train
-from .autodiff import ridge_residuals
 from .encoder import EncoderParams, Layer, forward, init_encoder
 from .episodes import Episode
 from .errors import ShapeError
-from .heads import Hyper
+from .heads import Hyper, ridge_residuals
 from .train import AdamState, adam_update
 
 
@@ -270,7 +269,7 @@ def check_posterior_contracts(seed: int = 0, trials: int = 100) -> CheckResult:
     e_val = rng2.standard_normal((6, 1))
     dist, _ = ridge_residuals(np.hstack(s_vals), e_val, 3, 1e-3)
     post = np.array([
-        np.exp(-heads.cross_entropy_from_distances(dist, np.array([c]), 3)[0].item())
+        np.exp(-heads.cross_entropy(dist, np.array([c]))[0].item())
         for c in (1, 2, 3)
     ])
     projector_dist = np.array([

@@ -8,7 +8,7 @@ from fewshot.heads import predict_np
 
 def lstsq_distances(s, queries, lambda1):
     """1 x B ridge residual norms of the queries to span(S), with the ridge
-    coefficients from numpy's solver (for autodiff.ridge_residuals)."""
+    coefficients from numpy's solver (for heads.ridge_residuals)."""
     gram = s.T @ s + lambda1 * np.eye(s.shape[1])
     resid = queries - s @ np.linalg.solve(gram, s.T @ queries)
     return np.sqrt(np.sum(resid * resid, axis=0, keepdims=True))
@@ -28,8 +28,8 @@ def ortho_penalty_np(supports):
 
 
 def cross_entropy_np(d, rows):
-    """Value and adjoint (for a unit output adjoint) of autodiff.cross_entropy,
-    computed op by op in the order of the composed route it replaced: pick
+    """Value and adjoint (for a unit output adjoint) of heads.cross_entropy,
+    for the 0-based true ``rows`` (the labels less 1), computed op by op in the order of the composed route it replaced: pick
     the true rows, negate, column log-sum-exp, add, sum, scale by 1/B; then
     back through scale, sum, add, log-sum-exp, negate and pick, accumulating
     into d in that reverse order."""

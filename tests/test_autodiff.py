@@ -1,10 +1,10 @@
 """Adjoint tests: the encoder's ``back``, ``backward`` over a training
 tape of (encoder back, loss back) pairs, and the adjoint of every loss
-kernel (the three distances, the cross-entropy and the subspace overlap)
-against central finite differences, the kernels against numpy oracles,
-plus the structural contracts (idempotent backward, a sum that writes to
-no adjoint, no adjoint for the encoder's input batch, stabilized
-reductions, shape errors).
+kernel in ``heads`` (the three distances, the cross-entropy and the
+ortho penalty) against central finite differences, the kernels against
+numpy oracles, plus the structural contracts (idempotent backward, a sum
+that writes to no adjoint, no adjoint for the encoder's input batch,
+stabilized reductions, shape errors).
 
 Every function under test returns ``(value, back)``: ``back(w)`` is
 checked against differences of the weighted sum ``sum(w * value)``.  A
@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fewshot import autodiff, encoder
+from fewshot import encoder, heads
 from fewshot.autodiff import Tape, backward
 from fewshot.encoder import ACTIVATIONS, EncoderParams, Layer, default_layer_spec, init_encoder
 from fewshot.errors import ContractError, NumericalError, ShapeError
@@ -76,7 +76,7 @@ def check_kernel(kernel, operands, tol=TOL, h=H):
 
 
 def ridge(s, q, n=2, lambda1=0.5):
-    return autodiff.ridge_residuals(s, q, n, lambda1)
+    return heads.ridge_residuals(s, q, n, lambda1)
 
 
 def encoder_case(seed, depth, act, batch=5):
@@ -121,25 +121,24 @@ def pre_activations(params, x):
 
 # The three heads' distance kernels, each (support, query, n) -> (d, back).
 DISTANCES = {
-    "ridge": lambda s, q, n: autodiff.ridge_residuals(s, q, n, 0.5),
-    "centroid": autodiff.centroid_distances,
-    "cosine": autodiff.mean_cosine,
+    "ridge": lambda s, q, n: heads.ridge_residuals(s, q, n, 0.5),
+    "centroid": heads.centroid_distances,
+    "cosine": heads.mean_cosine,
 }
 
 
 # -- gradient fidelity: the encoder, the tape and the loss kernels -------------
 
 
-def test_scale_neg_add_diag_gradients():
+def test_ridge_gradients_when_only_lambda1_makes_the_gram_definite():
     # the ridge term on the Gram diagonal, with K = 3 > M = 2 so that only
-    # lambda1 I makes each class's system definite (the scale op is gone:
-    # the loss node weighs its penalty by hand)
+    # lambda1 I makes each class's system definite
     for seed in range(5):
         x, q = mats(seed + 25, (2, 6), (2, 3))
         check_kernel(lambda s, q: ridge(s, q, 2, 0.5), [x, q])
 
 
-def test_dense_gradients():
+def test_encoder_gradients_for_every_activation_and_depth():
     # the encoder, every layer act(W x + b), against differences in its
     # parameter vector, for every activation at depth 0 and depth 2;
     # relu pre-activations are kept away from the kink so the stencil
@@ -183,9 +182,9 @@ def test_dense_value_is_the_shared_layer_function():
         encoder.dense_np(w, b, x, "sigmoid")
 
 
-def test_col_slice_and_blocks_gradients():
+def test_distance_gradients_of_an_episode_cut_into_support_and_queries():
     # an embedded episode's support (two 2 x 3 class blocks) and its queries
-    # cut from one matrix as contiguous column slices, as the loss node cuts
+    # cut from one matrix as contiguous column slices, as episode_loss cuts
     # them, through each distance kernel; the two adjoints, laid side by
     # side, are the episode's
     def sliced(node):
@@ -250,13 +249,13 @@ def test_stacked_and_broadcasting_ops_gradients():
     # and three classes of two shots
     for seed in range(5):
         x, y, e, q = mats(seed + 110, (3, 6), (3, 4), (2, 3, 4), (2, 3, 2))
-        for node in (autodiff.centroid_distances, autodiff.mean_cosine):
+        for node in (heads.centroid_distances, heads.mean_cosine):
             check_kernel(lambda s, q: node(s, q, 2), [x, y])
             check_kernel(lambda s, q: node(s, q, 2), [e, q])
             check_kernel(lambda s, q: node(s, q, 3), [x, y])
 
 
-def test_stacked_solve_spd_gradients():
+def test_ridge_gradients_for_a_lone_episode_and_a_stack():
     # the ridge kernel solves one SPD system per class block: M x NK supports
     # with M x B queries, and (E, M, NK) with (E, M, B) episode stacks
     for seed in range(5):
@@ -265,15 +264,15 @@ def test_stacked_solve_spd_gradients():
         check_kernel(ridge, [e, q])
 
 
-def test_stacked_solve_spd_values_match_numpy_per_class():
+def test_ridge_values_match_numpy_per_episode_and_class():
     # one distance per (episode, class, query) against numpy's own solver
     rng = np.random.default_rng(125)
     x = rng.standard_normal((2, 5, 9))
     q = rng.standard_normal((2, 5, 4))
-    dist, _ = autodiff.ridge_residuals(x, q, 3, 0.2)
+    dist, _ = heads.ridge_residuals(x, q, 3, 0.2)
     assert dist.shape == (2, 3, 4)
     for e in range(2):
-        lone, _ = autodiff.ridge_residuals(x[e], q[e], 3, 0.2)
+        lone, _ = heads.ridge_residuals(x[e], q[e], 3, 0.2)
         assert np.allclose(lone, dist[e], rtol=1e-14, atol=1e-14)
         for c in range(3):
             expected = lstsq_distances(x[e][:, 3 * c : 3 * c + 3], q[e], 0.2)
@@ -284,7 +283,7 @@ def test_ridge_residual_inside_a_class_span_has_zero_gradient():
     # S = (e1, e2), lambda1 = 0: the query (2, -3, 0) lies in the span, so
     # its residual and distance are exactly 0, and 0 is its gradient
     s = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    dist, back = autodiff.ridge_residuals(s, np.array([[2.0], [-3.0], [0.0]]), 1, 0.0)
+    dist, back = heads.ridge_residuals(s, np.array([[2.0], [-3.0], [0.0]]), 1, 0.0)
     assert dist[0, 0] == 0.0
     support_grad, query_grad = back(np.ones((1, 1)))
     assert np.array_equal(support_grad, np.zeros_like(s))
@@ -294,18 +293,18 @@ def test_ridge_residual_inside_a_class_span_has_zero_gradient():
 def test_subspace_overlap_gradients_and_oracle_values():
     for seed in range(5):
         x, y = mats(seed + 140, (4, 6), (3, 6))
-        check_kernel(lambda a: autodiff.subspace_overlap(a, 2), [x])
-        check_kernel(lambda a: autodiff.subspace_overlap(a, 3), [x])
-        check_kernel(lambda a: autodiff.subspace_overlap(a, 6), [y])
+        check_kernel(lambda a: heads.ortho_penalty(a, 2), [x])
+        check_kernel(lambda a: heads.ortho_penalty(a, 3), [x])
+        check_kernel(lambda a: heads.ortho_penalty(a, 6), [y])
         for n in (2, 3, 6):
-            value, _ = autodiff.subspace_overlap(x, n)
+            value, _ = heads.ortho_penalty(x, n)
             k = 6 // n
             oracle = ortho_penalty_np([x[:, k * c : k * c + k] for c in range(n)])
             assert value.shape == (1, 1)
             assert value[0, 0] == pytest.approx(oracle, rel=1e-12)
 
 
-def test_norm_and_normalize_gradients():
+def test_baseline_gradients_at_one_shot_one_class_and_one_query():
     # the centroid distance (a column norm) and the cosine (column
     # normalization) at the edges of the class shape: one shot per class
     # (K = 1), one class (N = 1) and a single query
@@ -314,7 +313,7 @@ def test_norm_and_normalize_gradients():
         s = rng.standard_normal((3, 4)) + 0.3
         q = rng.standard_normal((3, 5)) - 0.2
         col = rng.standard_normal((3, 1)) + 0.5
-        for node in (autodiff.centroid_distances, autodiff.mean_cosine):
+        for node in (heads.centroid_distances, heads.mean_cosine):
             check_kernel(lambda s, q: node(s, q, 4), [s, q])
             check_kernel(lambda s, q: node(s, q, 1), [s, q])
             check_kernel(lambda s, q: node(s, q, 2), [s, col])
@@ -331,11 +330,11 @@ def test_cross_entropy_gradients():
         col = rng.standard_normal((5, 1))
         a = rng.standard_normal((4, 3))
         m = rng.standard_normal((3, 3))
-        check_kernel(lambda d: autodiff.cross_entropy(d, np.array([3])), [col])
-        rows = np.array([2, 0, 2])
-        check_kernel(lambda d: autodiff.cross_entropy(d, rows), [a])
+        check_kernel(lambda d: heads.cross_entropy(d, np.array([4])), [col])
+        labels = np.array([3, 1, 3])
+        check_kernel(lambda d: heads.cross_entropy(d, labels), [a])
         params = EncoderParams([Layer(a, zero, "none")])
-        episodes = [(m, lambda h: autodiff.cross_entropy(h, rows)), (m.T, probe)]
+        episodes = [(m, lambda h: heads.cross_entropy(h, labels)), (m.T, probe)]
         check_kernel(summed(params, episodes), [params.vector.copy()])
 
 
@@ -344,13 +343,13 @@ def test_cross_entropy_matches_the_composed_oracle_bit_for_bit():
         rng = np.random.default_rng(seed + 85)
         d = np.abs(rng.standard_normal((5, 7))) * 3.0
         rows = rng.integers(0, 5, size=7)
-        loss, back = autodiff.cross_entropy(d, rows)
+        loss, back = heads.cross_entropy(d, rows + 1)
         value, adjoint = cross_entropy_np(d, rows)
         assert np.array_equal(loss, value)
         assert np.array_equal(back(np.ones((1, 1))), adjoint)
 
 
-def test_solve_spd_gradients_through_gram_construction():
+def test_unregularized_ridge_gradients_with_m_at_least_k():
     # the support enters the ridge kernel twice, through S^T S + lambda1 I
     # and through S^T Q; lambda1 = 0 with M >= K, and M = K
     for seed in range(5):
@@ -359,12 +358,12 @@ def test_solve_spd_gradients_through_gram_construction():
         check_kernel(lambda s, q: ridge(s, q, 2, 0.0), [sq, qq])
 
 
-def test_solve_spd_value_matches_numpy():
+def test_unregularized_ridge_value_is_the_least_squares_residual():
     # lambda1 = 0 and M >= K: the plain least-squares residual
     rng = np.random.default_rng(123)
     s = rng.standard_normal((5, 4))
     q = rng.standard_normal((5, 3))
-    dist, _ = autodiff.ridge_residuals(s, q, 1, 0.0)
+    dist, _ = heads.ridge_residuals(s, q, 1, 0.0)
     assert np.allclose(dist, lstsq_distances(s, q, 0.0), atol=1e-12)
 
 
@@ -381,7 +380,7 @@ def test_backward_is_idempotent():
     assert np.array_equal(first, kept)
 
 
-def test_reused_variable_accumulates_without_corrupting_upstream():
+def test_backward_sums_into_a_new_array_leaving_a_shared_gradient_intact():
     # two pairs whose encoder backs return one and the same array: the sum
     # is a new array, and the shared one keeps its values
     shared = np.ones(4)
@@ -392,15 +391,15 @@ def test_reused_variable_accumulates_without_corrupting_upstream():
 
 
 def test_distance_adjoints_do_not_alias_the_output_grad():
-    # the loss node sums the penalty's support adjoint with the distance's,
-    # and backward may hand the same g to several nodes: a kernel's back
+    # episode_loss sums the penalty's support adjoint with the distance's,
+    # and may hand the same g to several kernels: a kernel's back
     # must leave g as it was, return arrays that share memory with neither
     # g nor one another, and give the same adjoints when called again
     s, q, w = mats(8, (2, 6), (2, 3), (3, 3))
     kernels = {name: (node(s, q, 3), w) for name, node in DISTANCES.items()}
-    kernels["cross_entropy"] = (autodiff.cross_entropy(w, np.array([0, 2, 1])),
+    kernels["cross_entropy"] = (heads.cross_entropy(w, np.array([1, 3, 2])),
                                 np.full((1, 1), 0.7))
-    kernels["subspace_overlap"] = (autodiff.subspace_overlap(s, 3), np.full((1, 1), 0.7))
+    kernels["ortho_penalty"] = (heads.ortho_penalty(s, 3), np.full((1, 1), 0.7))
     for name, ((_, back), g) in kernels.items():
         before = g.copy()
         first = adjoints(back, g)
@@ -416,11 +415,11 @@ def test_distance_adjoints_do_not_alias_the_output_grad():
 
 def test_logsumexp_is_stable_for_large_inputs():
     # the cross-entropy's log-sum-exp of -d, where exp(-d) overflows
-    value, _ = autodiff.cross_entropy(np.array([[-1000.0], [-999.0]]), np.array([1]))
+    value, _ = heads.cross_entropy(np.array([[-1000.0], [-999.0]]), np.array([2]))
     expected = -999.0 + 1000.0 + np.log(1.0 + np.exp(-1.0))
     assert value[0, 0] == pytest.approx(expected, abs=1e-12)
     big = np.array([[-800.0, 800.0], [-799.0, 801.0]])
-    value, back = autodiff.cross_entropy(big, np.array([0, 0]))
+    value, back = heads.cross_entropy(big, np.array([1, 1]))
     assert value[0, 0] == pytest.approx(
         0.5 * (np.log(1.0 + np.exp(-1.0)) + np.log(1.0 + np.exp(-1.0))), abs=1e-12)
     grad = back(np.ones((1, 1)))
@@ -462,7 +461,7 @@ def test_zero_norm_gradients_are_zero():
     # passes no gradient back (the weights pick only it)
     s = np.array([[1.0, 3.0, 5.0, 7.0], [2.0, 6.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
     q = np.array([[2.0, 1.0], [4.0, 0.0], [0.0, 2.0]])
-    dist, back = autodiff.centroid_distances(s, q, 2)
+    dist, back = heads.centroid_distances(s, q, 2)
     assert dist[0, 0] == 0.0
     only = np.zeros((2, 2))
     only[0, 0] = 1.0
@@ -477,7 +476,7 @@ def test_zero_norm_gradients_are_zero():
     # in their entries, and a zero adjoint for each
     s = np.array([[0.0, 1.0, 2.0, -1.0], [0.0, 2.0, 1.0, 3.0]])
     q = np.array([[0.0, 3.0], [0.0, 4.0]])
-    dist, back = autodiff.mean_cosine(s, q, 2)
+    dist, back = heads.mean_cosine(s, q, 2)
     assert np.array_equal(dist[:, 0], np.zeros(2))
     support_grad, query_grad = back(fixed_weights(dist.shape))
     assert np.array_equal(support_grad[:, 0], np.zeros(2))
@@ -503,7 +502,7 @@ def test_shape_errors_for_malformed_operands():
         encoder.forward(params.vector[:, None], params, np.ones((3, 4)))
     a = np.ones((2, 3))
     with pytest.raises(ShapeError):
-        autodiff.subspace_overlap(a, 2)
+        heads.ortho_penalty(a, 2)
     for node in DISTANCES.values():
         # NK = 3 columns cannot make 2 classes
         with pytest.raises(ShapeError):

@@ -102,10 +102,11 @@ def test_dashed_keys_match_flag_spelling(tmp_path):
     assert parsed == {"eval_episodes": 44, "within_std": 0.5}
 
 
-# Every ranged flag with a value below its range (--offset has none): that
-# value, nan and inf are each refused by the library object that reads the
-# knob, and the message starts with the flag, with the synthetic data and
-# with a CSV --dataset alike.
+# Every ranged flag with a value below its range (--offset has none), and
+# the synthetic-data flags with a finite value whose draw would overflow:
+# those values, nan and inf are each refused by the library object that
+# reads the knob, and the message starts with the flag, with the synthetic
+# data and with a CSV --dataset alike.
 BELOW_RANGE = {
     "n": "1", "k": "0", "q": "0", "episodes": "0", "eval-episodes": "1",
     "batch-tasks": "0", "val-interval": "0", "val-episodes": "0", "synth-classes": "1",
@@ -113,6 +114,7 @@ BELOW_RANGE = {
     "lr": "-1", "lambda1": "-1", "lambda2": "-1", "lambda2-values": "0,-1",
     "spread": "-1", "within-std": "-1", "offset": None,
 }
+ABOVE_RANGE = {"spread": "1e+308", "within-std": "1e+308", "offset": "1.7e+308"}
 RANGED_FLAGS = [(command, flag) for command, (_, keys, _) in cli.COMMANDS.items()
                 for flag in BELOW_RANGE if flag.replace("-", "_") in keys]
 
@@ -126,7 +128,7 @@ def test_every_out_of_range_flag_exits_2_naming_it_before_reading_data(
     out = tmp_path / "out"
     required = ["--checkpoint", str(tmp_path / "enc.txt")] if command == "eval" else []
     for dataset in ([], ["--dataset", str(tmp_path / "d.csv")]):
-        for value in filter(None, (BELOW_RANGE[flag], "nan", "inf")):
+        for value in filter(None, (BELOW_RANGE[flag], ABOVE_RANGE.get(flag), "nan", "inf")):
             argv = [command, *required, *dataset, f"--{flag}", value, "--out", str(out)]
             assert run(argv) == EXIT_USAGE
             err = capsys.readouterr().err

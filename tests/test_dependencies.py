@@ -4,7 +4,8 @@ Runtime code imports only numpy, the standard library and the package
 itself, and solves nothing with ``np.linalg``: every solve goes through
 the package's own Cholesky.  ``verify.py`` holds the independent oracles
 the ``check`` suites compare against, so it alone may call ``np.linalg``.
-The public autodiff and linalg functions hold only what the package runs.
+The public functions of ``autodiff``, ``heads`` (the loss kernels among
+them) and ``linalg`` hold only what the package runs.
 """
 
 import ast
@@ -65,30 +66,28 @@ def test_only_the_oracle_module_calls_numpy_linalg():
     assert offenders == []
 
 
-OP_MODULES = ("autodiff", "linalg")
+OP_MODULES = ("autodiff", "heads", "linalg")
 
 
-def called_names(node):
-    """The callee of every call under ``node``: ``f`` of ``f(...)``, or of
-    ``autodiff.f(...)`` and ``linalg.f(...)``."""
-    for call in ast.walk(node):
-        if not isinstance(call, ast.Call):
-            continue
-        func = call.func
-        if isinstance(func, ast.Name):
-            yield func.id
-        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
-                and func.value.id in OP_MODULES):
-            yield func.attr
+def used_names(node):
+    """Every name read under ``node``: ``f`` of a call ``f(...)`` or of a
+    binding ``g = f`` (a head's class body binds ``distances_np`` so), and
+    ``f`` of ``heads.f`` or the like on a module of ``OP_MODULES``."""
+    for use in ast.walk(node):
+        if isinstance(use, ast.Name) and isinstance(use.ctx, ast.Load):
+            yield use.id
+        elif (isinstance(use, ast.Attribute) and isinstance(use.value, ast.Name)
+                and use.value.id in OP_MODULES):
+            yield use.attr
 
 
 def test_every_public_op_and_kernel_has_a_caller_in_the_package():
-    # a public autodiff or linalg function that only tests call is dead code;
-    # a call inside the function's own definition does not count
+    # a public autodiff, heads or linalg function that only tests call is
+    # dead code; a use inside the function's own definition does not count
     trees = dict(parsed())
     calls = {(name, getattr(top, "name", None), callee)
              for name, tree in trees.items() for top in tree.body
-             for callee in called_names(top)}
+             for callee in used_names(top)}
     dead = [f"{module}.py: {top.name}"
             for module in OP_MODULES for top in trees[f"{module}.py"].body
             if isinstance(top, ast.FunctionDef) and not top.name.startswith("_")

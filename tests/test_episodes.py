@@ -1,5 +1,7 @@
 """Dataset, episode sampling, synthetic generator, split, and CSV tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,25 @@ def test_synth_gaussian_validates_counts():
     for bad in (float("nan"), float("-inf")):
         with pytest.raises(ConfigError, match="offset"):
             synth_gaussian(0, 3, 5, 3, offset=bad)
+
+
+def test_synth_gaussian_draws_finite_features_up_to_its_bounds():
+    # spread and |offset| up to a quarter of the float64 maximum and
+    # within_std up to a sixteenth of that draw finite features with no
+    # warning; the next float above each bound is refused, naming the field
+    top = np.finfo(np.float64).max / 4
+    highs = {"spread": top, "within_std": top / 16, "offset": top}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for offset in (top, -top):
+            data = synth_gaussian(0, 20, 50, 20, highs["spread"], highs["within_std"], offset)
+            assert np.all(np.isfinite(data.features))
+    for name, high in highs.items():
+        above = np.nextafter(high, np.inf)
+        with pytest.raises(ConfigError, match=f"^{name} must be finite and within"):
+            synth_gaussian(0, 3, 5, 3, **{name: above})
+    with pytest.raises(ConfigError, match="^offset must be finite and within"):
+        synth_gaussian(0, 3, 5, 3, offset=-np.nextafter(top, np.inf))
 
 
 def test_split_classes_sizes_and_disjointness():

@@ -6,11 +6,10 @@ independent numpy oracles, and the one-node episode loss's adjoint.
 import numpy as np
 import pytest
 
-from fewshot.autodiff import ridge_residuals
 from fewshot.errors import ContractError, DegenerateSubspaceError, ShapeError
 from fewshot.heads import (HEADS, CosineHead, Hyper, ProtoHead,
-                           RegressionHead, cross_entropy_from_distances,
-                           make_head, ortho_penalty, predict_np)
+                           RegressionHead, cross_entropy, make_head,
+                           ortho_penalty, predict_np, ridge_residuals)
 from fewshot.verify import build_projector_np, softmax_neg_np
 from oracles import lstsq_distances, ortho_penalty_np
 
@@ -188,17 +187,12 @@ def test_tape_posterior_matches_numpy():
     e = rng.standard_normal((6, 1))
     dist, _ = ridge_residuals(np.hstack(s_vals), e, 4, 1e-3)
     on_tape = np.array([
-        np.exp(-cross_entropy_from_distances(dist, np.array([c]), 4)[0].item())
+        np.exp(-cross_entropy(dist, np.array([c]))[0].item())
         for c in range(1, 5)
     ])
     oracle = np.vstack([lstsq_distances(s, e, 1e-3) for s in s_vals])
     assert np.allclose(on_tape, softmax_neg_np(oracle)[:, 0], atol=1e-12)
     assert on_tape.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_posterior_needs_two_classes():
-    with pytest.raises(ContractError):
-        cross_entropy_from_distances(np.ones((1, 1)), np.array([1]), 1)
 
 
 # -- orthogonalization penalty ---------------------------------------------------
@@ -241,13 +235,11 @@ def test_penalty_is_invariant_to_support_scaling():
     assert penalty(s_vals) == pytest.approx(penalty(scaled), rel=1e-12)
 
 
-def test_penalty_rejects_degenerate_and_lonely_subspaces():
+def test_penalty_rejects_a_degenerate_subspace():
     good = np.eye(2)
     zero = np.zeros((2, 2))
     with pytest.raises(DegenerateSubspaceError, match="class 2"):
         penalty([good, zero, good])
-    with pytest.raises(ContractError):
-        penalty([good])
 
 
 # -- episode loss ----------------------------------------------------------------
@@ -255,26 +247,24 @@ def test_penalty_rejects_degenerate_and_lonely_subspaces():
 
 def test_uninformative_distances_cost_log_n():
     labels = np.array([1, 2, 1, 2])
-    loss, _ = cross_entropy_from_distances(np.full((2, 4), 3.0), labels, 2)
+    loss, _ = cross_entropy(np.full((2, 4), 3.0), labels)
     assert loss.item() == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_confident_correct_distances_cost_little():
     labels = np.array([1, 2])
-    loss, _ = cross_entropy_from_distances(np.array([[0.0, 10.0], [10.0, 0.0]]), labels, 2)
+    loss, _ = cross_entropy(np.array([[0.0, 10.0], [10.0, 0.0]]), labels)
     assert loss.item() == pytest.approx(np.log(1.0 + np.exp(-10.0)), abs=1e-12)
 
 
 def test_cross_entropy_label_contracts():
     dist = np.zeros((3, 4))
     with pytest.raises(ContractError):
-        cross_entropy_from_distances(dist, np.array([0, 1, 2, 3]), 3)
+        cross_entropy(dist, np.array([0, 1, 2, 3]))
     with pytest.raises(ContractError):
-        cross_entropy_from_distances(dist, np.array([1, 2, 3, 4]), 3)
+        cross_entropy(dist, np.array([1, 2, 3, 4]))
     with pytest.raises(ShapeError):
-        cross_entropy_from_distances(dist, np.array([1, 2, 3]), 3)
-    with pytest.raises(ShapeError):
-        cross_entropy_from_distances(dist, np.array([1, 2, 3, 1]), 4)
+        cross_entropy(dist, np.array([1, 2, 3]))
 
 
 def test_episode_loss_adds_exactly_the_weighted_penalty():
@@ -341,7 +331,7 @@ def test_the_loss_node_differentiates_the_whole_episode_loss(lambda2):
 
         d, dist_back = head.distance_rows(support, query, hyper)
         assert np.array_equal(d, dist)
-        _, ce_back = cross_entropy_from_distances(d, labels, 3)
+        _, ce_back = cross_entropy(d, labels)
         support_grad, query_grad = dist_back(ce_back(np.ones((1, 1))))
         if head.name == "regression" and lambda2 > 0.0:
             _, penalty_back = ortho_penalty(support, 3)
