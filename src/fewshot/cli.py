@@ -28,7 +28,7 @@ from .encoder import ACTIVATIONS, load_encoder, save_encoder
 from .episodes import check_synth, load_csv, split_classes, synth_gaussian
 from .errors import (CheckpointError, ConfigError, DatasetFormatError,
                      FewshotError, NumericalError)
-from .heads import HEADS, make_head
+from .heads import HEADS, Hyper, make_head
 from .linalg import named_stream
 from .train import OPTIMIZERS, TrainConfig, fit, history_lines
 
@@ -52,28 +52,28 @@ class RunConfig:
     dataset: str = "synth"
     target_dataset: str = ""      # shift: domain B (defaults to a translated copy)
     offset: float = 0.5           # shift: center translation for the synthetic copy
-    n: int = 5
-    k: int = 5
-    q: int = 16
-    episodes: int = 2000
+    n: int = Hyper.n_way
+    k: int = Hyper.k_shot
+    q: int = Hyper.q_queries
+    episodes: int = TrainConfig.episodes
     eval_episodes: int = 600
-    lr: float = 1e-3
-    lambda1: float = 1e-3
-    lambda2: float | None = None  # None: resolved by shot count
+    lr: float = TrainConfig.lr
+    lambda1: float = Hyper.lambda1
+    lambda2: float | None = Hyper.lambda2  # None: resolved by shot count
     lambda2_values: str = "0,0.01"
     head: str = "regression"
-    seed: int = 0
+    seed: int = TrainConfig.seed
     out: str = ""
     checkpoint: str = ""
-    batch_tasks: int = 1
-    val_interval: int = 250
-    val_episodes: int = 100
-    optimizer: str = "adam"
-    embed_dim: int = 16
-    hidden_dim: int = 64
-    depth: int = 2
-    activation: str = "relu"
-    final_activation: str = "none"
+    batch_tasks: int = TrainConfig.batch_tasks
+    val_interval: int = TrainConfig.val_interval
+    val_episodes: int = TrainConfig.val_episodes
+    optimizer: str = TrainConfig.optimizer
+    embed_dim: int = TrainConfig.embed_dim
+    hidden_dim: int = TrainConfig.hidden_dim
+    depth: int = TrainConfig.depth
+    activation: str = TrainConfig.activation
+    final_activation: str = TrainConfig.final_activation
     synth_classes: int = 30
     per_class: int = 50
     dim: int = 32
@@ -140,23 +140,27 @@ def parse_config_file(path: str) -> dict:
     """A config file's values by key.  A ``#`` starts a comment only at the
     start of a line or after whitespace, so a value such as ``runs/b#1``
     keeps its ``#``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw_lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {lineno} is not 'key = value'")
-            key, _, text = line.partition("=")
-            key, text = key.strip().replace("-", "_"), text.strip()
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
-            try:
-                values[key] = _parse_value(key, text)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}: line {lineno}: bad value {text!r} for {key!r}") from None
+    for lineno, raw in enumerate(raw_lines, start=1):
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: line {lineno} is not 'key = value'")
+        key, _, text = line.partition("=")
+        key, text = key.strip().replace("-", "_"), text.strip()
+        if key not in _FIELD_TYPES:
+            raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = _parse_value(key, text)
+        except ValueError:
+            raise ConfigError(
+                f"{path}: line {lineno}: bad value {text!r} for {key!r}") from None
     return values
 
 

@@ -220,8 +220,11 @@ def save_encoder(params: EncoderParams, path) -> None:
 
 
 def load_encoder(path) -> EncoderParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: not UTF-8 text ({exc.reason})") from None
     pos = 0
 
     def next_line() -> str:
@@ -273,9 +276,9 @@ def load_encoder(path) -> EncoderParams:
             _validate_spec(spec)
         except ConfigError as exc:
             raise CheckpointError(f"{path}: {exc}") from None
-        weight = np.empty((n_out, n_in))
-        for r in range(n_out):
-            weight[r] = parse_floats(next_line(), n_in, f"layer {li} weight row {r}")
+        # the rows as they parse: a header's sizes allocate nothing
+        weight = np.array([parse_floats(next_line(), n_in, f"layer {li} weight row {r}")
+                           for r in range(n_out)])
         bias = parse_floats(next_line(), n_out, f"layer {li} bias")
         layers.append(Layer(weight, bias, head[3]))
     if any(line.strip() for line in lines[pos:]):

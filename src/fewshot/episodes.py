@@ -234,8 +234,11 @@ def split_classes(dataset: Dataset, fractions, seed) -> tuple[Dataset, Dataset, 
 
 
 def load_csv(path) -> Dataset:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not any(ln.strip() for ln in lines):
         raise DatasetFormatError(f"{path}: file is empty")
     first = lines[0].split(",")

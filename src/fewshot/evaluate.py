@@ -85,7 +85,7 @@ def _assert_no_class_leakage(train_set: Dataset | None, test_set: Dataset) -> No
 
 
 def eval_hyper(n_way: int, k_shot: int, q_queries: int, eval_episodes: int,
-               lambda1: float = 1e-3) -> Hyper:
+               lambda1: float = Hyper.lambda1) -> Hyper:
     """An evaluation's ``Hyper``, after refusing too few episodes for a CI."""
     if eval_episodes < 2:
         raise ContractError(
@@ -95,7 +95,7 @@ def eval_hyper(n_way: int, k_shot: int, q_queries: int, eval_episodes: int,
 
 def evaluate(params: EncoderParams, head, test_set: Dataset, n_way: int,
              k_shot: int, q_queries: int, episodes: int, seed: int,
-             lambda1: float = 1e-3, train_domain: str | None = None,
+             lambda1: float = Hyper.lambda1, train_domain: str | None = None,
              train_set: Dataset | None = None) -> EvalReport:
     """Accuracy over freshly sampled test episodes with a 95% CI."""
     hyper = eval_hyper(n_way, k_shot, q_queries, episodes, lambda1)

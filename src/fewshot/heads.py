@@ -56,23 +56,30 @@ from .errors import ContractError, DegenerateSubspaceError, NumericalError, Shap
 
 @dataclass
 class Hyper:
-    """Episode-shape counts and the two loss hyperparameters, checked when
-    built: a message starts with the field and gives the value, as in
-    "k_shot must be >= 1, got 0" or "lambda2 must be finite and nonnegative"."""
+    """Episode-shape counts and the two loss weights, which ``train.TrainConfig``
+    inherits, checked when built: a message starts with the field and gives
+    the value, as in "k_shot must be >= 1, got 0".  ``lambda2 = None`` is the
+    auto rule of ``resolved_lambda2``: 1e-3 for 1-shot, 1e-2 otherwise."""
 
     n_way: int = 5
     k_shot: int = 5
     q_queries: int = 16
     lambda1: float = 1e-3
-    lambda2: float = 1e-2
+    lambda2: float | None = None
 
     def __post_init__(self):
         for name, floor in (("n_way", 2), ("k_shot", 1), ("q_queries", 1)):
             if getattr(self, name) < floor:
                 raise ContractError(f"{name} must be >= {floor}, got {getattr(self, name)}")
-        for name, value in (("lambda1", self.lambda1), ("lambda2", self.lambda2)):
+        for name, value in (("lambda1", self.lambda1), ("lambda2", self.resolved_lambda2)):
             if not (math.isfinite(value) and value >= 0.0):
                 raise ContractError(f"{name} must be finite and nonnegative, got {value}")
+
+    @property
+    def resolved_lambda2(self) -> float:
+        if self.lambda2 is not None:
+            return self.lambda2
+        return 1e-3 if self.k_shot == 1 else 1e-2
 
 
 _FLOAT_MAX = np.finfo(np.float64).max
@@ -368,7 +375,7 @@ class RegressionHead:
 
     def episode_loss(self, embedded: np.ndarray, labels, hyper: Hyper):
         """The shared cross-entropy loss plus the weighted penalty."""
-        return episode_loss(self, embedded, labels, hyper, hyper.lambda2)
+        return episode_loss(self, embedded, labels, hyper, hyper.resolved_lambda2)
 
 
 class ProtoHead:

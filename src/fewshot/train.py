@@ -40,19 +40,14 @@ OPTIMIZERS = ("adam", "sgd")
 
 
 @dataclass
-class TrainConfig:
-    """The training knobs, checked when built: a message starts with the
-    field and gives the value ("episodes must be >= 1, got 0"), here, in
-    ``Hyper`` or in ``encoder.default_layer_spec`` (the encoder shape)."""
+class TrainConfig(Hyper):
+    """``Hyper``'s episode shape and loss weights, then the run's knobs; each
+    is checked when built, the encoder shape by ``encoder.default_layer_spec``,
+    with a message that starts with the field and gives the value."""
 
-    n_way: int = 5
-    k_shot: int = 5
-    q_queries: int = 16
     batch_tasks: int = 1
     episodes: int = 2000
     lr: float = 1e-3
-    lambda1: float = 1e-3
-    lambda2: float | None = None     # None: 1e-3 for 1-shot, 1e-2 otherwise
     val_interval: int = 250
     val_episodes: int = 100
     seed: int = 0
@@ -71,18 +66,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        self.layer_spec(1)   # the encoder shape, episode shape and loss weights
-        self.hyper()         # fail here, not mid-run
-
-    @property
-    def resolved_lambda2(self) -> float:
-        if self.lambda2 is not None:
-            return self.lambda2
-        return 1e-3 if self.k_shot == 1 else 1e-2
-
-    def hyper(self) -> Hyper:
-        return Hyper(self.n_way, self.k_shot, self.q_queries,
-                     self.lambda1, self.resolved_lambda2)
+        self.layer_spec(1)
+        super().__post_init__()
 
     def layer_spec(self, input_dim: int) -> list[tuple[int, int, str]]:
         return encoder.default_layer_spec(input_dim, self.embed_dim, self.hidden_dim,
@@ -229,7 +214,7 @@ def train_step(params: EncoderParams, batch: list[Episode], config: TrainConfig,
     if config.optimizer == "adam" and state is None:
         raise ContractError("adam needs an optimizer state: pass AdamState.for_params(params)")
     head = head if head is not None else RegressionHead()
-    grad, metrics = batch_gradient(params, batch, head, config.hyper(), episode_offset)
+    grad, metrics = batch_gradient(params, batch, head, config, episode_offset)
     if config.optimizer == "adam":
         new_params = adam_update(params, grad, state, config.lr)
     else:
@@ -244,8 +229,7 @@ def validate(params: EncoderParams, head, dataset: Dataset, config: TrainConfig,
     sampled = (sample_episode(dataset, config.n_way, config.k_shot,
                               config.q_queries, rng)
                for _ in range(config.val_episodes))
-    return float(np.mean(split_accuracies(params, head, dataset, sampled,
-                                          config.hyper())))
+    return float(np.mean(split_accuracies(params, head, dataset, sampled, config)))
 
 
 def fit(train_set: Dataset, val_set: Dataset | None, config: TrainConfig,

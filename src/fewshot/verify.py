@@ -241,21 +241,30 @@ def check_gradient_fidelity(seed: int = 0, trials: int = 20,
 # -- posterior contracts -----------------------------------------------------
 
 
+def _loss_posterior(d: np.ndarray) -> np.ndarray:
+    """The package's posterior of an N x 1 distance column, as N x 1: the
+    exp of minus ``heads.cross_entropy`` at each 1-based label."""
+    return np.array([[np.exp(-heads.cross_entropy(d, [c])[0].item())]
+                     for c in range(1, d.shape[0] + 1)])
+
+
 def check_posterior_contracts(seed: int = 0, trials: int = 100) -> CheckResult:
+    """The laws of ``_loss_posterior``; ``softmax_neg_np`` is the oracle of
+    its last comparison, over projector-route distances."""
     rng = linalg.rng_from_seed(seed)
     failures = []
     worst_sum = 0.0
     for _ in range(trials):
         n = int(rng.integers(2, 7))
         d = rng.uniform(0.0, 5.0, size=(n, 1))
-        p = softmax_neg_np(d)
+        p = _loss_posterior(d)
         worst_sum = max(worst_sum, abs(float(p.sum()) - 1.0))
         if int(np.argmax(p[:, 0])) != int(np.argmin(d[:, 0])):
             failures.append("argmax(posterior) != argmin(distance)")
-        uniform = softmax_neg_np(np.full((n, 1), float(d[0, 0])))
+        uniform = _loss_posterior(np.full((n, 1), float(d[0, 0])))
         if np.max(np.abs(uniform - 1.0 / n)) > 1e-12:
             failures.append("equal distances did not give a uniform posterior")
-    hand = softmax_neg_np(np.array([[0.0], [1.0], [2.0]]))[:, 0]
+    hand = _loss_posterior(np.array([[0.0], [1.0], [2.0]]))[:, 0]
     expected = np.array([0.66524, 0.24473, 0.09003])
     if np.max(np.abs(hand - expected)) > 1e-5:
         failures.append(f"softmax(0,-1,-2) = {hand} != {expected}")
@@ -268,10 +277,7 @@ def check_posterior_contracts(seed: int = 0, trials: int = 100) -> CheckResult:
     s_vals = [rng2.standard_normal((6, 2)) for _ in range(3)]
     e_val = rng2.standard_normal((6, 1))
     dist, _ = ridge_residuals(np.hstack(s_vals), e_val, 3, 1e-3)
-    post = np.array([
-        np.exp(-heads.cross_entropy(dist, np.array([c]))[0].item())
-        for c in (1, 2, 3)
-    ])
+    post = _loss_posterior(dist)[:, 0]
     projector_dist = np.array([
         [np.linalg.norm(e_val - build_projector_np(s, 1e-3) @ e_val)] for s in s_vals
     ])

@@ -10,7 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ from fewshot.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
                          parse_config_file)
 from fewshot.encoder import load_encoder, save_encoder
 from fewshot.episodes import save_csv, synth_gaussian
+from fewshot.train import TrainConfig
 
 
 def run(argv):
@@ -382,19 +383,40 @@ def test_singular_ridge_system_is_a_numerical_failure(tmp_path, capsys):
     assert "of class 1 at episode 0" in err
 
 
-@pytest.mark.parametrize("body", [
-    "layers 0\n",
-    "layers 2\nlayer 4 3 none\n" + "0 0 0 0\n" * 3 + "0 0 0\n"
-    "layer 2 2 none\n0 0\n0 0\n0 0\n",
-    "layers 1\nlayer 2 -1 none\n",
-    "layers 1\nlayer 4 2 none\n0 0 0 0\n0 0 0 0\n0 0\n"
-    "layer 2 2 none\n0 0\n0 0\n0 0\n",
-], ids=["no-layers", "unchained-dimensions", "negative-dimension", "undeclared-layer"])
-def test_malformed_checkpoint_exits_3_and_names_the_file(tmp_path, capsys, body):
+@pytest.mark.parametrize("body, named", [
+    ("layers 0\n", "layer count must be >= 1, got 0"),
+    ("layers 2\nlayer 4 3 none\n" + "0 0 0 0\n" * 3 + "0 0 0\n"
+     "layer 2 2 none\n0 0\n0 0\n0 0\n", "layer 0 emits 3 but layer 1 expects 2"),
+    ("layers 1\nlayer 2 -1 none\n", "layer 0 has non-positive dimensions (2, -1)"),
+    ("layers 1\nlayer 4 2 none\n0 0 0 0\n0 0 0 0\n0 0\n"
+     "layer 2 2 none\n0 0\n0 0\n0 0\n", "content after the 1 declared layers"),
+    # each header declares a 233 TiB weight, which numpy refuses to allocate
+    # without touching memory; the rows parse first and name the file's fault
+    ("layers 1\nlayer 32 1000000000000 relu\n" + "0 " * 32 + "\n", "truncated checkpoint"),
+    ("layers 1\nlayer 1000000000000 32 relu\n0\n",
+     "layer 0 weight row 0 has 1 values, expected 1000000000000"),
+], ids=["no-layers", "unchained-dimensions", "negative-dimension", "undeclared-layer",
+        "huge-n-out", "huge-n-in"])
+def test_malformed_checkpoint_exits_3_and_names_the_file(tmp_path, capsys, body, named):
     path = tmp_path / "enc.txt"
     path.write_text("fewshot-encoder v1\n" + body)
     assert run(["eval", *FAST_EVAL, "--checkpoint", str(path)]) == EXIT_IO
-    assert str(path) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert named in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["eval", *FAST_EVAL, "--checkpoint", "{path}"], EXIT_IO),
+    (["train", *FAST_TRAIN, "--dataset", "{path}", "--out", "{out}"], EXIT_IO),
+    (["check", "--config", "{path}"], EXIT_USAGE),
+], ids=["eval-checkpoint", "train-dataset", "check-config"])
+def test_a_file_that_is_not_utf8_exits_with_its_code_and_names_it(tmp_path, capsys,
+                                                                    argv, code):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xff" + b"label,f1\n")
+    assert run([a.format(path=path, out=tmp_path / "out") for a in argv]) == code
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
 
 
 @pytest.mark.parametrize("head, value", [("proto", "nan"), ("cosine", "inf"),
@@ -550,6 +572,8 @@ def test_run_config_defaults_are_the_documented_ones():
     tc = config.train_config()
     assert tc.n_way == 5 and tc.k_shot == 5 and tc.q_queries == 16
     assert tc.final_activation == "none"
+    # each training default is the owner's, so the two configs agree
+    assert asdict(tc) == asdict(TrainConfig())
 
 
 # The flag surface as it was when the flags were first generated from

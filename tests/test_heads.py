@@ -58,6 +58,21 @@ def test_hyper_validates_counts_and_weights():
             Hyper(lambda2=bad)
 
 
+def test_hyper_resolves_an_auto_lambda2_by_shot_count():
+    assert Hyper().lambda2 is None
+    assert Hyper(k_shot=1).resolved_lambda2 == 1e-3
+    assert Hyper(k_shot=5).resolved_lambda2 == 1e-2
+    assert Hyper(k_shot=1, lambda2=0.0).resolved_lambda2 == 0.0
+    # the regression head's loss weighs its penalty by the resolved value
+    rng = np.random.default_rng(0)
+    embedded = rng.standard_normal((4, 6))
+    labels = np.array([1, 2, 3])
+    auto, _, _ = RegressionHead().episode_loss(embedded, labels, Hyper(3, 1, 1))
+    given, _, _ = RegressionHead().episode_loss(embedded, labels, Hyper(3, 1, 1, lambda2=1e-3))
+    without, _, _ = RegressionHead().episode_loss(embedded, labels, Hyper(3, 1, 1, lambda2=0.0))
+    assert auto.item() == given.item() != without.item()
+
+
 # -- projector and distance ---------------------------------------------------
 
 

@@ -4,7 +4,8 @@ its gradient sum, divergence reporting, and determinism.
 """
 
 import gc
-from dataclasses import replace
+import inspect
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -83,10 +84,30 @@ def test_lambda2_defaults_depend_on_shot_count():
 
 
 def test_config_hyper_carries_the_resolved_weight():
-    hyper = TrainConfig(k_shot=1, embed_dim=4, lambda1=0.25).hyper()
-    assert hyper.lambda1 == 0.25
-    assert hyper.lambda2 == pytest.approx(1e-3)
-    assert (hyper.n_way, hyper.k_shot, hyper.q_queries) == (5, 1, 16)
+    # a config is the Hyper its heads read: Hyper declares the five shape
+    # and weight fields, first, and TrainConfig declares none of them
+    config = TrainConfig(k_shot=1, embed_dim=4, lambda1=0.25)
+    assert isinstance(config, Hyper)
+    assert config.lambda1 == 0.25
+    assert config.lambda2 is None and config.resolved_lambda2 == pytest.approx(1e-3)
+    assert (config.n_way, config.k_shot, config.q_queries) == (5, 1, 16)
+    shape_and_weights = [f.name for f in fields(Hyper)]
+    assert [f.name for f in fields(TrainConfig)][:5] == shape_and_weights
+    assert len(fields(TrainConfig)) == 17
+    assert not set(inspect.get_annotations(TrainConfig)) & set(shape_and_weights)
+
+
+def test_a_fit_builds_no_hyper_once_its_config_is_built(monkeypatch):
+    # a training step and a validation pass read the config as their Hyper
+    train_set, val_set, _ = small_splits()
+    config = small_config()
+    built = []
+    check = Hyper.__post_init__
+    monkeypatch.setattr(Hyper, "__post_init__",
+                        lambda self: built.append(type(self)) or check(self))
+    _, history = fit(train_set, val_set, config)
+    assert len(history) == 20 and "val_accuracy" in history[-1]
+    assert built == []
 
 
 # -- optimizers ------------------------------------------------------------------
@@ -176,18 +197,18 @@ def test_tape_loss_matches_numpy_reconstruction():
     episode = sample_episode(train_set, 3, 2, 3, named_stream(0, "train-sampling"))
 
     embedded, _ = encoder.forward(params.vector, params, episode.x)
-    loss, _, _ = RegressionHead().episode_loss(embedded, episode.query_y, config.hyper())
+    loss, _, _ = RegressionHead().episode_loss(embedded, episode.query_y, config)
 
     support = embed_np(params, episode.support_x)
     query = embed_np(params, episode.query_x)
     cols = [support[:, c * 2:(c + 1) * 2] for c in range(3)]
-    dist = RegressionHead().distances_np(support, query, config.hyper())
+    dist = RegressionHead().distances_np(support, query, config)
     neg = -dist
     m = neg.max(axis=0, keepdims=True)
     lse = m + np.log(np.sum(np.exp(neg - m), axis=0, keepdims=True))
     picked = dist[episode.query_y - 1, np.arange(9)]
     expected = float(np.mean(picked + lse[0, :]))
-    expected += config.hyper().lambda2 * ortho_penalty_np(cols)
+    expected += config.resolved_lambda2 * ortho_penalty_np(cols)
     assert loss.item() == pytest.approx(expected, rel=1e-10)
 
 
@@ -238,7 +259,7 @@ def test_a_batch_gradient_sums_the_episodes_last_first():
     # in reverse, (g3 + g2) + g1, as a reverse sweep over the episodes meets
     # them; the forward order (g1 + g2) + g3 rounds differently on some seed
     train_set, _, _ = small_splits()
-    hyper = small_config(lambda2=1e-2).hyper()
+    hyper = small_config(lambda2=1e-2)
     head = RegressionHead()
     forward_differs = []
     for seed in range(5):
@@ -332,7 +353,7 @@ def test_train_step_accuracy_is_episode_accuracy_before_the_update():
                               default_layer_spec(train_set.dim, 4, 8, 1))
         rng = named_stream(seed, "train-sampling")
         batch = [sample_episode(train_set, 3, 2, 3, rng) for _ in range(2)]
-        expected = np.mean([episode_accuracy_np(params, head, ep, config.hyper())
+        expected = np.mean([episode_accuracy_np(params, head, ep, config)
                             for ep in batch])
         _, metrics = train_step(params, batch, config, AdamState.for_params(params),
                                 head=head)
@@ -394,7 +415,7 @@ def test_degenerate_subspace_error_carries_the_global_episode_index():
 def test_validate_is_the_mean_of_the_per_episode_loop(head_name):
     _, val_set, _ = small_splits(within_std=0.8)
     head = heads.make_head(head_name)
-    chunk = chunk_episodes(small_config().hyper(), 4)
+    chunk = chunk_episodes(small_config(), 4)
     for count in (2, chunk + 1):
         config = small_config(val_episodes=count, lambda1=0.1)
         params = init_encoder(named_stream(6, "init"),
@@ -402,7 +423,7 @@ def test_validate_is_the_mean_of_the_per_episode_loop(head_name):
         got = validate(params, head, val_set, config, named_stream(6, "validation"))
         rng = named_stream(6, "validation")
         episodes = [sample_episode(val_set, 3, 2, 3, rng) for _ in range(count)]
-        oracle = per_episode_accuracies_np(params, head, episodes, config.hyper())
+        oracle = per_episode_accuracies_np(params, head, episodes, config)
         assert got == float(np.mean(oracle))
 
 

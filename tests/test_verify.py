@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fewshot import autodiff, train, verify
+from fewshot import autodiff, heads, train, verify
 from fewshot.errors import ShapeError
 
 
@@ -74,3 +74,19 @@ def test_gradient_suite_covers_every_head_and_a_three_episode_batch(monkeypatch)
     assert result.passed, result.line()
     assert seen == {(name, size) for name in ("regression", "proto", "cosine")
                     for size in (1, 3)}
+
+
+def test_posterior_suite_checks_the_package_posterior(monkeypatch):
+    # a cross-entropy off by 0.1 for more than three classes: the projector
+    # comparison scores three classes, so only the trials can see it
+    cross_entropy = heads.cross_entropy
+
+    def off_above_three(d, labels):
+        loss, back = cross_entropy(d, labels)
+        return (loss + 0.1 if d.shape[0] > 3 else loss), back
+
+    assert verify.check_posterior_contracts(0).passed
+    monkeypatch.setattr(heads, "cross_entropy", off_above_three)
+    result = verify.check_posterior_contracts(0)
+    assert not result.passed
+    assert "posterior sum off by" in result.detail
