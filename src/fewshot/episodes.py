@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -66,13 +67,31 @@ class Dataset:
         return [c for c in self.class_ids
                 if len(self.class_to_indices[c]) >= min_examples]
 
+    @classmethod
+    def _grouped(cls, name: str, features: np.ndarray, class_ids: list,
+                 sizes: list, split: str = "all") -> "Dataset":
+        """A dataset whose columns are grouped by class: distinct
+        ``class_ids`` in column order, ``sizes[i]`` consecutive columns each.
+        Its labels and class index equal what ``Dataset(name, features,
+        labels, split)`` builds, at a cost per class, not per column."""
+        data = cls.__new__(cls)
+        data.name, data.features, data.split = name, features, split
+        data.labels = list(chain.from_iterable([c] * n for c, n in zip(class_ids, sizes)))
+        runs = sorted(zip(class_ids, accumulate(sizes, initial=0), sizes),
+                      key=lambda run: str(run[0]))
+        data.class_to_indices = {c: np.arange(start, start + n, dtype=np.intp)
+                                 for c, start, n in runs}
+        return data
+
     def subset_by_classes(self, class_ids, split: str) -> "Dataset":
-        keep = np.concatenate([np.empty(0, np.intp)] + [
-            self.class_to_indices[c] for c in sorted(class_ids, key=str)])
-        return Dataset(self.name,
-                       np.ascontiguousarray(self.features[:, keep]),
-                       [self.labels[i] for i in keep.tolist()],
-                       split=split)
+        """The columns of ``class_ids`` (each taken once), as a new dataset
+        named ``split``."""
+        ids = sorted(dict.fromkeys(class_ids), key=str)
+        keep = np.concatenate([np.empty(0, np.intp)] +
+                              [self.class_to_indices[c] for c in ids])
+        return Dataset._grouped(self.name,
+                                np.ascontiguousarray(self.features[:, keep]), ids,
+                                [len(self.class_to_indices[c]) for c in ids], split)
 
 
 @dataclass
@@ -186,18 +205,22 @@ def synth_gaussian(seed, n_classes: int, per_class: int, dim: int,
     Centers are uniform in [-spread, spread]^dim, then shifted by
     ``offset`` in every coordinate (the domain-shift knob: the same seed
     with a different offset yields translated copies of the same classes).
+
+    The draw order is a contract, since a seed's features (and so the
+    episode fingerprints in ``perfbench/reference.json``) depend on it: the
+    D x n_classes centers row-major, then the noise class by class, each
+    class's D x per_class block row-major.  Class c owns the c-th block of
+    per_class columns.
     """
     check_synth(n_classes, per_class, dim, spread, within_std, offset)
     rng = seed if isinstance(seed, np.random.Generator) else linalg.rng_from_seed(seed)
     centers = rng.uniform(-spread, spread, size=(dim, n_classes)) + offset
-    features = np.empty((dim, n_classes * per_class))
-    labels = []
-    for c in range(n_classes):
-        start = c * per_class
-        noise = rng.standard_normal((dim, per_class)) * within_std
-        features[:, start : start + per_class] = centers[:, [c]] + noise
-        labels.extend([c + 1] * per_class)
-    return Dataset(name, features, labels)
+    blocks = rng.standard_normal((n_classes, dim, per_class))
+    blocks *= within_std
+    blocks += centers.T[:, :, None]
+    features = np.ascontiguousarray(blocks.transpose(1, 0, 2)).reshape(dim, -1)
+    return Dataset._grouped(name, features, list(range(1, n_classes + 1)),
+                            [per_class] * n_classes)
 
 
 def split_classes(dataset: Dataset, fractions, seed) -> tuple[Dataset, Dataset, Dataset]:
@@ -229,14 +252,17 @@ def split_classes(dataset: Dataset, fractions, seed) -> tuple[Dataset, Dataset, 
 # Format: one row per example, label,feat_1,...,feat_D, with an optional
 # header line.  Line 1 is a header exactly when one of its feature fields
 # does not parse as a float (``save_csv`` writes label,f1,...,fD).  Labels
-# may be integers or strings; features must be finite.  UTF-8, '\n' or
-# '\r\n' line endings, '.' decimal separator.
+# may be integers or strings, never blank; features must be finite.  UTF-8,
+# '\n' or '\r\n' line endings (only '\n' ends a row: ``str.splitlines``
+# would also break inside a field, at a form feed or '\u2028'), '.' decimal
+# separator.
 
 
 def load_csv(path) -> Dataset:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = fh.read().splitlines()
+            lines = [ln[:-1] if ln.endswith("\r") else ln
+                     for ln in fh.read().split("\n")]
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not any(ln.strip() for ln in lines):
@@ -256,6 +282,8 @@ def load_csv(path) -> Dataset:
             raise DatasetFormatError(
                 f"{path}: line {lineno} has {len(parts)} fields, expected {dim + 1}")
         raw_label = parts[0].strip()
+        if not raw_label:
+            raise DatasetFormatError(f"{path}: line {lineno} has a blank label")
         label = int(raw_label) if _is_int(raw_label) else raw_label
         feats = np.empty(dim)
         for j, tok in enumerate(parts[1:]):

@@ -3,7 +3,9 @@
 import numpy as np
 
 from fewshot.encoder import embed_np
+from fewshot.episodes import Dataset
 from fewshot.heads import predict_np
+from fewshot.linalg import rng_from_seed
 
 
 def lstsq_distances(s, queries, lambda1):
@@ -64,3 +66,20 @@ def episode_accuracy_np(params, head, episode, hyper):
 def per_episode_accuracies_np(params, head, episodes, hyper):
     """``episode_accuracy_np`` of each episode, in order."""
     return np.array([episode_accuracy_np(params, head, ep, hyper) for ep in episodes])
+
+
+def synth_gaussian_loop(seed, n_classes, per_class, dim, spread=1.0,
+                        within_std=1.0, offset=0.0, name="synth"):
+    """``episodes.synth_gaussian`` as a per-class draw loop whose labels go
+    through ``Dataset``'s own index build: the draw order it promises (the
+    centers, then class by class a D x per_class block of noise)."""
+    rng = seed if isinstance(seed, np.random.Generator) else rng_from_seed(seed)
+    centers = rng.uniform(-spread, spread, size=(dim, n_classes)) + offset
+    features = np.empty((dim, n_classes * per_class))
+    labels = []
+    for c in range(n_classes):
+        start = c * per_class
+        noise = rng.standard_normal((dim, per_class)) * within_std
+        features[:, start : start + per_class] = centers[:, [c]] + noise
+        labels.extend([c + 1] * per_class)
+    return Dataset(name, features, labels)

@@ -1,5 +1,6 @@
 """Dataset, episode sampling, synthetic generator, split, and CSV tests."""
 
+import re
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from fewshot.episodes import (Dataset, load_csv, sample_episode, save_csv,
                               split_classes, synth_gaussian)
 from fewshot.errors import ConfigError, DatasetFormatError, SamplingError
 from fewshot.linalg import named_stream
+from oracles import synth_gaussian_loop
 
 
 def tiny_dataset(per_class=6, n_classes=4, dim=3, seed=0):
@@ -16,6 +18,21 @@ def tiny_dataset(per_class=6, n_classes=4, dim=3, seed=0):
     features = rng.standard_normal((dim, per_class * n_classes))
     labels = [c + 1 for c in range(n_classes) for _ in range(per_class)]
     return Dataset("tiny", features, labels)
+
+
+def assert_same_dataset(got, want):
+    """Same features bytes, labels, split, and class index: keys in the same
+    order, each an equal ``intp`` array."""
+    assert (got.name, got.split) == (want.name, want.split)
+    assert got.features.dtype == np.float64 and got.features.flags.c_contiguous
+    assert got.features.shape == want.features.shape
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.labels == want.labels
+    assert [type(c) for c in got.labels] == [type(c) for c in want.labels]
+    assert list(got.class_to_indices) == list(want.class_to_indices)
+    for c, ix in want.class_to_indices.items():
+        assert got.class_to_indices[c].dtype == np.intp
+        assert np.array_equal(got.class_to_indices[c], ix)
 
 
 def test_dataset_builds_a_class_index():
@@ -52,6 +69,8 @@ def test_subset_by_classes_keeps_only_those_classes():
     assert sub.n_examples == 12
     assert sub.split == "train"
     assert np.array_equal(sub.features[:, :6], data.features[:, 6:12])
+    # a class named twice is taken once
+    assert_same_dataset(data.subset_by_classes([4, 2, 4], "train"), sub)
 
 
 def test_sample_episode_shapes_and_grouped_labels():
@@ -135,6 +154,22 @@ def test_synth_gaussian_layout_and_determinism():
     assert not np.array_equal(data.features, other.features)
 
 
+@pytest.mark.parametrize("seed, args", [
+    (3, dict(n_classes=6, per_class=10, dim=4, spread=2.0, within_std=0.5)),
+    (5, dict(n_classes=2, per_class=1, dim=3)),
+    (7, dict(n_classes=4, per_class=3, dim=2, within_std=0.0)),
+    (11, dict(n_classes=12, per_class=4, dim=5, within_std=0.3, offset=-0.75)),
+    ("stream", dict(n_classes=30, per_class=50, dim=32, within_std=0.3)),
+], ids=["six-classes", "one-per-class", "no-noise", "offset", "generator"])
+def test_synth_gaussian_matches_the_per_class_draw_loop(seed, args):
+    # one noise draw for every class gives the loop's features bit for bit,
+    # and the class index derived from the blocks is the one built from labels
+    def fresh():
+        return named_stream(0, "dataset") if seed == "stream" else seed
+
+    assert_same_dataset(synth_gaussian(fresh(), **args), synth_gaussian_loop(fresh(), **args))
+
+
 def test_synth_gaussian_offset_translates_every_feature():
     a = synth_gaussian(11, 4, 5, 3, 1.0, 0.3, offset=0.0)
     b = synth_gaussian(11, 4, 5, 3, 1.0, 0.3, offset=0.75, name="shifted")
@@ -196,6 +231,21 @@ def test_split_classes_sizes_and_disjointness():
     assert sorted(all_ids, key=str) == data.class_ids
     assert not set(train.class_ids) & set(test.class_ids)
     assert not set(train.class_ids) & set(val.class_ids)
+
+
+def test_every_split_equals_the_dataset_built_from_its_labels(tmp_path):
+    # the splits derive their labels and index from the class blocks; the
+    # per-label build of Dataset(name, features, labels, split) is the reference
+    path = tmp_path / "mixed.csv"
+    ids = [2, 10, "a", "b", 1, 30]
+    path.write_text("".join(f"{ids[i % 6]},{i}.5,{-i}.25\n" for i in range(36)))
+    for data, fractions in ((synth_gaussian(5, 30, 3, 2), (2 / 3, 1 / 6, 1 / 6)),
+                            (synth_gaussian(6, 12, 2, 3, offset=1.5), (0.5, 0.25, 0.25)),
+                            (load_csv(path), (1 / 3, 1 / 3, 1 / 3))):
+        for seed in (0, 17):
+            for s in split_classes(data, fractions, seed):
+                assert s.n_examples > 0
+                assert_same_dataset(s, Dataset(s.name, s.features, s.labels, s.split))
 
 
 def test_split_classes_is_deterministic_and_seed_sensitive():
@@ -294,6 +344,44 @@ def test_csv_errors_name_the_line(tmp_path):
     no_features.write_text("label\n1\n")
     with pytest.raises(DatasetFormatError):
         load_csv(no_features)
+
+
+@pytest.mark.parametrize("char", ["\x0c", "\x1c", "\x85", "\u2028"],
+                         ids=["form-feed", "file-separator", "next-line", "line-separator"])
+def test_csv_rows_end_only_at_a_newline(tmp_path, char):
+    # str.splitlines would also break at these, cutting every row in two
+    path = tmp_path / "data.csv"
+    path.write_text("".join(f"{'abc'[i % 3]}{char},{i}.5,0.25\n" for i in range(9)),
+                    encoding="utf-8")
+    data = load_csv(path)
+    assert (data.dim, data.n_examples) == (2, 9)
+    assert data.class_ids == ["a", "b", "c"]
+    assert data.features[0].tolist() == [i + 0.5 for i in range(9)]
+
+
+def test_csv_reads_a_feature_holding_a_form_feed_and_crlf_endings(tmp_path):
+    # float() takes "0.1\x0c", so each row is one label and two features
+    rows = [f"{'cd'[i % 2]},0.1\x0c,{i}.5" for i in range(9)]
+    ff = tmp_path / "ff.csv"
+    ff.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    data = load_csv(ff)
+    assert (data.dim, data.n_examples, data.class_ids) == (2, 9, ["c", "d"])
+    assert data.features[1].tolist() == [i + 0.5 for i in range(9)]
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    text = "label,f1,f2\ncat,1.0,2.0\n\ndog,-1.0,0.5\n"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    for got in (load_csv(crlf), load_csv(lf)):
+        assert got.labels == ["cat", "dog"]
+        assert got.features.tolist() == [[1.0, -1.0], [2.0, 0.5]]
+
+
+def test_csv_refuses_a_blank_label_naming_its_line(tmp_path):
+    for i, row in enumerate((",0.5,0.3", "  ,0.5,0.3", "\t,1,2")):
+        path = tmp_path / f"blank{i}.csv"
+        path.write_text(f"label,f1,f2\n1,0.5,0.5\n{row}\n")
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(path))}: line 3 has a blank label$"):
+            load_csv(path)
 
 
 def test_episode_fingerprint_tracks_content():
