@@ -7,8 +7,9 @@ mirror the flag names. Exit codes: 0 success, 1 verification failure,
 ``NumericalError``, which names its episode).
 
 Each command takes as flags only the fields it reads; a config file may
-set any field. Only the regression head's loss reads lambda2: ``train`` and
-``shift`` refuse a non-zero one for another head; ``ablate`` takes no ``--head``.
+set any field. Only the regression head's loss reads lambda1 and lambda2:
+``train`` and ``shift`` refuse a non-zero lambda2 for another head, and they
+and ``eval`` a non-default lambda1; ``ablate`` takes no ``--head``.
 A value out of range is refused by the library object that reads it, which
 a command builds before it reads any data; ``main`` names the flag.
 """
@@ -82,12 +83,20 @@ class RunConfig:
     val_fraction: float = 1.0 / 6.0
     test_fraction: float = 1.0 / 6.0
 
+    def check_lambda1(self) -> None:
+        """Only the regression head reads lambda1: refuse another value for another head."""
+        if self.head != "regression" and self.lambda1 != Hyper.lambda1:
+            raise ConfigError(f"the {self.head} head does not read lambda1, so lambda1 "
+                              f"{self.lambda1:g} would change nothing it computes; leave "
+                              f"it at {Hyper.lambda1:g}, or use the regression head")
+
     def train_config(self) -> TrainConfig:
-        """The training knobs; only the regression head's loss reads lambda2."""
+        """The training knobs; only the regression head's loss reads lambda1 and lambda2."""
         if self.head != "regression" and self.lambda2:
             raise ConfigError(f"the {self.head} head's loss does not read lambda2, so "
                               f"lambda2 {self.lambda2:g} would train the lambda2 = 0 "
                               "model; pass 0 or auto, or use the regression head")
+        self.check_lambda1()
         return TrainConfig(**{f.name: getattr(self, _FIELD_OF.get(f.name, f.name))
                               for f in fields(TrainConfig)})
 
@@ -262,6 +271,7 @@ def _publish(config: RunConfig, shown: str, reports, log_name: str) -> int:
 def cmd_eval(config: RunConfig) -> int:
     if not config.checkpoint:
         raise ConfigError("eval requires --checkpoint (encoder file from train)")
+    config.check_lambda1()
     params = load_encoder(config.checkpoint)
     train_set, _, test_set = _load_domain(config)
     head = make_head(config.head)
@@ -275,7 +285,7 @@ def cmd_eval(config: RunConfig) -> int:
 
 def cmd_ablate(config: RunConfig) -> int:
     # each model is a regression head whose lambda2, checked by its TrainConfig, is a value
-    train_config = replace(config, lambda2=None).train_config()
+    train_config = replace(config, head="regression", lambda2=None).train_config()
     try:
         values = [replace(train_config, lambda2=float(v)).lambda2
                   for v in config.lambda2_values.split(",") if v.strip()]

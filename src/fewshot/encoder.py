@@ -6,14 +6,16 @@ out W0, b0, W1, b1, ... (each row-major); every layer's ``weight`` and
 ``EncoderParams`` packs it and ``with_vector`` re-views it, so
 ``train``'s optimizers are vector ops.
 
-For training, ``forward`` runs the layer chain on ``params.vector`` and
-returns the embedding with its ``back``, which writes every layer's
-gradient into the views of one new vector, so the gradient is laid out
-as ``params.vector`` when it is made.  The train step reads both its loss
-and its accuracy from that one embedding.  Validation and test
-evaluation embed each split once with ``embed_np``.  A layer's math,
-``act(W x + b)``, exists once, as ``dense_np``: ``forward`` and
-``embed_np`` both run that function, so the two routes agree exactly.
+The layer chain exists once, as ``_chain``: it coerces the D x B batch
+and returns every layer's output, ``act(W h + b)`` on the one below.
+``forward`` runs it on ``params.vector`` and returns the embedding with a
+``back`` over those outputs, which writes every layer's gradient into the
+views of one new vector, so the gradient is laid out as ``params.vector``
+when it is made.  The train step reads both its loss and its accuracy
+from that one embedding.  Validation and test evaluation embed each split
+once with ``embed_np``, the chain's last output, so the two routes agree
+exactly.  A sampled episode's ``x`` is C-contiguous float64, so the chain
+reads it as it is, without a copy.
 """
 
 from __future__ import annotations
@@ -129,26 +131,26 @@ def init_encoder(seed, spec) -> EncoderParams:
     return EncoderParams(layers)
 
 
-def dense_np(w: np.ndarray, b: np.ndarray, x: np.ndarray, activation: str) -> np.ndarray:
-    """act(W x + b), b an out x 1 column; act is "tanh", "relu" or "none"."""
-    h = w @ x
-    h += b
-    if activation == "tanh":
-        np.tanh(h, out=h)
-    elif activation == "relu":
-        np.maximum(h, 0.0, out=h)
-    elif activation != "none":
-        raise ContractError(f"unknown activation {activation!r}")
-    return h
-
-
-def _input(params: EncoderParams, batch) -> np.ndarray:
-    """``batch`` as a D x B matrix, D the encoder's input dimension."""
-    x = linalg.as_matrix(batch)
-    if x.shape[0] != params.input_dim:
-        raise ShapeError(
-            f"batch has {x.shape[0]} rows, encoder expects {params.input_dim}")
-    return x
+def _chain(layers: list[Layer], batch) -> list[np.ndarray]:
+    """``batch`` as a D x B matrix (``linalg.as_matrix``: a C-ordered
+    float64 matrix is passed as itself, not copied), then each layer's
+    ``act(W h + b)`` on the output below it; act is "tanh", "relu" or
+    "none"."""
+    outs = [linalg.as_matrix(batch)]
+    if outs[0].shape[0] != layers[0].weight.shape[1]:
+        raise ShapeError(f"batch has {outs[0].shape[0]} rows, encoder expects "
+                         f"{layers[0].weight.shape[1]}")
+    for layer in layers:
+        h = layer.weight @ outs[-1]
+        h += layer.bias
+        if layer.activation == "tanh":
+            np.tanh(h, out=h)
+        elif layer.activation == "relu":
+            np.maximum(h, 0.0, out=h)
+        elif layer.activation != "none":
+            raise ContractError(f"unknown activation {layer.activation!r}")
+        outs.append(h)
+    return outs
 
 
 def forward(vector: np.ndarray, params: EncoderParams, x):
@@ -163,9 +165,7 @@ def forward(vector: np.ndarray, params: EncoderParams, x):
     layer below.  The relu gradient at exactly 0 is 0.
     """
     layers = params.with_vector(vector).layers
-    outs = [_input(params, x)]
-    for layer in layers:
-        outs.append(dense_np(layer.weight, layer.bias, outs[-1], layer.activation))
+    outs = _chain(layers, x)
 
     def back(g):
         grad = np.empty(vector.shape)
@@ -188,10 +188,7 @@ def forward(vector: np.ndarray, params: EncoderParams, x):
 def embed_np(params: EncoderParams, batch) -> np.ndarray:
     """``forward``'s embedding alone.  Validation and evaluation embed a
     whole split with one call."""
-    h = _input(params, batch)
-    for layer in params.layers:
-        h = dense_np(layer.weight, layer.bias, h, layer.activation)
-    return h
+    return _chain(params.layers, batch)[-1]
 
 
 # -- checkpoint serialization ------------------------------------------------

@@ -145,8 +145,9 @@ def sample_episode(dataset: Dataset, n_way: int, k_shot: int, q_queries: int,
     without replacement. Deterministic given the rng state.
 
     The first K draws of a class are its support, the rest its queries.
-    The features are gathered with one index of the split's columns into
-    the episode's ``x``.
+    The features are gathered with one ``take`` of the split's columns
+    into the episode's ``x``, which is C-contiguous, so the encoder reads
+    it without a copy (``features[:, columns]`` would be Fortran-ordered).
     """
     need = k_shot + q_queries
     eligible = check_sampleable(dataset, n_way, need)
@@ -164,7 +165,7 @@ def sample_episode(dataset: Dataset, n_way: int, k_shot: int, q_queries: int,
         support_cols[row] = chosen[:k_shot]
         query_cols[row] = chosen[k_shot:]
     labels = np.arange(1, n_way + 1, dtype=np.int64)
-    return Episode(n_way, k_shot, q_queries, dataset.features[:, columns],
+    return Episode(n_way, k_shot, q_queries, dataset.features.take(columns, axis=1),
                    labels.repeat(k_shot), labels.repeat(q_queries),
                    relabel, columns)
 
@@ -254,8 +255,9 @@ def split_classes(dataset: Dataset, fractions, seed) -> tuple[Dataset, Dataset, 
 # does not parse as a float (``save_csv`` writes label,f1,...,fD).  Labels
 # may be integers or strings, never blank; features must be finite.  UTF-8,
 # '\n' or '\r\n' line endings (only '\n' ends a row: ``str.splitlines``
-# would also break inside a field, at a form feed or '\u2028'), '.' decimal
-# separator.
+# would also break inside a field, at a form feed or '\u2028'; a '\r' left
+# inside a line, as in a file with lone '\r' endings, is refused), '.'
+# decimal separator.
 
 
 def load_csv(path) -> Dataset:
@@ -265,6 +267,10 @@ def load_csv(path) -> Dataset:
                      for ln in fh.read().split("\n")]
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, line in enumerate(lines, start=1):
+        if "\r" in line:
+            raise DatasetFormatError(f"{path}: line {lineno} holds a '\\r' before its end; "
+                                     "lines must end with '\\n' or '\\r\\n'")
     if not any(ln.strip() for ln in lines):
         raise DatasetFormatError(f"{path}: file is empty")
     first = lines[0].split(",")

@@ -110,13 +110,18 @@ def summed(params, episodes):
     return kernel
 
 
-def pre_activations(params, x):
-    """Every layer's W h + b on the input x."""
-    pres = []
+NUMPY_ACTIVATIONS = {"tanh": np.tanh, "relu": lambda a: np.maximum(a, 0.0),
+                     "none": lambda a: a}
+
+
+def numpy_chain(params, x):
+    """Every layer's pre-activation W h + b and output act(W h + b) on the
+    input x, written with numpy alone: the encoder's layer chain's oracle."""
+    pres, outs = [], [x]
     for layer in params.layers:
-        pres.append(layer.weight @ x + layer.bias)
-        x = encoder.dense_np(layer.weight, layer.bias, x, layer.activation)
-    return pres
+        pres.append(layer.weight @ outs[-1] + layer.bias)
+        outs.append(NUMPY_ACTIVATIONS[layer.activation](pres[-1]))
+    return pres, outs
 
 
 # The three heads' distance kernels, each (support, query, n) -> (d, back).
@@ -139,15 +144,17 @@ def test_ridge_gradients_when_only_lambda1_makes_the_gram_definite():
 
 
 def test_encoder_gradients_for_every_activation_and_depth():
-    # the encoder, every layer act(W x + b), against differences in its
-    # parameter vector, for every activation at depth 0 and depth 2;
-    # relu pre-activations are kept away from the kink so the stencil
-    # never straddles it
+    # the encoder, every layer act(W h + b), against the numpy chain and
+    # against differences in its parameter vector, for every activation at
+    # depth 0 and depth 2; relu pre-activations are kept away from the kink
+    # so the stencil never straddles it
     for seed in range(5):
         for depth in (0, 2):
             for act in ACTIVATIONS:
                 params, vector, x = encoder_case(seed + 30, depth, act)
-                assert min(np.min(np.abs(p)) for p in pre_activations(params, x)) > 1e-3
+                pres, outs = numpy_chain(params, x)
+                assert min(np.min(np.abs(p)) for p in pres) > 1e-3
+                assert np.array_equal(encoder.forward(vector, params, x)[0], outs[-1])
                 check_kernel(lambda v: encoder.forward(v, params, x), [vector])
 
 
@@ -165,21 +172,28 @@ def test_a_batch_of_episodes_sums_into_one_gradient():
 
 
 def test_dense_value_is_the_shared_layer_function():
-    # forward's value is dense_np applied layer by layer, as embed_np does
-    for act in ACTIVATIONS:
-        params, vector, x = encoder_case(36, 2, act)
-        out, _ = encoder.forward(vector, params, x)
-        h = x
-        for layer in params.layers:
-            h = encoder.dense_np(layer.weight, layer.bias, h, act)
-        assert np.array_equal(out, h)
-    w, b, x = mats(36, (3, 4), (3, 1), (4, 5))
-    pre = w @ x + b
-    assert np.array_equal(encoder.dense_np(w, b, x, "relu"), np.maximum(pre, 0.0))
-    assert np.array_equal(encoder.dense_np(w, b, x, "tanh"), np.tanh(pre))
-    assert np.array_equal(encoder.dense_np(w, b, x, "none"), pre)
-    with pytest.raises(ContractError):
-        encoder.dense_np(w, b, x, "sigmoid")
+    # forward's value and embed_np's are one layer chain: each equals the
+    # numpy chain exactly, for every hidden and final activation at depths
+    # 0, 1 and 2; an unknown activation at any layer raises ContractError
+    # through both
+    for depth in (0, 1, 2):
+        for act in ACTIVATIONS:
+            for final in ACTIVATIONS:
+                params = init_encoder(36, default_layer_spec(4, 2, 3, depth, act, final))
+                params.vector[:] = np.random.default_rng(depth).standard_normal(
+                    params.vector.size)
+                (x,) = mats(36, (4, 5))
+                expected = numpy_chain(params, x)[1][-1]
+                assert np.array_equal(encoder.forward(params.vector, params, x)[0], expected)
+                assert np.array_equal(encoder.embed_np(params, x), expected)
+    for depth in (0, 2):
+        for bad in range(depth + 1):
+            params, vector, x = encoder_case(36, depth, "tanh")
+            params.layers[bad].activation = "sigmoid"
+            with pytest.raises(ContractError, match="unknown activation 'sigmoid'"):
+                encoder.forward(vector, params, x)
+            with pytest.raises(ContractError, match="unknown activation 'sigmoid'"):
+                encoder.embed_np(params, x)
 
 
 def test_distance_gradients_of_an_episode_cut_into_support_and_queries():

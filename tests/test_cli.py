@@ -20,7 +20,7 @@ from fewshot import cli
 from fewshot.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
                          EXIT_USAGE, RunConfig, build_run_config, main,
                          parse_config_file)
-from fewshot.encoder import load_encoder, save_encoder
+from fewshot.encoder import default_layer_spec, init_encoder, load_encoder, save_encoder
 from fewshot.episodes import save_csv, synth_gaussian
 from fewshot.train import TrainConfig
 
@@ -296,6 +296,10 @@ def test_malformed_dataset_file_is_an_io_error(tmp_path, capsys):
     assert run(["train", *FAST_TRAIN, "--dataset", str(bad),
                 "--out", str(tmp_path / "out")]) == EXIT_IO
     assert "line 2" in capsys.readouterr().err
+    bad.write_bytes(b"label,f1,f2\rcat,1.0,2.0\rdog,-1.0,0.5\r")
+    assert run(["train", *FAST_TRAIN, "--dataset", str(bad),
+                "--out", str(tmp_path / "out")]) == EXIT_IO
+    assert "line 1 holds a '\\r'" in capsys.readouterr().err
 
 
 TINY_CSV_TRAIN = ["--head", "proto", "--n", "2", "--k", "1", "--q", "1",
@@ -481,6 +485,49 @@ def test_a_head_that_does_not_read_lambda2_refuses_a_non_zero_one(
             assert "lambda2 0.05" in err
     for value in ("0", "auto"):
         assert run([*argv, "--lambda2", value]) == EXIT_OK
+
+
+@pytest.mark.parametrize("head", ["proto", "cosine"])
+@pytest.mark.parametrize("command", ["train", "shift", "eval"])
+def test_a_head_that_does_not_read_lambda1_refuses_a_non_default_one(
+        monkeypatch, tmp_path, capsys, command, head):
+    # such a head computes nothing from lambda1, so a value other than the
+    # default is refused, from a flag or a config file, before training or
+    # scoring; the default, given or not, still runs
+    def no_run(*args, **kwargs):
+        raise AssertionError("trained or scored before refusing lambda1")
+
+    checkpoint = tmp_path / "encoder.txt"
+    save_encoder(init_encoder(0, default_layer_spec(4, 4, 6, 1)), checkpoint)
+    prefix = {"train": FAST_TRAIN, "shift": FAST_RUN,
+              "eval": [*FAST_EVAL, "--checkpoint", str(checkpoint)]}[command]
+    argv = [command, *prefix, "--head", head, "--out", str(tmp_path / "out")]
+    cfg = tmp_path / "lambda1.cfg"
+    cfg.write_text("lambda1 = 10\n")
+    with monkeypatch.context() as patched:
+        for module in (cli, importlib.import_module("fewshot.evaluate")):
+            patched.setattr(module, "fit", no_run)
+        patched.setattr(cli, "evaluate", no_run)
+        for source in (["--lambda1", "10"], ["--config", str(cfg)]):
+            assert run([*argv, *source]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert f"error: the {head} head does not read lambda1" in err
+            assert "lambda1 10 " in err
+    for source in ([], ["--lambda1", "0.001"]):
+        assert run([*argv, *source]) == EXIT_OK
+
+
+def test_ablate_trains_the_regression_head_whatever_a_config_head_is(tmp_path, capsys):
+    # ablate's head is always regression, which reads lambda1: a config
+    # file's head = proto neither refuses its lambda1 nor changes a model
+    cfg = tmp_path / "proto.cfg"
+    cfg.write_text("head = proto\nlambda1 = 10\n")
+    assert run(["ablate", *FAST_RUN, "--lambda2-values", "0,0.01",
+                "--lambda1", "10"]) == EXIT_OK
+    by_flags = capsys.readouterr().out
+    assert run(["ablate", *FAST_RUN, "--lambda2-values", "0,0.01",
+                "--config", str(cfg)]) == EXIT_OK
+    assert capsys.readouterr().out == by_flags
 
 
 def test_eval_refuses_training_flags_but_reads_a_training_config(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Encoder tests: init distribution, forward/embed_np agreement, the
-forward adjoint, checkpoints."""
+layer chain's input layout, the forward adjoint, checkpoints."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ import pytest
 from fewshot import encoder, heads
 from fewshot.encoder import (EncoderParams, Layer, default_layer_spec, embed_np,
                              init_encoder, load_encoder, save_encoder)
+from fewshot.episodes import sample_episode, synth_gaussian
 from fewshot.errors import CheckpointError, ConfigError, ShapeError
 from fewshot.linalg import named_stream
 
@@ -104,6 +105,21 @@ def test_embed_rejects_wrong_input_dim():
         embed_np(params, np.zeros((5, 2)))
     with pytest.raises(ShapeError):
         encoder.forward(params.vector, params, np.zeros((5, 2)))
+
+
+def test_a_sampled_episode_reaches_the_chain_without_a_copy():
+    # sample_episode gathers x C-contiguous, so the chain's first output, its
+    # input as a D x B matrix, is x itself; a Fortran-ordered batch is read
+    # as a C-ordered copy of the same values
+    data = synth_gaussian(0, 8, 12, 6)
+    episode = sample_episode(data, 3, 2, 4, np.random.default_rng(0))
+    assert episode.x.flags.c_contiguous and episode.x.dtype == np.float64
+    assert np.array_equal(episode.x, data.features[:, episode.columns])
+    params = init_encoder(0, default_layer_spec(6, 3, 5, 1))
+    assert encoder._chain(params.layers, episode.x)[0] is episode.x
+    fortran = np.asfortranarray(episode.x)
+    first = encoder._chain(params.layers, fortran)[0]
+    assert first.flags.c_contiguous and np.array_equal(first, episode.x)
 
 
 def test_forward_gradients_flow_to_all_layers():

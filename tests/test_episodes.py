@@ -384,6 +384,21 @@ def test_csv_refuses_a_blank_label_naming_its_line(tmp_path):
             load_csv(path)
 
 
+def test_csv_refuses_a_carriage_return_inside_a_line_naming_it(tmp_path):
+    # a '\r' still in a line once its one trailing '\r' is stripped is
+    # refused, naming the line and the supported endings; lone '\r' endings
+    # (classic Mac OS) make the file one line, which read as a header with no
+    # data rows before
+    expected = r"line {} holds a '\\r' before its end; lines must end with '\\n' or '\\r\\n'$"
+    for name, text, lineno in (("mac", b"label,f1,f2\rcat,1.0,2.0\rdog,-1.0,0.5\r", 1),
+                               ("inner", b"label,f1,f2\r\ncat,1.0,2.0\r\ndog\r,-1.0,0.5\n", 3)):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text)
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(path))}: "
+                                                     + expected.format(lineno)):
+            load_csv(path)
+
+
 def test_episode_fingerprint_tracks_content():
     data = tiny_dataset()
     ep = sample_episode(data, 3, 2, 2, named_stream(4, "evaluation"))
