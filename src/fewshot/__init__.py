@@ -21,7 +21,7 @@ from .evaluate import (AblationResult, EvalReport, ablate_lambda2,
                        domain_shift, evaluate)
 from .heads import (CosineHead, Hyper, ProtoHead, RegressionHead, make_head,
                     ortho_penalty)
-from .train import AdamState, TrainConfig, adam_update, fit, sgd_update, train_step
+from .train import AdamState, TrainConfig, adam_update, fit, train_step
 from .verify import CheckResult, run_all_checks
 
 __version__ = "0.1.0"
@@ -36,6 +36,6 @@ __all__ = [
     "domain_shift", "embed_np",
     "evaluate", "fit", "init_encoder", "linalg", "load_csv",
     "load_encoder", "make_head", "ortho_penalty", "run_all_checks",
-    "sample_episode", "save_csv", "save_encoder", "sgd_update",
+    "sample_episode", "save_csv", "save_encoder",
     "split_classes", "synth_gaussian", "train_step",
 ]

@@ -31,7 +31,7 @@ from .errors import (CheckpointError, ConfigError, DatasetFormatError,
                      FewshotError, NumericalError)
 from .heads import HEADS, Hyper, make_head
 from .linalg import named_stream
-from .train import OPTIMIZERS, TrainConfig, fit, history_lines
+from .train import TrainConfig, fit, history_lines
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -69,7 +69,6 @@ class RunConfig:
     batch_tasks: int = TrainConfig.batch_tasks
     val_interval: int = TrainConfig.val_interval
     val_episodes: int = TrainConfig.val_episodes
-    optimizer: str = TrainConfig.optimizer
     embed_dim: int = TrainConfig.embed_dim
     hidden_dim: int = TrainConfig.hidden_dim
     depth: int = TrainConfig.depth
@@ -102,8 +101,8 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_CHOICES = {"head": tuple(HEADS), "optimizer": OPTIMIZERS,
-            "activation": ACTIVATIONS, "final_activation": ACTIVATIONS}
+_CHOICES = {"head": tuple(HEADS), "activation": ACTIVATIONS,
+            "final_activation": ACTIVATIONS}
 _HELP = {
     "config": "flat key = value config file",
     "dataset": "'synth' or a CSV path (label,feat_1,...,feat_D)",
@@ -163,6 +162,8 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}: line {lineno} is not 'key = value'")
         key, _, text = line.partition("=")
         key, text = key.strip().replace("-", "_"), text.strip()
+        if (key, text) == ("optimizer", "adam"):
+            continue  # every older config.txt lists it; Adam is now the only optimizer
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
         try:

@@ -4,7 +4,7 @@ All parameters live in one float64 vector, ``EncoderParams.vector``, laid
 out W0, b0, W1, b1, ... (each row-major); every layer's ``weight`` and
 ``bias`` is a view into it.  Only this module knows that layout:
 ``EncoderParams`` packs it and ``with_vector`` re-views it, so
-``train``'s optimizers are vector ops.
+``train``'s Adam step is a vector op.
 
 The layer chain exists once, as ``_chain``: it coerces the D x B batch
 and returns every layer's output, ``act(W h + b)`` on the one below.
@@ -68,10 +68,6 @@ class EncoderParams:
             raise ShapeError(f"parameter vector must be float64 of shape "
                              f"{self.vector.shape}, got {vector.dtype} {vector.shape}")
         return EncoderParams(self.layers, vector)
-
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0].weight.shape[1]
 
     @property
     def output_dim(self) -> int:

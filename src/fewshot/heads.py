@@ -18,7 +18,11 @@ the adjoint g of the value to the adjoints of its array operands:
   S_c^T = W_c^T W_c S_c^T (one stacked Cholesky sweep for all classes
   yields the inverse factors W_c, and the rest is two matrix products) as
   the column norms of Q - S_c P_c Q for all query columns Q at once; the
-  adjoint reuses P instead of solving again.
+  adjoint reuses P instead of solving again.  By the push-through identity
+  P_c = S_c^T (S_c S_c^T + lam1 I)^{-1}, the residual is lam1 (S_c S_c^T +
+  lam1 I)^{-1} e; once K >= M, S_c generally spans the whole embedding
+  space, and d is a ridge-regularised distance under the class's M x M
+  scatter S_c S_c^T, not a distance to a subspace.
 - ``centroid_distances`` (the prototype baseline: the distance to each
   class's support mean) and ``mean_cosine`` (the cosine baseline: the
   negated mean cosine similarity to each class's columns).

@@ -2,9 +2,9 @@
 
 One update step consumes a batch of tasks (default one), records each
 episode's (encoder back, loss back) pair on one tape, and applies Adam
-(or plain SGD) with the summed gradient that ``autodiff.backward`` takes
-from it.  Validation accuracy is measured every ``val_interval`` episodes
-on freshly sampled validation episodes, and the parameters with the best
+with the summed gradient that ``autodiff.backward`` takes from it.
+Validation accuracy is measured every ``val_interval`` episodes on
+freshly sampled validation episodes, and the parameters with the best
 validation accuracy (earliest on ties) are returned.
 
 Validation and evaluation share one scoring engine, ``split_accuracies``:
@@ -36,8 +36,6 @@ from .episodes import Dataset, Episode, check_sampleable, sample_episode
 from .errors import ConfigError, ContractError, DivergenceError, NumericalError
 from .heads import Hyper, RegressionHead
 
-OPTIMIZERS = ("adam", "sgd")
-
 
 @dataclass
 class TrainConfig(Hyper):
@@ -51,7 +49,6 @@ class TrainConfig(Hyper):
     val_interval: int = 250
     val_episodes: int = 100
     seed: int = 0
-    optimizer: str = "adam"
     embed_dim: int = 16
     hidden_dim: int = 64
     depth: int = 2
@@ -64,8 +61,6 @@ class TrainConfig(Hyper):
         for name in ("episodes", "batch_tasks", "val_interval", "val_episodes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         self.layer_spec(1)
         super().__post_init__()
 
@@ -117,10 +112,6 @@ def adam_update(params: EncoderParams, grad: np.ndarray,
     scratch += ADAM_EPS
     step /= scratch
     return params.with_vector(np.subtract(params.vector, step, out=step))
-
-
-def sgd_update(params: EncoderParams, grad: np.ndarray, lr: float) -> EncoderParams:
-    return params.with_vector(params.vector - lr * grad)
 
 
 # Float budget of one scoring chunk.  The largest per-episode value a
@@ -207,19 +198,15 @@ def batch_gradient(params: EncoderParams, batch: list[Episode], head,
 
 
 def train_step(params: EncoderParams, batch: list[Episode], config: TrainConfig,
-               state: AdamState | None, head=None,
+               state: AdamState, head=None,
                episode_offset: int = 0) -> tuple[EncoderParams, dict]:
-    """One optimizer update on the summed loss over a batch of episodes;
-    Adam updates ``state`` in place."""
-    if config.optimizer == "adam" and state is None:
+    """One Adam update on the summed loss over a batch of episodes;
+    ``state`` is updated in place."""
+    if state is None:
         raise ContractError("adam needs an optimizer state: pass AdamState.for_params(params)")
     head = head if head is not None else RegressionHead()
     grad, metrics = batch_gradient(params, batch, head, config, episode_offset)
-    if config.optimizer == "adam":
-        new_params = adam_update(params, grad, state, config.lr)
-    else:
-        new_params = sgd_update(params, grad, config.lr)
-    return new_params, metrics
+    return adam_update(params, grad, state, config.lr), metrics
 
 
 def validate(params: EncoderParams, head, dataset: Dataset, config: TrainConfig,
@@ -249,7 +236,7 @@ def fit(train_set: Dataset, val_set: Dataset | None, config: TrainConfig,
                                   config.layer_spec(train_set.dim))
     sample_rng = linalg.named_stream(config.seed, "train-sampling")
     val_rng = linalg.named_stream(config.seed, "validation")
-    state = AdamState.for_params(params) if config.optimizer == "adam" else None
+    state = AdamState.for_params(params)
 
     history: list[dict] = []
     best_params = params

@@ -14,6 +14,7 @@ an untrained linear readout approximately preserves blob geometry, which
 would leave little for training to demonstrate.
 """
 
+import importlib
 import time
 
 import numpy as np
@@ -63,7 +64,7 @@ def bench_init(seed):
 
 
 def bench_trained(seed, k_shot=K_SHOT):
-    """Train once per (seed, shot count); criteria 5 and 6 share models."""
+    """Train once per (seed, shot count); criteria 5, 6 and 8 share models."""
     key = (seed, k_shot)
     if key not in _trained_cache:
         train_set, val_set, test_set = bench_splits(seed)
@@ -173,7 +174,23 @@ def test_criterion_07_ablation_pairs_share_episodes_and_expose_deltas():
     assert exposed
 
 
-def test_criterion_08_domain_shift_stays_well_above_chance():
+def same_split(a, b):
+    return ((a.name, a.split, list(a.labels)) == (b.name, b.split, list(b.labels))
+            and np.array_equal(a.features, b.features))
+
+
+def test_criterion_08_domain_shift_stays_well_above_chance(monkeypatch):
+    # domain A is the benchmark itself, so domain_shift's fit is handed the
+    # model bench_trained already has, once its inputs are checked to be
+    # exactly the ones that model was trained on
+    def trained_fit(train_set, val_set, config, head=None):
+        train_a, val_a, _ = bench_splits(config.seed)
+        assert same_split(train_set, train_a) and same_split(val_set, val_a)
+        assert config == bench_config(config.seed)
+        assert isinstance(head, RegressionHead)
+        return bench_trained(config.seed)[0], []
+
+    monkeypatch.setattr(importlib.import_module("fewshot.evaluate"), "fit", trained_fit)
     parts = []
     all_ok = True
     for seed in (0, 1, 2):

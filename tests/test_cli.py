@@ -78,7 +78,7 @@ def test_config_file_rejects_unknown_keys_and_bad_syntax(tmp_path):
         parse_config_file(str(bad_value))
 
 
-@pytest.mark.parametrize("key", ["head", "optimizer", "activation", "final_activation"])
+@pytest.mark.parametrize("key", ["head", "activation", "final_activation"])
 def test_config_file_choices_are_checked_like_flags(monkeypatch, tmp_path, capsys, key):
     cfg = tmp_path / "choice.cfg"
     cfg.write_text(f"k = 3\n{key} = foo\n")
@@ -180,7 +180,7 @@ def test_train_writes_artifacts_and_eval_reads_them(tmp_path, capsys):
     assert (out / "history.log").exists()
     assert (out / "config.txt").exists()
     params = load_encoder(out / "encoder.txt")
-    assert params.input_dim == 4
+    assert params.layers[0].weight.shape[1] == 4
     history = (out / "history.log").read_text().splitlines()
     assert len(history) == 6
     capsys.readouterr()
@@ -549,6 +549,84 @@ def test_eval_refuses_training_flags_but_reads_a_training_config(tmp_path, capsy
     assert capsys.readouterr().out == by_flags
 
 
+# A config.txt as train wrote it while it still had an optimizer option: every
+# RunConfig field of the time, in order, with the FAST_TRAIN values.
+OLD_CONFIG_TXT = """\
+dataset = synth
+target_dataset = 
+offset = 0.5
+n = 2
+k = 2
+q = 3
+episodes = 6
+eval_episodes = 600
+lr = 0.001
+lambda1 = 0.001
+lambda2 = auto
+lambda2_values = 0,0.01
+head = regression
+seed = 0
+out = {out}
+checkpoint = 
+batch_tasks = 1
+val_interval = 100
+val_episodes = 100
+optimizer = adam
+embed_dim = 4
+hidden_dim = 6
+depth = 1
+activation = relu
+final_activation = none
+synth_classes = 12
+per_class = 12
+dim = 4
+spread = 1.0
+within_std = 1.0
+val_fraction = 0.16666666666666666
+test_fraction = 0.16666666666666666
+"""
+
+
+def test_an_older_config_txt_with_optimizer_adam_still_drives_train_and_eval(
+        tmp_path, capsys):
+    # Adam is the only optimizer, so the retired key is skipped when its
+    # value is adam; the config.txt written now is the old one without it
+    out = tmp_path / "run"
+    cfg = tmp_path / "old.cfg"
+    old = OLD_CONFIG_TXT.format(out=out)
+    cfg.write_text(old)
+    assert "optimizer" not in parse_config_file(str(cfg))
+    assert run(["train", "--config", str(cfg)]) == EXIT_OK
+    assert (out / "config.txt").read_text() == old.replace("optimizer = adam\n", "")
+    assert run(["eval", "--config", str(cfg),
+                "--checkpoint", str(out / "encoder.txt")]) == EXIT_OK
+    assert (out / "report.log").is_file()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_an_optimizer_other_than_adam_in_a_config_file_is_an_unknown_key(
+        monkeypatch, tmp_path, capsys, command):
+    monkeypatch.setattr(cli, "_load_domain", no_data)
+    cfg = tmp_path / "sgd.cfg"
+    cfg.write_text("k = 3\noptimizer = sgd\n")
+    with pytest.raises(cli.ConfigError,
+                       match=f"^{re.escape(str(cfg))}: line 2: unknown key 'optimizer'$"):
+        parse_config_file(str(cfg))
+    required = ["--checkpoint", "enc.txt"] if command == "eval" else []
+    assert run([command, "--config", str(cfg), "--out", "x", *required]) == EXIT_USAGE
+    assert f"{cfg}: line 2: unknown key 'optimizer'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "shift"])
+def test_the_optimizer_flag_is_a_usage_error(monkeypatch, capsys, command):
+    monkeypatch.setattr(cli, "_load_domain", no_data)
+    with pytest.raises(SystemExit) as info:
+        run([command, *FAST_TRAIN, "--optimizer", "adam", "--out", "x"])
+    assert info.value.code == EXIT_USAGE
+    assert capsys.readouterr().err.endswith("unrecognized arguments: --optimizer adam\n")
+
+
 def test_a_hash_inside_a_config_value_is_kept(tmp_path, capsys):
     # a comment starts at a line's start or after whitespace only
     cfg = tmp_path / "run.cfg"
@@ -615,7 +693,7 @@ def test_run_config_defaults_are_the_documented_ones():
     assert config.lambda1 == pytest.approx(1e-3)
     assert config.lambda2 is None
     assert config.head == "regression"
-    assert len(fields(RunConfig)) == 32
+    assert len(fields(RunConfig)) == 31
     tc = config.train_config()
     assert tc.n_way == 5 and tc.k_shot == 5 and tc.q_queries == 16
     assert tc.final_activation == "none"
@@ -626,14 +704,13 @@ def test_run_config_defaults_are_the_documented_ones():
 # The flag surface as it was when the flags were first generated from
 # RunConfig, except that check takes only --config and --seed, eval only
 # the flags it reads, train no --eval-episodes, ablate no --lambda2 or
-# --head, and no command --threads: option string -> dest, shared by the
-# training commands and then per command.
+# --head, and no command --threads or --optimizer: option string -> dest,
+# shared by the training commands and then per command.
 COMMON_FLAGS = {
     "--config": "config", "--dataset": "dataset", "--n": "n", "--k": "k",
     "--q": "q", "--episodes": "episodes", "--eval-episodes": "eval_episodes",
     "--lr": "lr", "--lambda1": "lambda1", "--lambda2": "lambda2", "--head": "head",
-    "--seed": "seed", "--out": "out",
-    "--optimizer": "optimizer", "--batch-tasks": "batch_tasks",
+    "--seed": "seed", "--out": "out", "--batch-tasks": "batch_tasks",
     "--val-interval": "val_interval", "--val-episodes": "val_episodes",
     "--embed-dim": "embed_dim", "--hidden-dim": "hidden_dim", "--depth": "depth",
     "--activation": "activation", "--final-activation": "final_activation",
@@ -655,7 +732,7 @@ COMMAND_FLAGS = {
     "check": {"--config": "config", "--seed": "seed"},
 }
 FLAG_CHOICES = {
-    "--head": ("regression", "proto", "cosine"), "--optimizer": ("adam", "sgd"),
+    "--head": ("regression", "proto", "cosine"),
     "--activation": ("tanh", "relu", "none"),
     "--final-activation": ("tanh", "relu", "none"),
 }

@@ -166,6 +166,33 @@ def test_stacked_distances_match_one_class_at_a_time():
         ridge_residuals(np.hstack(s_vals), q, 5, 0.3)
 
 
+def scatter_distances(support, query, n, lambda1):
+    """N x B norms lambda1 ||(S_c S_c^T + lambda1 I)^{-1} Q||, one
+    ``np.linalg.solve`` per class block S_c of the M x NK support."""
+    ridge = lambda1 * np.eye(support.shape[0])
+    solves = [np.linalg.solve(s @ s.T + ridge, query) for s in np.split(support, n, axis=1)]
+    return lambda1 * np.linalg.norm(np.stack(solves), axis=-2)
+
+
+@pytest.mark.parametrize("lambda1", [10.0, 1e-3])
+@pytest.mark.parametrize("k", [5, 16, 20])
+def test_ridge_residuals_are_the_scatter_distance_below_at_and_above_m_shots(k, lambda1):
+    # push-through, (S^T S + lam I)^{-1} S^T = S^T (S S^T + lam I)^{-1}: the
+    # residual Q - S P Q is lam (S S^T + lam I)^{-1} Q at K < M, K = M and
+    # K > M alike; from K = M on, S_c spans the whole embedding space
+    m, n, b, episodes = 16, 3, 4, 2
+    rng = np.random.default_rng(k)
+    support = rng.standard_normal((episodes, m, n * k))
+    query = rng.standard_normal((episodes, m, b))
+    stacked, _ = ridge_residuals(support, query, n, lambda1)
+    assert stacked.shape == (episodes, n, b)
+    for e in range(episodes):
+        oracle = scatter_distances(support[e], query[e], n, lambda1)
+        np.testing.assert_allclose(ridge_residuals(support[e], query[e], n, lambda1)[0],
+                                   oracle, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(stacked[e], oracle, rtol=1e-9, atol=0)
+
+
 # -- posterior -----------------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Training-loop tests: config validation, optimizer oracles, the training
+"""Training-loop tests: config validation, Adam oracles, the training
 loss against a numpy reconstruction, the tape of a step and the order of
 its gradient sum, divergence reporting, and determinism.
 """
@@ -20,8 +20,8 @@ from fewshot.errors import (ConditioningError, ConfigError, ContractError,
 from fewshot.heads import Hyper, RegressionHead
 from fewshot.linalg import named_stream
 from fewshot.train import (AdamState, TrainConfig, adam_update, chunk_episodes,
-                           episode_accuracy, fit, history_lines, sgd_update,
-                           train_step, validate)
+                           episode_accuracy, fit, history_lines, train_step,
+                           validate)
 from fewshot.verify import check_adam_oracle
 from oracles import episode_accuracy_np, ortho_penalty_np, per_episode_accuracies_np
 
@@ -52,8 +52,6 @@ def test_config_validation():
     # the encoder shape is checked when the config is built, not at fit
     with pytest.raises(ConfigError, match="^embed_dim must be >= 1, got 0$"):
         TrainConfig(embed_dim=0)
-    with pytest.raises(ConfigError):
-        TrainConfig(optimizer="rmsprop")
     with pytest.raises(ConfigError):
         TrainConfig(activation="gelu")
     with pytest.raises(ConfigError):
@@ -93,7 +91,7 @@ def test_config_hyper_carries_the_resolved_weight():
     assert (config.n_way, config.k_shot, config.q_queries) == (5, 1, 16)
     shape_and_weights = [f.name for f in fields(Hyper)]
     assert [f.name for f in fields(TrainConfig)][:5] == shape_and_weights
-    assert len(fields(TrainConfig)) == 17
+    assert len(fields(TrainConfig)) == 16
     assert not set(inspect.get_annotations(TrainConfig)) & set(shape_and_weights)
 
 
@@ -110,7 +108,7 @@ def test_a_fit_builds_no_hyper_once_its_config_is_built(monkeypatch):
     assert built == []
 
 
-# -- optimizers ------------------------------------------------------------------
+# -- Adam ------------------------------------------------------------------------
 
 
 def test_adam_matches_hand_stepped_recurrence():
@@ -171,19 +169,6 @@ def test_train_step_with_adam_needs_a_state():
     episode = sample_episode(train_set, 3, 2, 3, named_stream(2, "train-sampling"))
     with pytest.raises(ContractError, match=r"AdamState\.for_params"):
         train_step(params, [episode], small_config(), None)
-    # plain SGD keeps no state
-    _, metrics = train_step(params, [episode], small_config(optimizer="sgd"), None)
-    assert np.isfinite(metrics["loss"])
-
-
-def test_sgd_is_a_plain_descent_step():
-    params = EncoderParams([Layer(np.ones((2, 2)), np.zeros((2, 1)), "none")])
-    g = np.array([0.5, 0.5, 0.5, 0.5, -1.0, -1.0])
-    updated = sgd_update(params, g, lr=0.2)
-    assert np.allclose(updated.layers[0].weight, 1.0 - 0.1)
-    assert np.allclose(updated.layers[0].bias, 0.2)
-    # the original parameters are untouched
-    assert np.all(params.layers[0].weight == 1.0)
 
 
 # -- loss plumbing ----------------------------------------------------------------
@@ -217,7 +202,7 @@ def test_a_training_tape_has_one_leaf_and_gives_the_optimizer_a_flat_gradient(
         monkeypatch, head_name):
     # one episode per step at a 3-layer encoder, lambda2 > 0: the parameter
     # vector is the one thing differentiated, the tape holds one (encoder
-    # back, loss back) pair, and the optimizers get a gradient of
+    # back, loss back) pair, and Adam gets a gradient of
     # params.vector's shape (a P x 1 one would broadcast against Adam's
     # moments into a P x P array); two episodes per step record two pairs
     train_set, _, _ = small_splits()
@@ -227,31 +212,26 @@ def test_a_training_tape_has_one_leaf_and_gives_the_optimizer_a_flat_gradient(
     rng = named_stream(3, "train-sampling")
     episodes = [sample_episode(train_set, 3, 2, 3, rng) for _ in range(2)]
     tapes, shapes = [], []
-    backward, adam, sgd = autodiff.backward, train.adam_update, train.sgd_update
+    backward, adam = autodiff.backward, train.adam_update
 
     def record_tape(tape):
         tapes.append(tape)
         return backward(tape)
 
-    def record_grad(update):
-        def recorded(params, grad, *rest):
-            shapes.append(grad.shape)
-            return update(params, grad, *rest)
-        return recorded
+    def record_grad(params, grad, *rest):
+        shapes.append(grad.shape)
+        return adam(params, grad, *rest)
 
     monkeypatch.setattr(autodiff, "backward", record_tape)
-    monkeypatch.setattr(train, "adam_update", record_grad(adam))
-    monkeypatch.setattr(train, "sgd_update", record_grad(sgd))
-    for optimizer in train.OPTIMIZERS:
-        config = small_config(lambda2=1e-2, optimizer=optimizer)
-        train_step(params, episodes[:1], config, AdamState.for_params(params),
-                   heads.make_head(head_name))
+    monkeypatch.setattr(train, "adam_update", record_grad)
+    train_step(params, episodes[:1], small_config(lambda2=1e-2),
+               AdamState.for_params(params), heads.make_head(head_name))
     train_step(params, episodes, small_config(lambda2=1e-2, batch_tasks=2),
                AdamState.for_params(params), heads.make_head(head_name))
-    assert [len(tape.nodes) for tape in tapes] == [1, 1, 2]
+    assert [len(tape.nodes) for tape in tapes] == [1, 2]
     for tape in tapes:
         assert all(len(pair) == 2 and all(map(callable, pair)) for pair in tape.nodes)
-    assert shapes == [params.vector.shape] * 3
+    assert shapes == [params.vector.shape] * 2
 
 
 def test_a_batch_gradient_sums_the_episodes_last_first():
@@ -276,7 +256,7 @@ def test_a_batch_gradient_sums_the_episodes_last_first():
 
 def test_an_empty_batch_is_refused_before_the_tape_or_the_optimizer(monkeypatch):
     # a step with no episode has no loss to differentiate; Adam's step
-    # count stays 0 and no tape is built, for Adam and for SGD
+    # count stays 0 and no tape is built
     train_set, _, _ = small_splits()
     params = init_encoder(named_stream(3, "init"),
                           default_layer_spec(train_set.dim, 4, 8, 1))
@@ -285,12 +265,11 @@ def test_an_empty_batch_is_refused_before_the_tape_or_the_optimizer(monkeypatch)
         raise AssertionError("a tape was built")
 
     monkeypatch.setattr(autodiff.Tape, "__init__", no_tape)
-    for optimizer in train.OPTIMIZERS:
-        state = AdamState.for_params(params)
-        with pytest.raises(ContractError, match="at least one episode"):
-            train_step(params, [], small_config(optimizer=optimizer), state)
-        assert state.step == 0
-        assert not state.m.any() and not state.v.any()
+    state = AdamState.for_params(params)
+    with pytest.raises(ContractError, match="at least one episode"):
+        train_step(params, [], small_config(), state)
+    assert state.step == 0
+    assert not state.m.any() and not state.v.any()
 
 
 def test_scoring_records_no_tape(monkeypatch):
@@ -505,14 +484,6 @@ def test_losses_stay_finite_across_seeds():
         config = small_config(episodes=12, seed=seed)
         _, history = fit(train_set, None, config)
         assert all(np.isfinite(r["loss"]) for r in history)
-
-
-def test_sgd_option_also_trains():
-    train_set, val_set, _ = small_splits()
-    config = small_config(episodes=12, optimizer="sgd", lr=1e-2)
-    _, history = fit(train_set, val_set, config)
-    assert len(history) == 12
-    assert all(np.isfinite(r["loss"]) for r in history)
 
 
 def test_history_lines_are_stable_bytes():
