@@ -8,10 +8,13 @@ out W0, b0, W1, b1, ... (each row-major); every layer's ``weight`` and
 
 The layer chain exists once, as ``_chain``: it coerces the D x B batch
 and returns every layer's output, ``act(W h + b)`` on the one below.
-``forward`` runs it on ``params.vector`` and returns the embedding with a
-``back`` over those outputs, which writes every layer's gradient into the
-views of one new vector, so the gradient is laid out as ``params.vector``
-when it is made.  The train step reads both its loss and its accuracy
+``forward`` runs it on ``params.layers`` (re-viewed only for another
+vector) and returns the embedding with a ``back`` over those outputs,
+which writes every layer's gradient into that layer's slices of one new
+vector, so the gradient is laid out as ``params.vector`` when it is made.
+``back`` scales the ``W^T g`` it computes by each hidden layer's
+activation derivative in place, and never writes to the adjoint it is
+given.  The train step reads both its loss and its accuracy
 from that one embedding.  Validation and test evaluation embed each split
 once with ``embed_np``, the chain's last output, so the two routes agree
 exactly.  A sampled episode's ``x`` is C-contiguous float64, so the chain
@@ -157,25 +160,29 @@ def forward(vector: np.ndarray, params: EncoderParams, x):
 
     ``back`` walks the layers in reverse: with g the adjoint of a layer's
     pre-activation, it writes ``g x^T`` and g's row sums into that layer's
-    weight and bias views of one new vector, then passes ``W^T g`` to the
-    layer below.  The relu gradient at exactly 0 is 0.
+    weight and bias slices of one new vector, then passes ``W^T g`` to the
+    layer below.  The activation's derivative multiplies g in place once g
+    is a ``W^T g`` that ``back`` made; the caller's g is never written to.
+    The relu gradient at exactly 0 is 0.
     """
-    layers = params.with_vector(vector).layers
+    layers = (params if vector is params.vector else params.with_vector(vector)).layers
     outs = _chain(layers, x)
 
     def back(g):
         grad = np.empty(vector.shape)
-        views = params.with_vector(grad).layers
+        end = grad.size
         for i in reversed(range(len(layers))):
-            out = outs[i + 1]
-            if layers[i].activation == "tanh":
-                g = g * (1.0 - out * out)
-            elif layers[i].activation == "relu":
-                g = g * (out > 0.0)
-            np.matmul(g, outs[i].T, out=views[i].weight)
-            np.sum(g, axis=1, keepdims=True, out=views[i].bias)
+            layer, out = layers[i], outs[i + 1]
+            if layer.activation != "none":
+                slope = 1.0 - out * out if layer.activation == "tanh" else out > 0.0
+                g = np.multiply(g, slope, out=g if i < len(layers) - 1 else None)
+            n_out, n_in = layer.weight.shape
+            start = end - n_out * (n_in + 1)
+            np.matmul(g, outs[i].T, out=grad[start : end - n_out].reshape(n_out, n_in))
+            g.sum(axis=1, out=grad[end - n_out : end])
             if i:
-                g = layers[i].weight.T @ g
+                g = layer.weight.T @ g
+            end = start
         return grad
 
     return outs[-1], back

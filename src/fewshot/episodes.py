@@ -89,8 +89,9 @@ class Dataset:
         ids = sorted(dict.fromkeys(class_ids), key=str)
         keep = np.concatenate([np.empty(0, np.intp)] +
                               [self.class_to_indices[c] for c in ids])
-        return Dataset._grouped(self.name,
-                                np.ascontiguousarray(self.features[:, keep]), ids,
+        # take, not features[:, keep]: that gather is Fortran-ordered and
+        # would need a second copy to be C-contiguous
+        return Dataset._grouped(self.name, self.features.take(keep, axis=1), ids,
                                 [len(self.class_to_indices[c]) for c in ids], split)
 
 

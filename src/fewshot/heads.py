@@ -90,7 +90,7 @@ _FLOAT_MAX = np.finfo(np.float64).max
 
 
 def _swap(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2)
+    return a.swapaxes(-1, -2)
 
 
 def _split(shape: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -103,7 +103,7 @@ def _split(shape: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 def _class_stack(value: np.ndarray, n: int) -> np.ndarray:
     """The (..., N, M, K) contiguous stack of an (..., M, NK) value's blocks."""
-    return np.ascontiguousarray(np.swapaxes(value.reshape(_split(value.shape, n)), -3, -2))
+    return np.ascontiguousarray(value.reshape(_split(value.shape, n)).swapaxes(-3, -2))
 
 
 def _check_rows(support: np.ndarray, query: np.ndarray) -> None:
@@ -158,9 +158,9 @@ def cross_entropy(d: np.ndarray, labels):
     rows = labels - 1
     cols = np.arange(b)
     neg_d = -d
-    m = np.max(neg_d, axis=0, keepdims=True)
+    m = neg_d.max(axis=0, keepdims=True)
     e = np.exp(neg_d - m)
-    total = np.sum(e, axis=0, keepdims=True)
+    total = e.sum(axis=0, keepdims=True)
     soft = e / total
     per_column = d[rows, cols].reshape(1, b) + (m + np.log(total))
     c = 1.0 / b
@@ -172,7 +172,7 @@ def cross_entropy(d: np.ndarray, labels):
         out -= soft * s
         return out
 
-    return np.array([[float(np.sum(per_column))]]) * c, back
+    return np.array([[float(per_column.sum())]]) * c, back
 
 
 def centroid_distances(support: np.ndarray, query: np.ndarray, n: int):
@@ -189,7 +189,7 @@ def centroid_distances(support: np.ndarray, query: np.ndarray, n: int):
     s = _class_stack(support, n)                                # (..., N, M, K)
     k = s.shape[-1]
     r = query[..., None, :, :] - s @ np.full((k, 1), 1.0 / k)
-    d = np.sqrt(np.sum(r * r, axis=-2))
+    d = np.sqrt((r * r).sum(axis=-2))
 
     def back(g):
         rb = _residual_adjoint(r, d, g)
@@ -202,14 +202,14 @@ def centroid_distances(support: np.ndarray, query: np.ndarray, n: int):
 def _unit_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``a`` with every column scaled to unit norm (a zero column stays
     zero), and the column norms."""
-    norms = np.sqrt(np.sum(a * a, axis=-2, keepdims=True))
+    norms = np.sqrt((a * a).sum(axis=-2, keepdims=True))
     return a / np.where(norms > 0.0, norms, 1.0), norms
 
 
 def _unit_columns_adjoint(y: np.ndarray, norms: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The adjoint of ``_unit_columns``' input: g less its component along
     each unit column y, over the norm; 0 for a zero column."""
-    out = (g - y * np.sum(y * g, axis=-2, keepdims=True)) / np.where(norms > 0.0, norms, 1.0)
+    out = (g - y * (y * g).sum(axis=-2, keepdims=True)) / np.where(norms > 0.0, norms, 1.0)
     return np.where(norms > 0.0, out, 0.0) if (norms == 0.0).any() else out
 
 
@@ -250,15 +250,16 @@ def ridge_residuals(support: np.ndarray, query: np.ndarray, n: int, lambda1: flo
     ``Rb = R g / d`` (0 where d = 0), the adjoint needs no second solve:
     ``W = -P Rb`` and ``T = Rb + S W`` give ``Sb = R W^T - T C^T`` and
     ``Qb = T`` summed over the classes.  With lambda1 = 0 every S_c must
-    have full column rank, so M >= K is required, and a rank-deficient
+    have full column rank, and M > K is required: at M = K each S_c spans
+    all of R^M, so every residual is rounding noise.  A rank-deficient
     block fails the factorization with an error that names its class.
     """
     _check_rows(support, query)
     s = _class_stack(support, n)                                # (..., N, M, K)
     m, k = s.shape[-2:]
-    if lambda1 == 0.0 and m < k:
-        raise ContractError(
-            f"lambda1 = 0 needs embedding dim >= shots, got M={m} < K={k}")
+    if lambda1 == 0.0 and m <= k:
+        raise ContractError(f"lambda1 = 0 needs embedding dim > shots, "
+                            f"got M={m} {'<' if m < k else '='} K={k}")
     # S^T S from a contiguous S^T, so a rank-deficient Gram matrix keeps its
     # exact zero pivot
     st = np.ascontiguousarray(_swap(s))
@@ -269,14 +270,14 @@ def ridge_residuals(support: np.ndarray, query: np.ndarray, n: int, lambda1: flo
     c = p @ q
     r = s @ c
     np.subtract(q, r, out=r)
-    d = np.sqrt(np.sum(r * r, axis=-2))
+    d = np.sqrt((r * r).sum(axis=-2))
 
     def back(g):
         rb = _residual_adjoint(r, d, g)
         w = -(p @ rb)
         t = s @ w
         t += rb
-        return (np.swapaxes(r @ _swap(w) - t @ _swap(c), -3, -2).reshape(support.shape),
+        return ((r @ _swap(w) - t @ _swap(c)).swapaxes(-3, -2).reshape(support.shape),
                 t.sum(axis=-3))
 
     return d, back
@@ -292,7 +293,7 @@ def ortho_penalty(support: np.ndarray, n_way: int):
     m, width = support.shape
     shape = _split(support.shape, n_way)
     av = support.reshape(shape)
-    norms = np.sqrt(np.sum(av * av, axis=(0, 2), keepdims=True))
+    norms = np.sqrt((av * av).sum(axis=(0, 2), keepdims=True))
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DegenerateSubspaceError(
@@ -306,10 +307,10 @@ def ortho_penalty(support: np.ndarray, n_way: int):
 
     def back(g):
         gv = ((4.0 * float(g[0, 0])) * (v @ x)).reshape(shape)
-        dots = np.sum(y * gv, axis=(0, 2), keepdims=True)
+        dots = (y * gv).sum(axis=(0, 2), keepdims=True)
         return ((gv - y * dots) / norms).reshape(m, width)
 
-    return np.array([[np.sum(x * x)]]), back
+    return np.array([[(x * x).sum()]]), back
 
 
 # -- heads -------------------------------------------------------------------
@@ -418,4 +419,4 @@ def make_head(name: str):
 def predict_np(distances: np.ndarray) -> np.ndarray:
     """1-based predicted labels: argmin distance over the class axis (the
     N of N x B or E x N x B), ties to the lowest index."""
-    return np.argmin(distances, axis=-2) + 1
+    return distances.argmin(axis=-2) + 1

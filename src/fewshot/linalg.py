@@ -43,13 +43,14 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     """Inverse Cholesky factor W = L^{-1} of each K x K matrix, ``a = L @ L.T``.
 
     ``a`` is one matrix or a stack (..., K, K).  One right-looking sweep
-    runs over the rows of the augmented (..., K, 2K) array [a | I], reading
-    a's upper triangle: each pivot scales its row by 1/sqrt(pivot) and takes
-    a rank-1 update off the rows below, on both halves at once.  Row j of
-    the left half then holds row j of L^T right of the diagonal, and the
-    right half becomes W = L^{-1}, lower-triangular with exact zeros above
-    the diagonal, returned as a strided view.  The loop runs over K only,
-    and ``solve_with_factor`` needs no triangular solve.
+    runs over the rows of the augmented (..., K, 2K) array [a | I] (I set
+    through a strided view of its diagonal), reading a's upper triangle:
+    each pivot scales its row by 1/sqrt(pivot) and takes a rank-1 update
+    off the rows below (the last pivot has none), on both halves at once.
+    Row j of the left half then holds row j of L^T right of the diagonal,
+    and the right half becomes W = L^{-1}, lower-triangular with exact
+    zeros above the diagonal, returned as a strided view.  The loop runs
+    over K only, and ``solve_with_factor`` needs no triangular solve.
     Written out explicitly (rather than delegated) so that a failure can
     name the offending pivot and, in a stack, its 1-based class (position
     on the last stacked axis): the matrices here are tiny K x K Gram
@@ -64,7 +65,8 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     k = a.shape[-1]
     aug = np.zeros(a.shape[:-1] + (2 * k,))
     aug[..., :k] = a
-    aug[..., range(k), range(k, 2 * k)] = 1.0
+    # I on the right half: the (..., 2K^2) flat view's entries k, k + 2K + 1, ...
+    aug.reshape(a.shape[:-2] + (2 * k * k,))[..., k :: 2 * k + 1] = 1.0
     pivots = np.empty(a.shape[:-1])
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for j in range(k):
@@ -72,7 +74,8 @@ def cholesky(a: np.ndarray) -> np.ndarray:
             live = slice(j + 1, k + j + 1)   # a right of the pivot, then W's first j + 1
             row = aug[..., j, live]
             row /= np.sqrt(pivots[..., j, None])
-            aug[..., j + 1 :, live] -= row[..., : k - j - 1, None] * row[..., None, :]
+            if j + 1 < k:
+                aug[..., j + 1 :, live] -= row[..., : k - j - 1, None] * row[..., None, :]
         bad = ~((pivots > 0.0) & np.isfinite(pivots))
     if bad.any():
         j = int(np.argmax(bad.reshape(-1, k).any(axis=0)))
@@ -90,7 +93,7 @@ def cholesky(a: np.ndarray) -> np.ndarray:
 def solve_with_factor(w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a x = b`` given ``w = cholesky(a)``: x = W^T (W b), two
     matrix products per stacked matrix (``b`` is (..., K, B))."""
-    return np.swapaxes(w, -1, -2) @ (w @ b)
+    return w.swapaxes(-1, -2) @ (w @ b)
 
 
 # ---------------------------------------------------------------------------

@@ -184,16 +184,19 @@ def batch_gradient(params: EncoderParams, batch: list[Episode], head,
             embedded, encoder_back = encoder.forward(params.vector, params, episode.x)
             loss, dist, loss_back = head.episode_loss(embedded, episode.query_y, hyper)
             value = loss.item()
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise DivergenceError(f"training diverged: non-finite loss {value}")
         except NumericalError as exc:
             raise exc.at_episode(episode_offset + i) from exc
         losses.append(value)
         # The loss's distances are the pre-update params' distances, so this
         # is the episode's accuracy without embedding a second time.
-        accuracies.append(np.mean(heads.predict_np(dist) == episode.query_y))
+        y = episode.query_y
+        accuracies.append(int(np.count_nonzero(heads.predict_np(dist) == y)) / y.size)
         tape.nodes.append((encoder_back, loss_back))
-    metrics = {"loss": float(np.mean(losses)), "accuracy": float(np.mean(accuracies))}
+    # np.mean of one value is that value, so a one-episode batch skips the call
+    metrics = {name: values[0] if len(values) == 1 else float(np.mean(values))
+               for name, values in (("loss", losses), ("accuracy", accuracies))}
     return autodiff.backward(tape), metrics
 
 

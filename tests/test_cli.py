@@ -387,6 +387,23 @@ def test_singular_ridge_system_is_a_numerical_failure(tmp_path, capsys):
     assert "of class 1 at episode 0" in err
 
 
+@pytest.mark.parametrize("k, relation", [("16", "M=16 = K=16"), ("20", "M=16 < K=20")])
+def test_unregularized_ridge_is_refused_unless_the_embedding_exceeds_the_shots(
+        tmp_path, capsys, k, relation):
+    # at M = K every class block spans the embedding space, so its residuals
+    # are rounding noise; a linear final layer factors them without a
+    # non-positive pivot, and eval used to report an accuracy from them
+    checkpoint = tmp_path / "linear.txt"
+    save_encoder(init_encoder(0, default_layer_spec(4, 16, 32, 1, "relu", "none")),
+                 checkpoint)
+    capsys.readouterr()
+    code = run(["eval", "--synth-classes", "12", "--per-class", "24", "--dim", "4",
+                "--n", "2", "--k", k, "--q", "3", "--eval-episodes", "4",
+                "--lambda1", "0", "--checkpoint", str(checkpoint)])
+    assert code == EXIT_USAGE
+    assert f"--lambda1 = 0 needs embedding dim > shots, got {relation}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("body, named", [
     ("layers 0\n", "layer count must be >= 1, got 0"),
     ("layers 2\nlayer 4 3 none\n" + "0 0 0 0\n" * 3 + "0 0 0\n"

@@ -63,6 +63,36 @@ def test_stacked_cholesky_and_solves_equal_the_per_matrix_results():
             assert np.allclose(x[c], np.linalg.solve(a[c], b[c]), atol=1e-9)
 
 
+def augmented_sweep(a):
+    """The inverse factor of one K x K matrix by the plain right-looking
+    sweep over [a | I], the last pivot's empty update included: the float
+    operations ``cholesky`` must match bit for bit."""
+    k = a.shape[-1]
+    aug = np.hstack([a, np.eye(k)])
+    for j in range(k):
+        row = aug[j, j + 1 : k + j + 1]
+        row /= np.sqrt(aug[j, j])
+        aug[j + 1 :, j + 1 : k + j + 1] -= np.outer(row[: k - j - 1], row)
+    return aug[:, k:]
+
+
+def test_cholesky_is_the_plain_sweep_bit_for_bit_with_exact_zeros_above_the_diagonal():
+    # one-shot classes (K = 1: a single pivot, nothing below it) and
+    # (N, K, K) and (E, N, K, K) stacks
+    rng = np.random.default_rng(41)
+    for shape in ((1, 1), (5, 1, 1), (2, 5, 1, 1), (4, 4), (2, 5, 4, 4), (3, 2, 6, 6)):
+        k = shape[-1]
+        s = rng.standard_normal(shape[:-2] + (k + 2, k))
+        a = np.swapaxes(s, -1, -2) @ s + 1e-2 * np.eye(k)
+        w = linalg.cholesky(a)
+        assert w.shape == shape
+        assert np.array_equal(w, np.tril(w)), shape
+        for c in np.ndindex(shape[:-2]):
+            assert np.array_equal(w[c], augmented_sweep(a[c])), (shape, c)
+        if k == 1:
+            assert np.array_equal(w, 1.0 / np.sqrt(a))
+
+
 def test_stacked_cholesky_names_the_failing_class():
     a = np.stack([np.eye(3), np.eye(3), np.diag([1.0, 2.0, 0.0])])
     with pytest.raises(ConditioningError, match="pivot 0.000e[+]00 at index 2 of class 3"):

@@ -254,6 +254,35 @@ def test_a_batch_gradient_sums_the_episodes_last_first():
     assert any(forward_differs)
 
 
+@pytest.mark.parametrize("head_name", ["regression", "proto", "cosine"])
+@pytest.mark.parametrize("size", [1, 3])
+def test_batch_gradient_is_the_hand_built_tape_bit_for_bit(head_name, size):
+    # a tape built by hand from encoder.forward and head.episode_loss, and
+    # np.mean of its per-episode losses and accuracies: the step's gradient
+    # and metrics equal them exactly, as Python floats, on a few seeds so a
+    # loss summed in another order would round differently on one of them
+    train_set, _, _ = small_splits()
+    hyper = small_config(lambda2=1e-2)
+    head = heads.make_head(head_name)
+    for seed in range(4):
+        params = init_encoder(named_stream(seed, "init"),
+                              default_layer_spec(train_set.dim, 4, 8, 2))
+        rng = named_stream(seed, "train-sampling")
+        batch = [sample_episode(train_set, 3, 2, 3, rng) for _ in range(size)]
+        tape, losses, accuracies = autodiff.Tape(), [], []
+        for episode in batch:
+            embedded, encoder_back = encoder.forward(params.vector, params, episode.x)
+            loss, dist, loss_back = head.episode_loss(embedded, episode.query_y, hyper)
+            tape.nodes.append((encoder_back, loss_back))
+            losses.append(loss.item())
+            accuracies.append(np.mean(heads.predict_np(dist) == episode.query_y))
+        grad, metrics = train.batch_gradient(params, batch, head, hyper)
+        assert np.array_equal(grad, autodiff.backward(tape))
+        assert metrics == {"loss": float(np.mean(losses)),
+                           "accuracy": float(np.mean(accuracies))}, seed
+        assert [type(value) for value in metrics.values()] == [float, float]
+
+
 def test_an_empty_batch_is_refused_before_the_tape_or_the_optimizer(monkeypatch):
     # a step with no episode has no loss to differentiate; Adam's step
     # count stays 0 and no tape is built
