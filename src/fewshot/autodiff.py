@@ -1,9 +1,9 @@
 """The reverse sweep of a training step.
 
-A step's loss is the parameter vector -> ``encoder.forward`` -> one
-``heads.episode_loss`` per episode, each returning ``(value, back)``.  Its
-``Tape`` is the list of each episode's (encoder back, loss back) pair, and
-``backward`` sums the pairs' gradients.
+A step's loss is the parameter vector -> ``encoder.forward`` -> the
+episode's ``heads.episode_loss``, each returning ``(value, back)``.  Its
+``Tape`` holds the step's one (encoder back, loss back) pair, and
+``backward`` runs it from a unit adjoint.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from .errors import ContractError
 
 
 class Tape:
-    """One training step's (encoder back, loss back) pairs, one per episode."""
+    """One training step's (encoder back, loss back) pair, in a list."""
 
     # perfbench's tracer reads len(tape.nodes) in backward and forward's third argument x.
     __slots__ = ("nodes",)
@@ -25,17 +25,10 @@ class Tape:
 
 
 def backward(tape: Tape) -> np.ndarray:
-    """The gradient of the tape's summed loss: each pair's encoder back of
-    its loss back of a unit adjoint, summed last episode first, as a
-    reverse sweep over the episodes meets them.  The order fixes the bits
-    of a batch of three or more episodes.  The sum is never in place, so
-    no pair's gradient is written to.
-    """
-    if not tape.nodes:
-        raise ContractError("backward needs at least one (encoder, loss) pair on the tape")
-    one = np.ones((1, 1))
-    total = None
-    for encoder_back, loss_back in reversed(tape.nodes):
-        grad = encoder_back(loss_back(one))
-        total = grad if total is None else total + grad
-    return total
+    """The gradient of the tape's loss: its encoder back of its loss back
+    of a unit adjoint."""
+    if len(tape.nodes) != 1:
+        raise ContractError("backward needs one (encoder back, loss back) pair on the "
+                            f"tape, got {len(tape.nodes)}")
+    ((encoder_back, loss_back),) = tape.nodes
+    return encoder_back(loss_back(np.ones((1, 1))))

@@ -66,7 +66,6 @@ class RunConfig:
     seed: int = TrainConfig.seed
     out: str = ""
     checkpoint: str = ""
-    batch_tasks: int = TrainConfig.batch_tasks
     val_interval: int = TrainConfig.val_interval
     val_episodes: int = TrainConfig.val_episodes
     embed_dim: int = TrainConfig.embed_dim
@@ -144,6 +143,11 @@ def _parse_value(key: str, text: str):
     return text
 
 
+# Lines every older config.txt holds for a knob that now has one value:
+# Adam is the only optimizer, and a training step takes one episode.
+_RETIRED_LINES = {("optimizer", "adam"), ("batch_tasks", "1")}
+
+
 def parse_config_file(path: str) -> dict:
     """A config file's values by key.  A ``#`` starts a comment only at the
     start of a line or after whitespace, so a value such as ``runs/b#1``
@@ -162,8 +166,8 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}: line {lineno} is not 'key = value'")
         key, _, text = line.partition("=")
         key, text = key.strip().replace("-", "_"), text.strip()
-        if (key, text) == ("optimizer", "adam"):
-            continue  # every older config.txt lists it; Adam is now the only optimizer
+        if (key, text) in _RETIRED_LINES:
+            continue
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
         try:

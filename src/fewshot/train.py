@@ -1,8 +1,8 @@
 """Episodic training: sample episodes, backprop the episode loss, update.
 
-One update step consumes a batch of tasks (default one), records each
-episode's (encoder back, loss back) pair on one tape, and applies Adam
-with the summed gradient that ``autodiff.backward`` takes from it.
+One update step takes one episode, as prototypical networks train:
+it records the episode's (encoder back, loss back) pair on a tape, and
+applies Adam with the gradient that ``autodiff.backward`` takes from it.
 Validation accuracy is measured every ``val_interval`` episodes on
 freshly sampled validation episodes, and the parameters with the best
 validation accuracy (earliest on ties) are returned.
@@ -43,7 +43,6 @@ class TrainConfig(Hyper):
     is checked when built, the encoder shape by ``encoder.default_layer_spec``,
     with a message that starts with the field and gives the value."""
 
-    batch_tasks: int = 1
     episodes: int = 2000
     lr: float = 1e-3
     val_interval: int = 250
@@ -58,7 +57,7 @@ class TrainConfig(Hyper):
     def __post_init__(self):
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ConfigError(f"lr must be finite and positive, got {self.lr}")
-        for name in ("episodes", "batch_tasks", "val_interval", "val_episodes"):
+        for name in ("episodes", "val_interval", "val_episodes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         self.layer_spec(1)
@@ -169,46 +168,37 @@ def split_accuracies(params: EncoderParams, head, dataset: Dataset,
         for i, chunk in enumerate(chunks)])
 
 
-def batch_gradient(params: EncoderParams, batch: list[Episode], head,
-                   hyper: Hyper, episode_offset: int = 0) -> tuple[np.ndarray, dict]:
-    """The gradient of the summed loss over a batch of episodes, laid out
-    as ``params.vector``, and the batch's mean loss and accuracy."""
-    if not batch:
-        raise ContractError("a training step needs at least one episode, got an empty batch")
+def episode_gradient(params: EncoderParams, episode: Episode, head, hyper: Hyper,
+                     episode_index: int = 0) -> tuple[np.ndarray, dict]:
+    """The gradient of one episode's loss, laid out as ``params.vector``,
+    and the episode's loss and accuracy.  ``episode_index`` is the
+    episode's 0-based position in its run, which a ``NumericalError`` names."""
+    try:
+        # episode.x: the support's NK columns, class by class, then the queries
+        embedded, encoder_back = encoder.forward(params.vector, params, episode.x)
+        loss, dist, loss_back = head.episode_loss(embedded, episode.query_y, hyper)
+        value = loss.item()
+        if not math.isfinite(value):
+            raise DivergenceError(f"training diverged: non-finite loss {value}")
+    except NumericalError as exc:
+        raise exc.at_episode(episode_index) from exc
+    # The loss's distances are the pre-update params' distances, so this
+    # is the episode's accuracy without embedding a second time.
+    y = episode.query_y
+    accuracy = int(np.count_nonzero(heads.predict_np(dist) == y)) / y.size
     tape = Tape()
-    losses = []
-    accuracies = []
-    for i, episode in enumerate(batch):
-        try:
-            # episode.x: the support's NK columns, class by class, then the queries
-            embedded, encoder_back = encoder.forward(params.vector, params, episode.x)
-            loss, dist, loss_back = head.episode_loss(embedded, episode.query_y, hyper)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise DivergenceError(f"training diverged: non-finite loss {value}")
-        except NumericalError as exc:
-            raise exc.at_episode(episode_offset + i) from exc
-        losses.append(value)
-        # The loss's distances are the pre-update params' distances, so this
-        # is the episode's accuracy without embedding a second time.
-        y = episode.query_y
-        accuracies.append(int(np.count_nonzero(heads.predict_np(dist) == y)) / y.size)
-        tape.nodes.append((encoder_back, loss_back))
-    # np.mean of one value is that value, so a one-episode batch skips the call
-    metrics = {name: values[0] if len(values) == 1 else float(np.mean(values))
-               for name, values in (("loss", losses), ("accuracy", accuracies))}
-    return autodiff.backward(tape), metrics
+    tape.nodes.append((encoder_back, loss_back))
+    return autodiff.backward(tape), {"loss": value, "accuracy": accuracy}
 
 
-def train_step(params: EncoderParams, batch: list[Episode], config: TrainConfig,
+def train_step(params: EncoderParams, episode: Episode, config: TrainConfig,
                state: AdamState, head=None,
-               episode_offset: int = 0) -> tuple[EncoderParams, dict]:
-    """One Adam update on the summed loss over a batch of episodes;
-    ``state`` is updated in place."""
+               episode_index: int = 0) -> tuple[EncoderParams, dict]:
+    """One Adam update on one episode's loss; ``state`` is updated in place."""
     if state is None:
         raise ContractError("adam needs an optimizer state: pass AdamState.for_params(params)")
     head = head if head is not None else RegressionHead()
-    grad, metrics = batch_gradient(params, batch, head, config, episode_offset)
+    grad, metrics = episode_gradient(params, episode, head, config, episode_index)
     return adam_update(params, grad, state, config.lr), metrics
 
 
@@ -244,23 +234,14 @@ def fit(train_set: Dataset, val_set: Dataset | None, config: TrainConfig,
     history: list[dict] = []
     best_params = params
     best_val = -1.0
-    consumed = 0
-    while consumed < config.episodes:
-        take = min(config.batch_tasks, config.episodes - consumed)
-        batch = [
-            sample_episode(train_set, config.n_way, config.k_shot,
-                           config.q_queries, sample_rng)
-            for _ in range(take)
-        ]
-        params, metrics = train_step(params, batch, config, state, head,
-                                     episode_offset=consumed)
-        prev = consumed
-        consumed += take
-        record = {"episode": consumed,
-                  "loss": metrics["loss"],
+    for episode in range(1, config.episodes + 1):
+        sampled = sample_episode(train_set, config.n_way, config.k_shot,
+                                 config.q_queries, sample_rng)
+        params, metrics = train_step(params, sampled, config, state, head,
+                                     episode_index=episode - 1)
+        record = {"episode": episode, "loss": metrics["loss"],
                   "accuracy": metrics["accuracy"]}
-        # Validate when the batch crosses an interval boundary.
-        if val_set is not None and (prev // config.val_interval) < (consumed // config.val_interval):
+        if val_set is not None and episode % config.val_interval == 0:
             val_acc = validate(params, head, val_set, config, val_rng)
             record["val_accuracy"] = val_acc
             if val_acc > best_val:

@@ -104,14 +104,15 @@ def check_closed_form_oracle(seed: int = 0, instances: int = 200) -> CheckResult
 def build_projector_np(s: np.ndarray, lambda1: float) -> np.ndarray:
     """P = S (S^T S + lambda1 I)^{-1} S^T: the M x M projector in plain numpy.
 
-    Nothing scores with it; it is the reference for the projection-law
-    checks, since ||e - P e|| is the regression distance.
+    Nothing scores with it; it is the reference for the projection-law and
+    posterior checks, since ||e - P e|| is the regression distance, and
+    numpy's solver builds it, independently of the package's Cholesky.
     """
     s = linalg.as_matrix(s)
     gram = s.T @ s
     if lambda1 != 0.0:
         gram = gram + lambda1 * np.eye(s.shape[1])
-    return s @ linalg.solve_with_factor(linalg.cholesky(gram), np.ascontiguousarray(s.T))
+    return s @ np.linalg.solve(gram, s.T)
 
 
 def softmax_neg_np(distances: np.ndarray) -> np.ndarray:
@@ -197,9 +198,8 @@ def _random_episode(rng: np.random.Generator, n: int, k: int, q: int, d: int) ->
 
 def check_gradient_fidelity(seed: int = 0, trials: int = 20,
                             h: float = 1e-4) -> CheckResult:
-    """Analytic gradient of a training step's summed loss vs central
-    differences, for every head and for one- and three-episode batches:
-    trial t trains head t mod 3 on a batch of 1 + 2 (t mod 2) episodes.
+    """Analytic gradient of a training step's loss vs central differences,
+    for every head: trial t trains head t mod 3 on one episode.
 
     Uses a tanh encoder so the loss is smooth everywhere (relu kinks would
     invalidate the finite-difference stencil). Relative error uses a 1e-2
@@ -212,16 +212,16 @@ def check_gradient_fidelity(seed: int = 0, trials: int = 20,
     for trial in range(trials):
         rng = linalg.rng_from_seed(seed + 1000 + trial)
         head = heads.make_head(tuple(heads.HEADS)[trial % 3])
-        batch = [_random_episode(rng, n=2, k=2, q=2, d=5) for _ in range(1 + 2 * (trial % 2))]
+        episode = _random_episode(rng, n=2, k=2, q=2, d=5)
         spec = [(5, 6, "tanh"), (6, 4, "none")]
         params = init_encoder(int(rng.integers(2**32)), spec)
 
-        analytic, _ = train.batch_gradient(params, batch, head, hyper)
+        analytic, _ = train.episode_gradient(params, episode, head, hyper)
         flat = params.vector
 
         def loss_at(vec):   # the loss's value alone: no tape, no backward
-            return sum(head.episode_loss(forward(vec, params, ep.x)[0], ep.query_y,
-                                         hyper)[0].item() for ep in batch)
+            embedded = forward(vec, params, episode.x)[0]
+            return head.episode_loss(embedded, episode.query_y, hyper)[0].item()
 
         for i in range(flat.size):
             plus = flat.copy()
@@ -234,7 +234,7 @@ def check_gradient_fidelity(seed: int = 0, trials: int = 20,
     passed = worst < 1e-4
     return CheckResult(
         "loss gradient vs central finite differences", passed,
-        f"{trials} trials over 3 heads and 1- and 3-episode batches, worst "
+        f"{trials} trials over 3 heads, one episode each, worst "
         f"per-coordinate relative error {worst:.3e} (limit 1e-4)")
 
 

@@ -1,9 +1,9 @@
 """Adjoint tests: the encoder's ``back``, ``backward`` over a training
-tape of (encoder back, loss back) pairs, and the adjoint of every loss
+tape's (encoder back, loss back) pair, and the adjoint of every loss
 kernel in ``heads`` (the three distances, the cross-entropy and the
 ortho penalty) against central finite differences, the kernels against
-numpy oracles, plus the structural contracts (idempotent backward, a sum
-that writes to no adjoint, no adjoint for the encoder's input batch,
+numpy oracles, plus the structural contracts (idempotent backward, kernel
+backs that write to no adjoint, no adjoint for the encoder's input batch,
 stabilized reductions, shape errors).
 
 Every function under test returns ``(value, back)``: ``back(w)`` is
@@ -89,24 +89,22 @@ def encoder_case(seed, depth, act, batch=5):
     return params, params.vector.copy(), rng.standard_normal((4, batch))
 
 
-def training_tape(vector, params, episodes):
-    """One (encoder back, loss back) pair per (batch, loss) of ``episodes``,
-    in order, as a training step records them, and the summed loss."""
-    tape, total = Tape(), 0.0
-    for x, loss in episodes:
-        embedded, encoder_back = encoder.forward(vector, params, x)
-        value, loss_back = loss(embedded)
-        tape.nodes.append((encoder_back, loss_back))
-        total += value[0, 0]
-    return tape, total
+def training_tape(vector, params, x, loss):
+    """The (encoder back, loss back) pair of the batch ``x`` and ``loss`` on
+    a tape, as a training step records it, and the loss's value."""
+    tape = Tape()
+    embedded, encoder_back = encoder.forward(vector, params, x)
+    value, loss_back = loss(embedded)
+    tape.nodes.append((encoder_back, loss_back))
+    return tape, value[0, 0]
 
 
-def summed(params, episodes):
-    """The summed loss of ``training_tape`` as a kernel of the parameter
-    vector, whose ``back`` scales ``backward`` of the tape."""
+def step_loss(params, x, loss):
+    """The loss of ``training_tape`` as a kernel of the parameter vector,
+    whose ``back`` scales ``backward`` of the tape."""
     def kernel(vector):
-        tape, total = training_tape(vector, params, episodes)
-        return np.array([[total]]), lambda g: float(g[0, 0]) * backward(tape)
+        tape, value = training_tape(vector, params, x, loss)
+        return np.array([[value]]), lambda g: float(g[0, 0]) * backward(tape)
     return kernel
 
 
@@ -197,19 +195,6 @@ def test_encoder_back_is_the_layer_view_gradient_and_writes_no_adjoint():
             if act == "relu":   # every layer's mask both passes and stops some entries
                 for out in numpy_chain(params, x)[1][1:]:
                     assert (out == 0.0).any() and (out > 0.0).any()
-
-
-def test_a_batch_of_episodes_sums_into_one_gradient():
-    # two episodes on one tape, as a train step with two tasks records
-    # them: backward's gradient is the sum of each episode's
-    params, vector, x = encoder_case(40, 2, "tanh")
-    y = np.random.default_rng(41).standard_normal((4, 3))
-    check_kernel(summed(params, [(x, probe), (y, probe)]), [vector])
-    summed_grad = backward(training_tape(vector, params, [(x, probe), (y, probe)])[0])
-    first = backward(training_tape(vector, params, [(x, probe)])[0])
-    second = backward(training_tape(vector, params, [(y, probe)])[0])
-    assert summed_grad.shape == vector.shape
-    assert np.array_equal(summed_grad, second + first)
 
 
 def test_dense_value_is_the_shared_layer_function():
@@ -376,9 +361,8 @@ def test_baseline_gradients_at_one_shot_one_class_and_one_query():
 
 def test_cross_entropy_gradients():
     # one column, then several, with repeated and distinct true rows; then
-    # the kernel as the loss of a tape's first episode, before a probed
-    # second one, so its adjoint is checked through backward when it is not
-    # the first pair backward runs
+    # the kernel as the loss of a training tape, so its adjoint is checked
+    # through the encoder's back and backward
     zero = np.zeros((4, 1))
     for seed in range(5):
         rng = np.random.default_rng(seed + 80)
@@ -389,8 +373,8 @@ def test_cross_entropy_gradients():
         labels = np.array([3, 1, 3])
         check_kernel(lambda d: heads.cross_entropy(d, labels), [a])
         params = EncoderParams([Layer(a, zero, "none")])
-        episodes = [(m, lambda h: heads.cross_entropy(h, labels)), (m.T, probe)]
-        check_kernel(summed(params, episodes), [params.vector.copy()])
+        loss = step_loss(params, m, lambda h: heads.cross_entropy(h, labels))
+        check_kernel(loss, [params.vector.copy()])
 
 
 def test_cross_entropy_matches_the_composed_oracle_bit_for_bit():
@@ -430,21 +414,11 @@ def test_unregularized_ridge_value_is_the_least_squares_residual():
 def test_backward_is_idempotent():
     # a second call gives the same gradient and leaves the first one as it was
     params, vector, x = encoder_case(1, 1, "tanh")
-    tape, _ = training_tape(vector, params, [(x, probe), (x[:, :2], probe)])
+    tape, _ = training_tape(vector, params, x, probe)
     first = backward(tape)
     kept = first.copy()
     assert np.array_equal(backward(tape), kept)
     assert np.array_equal(first, kept)
-
-
-def test_backward_sums_into_a_new_array_leaving_a_shared_gradient_intact():
-    # two pairs whose encoder backs return one and the same array: the sum
-    # is a new array, and the shared one keeps its values
-    shared = np.ones(4)
-    tape = Tape()
-    tape.nodes += [(lambda g: shared, lambda g: g)] * 2
-    assert np.array_equal(backward(tape), 2.0 * np.ones(4))
-    assert np.array_equal(shared, np.ones(4))
 
 
 def test_distance_adjoints_do_not_alias_the_output_grad():
@@ -542,9 +516,15 @@ def test_zero_norm_gradients_are_zero():
 
 
 def test_backward_refuses_an_empty_tape():
-    # a tape with no episode has no loss to differentiate
-    with pytest.raises(ContractError, match="at least one"):
+    # a tape with no episode has no loss to differentiate, and a step takes
+    # one episode, so a second pair is refused too; the message gives the count
+    with pytest.raises(ContractError, match="pair on the tape, got 0$"):
         backward(Tape())
+    params, vector, x = encoder_case(1, 1, "tanh")
+    tape, _ = training_tape(vector, params, x, probe)
+    tape.nodes += tape.nodes
+    with pytest.raises(ContractError, match="pair on the tape, got 2$"):
+        backward(tape)
 
 
 def test_shape_errors_for_malformed_operands():

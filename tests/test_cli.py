@@ -110,7 +110,7 @@ def test_dashed_keys_match_flag_spelling(tmp_path):
 # data and with a CSV --dataset alike.
 BELOW_RANGE = {
     "n": "1", "k": "0", "q": "0", "episodes": "0", "eval-episodes": "1",
-    "batch-tasks": "0", "val-interval": "0", "val-episodes": "0", "synth-classes": "1",
+    "val-interval": "0", "val-episodes": "0", "synth-classes": "1",
     "per-class": "0", "dim": "0", "embed-dim": "0", "hidden-dim": "0", "depth": "-1",
     "lr": "-1", "lambda1": "-1", "lambda2": "-1", "lambda2-values": "0,-1",
     "spread": "-1", "within-std": "-1", "offset": None,
@@ -606,15 +606,17 @@ test_fraction = 0.16666666666666666
 
 def test_an_older_config_txt_with_optimizer_adam_still_drives_train_and_eval(
         tmp_path, capsys):
-    # Adam is the only optimizer, so the retired key is skipped when its
-    # value is adam; the config.txt written now is the old one without it
+    # Adam is the only optimizer and a step takes one episode, so each
+    # retired key is skipped at its one value; the config.txt written now
+    # is the old one without them
     out = tmp_path / "run"
     cfg = tmp_path / "old.cfg"
     old = OLD_CONFIG_TXT.format(out=out)
     cfg.write_text(old)
-    assert "optimizer" not in parse_config_file(str(cfg))
+    assert not {"optimizer", "batch_tasks"} & set(parse_config_file(str(cfg)))
     assert run(["train", "--config", str(cfg)]) == EXIT_OK
-    assert (out / "config.txt").read_text() == old.replace("optimizer = adam\n", "")
+    assert (out / "config.txt").read_text() == (
+        old.replace("optimizer = adam\n", "").replace("batch_tasks = 1\n", ""))
     assert run(["eval", "--config", str(cfg),
                 "--checkpoint", str(out / "encoder.txt")]) == EXIT_OK
     assert (out / "report.log").is_file()
@@ -635,6 +637,20 @@ def test_an_optimizer_other_than_adam_in_a_config_file_is_an_unknown_key(
     assert f"{cfg}: line 2: unknown key 'optimizer'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_batch_tasks_other_than_1_in_a_config_file_is_an_unknown_key(
+        monkeypatch, tmp_path, capsys, command):
+    monkeypatch.setattr(cli, "_load_domain", no_data)
+    cfg = tmp_path / "b2.cfg"
+    cfg.write_text("k = 3\nbatch_tasks = 2\n")
+    with pytest.raises(cli.ConfigError,
+                       match=f"^{re.escape(str(cfg))}: line 2: unknown key 'batch_tasks'$"):
+        parse_config_file(str(cfg))
+    required = ["--checkpoint", "enc.txt"] if command == "eval" else []
+    assert run([command, "--config", str(cfg), "--out", "x", *required]) == EXIT_USAGE
+    assert f"{cfg}: line 2: unknown key 'batch_tasks'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["train", "ablate", "shift"])
 def test_the_optimizer_flag_is_a_usage_error(monkeypatch, capsys, command):
     monkeypatch.setattr(cli, "_load_domain", no_data)
@@ -642,6 +658,15 @@ def test_the_optimizer_flag_is_a_usage_error(monkeypatch, capsys, command):
         run([command, *FAST_TRAIN, "--optimizer", "adam", "--out", "x"])
     assert info.value.code == EXIT_USAGE
     assert capsys.readouterr().err.endswith("unrecognized arguments: --optimizer adam\n")
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "shift"])
+def test_the_batch_tasks_flag_is_a_usage_error(monkeypatch, capsys, command):
+    monkeypatch.setattr(cli, "_load_domain", no_data)
+    with pytest.raises(SystemExit) as info:
+        run([command, *FAST_TRAIN, "--batch-tasks", "1", "--out", "x"])
+    assert info.value.code == EXIT_USAGE
+    assert capsys.readouterr().err.endswith("unrecognized arguments: --batch-tasks 1\n")
 
 
 def test_a_hash_inside_a_config_value_is_kept(tmp_path, capsys):
@@ -710,7 +735,7 @@ def test_run_config_defaults_are_the_documented_ones():
     assert config.lambda1 == pytest.approx(1e-3)
     assert config.lambda2 is None
     assert config.head == "regression"
-    assert len(fields(RunConfig)) == 31
+    assert len(fields(RunConfig)) == 30
     tc = config.train_config()
     assert tc.n_way == 5 and tc.k_shot == 5 and tc.q_queries == 16
     assert tc.final_activation == "none"
@@ -721,14 +746,14 @@ def test_run_config_defaults_are_the_documented_ones():
 # The flag surface as it was when the flags were first generated from
 # RunConfig, except that check takes only --config and --seed, eval only
 # the flags it reads, train no --eval-episodes, ablate no --lambda2 or
-# --head, and no command --threads or --optimizer: option string -> dest,
-# shared by the training commands and then per command.
+# --head, and no command --threads, --optimizer or --batch-tasks: option
+# string -> dest, shared by the training commands and then per command.
 COMMON_FLAGS = {
     "--config": "config", "--dataset": "dataset", "--n": "n", "--k": "k",
     "--q": "q", "--episodes": "episodes", "--eval-episodes": "eval_episodes",
     "--lr": "lr", "--lambda1": "lambda1", "--lambda2": "lambda2", "--head": "head",
-    "--seed": "seed", "--out": "out", "--batch-tasks": "batch_tasks",
-    "--val-interval": "val_interval", "--val-episodes": "val_episodes",
+    "--seed": "seed", "--out": "out", "--val-interval": "val_interval",
+    "--val-episodes": "val_episodes",
     "--embed-dim": "embed_dim", "--hidden-dim": "hidden_dim", "--depth": "depth",
     "--activation": "activation", "--final-activation": "final_activation",
     "--synth-classes": "synth_classes", "--per-class": "per_class", "--dim": "dim",

@@ -1,6 +1,6 @@
 """Training-loop tests: config validation, Adam oracles, the training
-loss against a numpy reconstruction, the tape of a step and the order of
-its gradient sum, divergence reporting, and determinism.
+loss against a numpy reconstruction, the tape of a step, divergence
+reporting, and determinism.
 """
 
 import gc
@@ -46,7 +46,7 @@ def test_config_validation():
     for bad in (0.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError, match=f"^lr must be finite and positive, got {bad}$"):
             TrainConfig(lr=bad)
-    for name in ("episodes", "batch_tasks", "val_interval", "val_episodes"):
+    for name in ("episodes", "val_interval", "val_episodes"):
         with pytest.raises(ConfigError, match=f"^{name} must be >= 1, got 0$"):
             TrainConfig(**{name: 0})
     # the encoder shape is checked when the config is built, not at fit
@@ -91,7 +91,7 @@ def test_config_hyper_carries_the_resolved_weight():
     assert (config.n_way, config.k_shot, config.q_queries) == (5, 1, 16)
     shape_and_weights = [f.name for f in fields(Hyper)]
     assert [f.name for f in fields(TrainConfig)][:5] == shape_and_weights
-    assert len(fields(TrainConfig)) == 16
+    assert len(fields(TrainConfig)) == 15
     assert not set(inspect.get_annotations(TrainConfig)) & set(shape_and_weights)
 
 
@@ -168,7 +168,7 @@ def test_train_step_with_adam_needs_a_state():
                           default_layer_spec(train_set.dim, 4, 8, 1))
     episode = sample_episode(train_set, 3, 2, 3, named_stream(2, "train-sampling"))
     with pytest.raises(ContractError, match=r"AdamState\.for_params"):
-        train_step(params, [episode], small_config(), None)
+        train_step(params, episode, small_config(), None)
 
 
 # -- loss plumbing ----------------------------------------------------------------
@@ -204,13 +204,12 @@ def test_a_training_tape_has_one_leaf_and_gives_the_optimizer_a_flat_gradient(
     # vector is the one thing differentiated, the tape holds one (encoder
     # back, loss back) pair, and Adam gets a gradient of
     # params.vector's shape (a P x 1 one would broadcast against Adam's
-    # moments into a P x P array); two episodes per step record two pairs
+    # moments into a P x P array)
     train_set, _, _ = small_splits()
     params = init_encoder(named_stream(3, "init"),
                           default_layer_spec(train_set.dim, 4, 8, 2))
     assert len(params.layers) == 3
-    rng = named_stream(3, "train-sampling")
-    episodes = [sample_episode(train_set, 3, 2, 3, rng) for _ in range(2)]
+    episode = sample_episode(train_set, 3, 2, 3, named_stream(3, "train-sampling"))
     tapes, shapes = [], []
     backward, adam = autodiff.backward, train.adam_update
 
@@ -224,81 +223,34 @@ def test_a_training_tape_has_one_leaf_and_gives_the_optimizer_a_flat_gradient(
 
     monkeypatch.setattr(autodiff, "backward", record_tape)
     monkeypatch.setattr(train, "adam_update", record_grad)
-    train_step(params, episodes[:1], small_config(lambda2=1e-2),
+    train_step(params, episode, small_config(lambda2=1e-2),
                AdamState.for_params(params), heads.make_head(head_name))
-    train_step(params, episodes, small_config(lambda2=1e-2, batch_tasks=2),
-               AdamState.for_params(params), heads.make_head(head_name))
-    assert [len(tape.nodes) for tape in tapes] == [1, 2]
-    for tape in tapes:
-        assert all(len(pair) == 2 and all(map(callable, pair)) for pair in tape.nodes)
-    assert shapes == [params.vector.shape] * 2
-
-
-def test_a_batch_gradient_sums_the_episodes_last_first():
-    # the bits of a three-episode step: backward sums the episode gradients
-    # in reverse, (g3 + g2) + g1, as a reverse sweep over the episodes meets
-    # them; the forward order (g1 + g2) + g3 rounds differently on some seed
-    train_set, _, _ = small_splits()
-    hyper = small_config(lambda2=1e-2)
-    head = RegressionHead()
-    forward_differs = []
-    for seed in range(5):
-        params = init_encoder(named_stream(seed, "init"),
-                              default_layer_spec(train_set.dim, 4, 8, 1))
-        rng = named_stream(seed, "train-sampling")
-        batch = [sample_episode(train_set, 3, 2, 3, rng) for _ in range(3)]
-        g1, g2, g3 = (train.batch_gradient(params, [ep], head, hyper)[0] for ep in batch)
-        grad, _ = train.batch_gradient(params, batch, head, hyper)
-        assert np.array_equal(grad, (g3 + g2) + g1), seed
-        forward_differs.append(not np.array_equal(grad, (g1 + g2) + g3))
-    assert any(forward_differs)
+    ((pair,),) = [tape.nodes for tape in tapes]
+    assert len(pair) == 2 and all(map(callable, pair))
+    assert shapes == [params.vector.shape]
 
 
 @pytest.mark.parametrize("head_name", ["regression", "proto", "cosine"])
-@pytest.mark.parametrize("size", [1, 3])
-def test_batch_gradient_is_the_hand_built_tape_bit_for_bit(head_name, size):
+def test_episode_gradient_is_the_hand_built_tape_bit_for_bit(head_name):
     # a tape built by hand from encoder.forward and head.episode_loss, and
-    # np.mean of its per-episode losses and accuracies: the step's gradient
-    # and metrics equal them exactly, as Python floats, on a few seeds so a
-    # loss summed in another order would round differently on one of them
+    # the episode's loss and accuracy: the step's gradient and metrics
+    # equal them exactly, as Python floats, on a few seeds
     train_set, _, _ = small_splits()
     hyper = small_config(lambda2=1e-2)
     head = heads.make_head(head_name)
     for seed in range(4):
         params = init_encoder(named_stream(seed, "init"),
                               default_layer_spec(train_set.dim, 4, 8, 2))
-        rng = named_stream(seed, "train-sampling")
-        batch = [sample_episode(train_set, 3, 2, 3, rng) for _ in range(size)]
-        tape, losses, accuracies = autodiff.Tape(), [], []
-        for episode in batch:
-            embedded, encoder_back = encoder.forward(params.vector, params, episode.x)
-            loss, dist, loss_back = head.episode_loss(embedded, episode.query_y, hyper)
-            tape.nodes.append((encoder_back, loss_back))
-            losses.append(loss.item())
-            accuracies.append(np.mean(heads.predict_np(dist) == episode.query_y))
-        grad, metrics = train.batch_gradient(params, batch, head, hyper)
+        episode = sample_episode(train_set, 3, 2, 3, named_stream(seed, "train-sampling"))
+        tape = autodiff.Tape()
+        embedded, encoder_back = encoder.forward(params.vector, params, episode.x)
+        loss, dist, loss_back = head.episode_loss(embedded, episode.query_y, hyper)
+        tape.nodes.append((encoder_back, loss_back))
+        grad, metrics = train.episode_gradient(params, episode, head, hyper)
         assert np.array_equal(grad, autodiff.backward(tape))
-        assert metrics == {"loss": float(np.mean(losses)),
-                           "accuracy": float(np.mean(accuracies))}, seed
+        assert metrics == {"loss": loss.item(), "accuracy": float(
+            np.mean(heads.predict_np(dist) == episode.query_y))}, seed
         assert [type(value) for value in metrics.values()] == [float, float]
-
-
-def test_an_empty_batch_is_refused_before_the_tape_or_the_optimizer(monkeypatch):
-    # a step with no episode has no loss to differentiate; Adam's step
-    # count stays 0 and no tape is built
-    train_set, _, _ = small_splits()
-    params = init_encoder(named_stream(3, "init"),
-                          default_layer_spec(train_set.dim, 4, 8, 1))
-
-    def no_tape(*args):
-        raise AssertionError("a tape was built")
-
-    monkeypatch.setattr(autodiff.Tape, "__init__", no_tape)
-    state = AdamState.for_params(params)
-    with pytest.raises(ContractError, match="at least one episode"):
-        train_step(params, [], small_config(), state)
-    assert state.step == 0
-    assert not state.m.any() and not state.v.any()
 
 
 def test_scoring_records_no_tape(monkeypatch):
@@ -344,7 +296,7 @@ def test_train_step_updates_parameters_and_reports_metrics():
                           default_layer_spec(train_set.dim, 4, 8, 1))
     state = AdamState.for_params(params)
     episode = sample_episode(train_set, 3, 2, 3, named_stream(2, "train-sampling"))
-    new_params, metrics = train_step(params, [episode], config, state)
+    new_params, metrics = train_step(params, episode, config, state)
     assert np.isfinite(metrics["loss"])
     assert 0.0 <= metrics["accuracy"] <= 1.0
     assert not np.array_equal(new_params.layers[0].weight, params.layers[0].weight)
@@ -359,16 +311,14 @@ def test_train_step_accuracy_is_episode_accuracy_before_the_update():
                        (6, heads.CosineHead())):
         params = init_encoder(named_stream(seed, "init"),
                               default_layer_spec(train_set.dim, 4, 8, 1))
-        rng = named_stream(seed, "train-sampling")
-        batch = [sample_episode(train_set, 3, 2, 3, rng) for _ in range(2)]
-        expected = np.mean([episode_accuracy_np(params, head, ep, config)
-                            for ep in batch])
-        _, metrics = train_step(params, batch, config, AdamState.for_params(params),
+        episode = sample_episode(train_set, 3, 2, 3, named_stream(seed, "train-sampling"))
+        expected = episode_accuracy_np(params, head, episode, config)
+        _, metrics = train_step(params, episode, config, AdamState.for_params(params),
                                 head=head)
         assert metrics["accuracy"] == expected
 
 
-def test_divergence_error_carries_the_global_episode_index():
+def test_divergence_error_carries_the_global_episode_index(monkeypatch):
     # the proto head carries NaN features through to the loss; the
     # regression head would fail earlier, inside the Gram factorization
     train_set, _, _ = small_splits()
@@ -379,9 +329,23 @@ def test_divergence_error_carries_the_global_episode_index():
     state = AdamState.for_params(params)
     episode = sample_episode(train_set, 3, 2, 3, named_stream(3, "train-sampling"))
     with pytest.raises(DivergenceError) as info:
-        train_step(params, [episode], config, state, head=heads.ProtoHead(),
-                   episode_offset=120)
+        train_step(params, episode, config, state, head=heads.ProtoHead(),
+                   episode_index=120)
     assert info.value.episode_index == 120
+    # fit passes each step its episode's 0-based position in the run: a
+    # loss that turns non-finite on the third step fails at episode 2
+    losses = []
+    proto_loss = heads.ProtoHead.episode_loss
+
+    def nan_on_the_third(head, embedded, labels, hyper):
+        loss, dist, back = proto_loss(head, embedded, labels, hyper)
+        losses.append(loss)
+        return (loss * np.nan if len(losses) == 3 else loss), dist, back
+
+    monkeypatch.setattr(heads.ProtoHead, "episode_loss", nan_on_the_third)
+    with pytest.raises(DivergenceError) as info:
+        fit(train_set, None, config, head=heads.ProtoHead())
+    assert info.value.episode_index == 2 and len(losses) == 3
 
 
 def test_conditioning_error_carries_the_global_episode_index():
@@ -395,8 +359,8 @@ def test_conditioning_error_carries_the_global_episode_index():
         layer.weight[...] = 0.0
     episode = sample_episode(train_set, 3, 2, 3, named_stream(3, "train-sampling"))
     with pytest.raises(ConditioningError) as info:
-        train_step(params, [episode], config, AdamState.for_params(params),
-                   episode_offset=120)
+        train_step(params, episode, config, AdamState.for_params(params),
+                   episode_index=120)
     assert info.value.episode_index == 120
     assert str(info.value).endswith("of class 1 at episode 120")
 
@@ -412,8 +376,8 @@ def test_degenerate_subspace_error_carries_the_global_episode_index():
         layer.weight[...] = 0.0
     episode = sample_episode(train_set, 3, 2, 3, named_stream(3, "train-sampling"))
     with pytest.raises(DegenerateSubspaceError) as info:
-        train_step(params, [episode], config, AdamState.for_params(params),
-                   episode_offset=120)
+        train_step(params, episode, config, AdamState.for_params(params),
+                   episode_index=120)
     assert isinstance(info.value, NumericalError)
     assert info.value.episode_index == 120
     assert str(info.value).endswith("class 1 has an all-zero support matrix at episode 120")
@@ -487,13 +451,6 @@ def test_fit_without_validation_returns_final_params():
     params_again, _ = fit(train_set, None, config)
     for la, lb in zip(params.layers, params_again.layers):
         assert np.array_equal(la.weight, lb.weight)
-
-
-def test_fit_batched_episodes_consume_the_budget_exactly():
-    train_set, val_set, _ = small_splits()
-    config = small_config(episodes=10, batch_tasks=4, val_interval=100)
-    _, history = fit(train_set, val_set, config)
-    assert [r["episode"] for r in history] == [4, 8, 10]  # last batch truncated
 
 
 def test_training_separable_data_reaches_high_accuracy():

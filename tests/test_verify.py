@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from fewshot import autodiff, heads, train, verify
+from fewshot import autodiff, heads, linalg, train, verify
+from fewshot.episodes import Episode
 from fewshot.errors import ShapeError
 
 
@@ -61,19 +62,31 @@ def test_gradient_suite_runs_one_backward_pass_per_trial(monkeypatch):
     assert len(calls) == 20
 
 
-def test_gradient_suite_covers_every_head_and_a_three_episode_batch(monkeypatch):
+def test_gradient_suite_covers_every_head_one_episode_at_a_time(monkeypatch):
     seen = set()
-    batch_gradient = train.batch_gradient
+    episode_gradient = train.episode_gradient
 
-    def recorded(params, batch, head, hyper, *args, **kwargs):
-        seen.add((head.name, len(batch)))
-        return batch_gradient(params, batch, head, hyper, *args, **kwargs)
+    def recorded(params, episode, head, hyper, *args, **kwargs):
+        seen.add((head.name, type(episode)))
+        return episode_gradient(params, episode, head, hyper, *args, **kwargs)
 
-    monkeypatch.setattr(train, "batch_gradient", recorded)
+    monkeypatch.setattr(train, "episode_gradient", recorded)
     result = verify.check_gradient_fidelity(0)
     assert result.passed, result.line()
-    assert seen == {(name, size) for name in ("regression", "proto", "cosine")
-                    for size in (1, 3)}
+    assert seen == {(name, Episode) for name in ("regression", "proto", "cosine")}
+
+
+def test_the_projector_oracle_leaves_the_package_factorization_alone(monkeypatch):
+    # the projection-law and posterior suites hold the package's ridge
+    # distances to this projector, so numpy's solver builds it
+    def refused(*args, **kwargs):
+        raise AssertionError("the oracle called the package's Cholesky route")
+
+    monkeypatch.setattr(linalg, "cholesky", refused)
+    monkeypatch.setattr(linalg, "solve_with_factor", refused)
+    s = np.random.default_rng(0).standard_normal((6, 2))
+    expected = s @ np.linalg.inv(s.T @ s + 1e-3 * np.eye(2)) @ s.T
+    assert np.allclose(verify.build_projector_np(s, 1e-3), expected, rtol=1e-12, atol=0)
 
 
 def test_posterior_suite_checks_the_package_posterior(monkeypatch):
