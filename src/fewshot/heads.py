@@ -86,7 +86,7 @@ class Hyper:
         return 1e-3 if self.k_shot == 1 else 1e-2
 
 
-_FLOAT_MAX = np.finfo(np.float64).max
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 def _swap(a: np.ndarray) -> np.ndarray:
@@ -115,10 +115,8 @@ def _check_rows(support: np.ndarray, query: np.ndarray) -> None:
     if query.shape[:-1] != support.shape[:-1]:
         raise ShapeError(
             f"queries {query.shape} do not match the support's rows {support.shape}")
-    lead = support.shape[:-2]
-    peak = np.maximum(np.abs(support).reshape(*lead, -1).max(-1),
-                      np.abs(query).reshape(*lead, -1).max(-1))
-    bad = peak > np.sqrt(_FLOAT_MAX / (4.0 * support.shape[-2] * support.shape[-1]))
+    peak = np.maximum(np.abs(support).max(axis=(-2, -1)), np.abs(query).max(axis=(-2, -1)))
+    bad = peak > math.sqrt(_FLOAT_MAX / (4.0 * support.shape[-2] * support.shape[-1]))
     if bad.any():
         where = tuple(np.argwhere(bad)[0])
         raise NumericalError(
@@ -264,7 +262,7 @@ def ridge_residuals(support: np.ndarray, query: np.ndarray, n: int, lambda1: flo
     # exact zero pivot
     st = np.ascontiguousarray(_swap(s))
     gram = st @ s
-    np.einsum("...ii->...i", gram)[...] += float(lambda1)      # the diagonal, in place
+    gram.reshape(*gram.shape[:-2], k * k)[..., :: k + 1] += float(lambda1)   # the diagonal
     p = linalg.solve_with_factor(linalg.cholesky(gram), st)    # (..., N, K, M)
     q = query[..., None, :, :]
     c = p @ q

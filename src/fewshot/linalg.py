@@ -45,37 +45,36 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     ``a`` is one matrix or a stack (..., K, K).  One right-looking sweep
     runs over the rows of the augmented (..., K, 2K) array [a | I] (I set
     through a strided view of its diagonal), reading a's upper triangle:
-    each pivot scales its row by 1/sqrt(pivot) and takes a rank-1 update
-    off the rows below (the last pivot has none), on both halves at once.
-    Row j of the left half then holds row j of L^T right of the diagonal,
-    and the right half becomes W = L^{-1}, lower-triangular with exact
-    zeros above the diagonal, returned as a strided view.  The loop runs
-    over K only, and ``solve_with_factor`` needs no triangular solve.
-    Written out explicitly (rather than delegated) so that a failure can
-    name the offending pivot and, in a stack, its 1-based class (position
-    on the last stacked axis): the matrices here are tiny K x K Gram
-    matrices and a non-positive pivot means the caller forgot the ridge
-    term on a rank-deficient system.  The pivots are checked once, after
-    the loop; the first failure named is the lowest pivot index, then the
-    first matrix in the stack.  In a stack of episodes (E, N, K, K) the
-    error's ``episode_index`` is the position on the episode axis.
+    each pivot scales its row right of itself by 1/sqrt(pivot) and takes a
+    rank-1 update off the rows below (the last pivot has none), on both
+    halves at once.  Row j of the left half then holds pivot j on the
+    diagonal and row j of L^T right of it; the right half becomes W =
+    L^{-1}, lower-triangular with exact zeros above the diagonal, returned
+    as a strided view.  Written out explicitly (rather than delegated) so
+    that a failure can name the offending pivot, read off the diagonal
+    after the loop, and in a stack its 1-based class (position on the last
+    stacked axis): a non-positive pivot of these tiny K x K Gram matrices
+    means the caller forgot the ridge term on a rank-deficient system.  The
+    lowest failing pivot index is named first, then the first matrix in the
+    stack; in an episode stack (E, N, K, K) the error's ``episode_index``
+    is the position on the episode axis.
     """
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ShapeError(f"cholesky expects square matrices, got {a.shape}")
     k = a.shape[-1]
     aug = np.zeros(a.shape[:-1] + (2 * k,))
     aug[..., :k] = a
-    # I on the right half: the (..., 2K^2) flat view's entries k, k + 2K + 1, ...
-    aug.reshape(a.shape[:-2] + (2 * k * k,))[..., k :: 2 * k + 1] = 1.0
-    pivots = np.empty(a.shape[:-1])
+    # the (..., 2K^2) flat view: the left half's diagonal at 0, 2K + 1, ..., the right's at k, ...
+    flat = aug.reshape(a.shape[:-2] + (2 * k * k,))
+    flat[..., k :: 2 * k + 1] = 1.0
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for j in range(k):
-            pivots[..., j] = aug[..., j, j]
             live = slice(j + 1, k + j + 1)   # a right of the pivot, then W's first j + 1
             row = aug[..., j, live]
-            row /= np.sqrt(pivots[..., j, None])
+            row /= np.sqrt(aug[..., j, j, None])
             if j + 1 < k:
                 aug[..., j + 1 :, live] -= row[..., : k - j - 1, None] * row[..., None, :]
+        pivots = flat[..., :: 2 * k + 1]
         bad = ~((pivots > 0.0) & np.isfinite(pivots))
     if bad.any():
         j = int(np.argmax(bad.reshape(-1, k).any(axis=0)))

@@ -3,9 +3,12 @@
 Each suite pins the production code against an independent route:
 
 - the closed-form regression distance against an iterative minimizer of
-  the (ridge-)regression objective, run to convergence;
+  the (ridge-)regression objective, run to convergence, and against the
+  push-through form lam1 ||(S S^T + lam1 I)^{-1} e|| from numpy's solver,
+  at K up to and past the embedding dimension M;
 - the algebraic projection laws (symmetry, idempotence, spectrum bounds,
-  invariance under right-multiplication of the support matrix);
+  invariance under right-multiplication of the support matrix), and the
+  distance against the residual ||e - P e|| of numpy's projector P;
 - analytic gradients of the full episode loss against central finite
   differences, coordinate by coordinate;
 - posterior normalization/ordering contracts;
@@ -79,7 +82,8 @@ def _distance(s: np.ndarray, e: np.ndarray, lambda1: float) -> float:
 
 
 def check_closed_form_oracle(seed: int = 0, instances: int = 200) -> CheckResult:
-    """Closed-form regression distance vs the iterative minimizer."""
+    """Closed-form regression distance vs the iterative minimizer, then, from
+    a stream of its own, vs the push-through form at K in {1, 2, 5, 16, 20}."""
     rng = linalg.rng_from_seed(seed)
     m = 16
     worst = 0.0
@@ -92,10 +96,22 @@ def check_closed_form_oracle(seed: int = 0, instances: int = 200) -> CheckResult
         oracle = ridge_distance_iterative(s, e, lambda1)
         rel = abs(closed - oracle) / max(abs(oracle), 1e-12)
         worst = max(worst, rel)
-    passed = worst < 1e-6
+    rng = linalg.named_stream(seed, "push-through")
+    worst_push = 0.0
+    for k in (1, 2, 5, 16, 20):
+        for lambda1 in (10.0, 1e-3):
+            for _ in range(10):
+                s = rng.standard_normal((m, k))
+                e = rng.standard_normal((m, 1))
+                oracle = lambda1 * float(np.linalg.norm(
+                    np.linalg.solve(s @ s.T + lambda1 * np.eye(m), e)))
+                worst_push = max(worst_push, abs(_distance(s, e, lambda1) - oracle) / oracle)
+    passed = worst < 1e-6 and worst_push < 1e-9
     return CheckResult(
         "closed-form distance vs iterative minimizer", passed,
-        f"{instances} instances, worst relative error {worst:.3e} (limit 1e-6)")
+        f"{instances} instances, worst relative error {worst:.3e} (limit 1e-6); "
+        f"push-through form at K 1 to 20, M 16: 100 instances, worst {worst_push:.3e} "
+        "(limit 1e-9)")
 
 
 # -- oracles: the projector and the posterior in plain numpy -----------------
@@ -130,7 +146,7 @@ def check_projection_laws(seed: int = 0, trials: int = 100) -> CheckResult:
     rng = linalg.rng_from_seed(seed)
     m = 16
     failures = []
-    worst_sym = worst_idem = worst_inv = 0.0
+    worst_sym = worst_idem = worst_inv = worst_res = 0.0
     eig_lo, eig_hi = np.inf, -np.inf
     for _ in range(trials):
         k = int(rng.choice([1, 2, 5]))
@@ -149,6 +165,9 @@ def check_projection_laws(seed: int = 0, trials: int = 100) -> CheckResult:
         ridge_eigs = np.linalg.eigvalsh(0.5 * (p_ridge + p_ridge.T))
         if float(ridge_eigs.max()) >= 1.0:
             failures.append("ridge projector eigenvalue reached 1")
+        for lam, proj in ((0.0, p), (1e-3, p_ridge)):
+            ref = float(np.linalg.norm(e - proj @ e))
+            worst_res = max(worst_res, abs(_distance(s, e, lam) - ref) / max(ref, 1e-12))
 
         r = rng.standard_normal((k, k)) + 3.0 * np.eye(k)
         d0 = _distance(s, e, 0.0)
@@ -177,8 +196,11 @@ def check_projection_laws(seed: int = 0, trials: int = 100) -> CheckResult:
         failures.append(f"eigenvalues outside [0,1]: [{eig_lo:.3e}, {eig_hi:.3e}]")
     if worst_inv > 1e-8:
         failures.append(f"right-multiplication invariance residual {worst_inv:.3e} > 1e-8")
+    if worst_res > 1e-10:
+        failures.append(f"distance vs ||e - P e|| off by {worst_res:.3e} > 1e-10")
     detail = (f"{trials} trials; sym {worst_sym:.2e}, idem {worst_idem:.2e}, "
-              f"eigs [{eig_lo:.2e}, {1.0 - eig_hi:+.2e}+1], invariance {worst_inv:.2e}")
+              f"eigs [{eig_lo:.2e}, {1.0 - eig_hi:+.2e}+1], invariance {worst_inv:.2e}, "
+              f"distance vs ||e - P e|| {worst_res:.2e}")
     if failures:
         detail = "; ".join(sorted(set(failures)))
     return CheckResult("projection operator laws", not failures, detail)

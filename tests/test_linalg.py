@@ -116,6 +116,24 @@ def test_cholesky_of_an_episode_stack_names_its_episode():
     assert info.value.episode_index == 2
 
 
+def test_a_failing_schur_complement_is_named_with_its_class_and_episode():
+    # every diagonal entry is positive, so only the updated pivot, the Schur
+    # complement det(a[:j+1, :j+1]) / det(a[:j, :j]), can fail
+    rng = np.random.default_rng(43)
+    s = rng.standard_normal((2, 3, 6, 4))
+    a = np.swapaxes(s, -1, -2) @ s + 1e-2 * np.eye(4)       # (E, N, K, K)
+    bad = a[1, 2]
+    pivot2 = np.linalg.det(bad[:3, :3]) / np.linalg.det(bad[:2, :2])
+    bad[2, 2] -= pivot2 + 0.25                               # pivot 2 becomes -0.25
+    assert np.all(np.diagonal(a, axis1=-2, axis2=-1) > 0.0)
+    schur = np.linalg.det(bad[:3, :3]) / np.linalg.det(bad[:2, :2])
+    assert schur < 0.0
+    with pytest.raises(ConditioningError,
+                       match=f"non-positive pivot {schur:.3e} at index 2 of class 3$") as info:
+        linalg.cholesky(a)
+    assert info.value.episode_index == 1
+
+
 def test_a_failing_factorization_warns_nothing():
     # the failed pivot's NaN square root and the divisions after it stay silent
     a = np.stack([np.eye(3), np.diag([1.0, -1.0, 0.0]), np.full((3, 3), np.nan)])

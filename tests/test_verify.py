@@ -103,3 +103,37 @@ def test_posterior_suite_checks_the_package_posterior(monkeypatch):
     result = verify.check_posterior_contracts(0)
     assert not result.passed
     assert "posterior sum off by" in result.detail
+
+
+def test_projection_law_suite_checks_the_package_distance(monkeypatch):
+    # a distance off by one part in a million keeps every law that the
+    # projector or a ratio of distances states; only the comparison with
+    # ||e - P e|| can see it
+    ridge_residuals = heads.ridge_residuals
+
+    def scaled(*args, **kwargs):
+        d, back = ridge_residuals(*args, **kwargs)
+        return d * (1.0 + 1e-6), back
+
+    assert verify.check_projection_laws(0).passed
+    monkeypatch.setattr(verify, "ridge_residuals", scaled)
+    result = verify.check_projection_laws(0)
+    assert not result.passed
+    assert "distance vs ||e - P e|| off by" in result.detail
+
+
+def test_closed_form_suite_checks_the_distance_past_the_embedding_dim(monkeypatch):
+    # the iterative minimizer's instances stop at K = 5; only the push-through
+    # comparison reaches K >= M = 16
+    ridge_residuals = heads.ridge_residuals
+
+    def off_past_m(support, query, n, lambda1):
+        d, back = ridge_residuals(support, query, n, lambda1)
+        return (d * (1.0 + 1e-7) if support.shape[-1] >= support.shape[-2] else d), back
+
+    clean = verify.check_closed_form_oracle(0)
+    assert clean.passed
+    monkeypatch.setattr(verify, "ridge_residuals", off_past_m)
+    result = verify.check_closed_form_oracle(0)
+    assert not result.passed
+    assert result.detail.split(";")[0] == clean.detail.split(";")[0]
