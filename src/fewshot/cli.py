@@ -71,15 +71,12 @@ class RunConfig:
     embed_dim: int = TrainConfig.embed_dim
     hidden_dim: int = TrainConfig.hidden_dim
     depth: int = TrainConfig.depth
-    activation: str = TrainConfig.activation
     final_activation: str = TrainConfig.final_activation
     synth_classes: int = 30
     per_class: int = 50
     dim: int = 32
     spread: float = 1.0
     within_std: float = 1.0
-    val_fraction: float = 1.0 / 6.0
-    test_fraction: float = 1.0 / 6.0
 
     def check_lambda1(self) -> None:
         """Only the regression head reads lambda1: refuse another value for another head."""
@@ -100,8 +97,7 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_CHOICES = {"head": tuple(HEADS), "activation": ACTIVATIONS,
-            "final_activation": ACTIVATIONS}
+_CHOICES = {"head": tuple(HEADS), "final_activation": ACTIVATIONS}
 _HELP = {
     "config": "flat key = value config file",
     "dataset": "'synth' or a CSV path (label,feat_1,...,feat_D)",
@@ -144,8 +140,10 @@ def _parse_value(key: str, text: str):
 
 
 # Lines every older config.txt holds for a knob that now has one value:
-# Adam is the only optimizer, and a training step takes one episode.
-_RETIRED_LINES = {("optimizer", "adam"), ("batch_tasks", "1")}
+# Adam is the only optimizer, a training step takes one episode, hidden
+# layers are relu, and a dataset is split 2/3, 1/6, 1/6 by class.
+_RETIRED_LINES = {("optimizer", "adam"), ("batch_tasks", "1"), ("activation", "relu"),
+                  ("val_fraction", str(1 / 6)), ("test_fraction", str(1 / 6))}
 
 
 def parse_config_file(path: str) -> dict:
@@ -216,10 +214,7 @@ def _load_domain(config: RunConfig, offset: float = 0.0, suffix: str = ""):
             offset=offset, name="synth" + suffix)
     else:
         data = load_csv(config.dataset)
-    train_frac = 1.0 - config.val_fraction - config.test_fraction
-    return split_classes(
-        data, (train_frac, config.val_fraction, config.test_fraction),
-        named_stream(config.seed, "split"))
+    return split_classes(data, (2 / 3, 1 / 6, 1 / 6), named_stream(config.seed, "split"))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -334,11 +329,10 @@ def cmd_check(config: RunConfig) -> int:
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 
-# The flags of the training commands: every RunConfig field but the split
-# fractions, which only a config file sets, and those a single command reads.
+# The flags of the training commands: every RunConfig field but those a
+# single command reads.
 _TRAINING_FLAGS = tuple(key for key in _FIELD_TYPES if key not in (
-    "val_fraction", "test_fraction", "checkpoint", "lambda2_values", "target_dataset",
-    "offset"))
+    "checkpoint", "lambda2_values", "target_dataset", "offset"))
 # What eval reads: the data and its split, the episode shape, the head and
 # lambda1; the encoder's shape comes from the checkpoint.
 _EVAL_FLAGS = ("dataset", "n", "k", "q", "eval_episodes", "lambda1", "head", "seed",

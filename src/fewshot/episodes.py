@@ -253,9 +253,10 @@ def split_classes(dataset: Dataset, fractions, seed) -> tuple[Dataset, Dataset, 
 #
 # Format: one row per example, label,feat_1,...,feat_D, with an optional
 # header line.  Line 1 is a header exactly when one of its feature fields
-# does not parse as a float (``save_csv`` writes label,f1,...,fD).  Labels
-# may be integers or strings, never blank; features must be finite.  UTF-8,
-# '\n' or '\r\n' line endings (only '\n' ends a row: ``str.splitlines``
+# does not parse as a float (``save_csv`` writes label,f1,...,fD).  A label
+# is never blank; it is an int exactly when it is an int's own text (``7``,
+# not ``07``, ``+7`` or ``7_0``), else a string.  Features must be finite.
+# UTF-8, '\n' or '\r\n' line endings (only '\n' ends a row: ``str.splitlines``
 # would also break inside a field, at a form feed or '\u2028'; a '\r' left
 # inside a line, as in a file with lone '\r' endings, is refused), '.'
 # decimal separator.
@@ -329,7 +330,6 @@ def _is_float(tok: str) -> bool:
 
 def _is_int(tok: str) -> bool:
     try:
-        int(tok)
-        return True
+        return str(int(tok)) == tok
     except ValueError:
         return False

@@ -25,7 +25,7 @@ import numpy as np
 from . import linalg
 from .encoder import EncoderParams
 from .episodes import Dataset, sample_episode
-from .errors import ContractError
+from .errors import ContractError, ShapeError
 from .heads import Hyper, make_head
 from .train import TrainConfig, fit, split_accuracies
 
@@ -99,6 +99,9 @@ def evaluate(params: EncoderParams, head, test_set: Dataset, n_way: int,
              train_set: Dataset | None = None) -> EvalReport:
     """Accuracy over freshly sampled test episodes with a 95% CI."""
     hyper = eval_hyper(n_way, k_shot, q_queries, episodes, lambda1)
+    if test_set.dim != params.layers[0].weight.shape[1]:
+        raise ShapeError(f"test set {test_set.name!r} has {test_set.dim} features, but the "
+                         f"encoder takes {params.layers[0].weight.shape[1]}")
     _assert_no_class_leakage(train_set, test_set)
     rng = linalg.named_stream(seed, "evaluation")
     ep_hash = hashlib.sha256()

@@ -51,7 +51,6 @@ class TrainConfig(Hyper):
     embed_dim: int = 16
     hidden_dim: int = 64
     depth: int = 2
-    activation: str = "relu"
     final_activation: str = "none"
 
     def __post_init__(self):
@@ -65,7 +64,7 @@ class TrainConfig(Hyper):
 
     def layer_spec(self, input_dim: int) -> list[tuple[int, int, str]]:
         return encoder.default_layer_spec(input_dim, self.embed_dim, self.hidden_dim,
-                                          self.depth, self.activation, self.final_activation)
+                                          self.depth, final_activation=self.final_activation)
 
 
 # Adam's moment decay rates and denominator floor (Kingma & Ba's defaults).

@@ -54,8 +54,7 @@ def bench_config(seed, k_shot=K_SHOT, episodes=EPISODES):
     return TrainConfig(n_way=N_WAY, k_shot=k_shot, q_queries=QUERIES,
                        episodes=episodes, lr=LR, lambda1=LAMBDA1,
                        lambda2=LAMBDA2, seed=seed, embed_dim=EMBED,
-                       hidden_dim=HIDDEN, depth=2, activation="relu",
-                       final_activation="relu")
+                       hidden_dim=HIDDEN, depth=2, final_activation="relu")
 
 
 def bench_init(seed):

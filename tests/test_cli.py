@@ -78,7 +78,7 @@ def test_config_file_rejects_unknown_keys_and_bad_syntax(tmp_path):
         parse_config_file(str(bad_value))
 
 
-@pytest.mark.parametrize("key", ["head", "activation", "final_activation"])
+@pytest.mark.parametrize("key", ["head", "final_activation"])
 def test_config_file_choices_are_checked_like_flags(monkeypatch, tmp_path, capsys, key):
     cfg = tmp_path / "choice.cfg"
     cfg.write_text(f"k = 3\n{key} = foo\n")
@@ -192,6 +192,22 @@ def test_train_writes_artifacts_and_eval_reads_them(tmp_path, capsys):
     shown = capsys.readouterr().out
     assert "regression" in shown
     assert (out / "report.log").exists()
+
+
+def test_eval_refuses_a_checkpoint_of_another_input_dim_before_sampling(
+        monkeypatch, tmp_path, capsys):
+    ckpt = tmp_path / "encoder.txt"
+    save_encoder(init_encoder(0, default_layer_spec(8, 4, 6, 1)), ckpt)
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled an episode before checking the input dim")
+
+    # the package's evaluate function shadows its module's name
+    monkeypatch.setattr(importlib.import_module("fewshot.evaluate"), "sample_episode",
+                        no_sampling)
+    assert run(["eval", *FAST_EVAL, "--checkpoint", str(ckpt)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: test set 'synth' has 4 features, but the encoder takes 8\n")
 
 
 def test_written_config_is_readable_again(tmp_path):
@@ -606,17 +622,23 @@ test_fraction = 0.16666666666666666
 
 def test_an_older_config_txt_with_optimizer_adam_still_drives_train_and_eval(
         tmp_path, capsys):
-    # Adam is the only optimizer and a step takes one episode, so each
-    # retired key is skipped at its one value; the config.txt written now
-    # is the old one without them
+    # Adam is the only optimizer, a step takes one episode, hidden layers
+    # are relu and the class split is 2/3, 1/6, 1/6, so each retired key is
+    # skipped at its one value; the config.txt written now is the old one
+    # without them
     out = tmp_path / "run"
     cfg = tmp_path / "old.cfg"
     old = OLD_CONFIG_TXT.format(out=out)
     cfg.write_text(old)
-    assert not {"optimizer", "batch_tasks"} & set(parse_config_file(str(cfg)))
+    retired = ["optimizer = adam", "batch_tasks = 1", "activation = relu",
+               "val_fraction = 0.16666666666666666", "test_fraction = 0.16666666666666666"]
+    assert not {line.split(" = ")[0] for line in retired} & set(parse_config_file(str(cfg)))
     assert run(["train", "--config", str(cfg)]) == EXIT_OK
-    assert (out / "config.txt").read_text() == (
-        old.replace("optimizer = adam\n", "").replace("batch_tasks = 1\n", ""))
+    expected = old
+    for line in retired:
+        expected = expected.replace(f"\n{line}\n", "\n")
+    assert expected.count("\n") == old.count("\n") - len(retired)
+    assert (out / "config.txt").read_text() == expected
     assert run(["eval", "--config", str(cfg),
                 "--checkpoint", str(out / "encoder.txt")]) == EXIT_OK
     assert (out / "report.log").is_file()
@@ -649,6 +671,32 @@ def test_batch_tasks_other_than_1_in_a_config_file_is_an_unknown_key(
     required = ["--checkpoint", "enc.txt"] if command == "eval" else []
     assert run([command, "--config", str(cfg), "--out", "x", *required]) == EXIT_USAGE
     assert f"{cfg}: line 2: unknown key 'batch_tasks'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("activation", "tanh"), ("val_fraction", "0.25"),
+                                        ("test_fraction", "0.25")])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_another_value_of_a_retired_key_in_a_config_file_is_an_unknown_key(
+        monkeypatch, tmp_path, capsys, command, key, value):
+    # hidden layers are always relu and every split is 2/3, 1/6, 1/6
+    monkeypatch.setattr(cli, "_load_domain", no_data)
+    cfg = tmp_path / "retired.cfg"
+    cfg.write_text(f"k = 3\n{key} = {value}\n")
+    with pytest.raises(cli.ConfigError,
+                       match=f"^{re.escape(str(cfg))}: line 2: unknown key '{key}'$"):
+        parse_config_file(str(cfg))
+    required = ["--checkpoint", "enc.txt"] if command == "eval" else []
+    assert run([command, "--config", str(cfg), "--out", "x", *required]) == EXIT_USAGE
+    assert f"{cfg}: line 2: unknown key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "shift"])
+def test_the_activation_flag_is_a_usage_error(monkeypatch, capsys, command):
+    monkeypatch.setattr(cli, "_load_domain", no_data)
+    with pytest.raises(SystemExit) as info:
+        run([command, *FAST_TRAIN, "--activation", "relu", "--out", "x"])
+    assert info.value.code == EXIT_USAGE
+    assert capsys.readouterr().err.endswith("unrecognized arguments: --activation relu\n")
 
 
 @pytest.mark.parametrize("command", ["train", "ablate", "shift"])
@@ -735,7 +783,7 @@ def test_run_config_defaults_are_the_documented_ones():
     assert config.lambda1 == pytest.approx(1e-3)
     assert config.lambda2 is None
     assert config.head == "regression"
-    assert len(fields(RunConfig)) == 30
+    assert len(fields(RunConfig)) == 27
     tc = config.train_config()
     assert tc.n_way == 5 and tc.k_shot == 5 and tc.q_queries == 16
     assert tc.final_activation == "none"
@@ -746,7 +794,8 @@ def test_run_config_defaults_are_the_documented_ones():
 # The flag surface as it was when the flags were first generated from
 # RunConfig, except that check takes only --config and --seed, eval only
 # the flags it reads, train no --eval-episodes, ablate no --lambda2 or
-# --head, and no command --threads, --optimizer or --batch-tasks: option
+# --head, and no command --threads, --optimizer, --batch-tasks or
+# --activation: option
 # string -> dest, shared by the training commands and then per command.
 COMMON_FLAGS = {
     "--config": "config", "--dataset": "dataset", "--n": "n", "--k": "k",
@@ -755,7 +804,7 @@ COMMON_FLAGS = {
     "--seed": "seed", "--out": "out", "--val-interval": "val_interval",
     "--val-episodes": "val_episodes",
     "--embed-dim": "embed_dim", "--hidden-dim": "hidden_dim", "--depth": "depth",
-    "--activation": "activation", "--final-activation": "final_activation",
+    "--final-activation": "final_activation",
     "--synth-classes": "synth_classes", "--per-class": "per_class", "--dim": "dim",
     "--spread": "spread", "--within-std": "within_std",
 }
@@ -775,7 +824,6 @@ COMMAND_FLAGS = {
 }
 FLAG_CHOICES = {
     "--head": ("regression", "proto", "cosine"),
-    "--activation": ("tanh", "relu", "none"),
     "--final-activation": ("tanh", "relu", "none"),
 }
 
@@ -797,10 +845,10 @@ def test_every_command_keeps_its_option_strings_dests_and_choices():
         assert seen == expected, name
 
 
-def test_every_run_config_field_is_a_flag_or_a_file_only_key():
+def test_every_run_config_field_is_a_flag_of_some_command():
     dests = {a.dest for sub in subparsers().values() for a in sub._actions}
     names = {f.name for f in fields(RunConfig)}
-    assert names - dests == {"val_fraction", "test_fraction"}
+    assert names - dests == set()
     assert dests - names == {"help", "config"}
 
 

@@ -288,6 +288,22 @@ def test_csv_accepts_string_labels(tmp_path):
     assert data.features.shape == (2, 3)
 
 
+def test_a_csv_label_is_an_int_only_when_it_is_an_ints_own_text(tmp_path):
+    # int() also reads 01, +1, 1_0 and padded digits; those stay strings, so
+    # each distinct label text is its own class
+    path = tmp_path / "labels.csv"
+    path.write_text("1,0.0\n01,1.0\n+1,2.0\n1_0,3.0\n10,4.0\n-2,5.0\n")
+    data = load_csv(path)
+    assert data.labels == [1, "01", "+1", "1_0", 10, -2]
+    assert len(data.class_ids) == 6
+    # string labels 007 and 7 come back from save_csv as two classes
+    named = Dataset("named", np.arange(4.0).reshape(1, 4), ["007", "7", "007", "7"])
+    save_csv(named, tmp_path / "named.csv")
+    loaded = load_csv(tmp_path / "named.csv")
+    assert loaded.labels == ["007", 7, "007", 7]
+    assert [len(loaded.class_to_indices[c]) for c in loaded.class_ids] == [2, 2]
+
+
 def test_csv_header_is_optional(tmp_path):
     headerless = tmp_path / "bare.csv"
     headerless.write_text("a,1.0,2.0\nb,3.0,4.0\n")
