@@ -312,7 +312,29 @@ def load_csv(path) -> Dataset:
 
 
 def save_csv(dataset: Dataset, path) -> None:
+    """Write ``dataset`` with a ``label,f1,...,fD`` header.  A dataset that
+    ``load_csv`` would not read back with the same classes is refused with
+    ``DatasetFormatError`` before the file is opened: a label's text must be
+    non-blank, hold no ',', '\\n' or '\\r' and carry no padding, no two
+    class ids may share a text (``7`` and ``"7"``), and the features must
+    be finite, with at least one row and one column."""
+    texts = {}
+    for c in dataset.class_ids:
+        text = str(c)
+        if not text or text != text.strip() or any(ch in text for ch in ",\n\r"):
+            raise DatasetFormatError(
+                f"{dataset.name}: label {text!r} would not load back from a CSV as its "
+                "own class; a label must be non-blank, unpadded and hold no ',', '\\n' or '\\r'")
+        if text in texts:
+            raise DatasetFormatError(
+                f"{dataset.name}: labels {texts[text]!r} and {c!r} would load back from a "
+                "CSV as one class")
+        texts[text] = c
     dim = dataset.dim
+    if dataset.features.size == 0 or not np.isfinite(dataset.features).all():
+        raise DatasetFormatError(
+            f"{dataset.name}: its {dim} x {dataset.n_examples} features would not load back "
+            "from a CSV; they must be finite, with at least one row and one column")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("label," + ",".join(f"f{j + 1}" for j in range(dim)) + "\n")
         for i in range(dataset.n_examples):

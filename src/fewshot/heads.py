@@ -332,9 +332,10 @@ def episode_loss(head, embedded: np.ndarray, labels, hyper: Hyper,
     class by class, then the B queries), as ``(1 x 1 loss, N x B
     distances, back)``; ``back(g)`` is the adjoint of ``embedded``.
 
-    ``back`` chains the kernels' adjoints by hand: the support columns get
-    the penalty's adjoint plus the distance's, the query columns the
-    distance's.
+    The kernels get the support and query as views of ``embedded`` and
+    make the contiguous copies they need.  ``back`` chains the kernels'
+    adjoints by hand: the support columns get the penalty's adjoint plus
+    the distance's, the query columns the distance's.
     """
     nk = hyper.n_way * hyper.k_shot
     labels = np.asarray(labels)
@@ -342,8 +343,8 @@ def episode_loss(head, embedded: np.ndarray, labels, hyper: Hyper,
         raise ShapeError(
             f"an embedded episode needs {nk} support plus {labels.size} query "
             f"columns, {nk + labels.size} in all, got {embedded.shape[1]}")
-    support = np.ascontiguousarray(embedded[:, :nk])
-    query = np.ascontiguousarray(embedded[:, nk:])
+    support = embedded[:, :nk]
+    query = embedded[:, nk:]
     dist, dist_back = head.distance_rows(support, query, hyper)
     loss, ce_back = cross_entropy(dist, labels)
     if lambda2 != 0.0:
@@ -352,10 +353,11 @@ def episode_loss(head, embedded: np.ndarray, labels, hyper: Hyper,
 
     def back(g):
         support_grad, query_grad = dist_back(ce_back(g))
-        if lambda2 != 0.0:
-            support_grad = penalty_back(g * lambda2) + support_grad
         out = np.empty(embedded.shape)
-        out[:, :nk] = support_grad
+        if lambda2 != 0.0:
+            np.add(penalty_back(g * lambda2), support_grad, out=out[:, :nk])
+        else:
+            out[:, :nk] = support_grad
         out[:, nk:] = query_grad
         return out
 

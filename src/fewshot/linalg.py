@@ -1,8 +1,9 @@
 """Dense float64 linear algebra over matrices and stacks of matrices.
 
 Every tensor in this library is a C-contiguous float64 ``numpy`` array
-of rank 2 or more (``cholesky``'s factor, a strided view, is the one
-exception): the last two axes are a matrix, and leading axes stack
+of rank 2 or more (strided views are the exceptions: ``cholesky``'s
+factor, and the support and query columns of an embedded training
+episode): the last two axes are a matrix, and leading axes stack
 matrices of one shape (the heads stack one matrix per class: N x rows x
 cols).  Rank-1 data is carried as an ``(n, 1)`` column.  The helpers here
 enforce that convention and provide the handful of primitives the rest

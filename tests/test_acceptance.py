@@ -14,11 +14,11 @@ an untrained linear readout approximately preserves blob geometry, which
 would leave little for training to demonstrate.
 """
 
-import importlib
 import time
 
 import numpy as np
 
+import fewshot.evaluate
 from fewshot import verify
 from fewshot.cli import EXIT_OK, main
 from fewshot.encoder import default_layer_spec, init_encoder
@@ -189,7 +189,7 @@ def test_criterion_08_domain_shift_stays_well_above_chance(monkeypatch):
         assert isinstance(head, RegressionHead)
         return bench_trained(config.seed)[0], []
 
-    monkeypatch.setattr(importlib.import_module("fewshot.evaluate"), "fit", trained_fit)
+    monkeypatch.setattr(fewshot.evaluate, "fit", trained_fit)
     parts = []
     all_ok = True
     for seed in (0, 1, 2):

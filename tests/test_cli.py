@@ -3,7 +3,6 @@ and byte-identical logs across reruns.
 """
 
 import argparse
-import importlib
 import json
 import os
 import re
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fewshot import cli
+from fewshot import cli, evaluate
 from fewshot.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
                          EXIT_USAGE, RunConfig, build_run_config, main,
                          parse_config_file)
@@ -202,9 +201,7 @@ def test_eval_refuses_a_checkpoint_of_another_input_dim_before_sampling(
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled an episode before checking the input dim")
 
-    # the package's evaluate function shadows its module's name
-    monkeypatch.setattr(importlib.import_module("fewshot.evaluate"), "sample_episode",
-                        no_sampling)
+    monkeypatch.setattr(evaluate, "sample_episode", no_sampling)
     assert run(["eval", *FAST_EVAL, "--checkpoint", str(ckpt)]) == EXIT_USAGE
     assert capsys.readouterr().err == (
         "error: test set 'synth' has 4 features, but the encoder takes 8\n")
@@ -510,7 +507,7 @@ def test_a_head_that_does_not_read_lambda2_refuses_a_non_zero_one(
     cfg.write_text("lambda2 = 0.05\n")
     with monkeypatch.context() as patched:
         patched.setattr(cli, "fit", no_fit)
-        patched.setattr(importlib.import_module("fewshot.evaluate"), "fit", no_fit)
+        patched.setattr(evaluate, "fit", no_fit)
         for source in (["--lambda2", "0.05"], ["--config", str(cfg)]):
             assert run([*argv, *source]) == EXIT_USAGE
             err = capsys.readouterr().err
@@ -538,7 +535,7 @@ def test_a_head_that_does_not_read_lambda1_refuses_a_non_default_one(
     cfg = tmp_path / "lambda1.cfg"
     cfg.write_text("lambda1 = 10\n")
     with monkeypatch.context() as patched:
-        for module in (cli, importlib.import_module("fewshot.evaluate")):
+        for module in (cli, evaluate):
             patched.setattr(module, "fit", no_run)
         patched.setattr(cli, "evaluate", no_run)
         for source in (["--lambda1", "10"], ["--config", str(cfg)]):

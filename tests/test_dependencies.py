@@ -5,14 +5,22 @@ itself, and solves nothing with ``np.linalg``: every solve goes through
 the package's own Cholesky.  ``verify.py`` holds the independent oracles
 the ``check`` suites compare against, so it alone may call ``np.linalg``.
 The public functions of ``autodiff``, ``heads`` (the loss kernels among
-them) and ``linalg`` hold only what the package runs.
+them) and ``linalg`` hold only what the package runs.  The package root
+binds its modules and nothing they define, so each function and class has
+one name, in its own module.
 """
 
 import ast
+import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "fewshot").glob("*.py"))
+import fewshot
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "fewshot").glob("*.py"))
 ORACLE_MODULE = "verify.py"
 
 
@@ -64,6 +72,33 @@ def test_only_the_oracle_module_calls_numpy_linalg():
     offenders = [f"{name}:{line}" for name, lines in uses.items()
                  if name != ORACLE_MODULE for line in lines]
     assert offenders == []
+
+
+ROOT_MODULES = ["autodiff", "encoder", "episodes", "errors", "evaluate", "heads",
+                "linalg", "train", "verify"]
+
+
+def test_the_package_root_binds_its_modules_and_nothing_they_define():
+    # ``fewshot.evaluate`` is the module, as ``fewshot.train`` is, not the
+    # function of that name
+    assert fewshot.__all__ == ROOT_MODULES
+    for name in ROOT_MODULES:
+        assert getattr(fewshot, name) is sys.modules[f"fewshot.{name}"], name
+    copies = [name for name, value in vars(fewshot).items()
+              if (inspect.isfunction(value) or inspect.isclass(value))
+              and value.__module__.startswith("fewshot.")]
+    assert copies == []
+
+
+def test_importing_the_package_loads_exactly_its_root_modules():
+    # a fresh interpreter, so modules other tests imported (``cli``) do not count
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, fewshot; print(*sorted(m for m in sys.modules "
+         "if m.startswith('fewshot.')))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True).stdout.split()
+    assert loaded == [f"fewshot.{name}" for name in ROOT_MODULES]
 
 
 OP_MODULES = ("autodiff", "heads", "linalg")

@@ -304,6 +304,32 @@ def test_a_csv_label_is_an_int_only_when_it_is_an_ints_own_text(tmp_path):
     assert [len(loaded.class_to_indices[c]) for c in loaded.class_ids] == [2, 2]
 
 
+def test_save_csv_refuses_a_dataset_that_would_not_load_back(tmp_path):
+    # each of these used to write a file that fails to load ("a,b", "a\nb",
+    # "") or loads two classes as one (" a" and "a", "7" and 7); a refusal
+    # names the label and comes before the file exists
+    path = tmp_path / "out.csv"
+    for labels, named in ((["a,b", "c"], "label 'a,b'"), (["a\nb", "c"], "label 'a\\nb'"),
+                          (["", "x"], "label ''"), ([" a", "a"], "label ' a'"),
+                          (["7", 7], "labels '7' and 7")):
+        data = Dataset("two", np.arange(2.0).reshape(1, 2), labels)
+        with pytest.raises(DatasetFormatError) as refused:
+            save_csv(data, path)
+        assert str(refused.value).startswith(f"two: {named} would")
+        assert not path.exists()
+    for features, labels in (([[0.0, np.nan]], [1, 2]), (np.zeros((2, 0)), []),
+                             (np.zeros((0, 2)), [1, 2])):
+        with pytest.raises(DatasetFormatError, match="features would not load back"):
+            save_csv(Dataset("bad", np.array(features), labels), path)
+        assert not path.exists()
+    # a label that is not an int's own text, or starts with '#', keeps its class
+    data = Dataset("kept", np.arange(6.0).reshape(2, 3), ["#x", "07", 3])
+    save_csv(data, path)
+    loaded = load_csv(path)
+    assert loaded.labels == ["#x", "07", 3]
+    assert np.array_equal(loaded.features, data.features)
+
+
 def test_csv_header_is_optional(tmp_path):
     headerless = tmp_path / "bare.csv"
     headerless.write_text("a,1.0,2.0\nb,3.0,4.0\n")

@@ -3,13 +3,13 @@ stub-head exactness, ablation pairing, and domain-shift plumbing.
 """
 
 import hashlib
-import importlib
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fewshot.evaluate
 from fewshot import train
 from fewshot.encoder import EncoderParams, Layer, default_layer_spec, init_encoder
 from fewshot.episodes import Dataset, sample_episode, split_classes, synth_gaussian
@@ -254,8 +254,7 @@ def test_ablation_checks_every_value_before_training(monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("trained before checking every lambda2")
 
-    # the package binds the name ``evaluate`` to the function, not the module
-    monkeypatch.setattr(importlib.import_module("fewshot.evaluate"), "fit", no_fit)
+    monkeypatch.setattr(fewshot.evaluate, "fit", no_fit)
     with pytest.raises(ContractError, match="lambda2"):
         ablate_lambda2(train, val, test, config, [0.0, -1.0])
 
@@ -269,7 +268,7 @@ def test_too_few_eval_episodes_are_refused_before_training(monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("trained before checking the eval episode count")
 
-    monkeypatch.setattr(importlib.import_module("fewshot.evaluate"), "fit", no_fit)
+    monkeypatch.setattr(fewshot.evaluate, "fit", no_fit)
     for run in (lambda: domain_shift(train, val, test, config, eval_episodes=1),
                 lambda: ablate_lambda2(train, val, test, config, [0.0], eval_episodes=1)):
         with pytest.raises(ContractError, match="^eval_episodes must be >= 2 for a "
