@@ -3,8 +3,8 @@
 Configuration precedence is defaults <- config file <- command-line flags.
 The config file is flat ``key = value`` text with ``#`` comments; keys
 mirror the flag names. Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 I/O or file-format error, 4 numerical failure (a
-``NumericalError``, which names its episode).
+2 usage error (also a size too large to allocate), 3 I/O or file-format
+error, 4 numerical failure (a ``NumericalError``, which names its episode).
 
 Each command takes as flags only the fields it reads; a config file may
 set any field. Only the regression head's loss reads lambda1 and lambda2:
@@ -277,8 +277,7 @@ def cmd_eval(config: RunConfig) -> int:
     head = make_head(config.head)
     report = evaluate(
         params, head, test_set, config.n, config.k, config.q,
-        config.eval_episodes, config.seed, lambda1=config.lambda1,
-        train_domain=train_set.name, train_set=train_set)
+        config.eval_episodes, config.seed, lambda1=config.lambda1, train_set=train_set)
     return _publish(config, format_table([report]) + "\n" + report.to_line(),
                     [report], "report.log")
 
@@ -374,6 +373,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_USAGE
     except FewshotError as exc:
         name, space, rest = str(exc).partition(" ")
         key = _FIELD_OF.get((args.command, name), _FIELD_OF.get(name, name))

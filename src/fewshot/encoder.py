@@ -76,16 +76,14 @@ class EncoderParams:
     def output_dim(self) -> int:
         return self.layers[-1].weight.shape[0]
 
-    def copy(self) -> "EncoderParams":
-        return self.with_vector(self.vector.copy())
-
 
 def default_layer_spec(input_dim: int = 32, output_dim: int = 16,
                        hidden: int = 64, depth: int = 2,
                        activation: str = "relu",
                        final_activation: str = "none") -> list[tuple[int, int, str]]:
     """D -> hidden (x depth, activated) -> M (final_activation), checked; a
-    size out of range is named by its ``TrainConfig`` field (``embed_dim``)."""
+    size out of range, or one whose parameters would not fit one numpy
+    array, is named by its ``TrainConfig`` field (``embed_dim``)."""
     for name, value, floor in (("embed_dim", output_dim, 1), ("hidden_dim", hidden, 1),
                                ("depth", depth, 0)):
         if value < floor:
@@ -97,6 +95,13 @@ def default_layer_spec(input_dim: int = 32, output_dim: int = 16,
         prev = hidden
     spec.append((prev, output_dim, final_activation))
     _validate_spec(spec)
+    count = 0
+    for i, (n_in, n_out, _) in enumerate(spec):
+        count += n_out * (n_in + 1)
+        if count > linalg.MAX_FLOATS:
+            name, value = ("hidden_dim", hidden) if i < depth else ("embed_dim", output_dim)
+            raise ConfigError(f"{name} {value} asks for at least {count} parameters, more "
+                              f"than a numpy array holds ({linalg.MAX_FLOATS})")
     return spec
 
 

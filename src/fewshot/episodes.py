@@ -181,11 +181,17 @@ _DRAW_MAX = float(np.finfo(np.float64).max) / 4
 
 def check_synth(n_classes: int, per_class: int, dim: int, spread: float = 1.0,
                 within_std: float = 1.0, offset: float = 0.0) -> None:
-    """Refuse a ``synth_gaussian`` argument out of range (see there)."""
+    """Refuse a ``synth_gaussian`` argument out of range (see there), or
+    sizes whose features one numpy array cannot hold, naming the largest."""
     for what, value, floor in (("n_classes", n_classes, 2), ("per_class", per_class, 1),
                                ("dim", dim, 1)):
         if value < floor:
             raise ConfigError(f"{what} must be >= {floor}, got {value}")
+    if n_classes * dim * per_class > linalg.MAX_FLOATS:
+        what, value = max((("n_classes", n_classes), ("per_class", per_class), ("dim", dim)),
+                          key=lambda pair: pair[1])
+        raise ConfigError(f"{what} {value} asks for {n_classes * dim * per_class} features, "
+                          f"more than a numpy array holds ({linalg.MAX_FLOATS})")
     for what, value, low, high in (("spread", spread, 0.0, _DRAW_MAX),
                                    ("within_std", within_std, 0.0, _DRAW_MAX / 16),
                                    ("offset", offset, -_DRAW_MAX, _DRAW_MAX)):
@@ -315,16 +321,19 @@ def save_csv(dataset: Dataset, path) -> None:
     """Write ``dataset`` with a ``label,f1,...,fD`` header.  A dataset that
     ``load_csv`` would not read back with the same classes is refused with
     ``DatasetFormatError`` before the file is opened: a label's text must be
-    non-blank, hold no ',', '\\n' or '\\r' and carry no padding, no two
-    class ids may share a text (``7`` and ``"7"``), and the features must
-    be finite, with at least one row and one column."""
+    non-blank, hold no ',', '\\n', '\\r' or lone surrogate (which UTF-8
+    cannot encode) and carry no padding, no two class ids may share a text
+    (``7`` and ``"7"``), and the features must be finite, with at least one
+    row and one column."""
     texts = {}
     for c in dataset.class_ids:
         text = str(c)
-        if not text or text != text.strip() or any(ch in text for ch in ",\n\r"):
+        if not text or text != text.strip() or any(
+                ch in ",\n\r" or "\ud800" <= ch <= "\udfff" for ch in text):
             raise DatasetFormatError(
                 f"{dataset.name}: label {text!r} would not load back from a CSV as its "
-                "own class; a label must be non-blank, unpadded and hold no ',', '\\n' or '\\r'")
+                "own class; a label must be non-blank, unpadded and hold no ',', '\\n', "
+                "'\\r' or lone surrogate")
         if text in texts:
             raise DatasetFormatError(
                 f"{dataset.name}: labels {texts[text]!r} and {c!r} would load back from a "

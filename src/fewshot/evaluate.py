@@ -95,9 +95,10 @@ def eval_hyper(n_way: int, k_shot: int, q_queries: int, eval_episodes: int,
 
 def evaluate(params: EncoderParams, head, test_set: Dataset, n_way: int,
              k_shot: int, q_queries: int, episodes: int, seed: int,
-             lambda1: float = Hyper.lambda1, train_domain: str | None = None,
+             lambda1: float = Hyper.lambda1,
              train_set: Dataset | None = None) -> EvalReport:
-    """Accuracy over freshly sampled test episodes with a 95% CI."""
+    """Accuracy over freshly sampled test episodes with a 95% CI; the report's
+    train domain is ``train_set``'s name, or ``test_set``'s without one."""
     hyper = eval_hyper(n_way, k_shot, q_queries, episodes, lambda1)
     if test_set.dim != params.layers[0].weight.shape[1]:
         raise ShapeError(f"test set {test_set.name!r} has {test_set.dim} features, but the "
@@ -117,7 +118,7 @@ def evaluate(params: EncoderParams, head, test_set: Dataset, n_way: int,
     head_name = getattr(head, "name", head.__class__.__name__)
     return EvalReport(
         head=head_name,
-        train_domain=train_domain if train_domain is not None else test_set.name,
+        train_domain=(test_set if train_set is None else train_set).name,
         test_domain=test_set.name,
         n_way=n_way, k_shot=k_shot, q_queries=q_queries,
         episodes=episodes,
@@ -164,8 +165,7 @@ def ablate_lambda2(train_set: Dataset, val_set: Dataset, test_set: Dataset,
         params, _ = fit(train_set, val_set, cfg, head=head)
         reports.append(evaluate(
             params, head, test_set, cfg.n_way, cfg.k_shot, cfg.q_queries,
-            eval_episodes, cfg.seed, lambda1=cfg.lambda1,
-            train_domain=train_set.name, train_set=train_set))
+            eval_episodes, cfg.seed, lambda1=cfg.lambda1, train_set=train_set))
     prints = {r.episodes_fingerprint for r in reports}
     if len(prints) != 1:
         raise ContractError(
@@ -192,8 +192,7 @@ def domain_shift(train_a: Dataset, val_a: Dataset | None, test_b: Dataset,
     params, _ = fit(train_a, val_a, config, head=head)
     return evaluate(
         params, head, test_b, config.n_way, config.k_shot, config.q_queries,
-        eval_episodes, config.seed, lambda1=config.lambda1,
-        train_domain=train_a.name)
+        eval_episodes, config.seed, lambda1=config.lambda1, train_set=train_a)
 
 
 def format_table(reports) -> str:

@@ -21,6 +21,10 @@ import numpy as np
 
 from .errors import ConditioningError, ShapeError
 
+# The most float64 values one numpy array can hold: its size in bytes must
+# fit an intp, or numpy refuses the shape before it tries to allocate.
+MAX_FLOATS = np.iinfo(np.intp).max // 8
+
 
 def as_matrix(values) -> np.ndarray:
     """Coerce input to a 2-D float64 array; 1-D input becomes a column."""

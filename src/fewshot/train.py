@@ -191,12 +191,11 @@ def episode_gradient(params: EncoderParams, episode: Episode, head, hyper: Hyper
 
 
 def train_step(params: EncoderParams, episode: Episode, config: TrainConfig,
-               state: AdamState, head=None,
+               state: AdamState, head,
                episode_index: int = 0) -> tuple[EncoderParams, dict]:
     """One Adam update on one episode's loss; ``state`` is updated in place."""
     if state is None:
         raise ContractError("adam needs an optimizer state: pass AdamState.for_params(params)")
-    head = head if head is not None else RegressionHead()
     grad, metrics = episode_gradient(params, episode, head, config, episode_index)
     return adam_update(params, grad, state, config.lr), metrics
 
@@ -245,7 +244,7 @@ def fit(train_set: Dataset, val_set: Dataset | None, config: TrainConfig,
             record["val_accuracy"] = val_acc
             if val_acc > best_val:
                 best_val = val_acc
-                best_params = params.copy()
+                best_params = params   # adam_update writes no parameter vector
         history.append(record)
     if best_val < 0.0:
         best_params = params

@@ -137,6 +137,23 @@ def test_every_out_of_range_flag_exits_2_naming_it_before_reading_data(
             assert not out.exists()
 
 
+# Sizes that no allocation can satisfy: --per-class's features are 698 TiB,
+# past any address space, and numpy refuses the other two shapes outright.
+# A huge --depth is not run: its layer list is built in Python.
+@pytest.mark.parametrize("flag, value, shown", [
+    ("per-class", "100000000000", "Unable to allocate"),
+    ("embed-dim", "4611686018427387904", "--embed-dim 4611686018427387904 asks for"),
+    ("synth-classes", "4611686018427387904", "--synth-classes 4611686018427387904 asks for"),
+], ids=["per-class", "embed-dim", "synth-classes"])
+def test_a_size_too_large_to_allocate_exits_2_with_one_line(tmp_path, capsys, flag, value,
+                                                            shown):
+    out = tmp_path / "out"
+    assert run(["train", f"--{flag}", value, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and shown in err and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_depth_zero_is_a_single_layer_encoder(tmp_path):
     out = tmp_path / "run"
     assert run(["train", *FAST_TRAIN, "--depth", "0", "--out", str(out)]) == EXIT_OK

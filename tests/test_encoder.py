@@ -134,13 +134,6 @@ def test_forward_gradients_flow_to_all_layers():
         assert float(np.max(np.abs(layer.bias))) > 0.0
 
 
-def test_copy_is_independent():
-    params = init_encoder(4, [(3, 3, "relu")])
-    clone = params.copy()
-    clone.layers[0].weight[0, 0] += 1.0
-    assert params.layers[0].weight[0, 0] != clone.layers[0].weight[0, 0]
-
-
 def test_params_are_views_of_one_vector_in_w0_b0_w1_b1_order(tmp_path):
     params = init_encoder(6, [(3, 5, "tanh"), (5, 2, "none")])
     tensors = [t for l in params.layers for t in (l.weight, l.bias)]
@@ -155,15 +148,12 @@ def test_params_are_views_of_one_vector_in_w0_b0_w1_b1_order(tmp_path):
     params.layers[1].bias[1, 0] = 7.0
     assert params.vector[-1] == 7.0
 
-    clone = params.copy()
     other = params.with_vector(np.arange(32.0))
-    for new in (clone, other):
-        assert not np.shares_memory(new.vector, params.vector)
-        for layer in new.layers:
-            assert np.shares_memory(layer.weight, new.vector)
-            assert not np.shares_memory(layer.weight, params.vector)
-            assert not np.shares_memory(layer.bias, params.vector)
-    assert np.array_equal(clone.vector, params.vector)
+    assert not np.shares_memory(other.vector, params.vector)
+    for layer in other.layers:
+        assert np.shares_memory(layer.weight, other.vector)
+        assert not np.shares_memory(layer.weight, params.vector)
+        assert not np.shares_memory(layer.bias, params.vector)
     assert np.array_equal(other.layers[0].bias[:, 0], np.arange(15.0, 20.0))
     assert [l.activation for l in other.layers] == ["tanh", "none"]
     with pytest.raises(ShapeError):

@@ -306,12 +306,14 @@ def test_a_csv_label_is_an_int_only_when_it_is_an_ints_own_text(tmp_path):
 
 def test_save_csv_refuses_a_dataset_that_would_not_load_back(tmp_path):
     # each of these used to write a file that fails to load ("a,b", "a\nb",
-    # "") or loads two classes as one (" a" and "a", "7" and 7); a refusal
+    # ""), loads two classes as one (" a" and "a", "7" and 7), or stops at
+    # its header (a lone surrogate, which UTF-8 cannot encode); a refusal
     # names the label and comes before the file exists
     path = tmp_path / "out.csv"
     for labels, named in ((["a,b", "c"], "label 'a,b'"), (["a\nb", "c"], "label 'a\\nb'"),
                           (["", "x"], "label ''"), ([" a", "a"], "label ' a'"),
-                          (["7", 7], "labels '7' and 7")):
+                          (["7", 7], "labels '7' and 7"),
+                          (["\ud800", "b"], "label '\\ud800'")):
         data = Dataset("two", np.arange(2.0).reshape(1, 2), labels)
         with pytest.raises(DatasetFormatError) as refused:
             save_csv(data, path)

@@ -176,6 +176,17 @@ def test_evaluate_rejects_class_leakage():
     evaluate(params, RegressionHead(), other, 3, 2, 4, 4, seed=0, train_set=train)
 
 
+def test_report_names_its_train_domain_from_train_set():
+    train, _, test = splits()
+    source = Dataset("source", train.features, train.labels)
+    report = evaluate(identity_params(5), RegressionHead(), test, 3, 2, 4, 4, seed=0,
+                      train_set=source)
+    assert (report.train_domain, report.test_domain) == ("source", "synth")
+    # without a train set, the test set names both domains
+    report = evaluate(identity_params(5), RegressionHead(), test, 3, 2, 4, 4, seed=0)
+    assert (report.train_domain, report.test_domain) == ("synth", "synth")
+
+
 def test_evaluate_needs_two_episodes():
     _, _, test = splits()
     with pytest.raises(ContractError):
@@ -184,8 +195,7 @@ def test_evaluate_needs_two_episodes():
 
 def test_report_line_is_json_parseable():
     _, _, test = splits()
-    report = evaluate(identity_params(5), RegressionHead(), test, 3, 2, 4, 10,
-                      seed=0, train_domain="synth")
+    report = evaluate(identity_params(5), RegressionHead(), test, 3, 2, 4, 10, seed=0)
     record = json.loads(report.to_line())
     assert record["head"] == "regression"
     assert record["train_domain"] == "synth"
@@ -196,8 +206,7 @@ def test_report_line_is_json_parseable():
 
 def test_report_line_escapes_quotes_and_backslashes_in_names():
     _, _, test = splits()
-    report = evaluate(identity_params(5), RegressionHead(), test, 3, 2, 4, 10,
-                      seed=0, train_domain="synth")
+    report = evaluate(identity_params(5), RegressionHead(), test, 3, 2, 4, 10, seed=0)
     # an ordinary report keeps the field order and spelling of the
     # hand-written line it replaced
     fields = [
@@ -291,12 +300,14 @@ def test_domain_shift_labels_both_domains():
     mismatched = synth_gaussian(named_stream(4, "dataset"), 6, 16, 7, 1.0, 0.4)
     with pytest.raises(ContractError, match="dimensions"):
         domain_shift(train_a, val_a, mismatched, config)
+    # a target split named as domain A must not share its classes, as in evaluate
+    with pytest.raises(ContractError, match="share classes"):
+        domain_shift(train_a, val_a, train_a, config, eval_episodes=10)
 
 
 def test_format_table_mentions_heads_and_domains():
     _, _, test = splits()
-    report = evaluate(identity_params(5), RegressionHead(), test, 3, 2, 4, 10,
-                      seed=0, train_domain="synth")
+    report = evaluate(identity_params(5), RegressionHead(), test, 3, 2, 4, 10, seed=0)
     table = format_table([report])
     assert "regression" in table
     assert "synth -> synth" in table

@@ -166,7 +166,7 @@ def test_train_step_with_adam_needs_a_state():
                           default_layer_spec(train_set.dim, 4, 8, 1))
     episode = sample_episode(train_set, 3, 2, 3, named_stream(2, "train-sampling"))
     with pytest.raises(ContractError, match=r"AdamState\.for_params"):
-        train_step(params, episode, small_config(), None)
+        train_step(params, episode, small_config(), None, RegressionHead())
 
 
 # -- loss plumbing ----------------------------------------------------------------
@@ -294,7 +294,7 @@ def test_train_step_updates_parameters_and_reports_metrics():
                           default_layer_spec(train_set.dim, 4, 8, 1))
     state = AdamState.for_params(params)
     episode = sample_episode(train_set, 3, 2, 3, named_stream(2, "train-sampling"))
-    new_params, metrics = train_step(params, episode, config, state)
+    new_params, metrics = train_step(params, episode, config, state, RegressionHead())
     assert np.isfinite(metrics["loss"])
     assert 0.0 <= metrics["accuracy"] <= 1.0
     assert not np.array_equal(new_params.layers[0].weight, params.layers[0].weight)
@@ -358,7 +358,7 @@ def test_conditioning_error_carries_the_global_episode_index():
     episode = sample_episode(train_set, 3, 2, 3, named_stream(3, "train-sampling"))
     with pytest.raises(ConditioningError) as info:
         train_step(params, episode, config, AdamState.for_params(params),
-                   episode_index=120)
+                   RegressionHead(), episode_index=120)
     assert info.value.episode_index == 120
     assert str(info.value).endswith("of class 1 at episode 120")
 
@@ -375,7 +375,7 @@ def test_degenerate_subspace_error_carries_the_global_episode_index():
     episode = sample_episode(train_set, 3, 2, 3, named_stream(3, "train-sampling"))
     with pytest.raises(DegenerateSubspaceError) as info:
         train_step(params, episode, config, AdamState.for_params(params),
-                   episode_index=120)
+                   RegressionHead(), episode_index=120)
     assert isinstance(info.value, NumericalError)
     assert info.value.episode_index == 120
     assert str(info.value).endswith("class 1 has an all-zero support matrix at episode 120")
@@ -438,6 +438,27 @@ def test_fit_validates_on_interval_boundaries():
     val_points = [r["episode"] for r in history if "val_accuracy" in r]
     assert val_points == [10, 20]
     assert [r["episode"] for r in history] == list(range(1, 26))
+
+
+def test_fit_returns_the_vector_adam_made_at_its_best_validation(monkeypatch):
+    made, values = [], []
+    adam = train.adam_update
+
+    def record(*args, **kwargs):
+        made.append(adam(*args, **kwargs))
+        values.append(made[-1].vector.copy())
+        return made[-1]
+
+    monkeypatch.setattr(train, "adam_update", record)
+    train_set, val_set, _ = small_splits()
+    params, history = fit(train_set, val_set, small_config(episodes=40, val_interval=10))
+    # the best validation accuracy, earliest on ties
+    _, earliest = max((r["val_accuracy"], -r["episode"]) for r in history if "val_accuracy" in r)
+    step = -earliest - 1
+    assert len(made) == 40 and step < 39
+    assert params.vector is made[step].vector
+    # and no later step wrote to it
+    assert np.array_equal(params.vector, values[step])
 
 
 def test_fit_without_validation_returns_final_params():
