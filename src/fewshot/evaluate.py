@@ -150,22 +150,15 @@ class AblationResult:
 def ablate_lambda2(train_set: Dataset, val_set: Dataset, test_set: Dataset,
                    config: TrainConfig, lambda2_values,
                    eval_episodes: int = 600) -> AblationResult:
-    """Train one regression-head model per lambda2 with otherwise identical
-    seeds and evaluate every model on the same test-episode sequence.  Only
-    the regression head's loss reads lambda2, so no other head is ablated."""
+    """Train and score one regression-head model per lambda2 through
+    ``domain_shift`` with otherwise identical seeds, so every model sees the
+    same test episodes.  Only the regression head's loss reads lambda2."""
     if not lambda2_values:
         raise ContractError("ablation needs at least one lambda2 value")
-    # Every value (by TrainConfig) and the episode count are checked before
-    # the first model trains.
+    # TrainConfig checks every value before domain_shift trains the first model.
     configs = [replace(config, lambda2=float(value)) for value in lambda2_values]
-    eval_hyper(config.n_way, config.k_shot, config.q_queries, eval_episodes)
-    reports = []
-    for cfg in configs:
-        head = make_head("regression")
-        params, _ = fit(train_set, val_set, cfg, head=head)
-        reports.append(evaluate(
-            params, head, test_set, cfg.n_way, cfg.k_shot, cfg.q_queries,
-            eval_episodes, cfg.seed, lambda1=cfg.lambda1, train_set=train_set))
+    reports = [domain_shift(train_set, val_set, test_set, cfg, eval_episodes=eval_episodes)
+               for cfg in configs]
     prints = {r.episodes_fingerprint for r in reports}
     if len(prints) != 1:
         raise ContractError(
@@ -182,7 +175,8 @@ def ablate_lambda2(train_set: Dataset, val_set: Dataset, test_set: Dataset,
 def domain_shift(train_a: Dataset, val_a: Dataset | None, test_b: Dataset,
                  config: TrainConfig, head_name: str = "regression",
                  eval_episodes: int = 600) -> EvalReport:
-    """Train on domain A's classes, evaluate on domain B's test classes."""
+    """Train on domain A's classes, evaluate on domain B's test classes.
+    Domain B may be A's own test split, as in ``ablate_lambda2``."""
     if train_a.dim != test_b.dim:
         raise ContractError(
             f"feature dimensions differ across domains: "

@@ -33,7 +33,7 @@ from . import autodiff, encoder, heads, linalg
 from .autodiff import Tape
 from .encoder import EncoderParams
 from .episodes import Dataset, Episode, check_sampleable, sample_episode
-from .errors import ConfigError, ContractError, DivergenceError, NumericalError
+from .errors import ConfigError, ContractError, DivergenceError, NumericalError, ShapeError
 from .heads import Hyper, RegressionHead
 
 
@@ -128,6 +128,15 @@ def chunk_episodes(hyper: Hyper, embed_dim: int) -> int:
     return max(1, CHUNK_FLOATS // per_episode)
 
 
+def _check_shape(episode: Episode, hyper: Hyper, index: int) -> None:
+    """``ShapeError`` unless the episode has the hyper's (n_way, k_shot, q_queries)."""
+    shape = (episode.n_way, episode.k_shot, episode.q_queries)
+    want = (hyper.n_way, hyper.k_shot, hyper.q_queries)
+    if shape != want:
+        raise ShapeError(f"episode {index} has (n_way, k_shot, q_queries) = {shape}, "
+                         f"but the hyper's are {want}")
+
+
 def episode_accuracy(embedded: np.ndarray, episodes: list[Episode], head,
                      hyper: Hyper, first: int = 0) -> np.ndarray:
     """Per-episode fraction of queries whose predicted class matches, for a
@@ -136,8 +145,11 @@ def episode_accuracy(embedded: np.ndarray, episodes: list[Episode], head,
     ``embedded`` is the M x count embedding of the split the episodes were
     sampled from, and each episode's ``columns`` pick its support and
     queries out of it.  ``first`` is the chunk's position in its episode
-    sequence, so a singular ridge system names its episode there.
+    sequence, so a singular ridge system or a shape that is not the hyper's
+    names its episode there.
     """
+    for i, episode in enumerate(episodes):
+        _check_shape(episode, hyper, first + i)
     nk = hyper.n_way * hyper.k_shot
     columns = np.stack([ep.columns for ep in episodes])          # E x (NK + NQ)
     stack = np.swapaxes(embedded[:, columns], 0, 1)              # E x M x (NK + NQ)
@@ -171,7 +183,9 @@ def episode_gradient(params: EncoderParams, episode: Episode, head, hyper: Hyper
                      episode_index: int = 0) -> tuple[np.ndarray, dict]:
     """The gradient of one episode's loss, laid out as ``params.vector``,
     and the episode's loss and accuracy.  ``episode_index`` is the
-    episode's 0-based position in its run, which a ``NumericalError`` names."""
+    episode's 0-based position in its run, which a ``NumericalError`` or a
+    shape that is not the hyper's names."""
+    _check_shape(episode, hyper, episode_index)
     try:
         # episode.x: the support's NK columns, class by class, then the queries
         embedded, encoder_back = encoder.forward(params.vector, params, episode.x)

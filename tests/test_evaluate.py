@@ -268,6 +268,26 @@ def test_ablation_checks_every_value_before_training(monkeypatch):
         ablate_lambda2(train, val, test, config, [0.0, -1.0])
 
 
+def test_ablation_trains_and_scores_each_value_through_domain_shift(monkeypatch):
+    train, val, test = splits(seed=3)
+    config = TrainConfig(n_way=3, k_shot=2, q_queries=3, episodes=10,
+                         embed_dim=4, hidden_dim=8, depth=1, seed=3,
+                         val_interval=100, val_episodes=5)
+    calls = []
+    domain_shift_through = fewshot.evaluate.domain_shift
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return domain_shift_through(*args, **kwargs)
+
+    monkeypatch.setattr(fewshot.evaluate, "domain_shift", recorded)
+    result = ablate_lambda2(train, val, test, config, [0.0, 1e-2, 0.5],
+                            eval_episodes=10)
+    assert calls == [((train, val, test, replace(config, lambda2=value)),
+                      {"eval_episodes": 10}) for value in (0.0, 1e-2, 0.5)]
+    assert [r.head for r in result.reports] == ["regression"] * 3
+
+
 def test_too_few_eval_episodes_are_refused_before_training(monkeypatch):
     # both used to train a model and only then find no confidence interval
     train, val, test = splits(seed=3)

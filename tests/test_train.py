@@ -16,7 +16,7 @@ from fewshot.encoder import EncoderParams, Layer, default_layer_spec, embed_np, 
 from fewshot.episodes import sample_episode, split_classes, synth_gaussian
 from fewshot.errors import (ConditioningError, ConfigError, ContractError,
                             DegenerateSubspaceError, DivergenceError,
-                            NumericalError, SamplingError)
+                            NumericalError, SamplingError, ShapeError)
 from fewshot.heads import Hyper, RegressionHead
 from fewshot.linalg import named_stream
 from fewshot.train import (AdamState, TrainConfig, adam_update, chunk_episodes,
@@ -285,6 +285,30 @@ def test_episode_accuracy_agrees_with_manual_argmin():
     dist = RegressionHead().distances_np(support, query, hyper)
     manual = float(np.mean(np.argmin(dist, axis=0) + 1 == episode.query_y))
     assert got == pytest.approx(manual)
+
+
+def test_an_episode_of_another_shape_is_refused_by_training_and_scoring(monkeypatch):
+    # a 2-way 3-shot episode under a 3-way 2-shot hyper used to train and score
+    # silently, the six support columns grouped as three classes of two
+    train_set, _, _ = small_splits()
+    config = small_config()
+    params = init_encoder(named_stream(1, "init"), config.layer_spec(train_set.dim))
+    rng = named_stream(1, "evaluation")
+    episodes = [sample_episode(train_set, 2, 3, 3, rng) for _ in range(4)]
+    message = (r"^episode 0 has \(n_way, k_shot, q_queries\) = \(2, 3, 3\), "
+               r"but the hyper's are \(3, 2, 3\)$")
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("embedded an episode before checking its shape")
+
+    monkeypatch.setattr(encoder, "forward", no_forward)
+    with pytest.raises(ShapeError, match=message):
+        train.episode_gradient(params, episodes[0], RegressionHead(), config)
+    with pytest.raises(ShapeError, match=message):
+        train.split_accuracies(params, RegressionHead(), train_set, episodes,
+                               Hyper(3, 2, 3))
+    assert train.split_accuracies(params, RegressionHead(), train_set, episodes,
+                                  Hyper(2, 3, 3)).shape == (4,)
 
 
 def test_train_step_updates_parameters_and_reports_metrics():
